@@ -131,26 +131,19 @@ class ThresholdReport:
 
 
 def mesh_threshold(ledger: ConstantsLedger, k, h_query=None) -> ThresholdReport:
-    """Evaluate admissibility at ``h_query`` and solve RHS(h) = 1 by bisection.
+    """Evaluate admissibility at ``h_query`` and solve RHS(h) = 1 in closed form.
 
-    The RHS is strictly increasing in h, so bisection brackets the root; the
-    reported h_max satisfies RHS(h_max) = 1 to ~1e-12 relative.
+    RHS(h) = a h sqrt(1 + h^2 k^2) with a = c k^2, so h^2 solves the quadratic
+    a^2 k^2 h^4 + a^2 h^2 = 1, whose positive root is
+    h^2 = 2 / (a^2 + sqrt(a^4 + 4 a^2 k^2)) = 2 / (a (a + hypot(a, 2k))).
+    The reported h_max is stepped down to the admissible side, RHS(h_max) <= 1,
+    and lies within a few ulps of the root.
     """
     ledger.validate()
-    lo, hi = 0.0, 1.0
-    while threshold_rhs(ledger, k, hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("threshold root not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if threshold_rhs(ledger, k, mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    h_max = lo  # the admissible side of the bracket
+    a = threshold_rhs(ledger, k, 1.0) / np.sqrt(1.0 + k**2)
+    h_max = np.sqrt(2.0 / (a * (a + np.hypot(a, 2.0 * k))))
+    while threshold_rhs(ledger, k, h_max) > 1.0:
+        h_max = np.nextafter(h_max, 0.0)
     rhs_q = float(threshold_rhs(ledger, k, h_query)) if h_query is not None else None
     caveats = [name for name, prov in ledger.provenance.items() if prov == "empirical"]
     caveat = ("admissibility is heuristic: empirical lower estimates for "

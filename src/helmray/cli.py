@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -350,7 +351,6 @@ def build_parser():
     common.add_argument("--config", help="INI configuration path")
     common.add_argument("--out", help="output directory")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--jobs", type=int, default=1, help="worker pool size")
 
     p = argparse.ArgumentParser(prog="helmray",
                                 description="longest rays, radiation-closed "
@@ -441,7 +441,7 @@ def main(argv=None):
         return args.fn(args)
     except Exception as exc:
         report = {"error": type(exc).__name__, "message": str(exc),
-                  "subcommand": args.command}
+                  "subcommand": args.command, "traceback": traceback.format_exc()}
         print(json.dumps(report, indent=2), file=sys.stderr)
         return 1
 

@@ -12,13 +12,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hankel1, jv, jvp
 
-from .bessel import hankel_ratio_value, jn_with_deriv
+
+def _hankel_ratio_sweep(n_max: int, z: float) -> np.ndarray:
+    """H_n^{(1)'}(z) / H_n^{(1)}(z) for n = 0..n_max in one forward sweep.
+
+    The ratio q_n = H_n / H_{n-1} obeys q_{n+1} = 2n/z - 1/q_n, seeded from
+    scipy's H_0 and H_1, and H_n'/H_n = 1/q_n - n/z.  Only the ratio is
+    carried, so the sweep stays finite deep into the evanescent regime n >> z
+    where H_n itself overflows; forward recurrence is stable there because
+    H_n is the dominant solution.
+    """
+    if z <= 0.0:
+        raise ValueError("argument must be positive")
+    q = complex(hankel1(1, z) / hankel1(0, z))
+    out = np.empty(n_max + 1, dtype=complex)
+    out[0] = -q  # H_0' = -H_1
+    for n in range(1, n_max + 1):
+        out[n] = 1.0 / q - n / z
+        q = 2.0 * n / z - 1.0 / q
+    return out
 
 
 def hankel_ratio(n: int, z: float) -> complex:
     """H_n^{(1)'}(z) / H_n^{(1)}(z) for integer order, even-in-n."""
-    return hankel_ratio_value(n, z)
+    m = abs(int(n))  # H_{-n} equals H_n up to a constant phase, which cancels
+    return complex(_hankel_ratio_sweep(m, z)[m])
 
 
 def default_n_max(k: float, R: float) -> int:
@@ -104,7 +124,7 @@ def build_dtn(k: float, R: float, n_max: int | None = None) -> DtnOperator:
     n_min_req = int(np.ceil(k * R))
     if n_max < n_min_req:
         raise ValueError(f"n_max={n_max} below the propagating range ceil(kR)={n_min_req}")
-    half = np.array([k * hankel_ratio(n, k * R) for n in range(n_max + 1)])
+    half = k * _hankel_ratio_sweep(n_max, k * R)
     coeffs = np.concatenate([half[:0:-1], half])
     return DtnOperator(k=k, R=R, n_max=n_max, coefficients=coeffs)
 
@@ -138,9 +158,6 @@ def incident_wave_data(op: DtnOperator, direction) -> FourierTrace:
     phi = np.arctan2(d[1], d[0])
     k, R = op.k, op.R
     n = op.orders
-    jn = np.empty(len(n))
-    jp = np.empty(len(n))
-    for i, nn in enumerate(n):
-        jn[i], jp[i] = jn_with_deriv(int(nn), k * R)
+    jn, jp = jv(n, k * R), jvp(n, k * R)
     coeffs = (1j) ** n * np.exp(-1j * n * phi) * (k * jp - op.coefficients * jn)
     return FourierTrace(coefficients=coeffs, R=R)

@@ -12,12 +12,12 @@ import scipy.sparse.linalg as spla
 
 from .bounds import ConstantsLedger, mesh_threshold
 from .dtn import build_dtn
-from .fem import (DiscreteSolution, assemble, assemble_load_scattering,
+from .fem import (DiscreteSolution, SolveError, assemble, assemble_load_scattering,
                   build_space, element_gradients, errors_vs_exact,
                   modal_projection, nodal_interpolant, quadrature, solve,
                   solve_adjoint)
 from .geometry import CoefficientField
-from .mesh import generate_mesh
+from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
 from .radial import radial_cutoff_resolvent_norm
 from .util import composite_gauss, make_rng, power_sigma, smoothstep
@@ -411,7 +411,7 @@ def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
                     "admissible": bool(report.admissible),
                     "failed": False,
                 })
-            except Exception as exc:  # record solver failures as data
+            except (SolveError, MeshSizeError) as exc:  # record solver failures as data
                 row.update({"failed": True, "error": str(exc)})
             rows.append(row)
     return ConvergenceTable(rows=rows, quasioptimality_bound=float(bound))

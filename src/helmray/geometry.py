@@ -134,7 +134,7 @@ def identity_coefficients():
 
     return CoefficientField(
         eval_A, eval_nu, eval_grad_A, eval_grad_nu,
-        support_radius=1.0, A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
+        support_radius=0.0, A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
         name="identity",
     )
 

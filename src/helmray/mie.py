@@ -1,7 +1,8 @@
 """Closed-form reference fields: sound-soft disk scattering and point sources.
 
-These are the oracle side of the validation pairs, so they deliberately use
-scipy's cylinder functions rather than the in-package evaluation scheme.
+These are the oracle side of the validation pairs.  They evaluate the field
+values from scipy's cylinder functions, while the radiation closure in
+``dtn`` carries only the ratios H_n'/H_n.
 """
 
 from __future__ import annotations

@@ -17,19 +17,20 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dtn import hankel_ratio
+from .dtn import default_n_max, hankel_ratio
 from .util import power_sigma
 
 _GP = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GW = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
-def _tridiag(n, d00, d01, d11):
-    main = np.zeros(n + 1)
+def _bands(d00, d01, d11):
+    """Main and off diagonal of the tridiagonal matrix assembled from per-element
+    2x2 blocks [[d00, d01], [d01, d11]]."""
+    main = np.zeros(len(d00) + 1)
     main[:-1] += d00
     main[1:] += d11
-    off = d01
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return main, d01
 
 
 @dataclass
@@ -74,37 +75,38 @@ def assemble_radial_mode(n, k, R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None,
     nu_q = np.ones_like(x) if nu_of_r is None else nu_of_r(x)
 
     s_el = np.sum(w * a_q * x, axis=0) / hs**2
-    S = _tridiag(n_r, s_el, -s_el, s_el)
+    S = _bands(s_el, -s_el, s_el)
 
     if n != 0:
         q = w * a_q / np.maximum(x, 1e-300)
-        C = _tridiag(n_r, np.sum(q * phi0 * phi0, 0), np.sum(q * phi0 * phi1, 0),
-                     np.sum(q * phi1 * phi1, 0))
+        C = _bands(np.sum(q * phi0 * phi0, 0), np.sum(q * phi0 * phi1, 0),
+                   np.sum(q * phi1 * phi1, 0))
     else:
-        C = sp.csr_matrix((n_r + 1, n_r + 1))
+        C = (np.zeros(n_r + 1), np.zeros(n_r))
 
     wm = w * x
-    M0 = _tridiag(n_r, np.sum(wm * phi0 * phi0, 0), np.sum(wm * phi0 * phi1, 0),
-                  np.sum(wm * phi1 * phi1, 0))
+    M0 = _bands(np.sum(wm * phi0 * phi0, 0), np.sum(wm * phi0 * phi1, 0),
+                np.sum(wm * phi1 * phi1, 0))
     wnu = w * nu_q * x
-    Mnu = _tridiag(n_r, np.sum(wnu * phi0 * phi0, 0), np.sum(wnu * phi0 * phi1, 0),
-                   np.sum(wnu * phi1 * phi1, 0))
+    Mnu = _bands(np.sum(wnu * phi0 * phi0, 0), np.sum(wnu * phi0 * phi1, 0),
+                 np.sum(wnu * phi1 * phi1, 0))
 
     if t_n is None:
         t_n = k * hankel_ratio(n, k * R)
-    K = (S + n * n * C).astype(complex) - (k * k) * Mnu
-    K = K.tolil()
-    K[-1, -1] -= R * t_n
-    K = K.tocsc()
-    E = (S + n * n * C + (k * k) * Mnu).tocsr()
+    A = [s + n * n * c for s, c in zip(S, C)]
+    K = [a.astype(complex) - (k * k) * m for a, m in zip(A, Mnu)]
+    K[0][-1] -= R * t_n
+    E = [a + (k * k) * m for a, m in zip(A, Mnu)]
 
-    dirichlet_inner = (r_inner > 0.0) or (n != 0)
-    free = np.arange(1, n_r + 1) if dirichlet_inner else np.arange(0, n_r + 1)
-    return RadialMode(n=n, k=k, grid=r,
-                      K=K.tocsr()[free][:, free].tocsc(),
-                      M=M0[free][:, free].tocsr(),
-                      E=E[free][:, free].tocsr(),
-                      free=free)
+    # the Dirichlet node r_inner drops out as the first row and column
+    first = 1 if (r_inner > 0.0) or (n != 0) else 0
+
+    def matrix(bands, fmt):
+        main, off = bands[0][first:], bands[1][first:]
+        return sp.diags([off, main, off], [-1, 0, 1], format=fmt)
+
+    return RadialMode(n=n, k=k, grid=r, K=matrix(K, "csc"), M=matrix(M0, "csr"),
+                      E=matrix(E, "csr"), free=np.arange(first, n_r + 1))
 
 
 def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed=0):
@@ -147,7 +149,7 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
                                  s=0, rtol=1e-5, seed=0) -> RadialScanResult:
     """Cutoff solution-operator norm as the max over angular modes."""
     if n_modes is None:
-        n_modes = int(np.ceil(k * R)) + max(16, int(np.ceil(4.0 * (k * R) ** (1.0 / 3.0))))
+        n_modes = default_n_max(k, R)
     n_r = max(16, int(np.ceil((R - r_inner) / h_r)))
     per_mode = []
     best, best_mode = 0.0, 0

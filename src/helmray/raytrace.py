@@ -418,7 +418,8 @@ def _build_states(coeffs, obstacles, radii, pos_angles, dir_angles):
 
 
 def _eval_rays(coeffs, obstacles, states, cfg, R):
-    escape = max(R, coeffs.support_radius) + 0.25
+    # a ray is straight and free only outside the perturbation and every obstacle
+    escape = max(R, coeffs.support_radius, *(ob.outer_reach for ob in obstacles)) + 0.25
     return _integrate_batch(coeffs, obstacles, states, cfg, R_track=R,
                             escape_radius=escape)
 

@@ -1,12 +1,10 @@
-"""Shared numerics: smooth bumps, quadrature rules, parallel map, deterministic RNG."""
+"""Shared numerics: smooth bumps, quadrature rules, power iteration, deterministic RNG."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -147,16 +145,6 @@ def power_sigma(apply_normal, m_dot, v0, rtol=1e-5, maxit=400):
     return float(sigma), maxit, False
 
 
-def parallel_map(fn, items, jobs=1):
-    """Ordered map, optionally over a worker pool. Results preserve input order,
-    so reductions over them are deterministic regardless of job count."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def fmt_float(x):
     """Shortest round-trip decimal form; deterministic for identical doubles."""
     if isinstance(x, (int, np.integer)):
@@ -173,15 +161,6 @@ def write_csv(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([c if isinstance(c, str) else fmt_float(c) for c in row])
-
-
-def csv_bytes(header, rows):
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([c if isinstance(c, str) else fmt_float(c) for c in row])
-    return buf.getvalue().encode()
 
 
 def sha256_text(text):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,13 @@ def test_rays_subcommand_tangent_chord(tmp_path, capsys):
     assert "config_sha256" in manifest
 
 
+def test_rays_subcommand_ball_inside_unit_circle(tmp_path):
+    disk_ini = Path(__file__).resolve().parents[1] / "configs" / "disk.ini"
+    rc = main(["rays", "--config", str(disk_ini), "--R", "0.8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
 def test_dtn_check_subcommand(tmp_path):
     rc = main(["dtn-check", "--k", "5.0", "--R", "2.0",
                "--out", str(tmp_path / "o")])
@@ -142,6 +150,15 @@ def test_error_reported_structurally(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_error_report_carries_traceback(tmp_path, capsys):
+    cfg = _write(tmp_path, DISK_CFG)
+    rc = main(["threshold", "--config", cfg, "--ledger", "/nonexistent.json",
+               "--k", "4", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    trace = json.loads(capsys.readouterr().err)["traceback"]
+    assert trace.startswith("Traceback") and "FileNotFoundError" in trace
 
 
 def test_resolvent_scan_deterministic(tmp_path):

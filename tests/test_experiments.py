@@ -235,6 +235,27 @@ def test_quasioptimality_requires_closed_form_reference(disk_study):
                               [2.0], [0.1])
 
 
+def test_quasioptimality_records_only_solver_failures(disk_study, monkeypatch):
+    import helmray.experiments as ex
+    from helmray.fem import SingularSystemError
+
+    geom, obs, led = disk_study
+
+    def singular(*args, **kwargs):
+        raise SingularSystemError("singular")
+
+    monkeypatch.setattr(ex, "solve", singular)
+    table = quasioptimality_study(identity_coefficients(), obs, geom, led, [2.0], [0.1])
+    assert table.rows[0]["failed"] and table.rows[0]["error"] == "singular"
+
+    def broken(*args, **kwargs):
+        raise KeyError("not a solver failure")
+
+    monkeypatch.setattr(ex, "solve", broken)
+    with pytest.raises(KeyError):
+        quasioptimality_study(identity_coefficients(), obs, geom, led, [2.0], [0.1])
+
+
 def test_h2_growth_exponent_near_linear(disk_study):
     geom, obs, led = disk_study
     res = h2_scaling_study(identity_coefficients(), obs, geom,

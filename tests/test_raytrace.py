@@ -5,7 +5,7 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients)
 from helmray.raytrace import (PhasePoint, RayConfig, Termination,
-                              TrappedTrajectoryError, _integrate_batch,
+                              TrappedTrajectoryError, _eval_rays, _integrate_batch,
                               _rk4_step, _ham, classify_trapping, hamiltonian,
                               hamiltonian_vector_field, integrate_ray,
                               longest_ray_length, reflect, time_in_ball,
@@ -159,6 +159,13 @@ def test_longest_ray_disk_tangent_chord(ident, unit_ball_geom, half_disk):
     assert res.L == pytest.approx(np.sqrt(0.75), abs=2e-3)
 
 
+def test_longest_ray_disk_in_ball_smaller_than_unit(ident, unit_ball_geom, half_disk):
+    # identity coefficients have no perturbation, so any ball that holds the
+    # obstacle is admissible; the longest ray is the chord tangent to the disk
+    res = longest_ray_length(ident, half_disk, unit_ball_geom, 0.8, RayConfig())
+    assert res.L == pytest.approx(np.sqrt(0.8**2 - 0.5**2), abs=2e-3)
+
+
 def test_longest_ray_monotone_under_refinement(ident, unit_ball_geom, half_disk):
     cfg0 = RayConfig(grid_pos_r=5, grid_pos_theta=9, grid_dir=23,
                      refinement_rounds=0)
@@ -251,6 +258,15 @@ def test_escaped_rays_never_reenter(ident, unit_ball_geom):
         state = _rk4_step(ident, state, 2e-3)
         rmin = np.minimum(rmin, np.hypot(state[:, 0], state[:, 1]))
     assert np.all(rmin >= 1.25 * (1 - 1e-12))
+
+
+def test_ray_returns_from_obstacle_beyond_the_ball(ident):
+    # the disk reaches r = 2.5, so the ray has not escaped at 1.25: it reflects
+    # at x = 1.5 and crosses the unit ball again, exiting at x = -1
+    obs = disk_obstacle(0.5, center=(2.0, 0.0))
+    res = _eval_rays(ident, (obs,), np.array([[-0.9, 0.0, 1.0, 0.0]]), RayConfig(), 1.0)
+    assert res.termination[0] == 0
+    assert res.t_exit[0] == pytest.approx((2.4 + 2.5) / 2.0, abs=1e-3)
 
 
 def test_glancing_impact_flagged(ident):
