@@ -29,7 +29,8 @@ from .fem import (assemble, assemble_load_scattering, assemble_load_source,
                   build_space, energy_norm, solve)
 from .geometry import check_gradients, validate_configuration
 from .mesh import generate_mesh
-from .raytrace import hamiltonian, PhasePoint, classify_trapping, longest_ray_length
+from .raytrace import (hamiltonian, PhasePoint, classify_trapping, integrate_ray,
+                       longest_ray_length)
 from .util import fmt_float, write_csv, write_json
 
 
@@ -100,6 +101,10 @@ def _cmd_rays(args):
     R = args.R if args.R is not None else geom.R
     result = longest_ray_length(coeffs, obstacle, geom, R, ray_cfg,
                                 allow_censored=args.allow_censored)
+    # certificates: L after each refinement round, and the Hamiltonian
+    # drift along the re-traced maximizing ray
+    traj = integrate_ray(coeffs, obstacle, geom, result.maximizer, ray_cfg)
+    H = [hamiltonian(coeffs, PhasePoint(s[:2], s[2:])) for s in traj.states]
     out = _out_dir(args, "rays")
     payload = {
         "L": result.L,
@@ -109,15 +114,14 @@ def _cmd_rays(args):
         "n_samples": result.diagnostics.n_samples,
         "n_glancing": result.diagnostics.n_glancing,
         "n_budget": result.diagnostics.n_budget,
+        "refinement_history": [float(v) for v in result.diagnostics.refinement_history],
+        "H_drift": float(np.max(np.abs(H))),
         "R": float(R),
     }
     write_json(out / "rays.json", payload)
     if args.dump_trajectory:
-        from .raytrace import integrate_ray
-        traj = integrate_ray(coeffs, obstacle, geom, result.maximizer, ray_cfg)
-        rows = [(t, s[0], s[1], s[2], s[3],
-                 hamiltonian(coeffs, PhasePoint(s[:2], s[2:])))
-                for t, s in zip(traj.times, traj.states)]
+        rows = [(t, s[0], s[1], s[2], s[3], h)
+                for t, s, h in zip(traj.times, traj.states, H)]
         write_csv(out / "trajectory.csv", ["s", "x1", "x2", "xi1", "xi2", "H"], rows)
     _manifest(out, args, cfg)
     print(json.dumps(payload, indent=2))

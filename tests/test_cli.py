@@ -91,6 +91,19 @@ def test_rays_subcommand_tangent_chord(tmp_path, capsys):
     assert "config_sha256" in manifest
 
 
+def test_rays_subcommand_certificates(tmp_path):
+    nu_bump_ini = Path(__file__).resolve().parents[1] / "configs" / "nu_bump.ini"
+    rc = main(["rays", "--config", str(nu_bump_ini), "--R", "1.0", "--grid-pos", "4",
+               "--grid-dir", "16", "--refine", "2", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    payload = json.loads((tmp_path / "o" / "rays.json").read_text())
+    history = payload["refinement_history"]
+    assert len(history) == 2
+    assert history == sorted(history) and history[-1] == payload["L"]
+    # RK4 through the bump at the default step: drift of order 1e-9
+    assert 0.0 < payload["H_drift"] <= 1e-6
+
+
 def test_rays_subcommand_ball_inside_unit_circle(tmp_path):
     disk_ini = Path(__file__).resolve().parents[1] / "configs" / "disk.ini"
     rc = main(["rays", "--config", str(disk_ini), "--R", "0.8",

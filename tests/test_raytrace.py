@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helmray.config import RunConfig
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients)
@@ -11,6 +16,9 @@ from helmray.raytrace import (PhasePoint, RayConfig, Termination,
                               longest_ray_length, reflect, time_in_ball,
                               unit_covector)
 from conftest import rng
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+angles = st.floats(0.0, 2 * np.pi)
 
 
 def test_hamiltonian_values(ident):
@@ -285,3 +293,74 @@ def test_glancing_impact_flagged(ident):
                           RayConfig(glancing_threshold=1e-9))
     assert traj2.termination is Termination.ESCAPED
     assert len(traj2.reflections) == 1
+
+
+@pytest.mark.parametrize("name", ["disk", "nu_bump"])
+def test_longest_ray_matches_retraced_maximizer(name):
+    # the search escapes at 1.25; integrate_ray at the config's R_ray (3.5 for
+    # the disk), so the agreement also shows R_ray does not move L
+    cfg = RunConfig.from_file(CONFIGS / f"{name}.ini")
+    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+    ray_cfg = RayConfig(grid_pos_r=4, grid_pos_theta=8, grid_dir=16, refine_points=7)
+    res = longest_ray_length(coeffs, obstacle, geom, geom.R, ray_cfg)
+    traj = integrate_ray(coeffs, obstacle, geom, res.maximizer, ray_cfg)
+    assert time_in_ball(traj, geom.R) == pytest.approx(res.L, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1=st.floats(-0.5, 1.0), a2=st.floats(-0.5, 1.0), frame=st.floats(0.0, np.pi),
+       c0=st.floats(0.2, 0.35), c2=st.floats(-0.05, 0.05), s3=st.floats(-0.03, 0.03),
+       theta=angles, psi=angles)
+def test_reflection_is_hamiltonian_involution(a1, a2, frame, c0, c2, s3, theta, psi):
+    coeffs = anisotropic_coefficients(a1, a2, frame, width=0.9)
+    obs = fourier_obstacle([c0, 0.0, c2], [0.0, 0.0, s3])
+    x = obs.rho(theta) * np.array([np.cos(theta), np.sin(theta)])
+    p = PhasePoint(x, unit_covector(coeffs, x, np.array([np.cos(psi), np.sin(psi)])))
+    once = reflect(coeffs, obs, p)
+    twice = reflect(coeffs, obs, once)
+    np.testing.assert_allclose(twice.xi, p.xi, rtol=0.0, atol=1e-12)
+    assert abs(hamiltonian(coeffs, once) - hamiltonian(coeffs, p)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.1, 0.8), s=st.floats(0.0, 1.0), theta=angles, psi=angles)
+def test_disk_last_exit_matches_closed_form(ident, a, s, theta, psi):
+    cfg = RayConfig()
+    r0 = a + (1.0 - a) * s
+    assume(r0 > a + 1e-6)
+    x0 = r0 * np.array([np.cos(theta), np.sin(theta)])
+    d0 = np.array([np.cos(psi), np.sin(psi)])
+    b = x0 @ d0
+    disc = b * b - (r0 * r0 - a * a)
+    # a chord through the disk shorter than the line-sample spacing
+    # 2 * step_size can fall between samples, as between RK4 steps
+    assume(not (disc > 0.0 and 2.0 * np.sqrt(disc) <= 2.0 * cfg.step_size * 1.25))
+    lead, p, d = 0.0, x0, d0
+    if disc > 0.0 and b < 0.0:
+        lead = -b - np.sqrt(disc)
+        p = x0 + lead * d0
+        n = p / a
+        d = d0 - 2.0 * (d0 @ n) * n
+    q = p @ d
+    chord = -q + np.sqrt(q * q - (p @ p - 1.0))
+    res = _eval_rays(ident, (disk_obstacle(a),), np.concatenate([x0, d0])[None], cfg, 1.0)
+    assert res.termination[0] == 0
+    assert res.t_exit[0] == pytest.approx((lead + chord) / 2.0, abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(r0=st.floats(0.6, 1.0), theta=angles, b=st.floats(-0.45, 0.45))
+def test_bump_flight_matches_fixed_step_march(nu_bump, r0, theta, b):
+    # aimed inward at impact parameter |b| < 0.5: flies into the bump
+    alpha = theta + np.arcsin(b / r0)
+    x0 = r0 * np.array([np.cos(theta), np.sin(theta)])
+    state = np.concatenate([x0, -np.array([np.cos(alpha), np.sin(alpha)])])[None]
+    cfg = RayConfig()
+    res = _integrate_batch(nu_bump, (), state, cfg, R_track=1.0, escape_radius=1.25)
+    assert res.termination[0] == 0
+    steps = int(np.ceil(res.t_final[0] / cfg.step_size))
+    for _ in range(steps):
+        state = _rk4_step(nu_bump, state, cfg.step_size)
+    final = res.state_final[0].copy()
+    final[:2] += 2.0 * final[2:] * (steps * cfg.step_size - res.t_final[0])
+    np.testing.assert_allclose(state[0], final, rtol=0.0, atol=1e-6)
