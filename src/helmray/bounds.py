@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .fem import (assemble, assemble_load_source, build_space, l2_norm_exact,
-                  recovered_hessian_h2_norm, solve)
+                  modal_projection, recovered_hessian_h2_norm)
 from .geometry import identity_coefficients
 from .mesh import generate_mesh
 from .util import make_rng
@@ -245,42 +245,31 @@ def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05), R=1.0):
     return worst
 
 
-def estimate_C_DtN_tilde(R, k_values, h=0.05, k0=None):
+def estimate_C_DtN_tilde(R, k_values, h=0.05):
     """Exact discrete norm of the radiation pairing in unweighted k-norms.
 
-    For each k, the largest singular value of E^{-1/2} D E^{-1/2} with
-    E = stiffness + k^2 mass (identity weights) and D the modal boundary block,
-    computed through the low-rank factorization of D.  Returns the max over k.
+    For each k, the largest singular value of E^{-1/2} D E^{-1/2}, with
+    E = stiffness + k^2 mass (identity weights) and D = P^H (2 pi R diag(t)) P
+    the radiation block, equals that of C^H (2 pi R diag(t)) C, where
+    C C^H = P E^{-1} P^H (Cholesky of the small modal Gram).  Returns the max over k.
     """
     import scipy.sparse.linalg as spla
 
     from .dtn import build_dtn
-    from .fem import modal_projection
     from .geometry import TruncationGeometry
 
     geom = TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R)
-    ident = identity_coefficients()
+    space = build_space(generate_mesh(None, geom, h))
+    system = assemble(identity_coefficients(), space, None, 0.0)
     worst = 0.0
     for k in k_values:
-        mesh = generate_mesh(None, geom, h)
-        space = build_space(mesh)
         dtn = build_dtn(k, R)
-        system = assemble(ident, space, dtn, k)
         E = (system.stiffness + k**2 * system.mass_plain).astype(complex).tocsc()
-        lu = spla.splu(E)
-        Mm = modal_projection(space, dtn.n_max)           # (2n+1, Nb)
-        nmodes, nb = Mm.shape
-        full = np.zeros((nmodes, space.n_dofs), dtype=complex)
-        full[:, space.boundary_dofs] = Mm
-        Einv_MH = np.column_stack([lu.solve(col) for col in np.conj(full)])
-        W = full @ Einv_MH                                 # M E^{-1} M^H, Hermitian
-        W = 0.5 * (W + W.conj().T)
-        lam, U = np.linalg.eigh(W)
-        lam = np.clip(lam, 0.0, None)
-        T = (2.0 * np.pi * R) * np.diag(dtn.coefficients)
-        core = np.sqrt(lam)[:, None] * (U.conj().T @ T @ U) * np.sqrt(lam)[None, :]
-        sigma = float(scipy.linalg.svdvals(core)[0])
-        worst = max(worst, sigma)
+        P = modal_projection(space, dtn.n_max)
+        W = P @ spla.splu(E).solve(P.conj().T.toarray())
+        C = np.linalg.cholesky(0.5 * (W + W.conj().T))      # W = C C^H
+        core = C.conj().T @ ((2.0 * np.pi * R) * dtn.coefficients[:, None] * C)
+        worst = max(worst, float(scipy.linalg.svdvals(core)[0]))
     return worst
 
 

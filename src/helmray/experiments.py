@@ -3,7 +3,7 @@ adjoint-approximation quality, quasioptimality sweeps, and H^2 growth in k."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,8 +14,7 @@ from .bounds import ConstantsLedger, mesh_threshold
 from .dtn import build_dtn
 from .fem import (DiscreteSolution, SolveError, assemble, assemble_load_scattering,
                   build_space, element_gradients, errors_vs_exact,
-                  modal_projection, nodal_interpolant, quadrature, solve,
-                  solve_adjoint)
+                  nodal_interpolant, quadrature, solve, solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
@@ -109,16 +108,13 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     """
     if cutoff.outer > geom.R:
         raise ValueError("cutoff must be supported inside the truncation disk")
-    if method == "auto":
-        prof = radial_profiles(coeffs, geom.R)
-        r_in = _disk_inner_radius(obstacle)
-        method = "modal" if (prof is not None and r_in is not None) else "fem2d"
-
-    if method == "modal":
-        prof = radial_profiles(coeffs, geom.R)
-        r_in = _disk_inner_radius(obstacle)
-        if prof is None or r_in is None:
-            raise ValueError("modal path requires a rotationally symmetric configuration")
+    if method not in ("auto", "modal", "fem2d"):
+        raise ValueError(f"unknown method {method!r}: expected 'auto', 'modal' or 'fem2d'")
+    prof = radial_profiles(coeffs, geom.R) if method != "fem2d" else None
+    r_in = _disk_inner_radius(obstacle)
+    if method == "modal" and (prof is None or r_in is None):
+        raise ValueError("modal path requires a rotationally symmetric configuration")
+    if prof is not None and r_in is not None:
         res = radial_cutoff_resolvent_norm(k, geom.R, h, cutoff, r_inner=r_in,
                                            a_of_r=prof[0], nu_of_r=prof[1],
                                            s=s, rtol=rtol, seed=seed)

@@ -3,9 +3,9 @@
 The sesquilinear form is
     a(u, v) = int_D (A grad u . conj(grad v) - k^2 nu u conj(v)) - <T (u|_G), v|_G>
 with T the modal radiation operator on the outer circle G.  Obstacle vertices
-carry homogeneous Dirichlet constraints.  The radiation block couples outer
-boundary degrees of freedom through the uniform-angle Fourier projection, so it
-is a dense complex-symmetric block of rank 2 n_max + 1.
+carry homogeneous Dirichlet constraints.  One sparse trace operator P
+(``modal_projection``) maps dofs to Fourier modes on G; the radiation block
+2 pi R P^H diag(t) P is formed from it densely on the outer-circle dofs.
 """
 
 from __future__ import annotations
@@ -176,18 +176,24 @@ def assemble(coeffs: CoefficientField, fe_space: FeSpace,
             raise ValueError("radiation block incompatible with outer Dirichlet")
         if abs(dtn.k - k) > 1e-12:
             raise ValueError(f"operator wavenumber {dtn.k} != {k}")
-        block = _dtn_block(fe_space, dtn)
+        bd = fe_space.boundary_dofs
+        Pb = modal_projection(fe_space, dtn.n_max)[:, bd].toarray()
+        dense = (2.0 * np.pi * dtn.R) * (Pb.conj().T * dtn.coefficients) @ Pb
+        rows, cols = np.repeat(bd, len(bd)), np.tile(bd, len(bd))
+        block = sp.coo_matrix((dense.ravel(), (rows, cols)),
+                              shape=(fe_space.n_dofs,) * 2).tocsr()
 
     return GalerkinSystem(fe_space=fe_space, coeffs=coeffs, dtn=dtn, k=k,
                           stiffness=S, mass_nu=Mnu, mass_plain=M0,
                           dtn_block=block)
 
 
-def modal_projection(fe_space: FeSpace, n_max: int):
-    """Matrix taking outer-boundary nodal values to Fourier coefficients.
+def modal_projection(fe_space: FeSpace, n_max: int) -> sp.csr_matrix:
+    """Sparse (2 n_max + 1, n_dofs) map from dof vectors to boundary Fourier modes.
 
-    Row n (for n = -n_max..n_max) is e^{-i n theta_b} / N_b: the trapezoidal
-    projection on the uniformly spaced boundary vertices.
+    Row n (for n = -n_max..n_max) holds e^{-i n theta_b} / N_b in the
+    outer-circle dof columns: the trapezoidal projection on the uniformly
+    spaced boundary vertices.
     """
     th = fe_space.boundary_thetas
     Nb = len(th)
@@ -197,26 +203,17 @@ def modal_projection(fe_space: FeSpace, n_max: int):
     if np.max(np.abs(gaps - 2 * np.pi / Nb)) > 1e-8:
         raise ValueError("boundary vertices are not uniformly spaced in angle")
     n = np.arange(-n_max, n_max + 1)
-    return np.exp(-1j * np.outer(n, th)) / Nb
-
-
-def _dtn_block(fe_space: FeSpace, dtn: DtnOperator):
-    Mm = modal_projection(fe_space, dtn.n_max)
-    dense = (2.0 * np.pi * dtn.R) * (Mm.conj().T * dtn.coefficients) @ Mm
-    n = fe_space.n_dofs
-    bd = fe_space.boundary_dofs
-    rows = np.repeat(bd, len(bd))
-    cols = np.tile(bd, len(bd))
-    return sp.coo_matrix((dense.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    vals = np.exp(-1j * np.outer(n, th)) / Nb
+    rows, cols = np.repeat(n + n_max, Nb), np.tile(fe_space.boundary_dofs, len(n))
+    return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(len(n), fe_space.n_dofs))
 
 
 def boundary_trace(fe_space: FeSpace, vertex_values, n_max) -> FourierTrace:
     """Fourier trace of a nodal function on the outer circle."""
-    Mm = modal_projection(fe_space, n_max)
     mesh = fe_space.mesh
-    vals = np.asarray(vertex_values)[mesh.boundary_indices]
+    vals = np.asarray(vertex_values, dtype=complex)[fe_space.free_vertices]
     R = float(np.hypot(*mesh.vertices[mesh.boundary_indices[0]]))
-    return FourierTrace(coefficients=Mm @ vals.astype(complex), R=R)
+    return FourierTrace(coefficients=modal_projection(fe_space, n_max) @ vals, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +242,8 @@ def assemble_load_source(fe_space: FeSpace, f: Callable, quad_degree=4,
 def assemble_load_scattering(fe_space: FeSpace, dtn: DtnOperator, direction):
     """Boundary data load for plane-wave scattering off the Dirichlet obstacle."""
     data = incident_wave_data(dtn, direction)
-    Mm = modal_projection(fe_space, dtn.n_max)
-    vals = (2.0 * np.pi * dtn.R) * (Mm.conj().T @ data.coefficients)
-    rhs = np.zeros(fe_space.n_dofs, dtype=complex)
-    rhs[fe_space.boundary_dofs] = vals
-    return rhs
+    P = modal_projection(fe_space, dtn.n_max)
+    return (2.0 * np.pi * dtn.R) * (P.conj().T @ data.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +264,6 @@ class DiscreteSolution:
 
     def evaluate(self, points):
         return self.fe_space.mesh.interpolate(self.vertex_values(), points)
-
-    def trace_fourier(self, n_max):
-        return boundary_trace(self.fe_space, self.vertex_values(), n_max)
 
 
 def solve(system: GalerkinSystem, rhs=None, rtol=1e-10) -> DiscreteSolution:
@@ -465,11 +456,8 @@ def bilinear_action_quadrature(system: GalerkinSystem, u_dofs, v_dofs,
     mass_term = np.sum(wts * nu_q * uv * np.conj(vv))
     val = grad_term - k**2 * mass_term
     if system.dtn is not None:
-        uvert = np.zeros(fe_space.mesh.n_vertices, dtype=complex)
-        uvert[fe_space.free_vertices] = u_dofs
-        vvert = np.zeros(fe_space.mesh.n_vertices, dtype=complex)
-        vvert[fe_space.free_vertices] = v_dofs
-        tu = boundary_trace(fe_space, uvert, system.dtn.n_max)
-        tv = boundary_trace(fe_space, vvert, system.dtn.n_max)
+        P = modal_projection(fe_space, system.dtn.n_max)
+        tu, tv = (FourierTrace(P @ np.asarray(w, dtype=complex), system.dtn.R)
+                  for w in (u_dofs, v_dofs))
         val = val - dtn_pairing(system.dtn, tu, tv)
     return complex(val)

@@ -182,6 +182,7 @@ def reflect(coeffs: CoefficientField, obstacle: Obstacle, p: PhasePoint,
 _EPS_EVENT = 1e-9     # level-function value that arms a ray after a reflection
 _N_BISECT = 48        # bisection passes per located impact
 _SAMPLE_CHUNK = 1024  # rays whose line samples are held in memory at once
+_INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
 def _rk4_step(coeffs, states, dt):
@@ -247,6 +248,18 @@ def _segment_ball_exit(x0, x1, R):
 # integration engine: straight flight outside it
 
 
+def _line_min(ob, x, v, a, b):
+    """(tau, level) at the minimum of ``ob``'s level function on each line
+    x + tau v, tau in [a, b], after _N_BISECT golden-section passes."""
+    level = lambda t: signed_distance(ob, x + t[:, None] * v)
+    for _ in range(_N_BISECT):
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        left = level(c) < level(d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    tau = 0.5 * (a + b)
+    return tau, level(tau)
+
+
 def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
     """First impact time on the line x + tau v, 0 < tau <= tau_max, and the
     obstacle hit; inf where there is none.
@@ -258,6 +271,9 @@ def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
     the closest approach of every line and catch exactly tangent rays.  The
     first sign change from positive to non-positive after the ray is armed
     (level above _EPS_EVENT, or ``armed`` on entry) is bisected on the line.
+    A chord shorter than the sample spacing can fall between samples, so an
+    armed positive local minimum below twice the spacing is refined first; one
+    reaching -_EPS_EVENT brackets an impact, shallower (tangent) dips miss.
     """
     tau_hit = np.full(len(x), np.inf)
     which = np.zeros(len(x), dtype=int)
@@ -278,11 +294,21 @@ def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
             idx = np.arange(len(f))
             arm_at = np.minimum.reduceat(np.where(f > _EPS_EVENT, idx, len(f)), start)
             arm_at[armed[sel]] = -1
+            live = idx > arm_at[owner]
             f_prev = np.concatenate([[0.0], f[:-1]])
-            cand = (k >= 1) & (f <= 0.0) & (f_prev > 0.0) & (idx > arm_at[owner])
-            first = np.minimum.reduceat(np.where(cand, idx, len(f)), start)
+            f_next = np.concatenate([f[1:], [0.0]])
+            event = (k >= 1) & (f <= 0.0) & (f_prev > 0.0) & live
+            end = tau.copy()     # bracket [tau[i - 1], end[i]] of an event at i
+            spacing = dt * np.hypot(v[sel, 0], v[sel, 1])[owner]
+            dip = np.nonzero((k >= 1) & (k <= n[owner] - 2) & live & (f > 0.0) & (f <= f_prev)
+                             & (f <= f_next) & (f < 2.0 * spacing))[0]
+            if len(dip):
+                ray = sel[owner[dip]]
+                end[dip], f_min = _line_min(ob, x[ray], v[ray], tau[dip - 1], tau[dip + 1])
+                event[dip] = f_min <= -_EPS_EVENT
+            first = np.minimum.reduceat(np.where(event, idx, len(f)), start)
             hit = first < len(f)
-            brackets.append((sel[hit], tau[first[hit] - 1], tau[first[hit]]))
+            brackets.append((sel[hit], tau[first[hit] - 1], end[first[hit]]))
         if not brackets:
             continue
         sel, a, b = (np.concatenate(z) for z in zip(*brackets))

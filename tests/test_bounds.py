@@ -3,10 +3,10 @@ import pytest
 from scipy.optimize import brentq
 
 from helmray.bounds import (CH2Estimate, ConstantsLedger, compute_C_DtN,
-                            compute_C_int, estimate_C_H2, estimate_C_int_tilde,
-                            h2_bound_rhs, mesh_threshold, resolvent_upper_bound,
-                            schatz_condition, threshold_rhs, volterra_discrete_norm,
-                            volterra_norm)
+                            compute_C_int, estimate_C_DtN_tilde, estimate_C_H2,
+                            estimate_C_int_tilde, h2_bound_rhs, mesh_threshold,
+                            resolvent_upper_bound, schatz_condition, threshold_rhs,
+                            volterra_discrete_norm, volterra_norm)
 from helmray.geometry import TruncationGeometry, identity_coefficients
 
 
@@ -137,6 +137,26 @@ def test_h2_bound_rhs_formula():
 def test_estimate_C_int_tilde_positive_and_stable():
     a = estimate_C_int_tilde(h_values=(0.2, 0.1))
     assert 0.0 < a < 5.0
+
+
+def test_estimate_C_DtN_tilde_matches_dense_cholesky_oracle():
+    # sigma_max(L^{-1} D L^{-H}) with E = L L^H, D the assembled radiation block
+    import scipy.linalg
+
+    from helmray.dtn import build_dtn
+    from helmray.fem import assemble, build_space
+    from helmray.mesh import generate_mesh
+
+    R, k, h = 1.0, 3.0, 0.2
+    mesh = generate_mesh(None, TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R), h)
+    space = build_space(mesh)
+    assert space.n_dofs == 217
+    system = assemble(identity_coefficients(), space, build_dtn(k, R), k)
+    L = np.linalg.cholesky((system.stiffness + k**2 * system.mass_plain).toarray())
+    Linv_D = scipy.linalg.solve_triangular(L, system.dtn_block.toarray(), lower=True)
+    core = scipy.linalg.solve_triangular(L, Linv_D.conj().T, lower=True).conj().T
+    oracle = scipy.linalg.svdvals(core)[0]
+    assert estimate_C_DtN_tilde(R, [k], h=h) == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv, jvp, yv, yvp
 
 from helmray.dtn import (FourierTrace, apply_dtn, build_dtn, dtn_pairing,
@@ -143,6 +145,14 @@ def test_trace_evaluate_roundtrip():
 def test_sign_property_top_of_range():
     op = build_dtn(200.0, 1.0)
     assert np.all(op.coefficients.real <= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(0.1, 300.0), R=st.floats(0.1, 5.0))
+def test_sign_property_random_k_and_radius(k, R):
+    t = build_dtn(k, R).coefficients
+    assert np.all(t.real < 0.0)
+    assert np.all(t.imag >= 0.0)
 
 
 def test_radius_mismatch_rejected():

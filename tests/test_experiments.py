@@ -71,6 +71,12 @@ def test_modal_and_2d_paths_agree(free_geom):
     assert b.value == pytest.approx(a.value, rel=0.01)
 
 
+def test_unknown_method_rejected(free_geom):
+    with pytest.raises(ValueError, match="unknown method"):
+        estimate_resolvent_norm(identity_coefficients(), None, free_geom,
+                                5.0, RadialCutoff(0.8, 0.97), 0.02, method="fem")
+
+
 def test_vanishing_cutoff_gives_zero(free_geom):
     class ZeroCutoff:
         inner, outer = 0.5, 0.9

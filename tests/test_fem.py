@@ -110,6 +110,33 @@ def test_dtn_block_sign(disk_setup):
         assert -val.real >= -1e-10 * norm2
 
 
+def test_modal_projection_is_the_boundary_dft(disk_setup):
+    # u = e^{i m theta_b} on the outer-circle dofs, 0 on every other dof
+    geom, obs, mesh, space = disk_setup
+    n_max = 12
+    P = modal_projection(space, n_max)
+    assert P.shape == (2 * n_max + 1, space.n_dofs)
+    for m in range(-n_max, n_max + 1):
+        u = np.zeros(space.n_dofs, complex)
+        u[space.boundary_dofs] = np.exp(1j * m * space.boundary_thetas)
+        unit = np.zeros(2 * n_max + 1)
+        unit[m + n_max] = 1.0
+        np.testing.assert_allclose(P @ u, unit, rtol=0.0, atol=1e-13)
+
+
+def test_modal_projection_rejects_unresolved_or_nonuniform_boundary(disk_setup):
+    from dataclasses import replace
+    geom, obs, mesh, space = disk_setup
+    Nb = len(space.boundary_thetas)
+    modal_projection(space, (Nb - 5) // 2)
+    with pytest.raises(ValueError, match="cannot resolve"):
+        modal_projection(space, (Nb - 5) // 2 + 1)
+    th = space.boundary_thetas.copy()
+    th[3] += 1e-6
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        modal_projection(replace(space, boundary_thetas=th), 4)
+
+
 # ---------------------------------------------------------------------------
 # loads
 

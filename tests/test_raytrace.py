@@ -332,9 +332,9 @@ def test_disk_last_exit_matches_closed_form(ident, a, s, theta, psi):
     d0 = np.array([np.cos(psi), np.sin(psi)])
     b = x0 @ d0
     disc = b * b - (r0 * r0 - a * a)
-    # a chord through the disk shorter than the line-sample spacing
-    # 2 * step_size can fall between samples, as between RK4 steps
-    assume(not (disc > 0.0 and 2.0 * np.sqrt(disc) <= 2.0 * cfg.step_size * 1.25))
+    # an impact at metric cosine sqrt(disc) / a near the glancing threshold
+    # may be censored instead of reflected
+    assume(not (disc > 0.0 and np.sqrt(disc) / a <= 1.25 * cfg.glancing_threshold))
     lead, p, d = 0.0, x0, d0
     if disc > 0.0 and b < 0.0:
         lead = -b - np.sqrt(disc)
@@ -346,6 +346,20 @@ def test_disk_last_exit_matches_closed_form(ident, a, s, theta, psi):
     res = _eval_rays(ident, (disk_obstacle(a),), np.concatenate([x0, d0])[None], cfg, 1.0)
     assert res.termination[0] == 0
     assert res.t_exit[0] == pytest.approx((lead + chord) / 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("cosine", [3e-3, 2e-3, 1.5e-3, 1.1e-3])
+def test_line_flight_reflects_short_chord_impacts(ident, cosine):
+    # chord 2 a cosine < 2 * step_size, the line-sample spacing; the 200 rays
+    # start at offsets spread over one spacing, so samples straddle the chord
+    # at every phase, and all of them must reflect
+    cfg, a = RayConfig(), 0.5
+    x = -0.9 - 2.0 * cfg.step_size * np.arange(200) / 200
+    y = np.full(200, a * np.sqrt(1.0 - cosine**2))
+    states = np.stack([x, y, np.ones(200), np.zeros(200)], axis=1)
+    res = _eval_rays(ident, (disk_obstacle(a),), states, cfg, 1.0)
+    assert np.all(res.termination == 0)
+    assert np.sum(res.state_final[:, 3] == 0.0) == 0
 
 
 @settings(max_examples=20, deadline=None)
