@@ -198,6 +198,7 @@ def _cmd_solve(args):
         "shape_regularity": mesh.shape_regularity,
         "energy_norm": energy_norm(coeffs, space, u, k, system=system),
         "residual": u.residual,
+        "nnz": system.matrix.nnz, "lu_fill": system.factorize().nnz,
     }
     write_json(out / "solve.json", payload)
     _manifest(out, args, cfg)

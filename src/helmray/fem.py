@@ -4,8 +4,12 @@ The sesquilinear form is
     a(u, v) = int_D (A grad u . conj(grad v) - k^2 nu u conj(v)) - <T (u|_G), v|_G>
 with T the modal radiation operator on the outer circle G.  Obstacle vertices
 carry homogeneous Dirichlet constraints.  One sparse trace operator P
-(``modal_projection``) maps dofs to Fourier modes on G; the radiation block
-2 pi R P^H diag(t) P is formed from it densely on the outer-circle dofs.
+(``modal_projection``) maps dofs to the m = 2 n_max + 1 Fourier modes on G.
+The radiation operator C P, with C = 2 pi R P^H diag(t), is never formed:
+the modes mu = P u become unknowns of the sparse bordered system
+    [[K0, -C], [P, -I_m]] [u; mu] = [b; 0],     K0 = S - k^2 M_nu
+(Keller & Givoli, J. Comput. Phys. 82, 1989), factored in a geometric
+nested-dissection order with the mode rows last.
 """
 
 from __future__ import annotations
@@ -96,6 +100,80 @@ def quadrature(mesh: Mesh, degree=4):
 # assembly
 
 
+_LEAF = 16     # parts this small are not cut: 16 filled least among 4..256 on disk.ini
+
+
+def _dissection_order(xy, graph) -> np.ndarray:
+    """Geometric nested-dissection elimination order of the vertices of a mesh graph.
+
+    Level by level, every part larger than ``_LEAF`` is cut at the median of
+    its vertices along its longer bounding-box side; the upper endpoints of
+    the graph edges the cut crosses form the part's separator, and the two
+    halves left go on to the next level.  Leaves come first, then the
+    separators from the deepest level up, so every separator follows the
+    halves it splits (A. George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    n = len(xy)
+    edges = sp.triu(graph, k=1).tocoo()
+    a, b = edges.row, edges.col
+    part = np.ones(n, dtype=np.int64)      # heap numbering: part p splits into 2p, 2p + 1
+    tier = np.full(n, -1, dtype=np.int64)  # depth of the separator joined; -1 while unplaced
+    upper = np.zeros(n, dtype=bool)
+    live = np.arange(n)                    # unplaced vertices, sorted by part
+    depth = 0
+    while live.size:
+        p = part[live]
+        start = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        size = np.diff(np.r_[start, live.size])
+        grp = np.repeat(np.arange(start.size), size)
+        xl = xy[live]
+        lo = np.minimum.reduceat(xl, start)
+        extent = np.maximum.reduceat(xl, start) - lo
+        ax = np.argmax(extent, axis=1)
+        g = np.arange(start.size)
+        lo, span = lo[g, ax], 2 * extent[g, ax] + 1e-300
+        # offsets along the longer side scaled into [0, 1/2]: one sort orders by
+        # part, then along the cut axis, so lower halves precede upper ones
+        off = (xl[np.arange(live.size), ax[grp]] - lo[grp]) / span[grp]
+        live = live[np.argsort(grp + off, kind="stable")]
+        upper[live] = np.arange(live.size) - start[grp] >= (size // 2)[grp]
+        tier[live[(size <= _LEAF)[grp]]] = 64    # above any depth: leaves go first
+        inside = (part[a] == part[b]) & (tier[a] < 0) & (tier[b] < 0)
+        a, b = a[inside], b[inside]
+        cut = upper[a] != upper[b]
+        tier[np.where(upper[a[cut]], a[cut], b[cut])] = depth
+        live = live[tier[live] < 0]
+        part[live] = 2 * part[live] + upper[live]
+        depth += 1
+    return np.lexsort((part, -tier))
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Sparse LU of a system matrix; solves take and return dof vectors.
+
+    ``solve`` pads the right-hand side with zeros on the mode rows of the
+    bordered matrix and drops the modes from the result.  The padding is exact
+    for every ``trans``: the second block row of B^T (B^H) gives
+    mu = -C^T x (-C^H x), so x solves (K0 - C P)^T x = b ((K0 - C P)^H x = b).
+    """
+    lu: spla.SuperLU
+    perm: np.ndarray       # elimination order of the rows and columns of the matrix
+    n_dofs: int
+
+    @property
+    def nnz(self):
+        return self.lu.nnz
+
+    def solve(self, b, trans="N"):
+        b = np.asarray(b)
+        pad = np.zeros((len(self.perm),) + b.shape[1:], dtype=complex)
+        pad[:self.n_dofs] = b
+        x = np.empty_like(pad)
+        x[self.perm] = self.lu.solve(pad[self.perm], trans=trans)
+        return x[:self.n_dofs]
+
+
 @dataclass
 class GalerkinSystem:
     fe_space: FeSpace
@@ -105,26 +183,41 @@ class GalerkinSystem:
     stiffness: sp.csr_matrix
     mass_nu: sp.csr_matrix
     mass_plain: sp.csr_matrix
-    dtn_block: Optional[sp.csr_matrix]
+    dtn_block: Optional[sp.csr_matrix]    # C = 2 pi R P^H diag(t), n_dofs x m
+    projection: Optional[sp.csr_matrix]   # P, m x n_dofs: radiation operator is C @ P
     rhs: Optional[np.ndarray] = None
     _matrix: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _lu = None
 
     @property
     def matrix(self):
+        """Bordered [[K0, -C], [P, -I_m]] on (u, mu = P u); K0 alone without dtn."""
         if self._matrix is None:
             K = self.stiffness.astype(complex) - (self.k**2) * self.mass_nu
             if self.dtn_block is not None:
-                K = K - self.dtn_block
+                m = self.projection.shape[0]
+                K = sp.bmat([[K, -self.dtn_block], [self.projection, -sp.identity(m)]])
             self._matrix = K.tocsr()
         return self._matrix
 
-    def factorize(self):
+    def apply(self, u):
+        """(K0 - C P) u: the first block row of the bordered matrix at mu = P u."""
+        u = np.asarray(u)
+        if self.projection is not None:
+            u = np.concatenate([u, self.projection @ u])
+        return (self.matrix @ u)[:self.fe_space.n_dofs]
+
+    def factorize(self) -> Factorization:
+        """LU of ``matrix`` in nested-dissection order of the dofs, modes last."""
         if self._lu is None:
+            space = self.fe_space
+            order = _dissection_order(space.mesh.vertices[space.free_vertices], self.stiffness)
+            perm = np.concatenate([order, np.arange(space.n_dofs, self.matrix.shape[0])])
             try:
-                self._lu = spla.splu(self.matrix.tocsc())
+                lu = spla.splu(self.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
             except RuntimeError as exc:
                 raise SingularSystemError(str(exc)) from exc
+            self._lu = Factorization(lu=lu, perm=perm, n_dofs=space.n_dofs)
         return self._lu
 
     def energy_matrix(self):
@@ -133,7 +226,7 @@ class GalerkinSystem:
 
     def action(self, u, v):
         """a(u, v) for dof vectors: trial u, test v (conjugated slot)."""
-        return complex(np.vdot(v, self.matrix @ u))
+        return complex(np.vdot(v, self.apply(u)))
 
 
 def _scatter(fe_space, local, tri_dofs):
@@ -149,7 +242,7 @@ def _scatter(fe_space, local, tri_dofs):
 
 def assemble(coeffs: CoefficientField, fe_space: FeSpace,
              dtn: Optional[DtnOperator], k: float, quad_degree=4) -> GalerkinSystem:
-    """Assemble stiffness, masses, and the radiation block."""
+    """Assemble stiffness, masses, and the radiation factors C and P."""
     mesh = fe_space.mesh
     grads, area = element_gradients(mesh)
     pts, wts, bary = quadrature(mesh, quad_degree)
@@ -170,22 +263,18 @@ def assemble(coeffs: CoefficientField, fe_space: FeSpace,
     Mnu = _scatter(fe_space, Mnu_loc, tri_dofs)
     M0 = _scatter(fe_space, M0_loc, tri_dofs)
 
-    block = None
+    C = P = None
     if dtn is not None:
         if fe_space.dirichlet_outer:
             raise ValueError("radiation block incompatible with outer Dirichlet")
         if abs(dtn.k - k) > 1e-12:
             raise ValueError(f"operator wavenumber {dtn.k} != {k}")
-        bd = fe_space.boundary_dofs
-        Pb = modal_projection(fe_space, dtn.n_max)[:, bd].toarray()
-        dense = (2.0 * np.pi * dtn.R) * (Pb.conj().T * dtn.coefficients) @ Pb
-        rows, cols = np.repeat(bd, len(bd)), np.tile(bd, len(bd))
-        block = sp.coo_matrix((dense.ravel(), (rows, cols)),
-                              shape=(fe_space.n_dofs,) * 2).tocsr()
+        P = modal_projection(fe_space, dtn.n_max)
+        C = ((2.0 * np.pi * dtn.R) * (P.conj().T @ sp.diags(dtn.coefficients))).tocsr()
 
     return GalerkinSystem(fe_space=fe_space, coeffs=coeffs, dtn=dtn, k=k,
                           stiffness=S, mass_nu=Mnu, mass_plain=M0,
-                          dtn_block=block)
+                          dtn_block=C, projection=P)
 
 
 def modal_projection(fe_space: FeSpace, n_max: int) -> sp.csr_matrix:
@@ -276,7 +365,7 @@ def solve(system: GalerkinSystem, rhs=None, rtol=1e-10) -> DiscreteSolution:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     bn = np.linalg.norm(b)
-    res = float(np.linalg.norm(system.matrix @ x - b) / bn) if bn > 0 else 0.0
+    res = float(np.linalg.norm(system.apply(x) - b) / bn) if bn > 0 else 0.0
     if res > rtol:
         raise SolveError(f"relative residual {res:.3e} exceeds {rtol:g}")
     return DiscreteSolution(dofs=x, fe_space=system.fe_space, k=system.k, residual=res)

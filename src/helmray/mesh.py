@@ -184,34 +184,23 @@ def _disk_fan(R, n_r):
 def _star_annulus(obstacle, R_out, n_layers, n_theta, inner_tag):
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     rho = obstacle.rho(th)
-    verts = []
-    tags = []
-    for j in range(n_layers + 1):
-        t = j / n_layers
-        r = rho + t * (R_out - rho)
-        verts.extend(zip(r * np.cos(th), r * np.sin(th)))
-        tag = inner_tag if j == 0 else (TRUNCATION_BOUNDARY if j == n_layers else INTERIOR)
-        tags.extend([tag] * n_theta)
-    vertices = np.array(verts)
-    tris = []
-    for j in range(n_layers):
-        base_a = j * n_theta
-        base_b = (j + 1) * n_theta
-        for i in range(n_theta):
-            i1 = (i + 1) % n_theta
-            a0, a1 = base_a + i, base_a + i1
-            b0, b1 = base_b + i, base_b + i1
-            # split the quad along its shorter diagonal
-            if (np.sum((vertices[a0] - vertices[b1]) ** 2)
-                    <= np.sum((vertices[a1] - vertices[b0]) ** 2)):
-                tris.append((a0, b0, b1))
-                tris.append((a0, b1, a1))
-            else:
-                tris.append((a0, b0, a1))
-                tris.append((a1, b0, b1))
-    triangles = _orient_ccw(vertices, np.array(tris, dtype=int))
+    t = np.arange(n_layers + 1)[:, None] / n_layers
+    r = rho + t * (R_out - rho)                          # (n_layers + 1, n_theta)
+    vertices = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1).reshape(-1, 2)
+    tags = np.repeat([inner_tag] + [INTERIOR] * (n_layers - 1) + [TRUNCATION_BOUNDARY],
+                     n_theta)
+    # quad corners a0, a1 on layer j and b0, b1 on layer j + 1, at angles i, i + 1
+    a0 = np.arange(n_layers * n_theta).reshape(n_layers, n_theta)
+    a1 = np.roll(a0, -1, axis=1)
+    b0, b1 = a0 + n_theta, a1 + n_theta
+    # split each quad along its shorter diagonal
+    short = (np.sum((vertices[a0] - vertices[b1]) ** 2, axis=-1)
+             <= np.sum((vertices[a1] - vertices[b0]) ** 2, axis=-1))[..., None]
+    first = np.where(short, np.stack([a0, b0, b1], -1), np.stack([a0, b0, a1], -1))
+    second = np.where(short, np.stack([a0, b1, a1], -1), np.stack([a1, b0, b1], -1))
+    triangles = _orient_ccw(vertices, np.stack([first, second], -2).reshape(-1, 3))
     outer = np.arange(n_layers * n_theta, (n_layers + 1) * n_theta)
-    return vertices, triangles, np.array(tags), (outer, th)
+    return vertices, triangles, tags, (outer, th)
 
 
 def generate_mesh(obstacle, geom, h_target, outer_radius=None,

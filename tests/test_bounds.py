@@ -140,20 +140,22 @@ def test_estimate_C_int_tilde_positive_and_stable():
 
 
 def test_estimate_C_DtN_tilde_matches_dense_cholesky_oracle():
-    # sigma_max(L^{-1} D L^{-H}) with E = L L^H, D the assembled radiation block
+    # sigma_max(L^{-1} D L^{-H}) with E = L L^H, D = C P the assembled radiation operator
     import scipy.linalg
 
     from helmray.dtn import build_dtn
-    from helmray.fem import assemble, build_space
+    from helmray.fem import assemble, build_space, modal_projection
     from helmray.mesh import generate_mesh
 
     R, k, h = 1.0, 3.0, 0.2
     mesh = generate_mesh(None, TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R), h)
     space = build_space(mesh)
     assert space.n_dofs == 217
-    system = assemble(identity_coefficients(), space, build_dtn(k, R), k)
+    dtn = build_dtn(k, R)
+    system = assemble(identity_coefficients(), space, dtn, k)
+    D = (system.dtn_block @ modal_projection(space, dtn.n_max)).toarray()
     L = np.linalg.cholesky((system.stiffness + k**2 * system.mass_plain).toarray())
-    Linv_D = scipy.linalg.solve_triangular(L, system.dtn_block.toarray(), lower=True)
+    Linv_D = scipy.linalg.solve_triangular(L, D, lower=True)
     core = scipy.linalg.solve_triangular(L, Linv_D.conj().T, lower=True).conj().T
     oracle = scipy.linalg.svdvals(core)[0]
     assert estimate_C_DtN_tilde(R, [k], h=h) == pytest.approx(oracle, rel=1e-12)

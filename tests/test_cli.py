@@ -193,6 +193,7 @@ def test_solve_subcommand_outputs(tmp_path):
     payload = json.loads((tmp_path / "o" / "solve.json").read_text())
     assert payload["residual"] <= 1e-10
     assert payload["h_fem"] <= 0.1
+    assert payload["nnz"] > 0 and payload["lu_fill"] > 0
     assert (tmp_path / "o" / "solution.csv").exists()
 
 

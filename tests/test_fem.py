@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helmray.dtn import FourierTrace, build_dtn, dtn_pairing
 from helmray.fem import (assemble, assemble_load_scattering, assemble_load_source,
@@ -92,20 +93,24 @@ def test_system_complex_symmetric(disk_setup):
     geom, obs, mesh, space = disk_setup
     dtn = build_dtn(3.0, geom.R)
     system = assemble(identity_coefficients(), space, dtn, 3.0)
-    K = system.matrix
-    diff = (K - K.T).tocoo()
-    scale = max(abs(K.data).max(), 1.0)
-    assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12 * scale
+    # the reduced operator K0 - C P: t_n is even in n, so u^T A v = v^T A u
+    g = rng(5)
+    for _ in range(4):
+        u = _random_dofs(space, g.integers(1 << 30))
+        v = _random_dofs(space, g.integers(1 << 30))
+        uAv, vAu = u @ system.apply(v), v @ system.apply(u)
+        assert abs(uAv - vAu) <= 1e-12 * abs(uAv)
 
 
 def test_dtn_block_sign(disk_setup):
     geom, obs, mesh, space = disk_setup
     dtn = build_dtn(3.0, geom.R)
     system = assemble(identity_coefficients(), space, dtn, 3.0)
+    P = modal_projection(space, dtn.n_max)
     g = rng(4)
     for _ in range(30):
         v = _random_dofs(space, g.integers(1 << 30))
-        val = np.vdot(v, system.dtn_block @ v)
+        val = np.vdot(v, system.dtn_block @ (P @ v))
         norm2 = np.real(np.vdot(v, v))
         assert -val.real >= -1e-10 * norm2
 
@@ -241,6 +246,55 @@ def test_solve_residual_on_random_rhs(unit_setup):
     system = assemble(identity_coefficients(), space, dtn, 2.0)
     u = solve(system, _random_dofs(space, 6))
     assert u.residual <= 1e-10
+
+
+def test_bordered_factorization_matches_dense_reduced_system(disk_setup):
+    geom, obs, mesh, space = disk_setup
+    k = 3.0
+    coeffs = nu_bump_coefficients(0.5, 1.2, support_radius=1.5)
+    dtn = build_dtn(k, geom.R)
+    system = assemble(coeffs, space, dtn, k)
+    P = modal_projection(space, dtn.n_max)
+    A = (system.stiffness - k**2 * system.mass_nu).toarray() - (system.dtn_block @ P).toarray()
+    dense = scipy.linalg.lu_factor(A)
+    lu = system.factorize()
+    b = np.stack([_random_dofs(space, 7), _random_dofs(space, 8)], axis=1)
+    for rhs in (b[:, 0], b):
+        for trans, code in (("N", 0), ("H", 2)):
+            x = lu.solve(rhs, trans=trans)
+            ref = scipy.linalg.lu_solve(dense, rhs, trans=code)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", ["fan", "annulus", "annulus_dirichlet"])
+def test_dissection_order_is_a_permutation_with_modes_last(case, unit_setup, disk_setup):
+    if case == "fan":
+        geom, mesh, space = unit_setup
+    else:
+        geom, obs, mesh, _ = disk_setup
+        space = build_space(mesh, dirichlet_outer=(case == "annulus_dirichlet"))
+    dtn = None if space.dirichlet_outer else build_dtn(3.0, geom.R)
+    system = assemble(identity_coefficients(), space, dtn, 3.0)
+    n_all = system.matrix.shape[0]
+    assert n_all == space.n_dofs + (0 if dtn is None else 2 * dtn.n_max + 1)
+    perm = system.factorize().perm
+    assert np.array_equal(np.sort(perm), np.arange(n_all))
+    assert np.array_equal(perm[space.n_dofs:], np.arange(space.n_dofs, n_all))
+
+
+def test_dissection_order_fills_less_than_colamd():
+    import scipy.sparse.linalg as spla
+    from pathlib import Path
+
+    from helmray.config import RunConfig
+
+    cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "disk.ini")
+    geom, k = cfg.geometry(), 8.0
+    space = build_space(generate_mesh(cfg.obstacle(), geom, 0.02))
+    system = assemble(cfg.coefficients(), space, build_dtn(k, geom.R), k)
+    colamd = spla.splu(system.matrix.tocsc())
+    assert system.factorize().nnz < colamd.nnz
 
 
 def test_manufactured_solution_second_order():

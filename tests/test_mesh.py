@@ -50,6 +50,30 @@ def test_triangles_positively_oriented(geom):
     assert np.all(signed > 0)
 
 
+def test_annulus_quads_split_along_shorter_diagonal(geom):
+    # layer j holds vertices j * n_theta + i at angles 2 pi i / n_theta
+    m = generate_mesh(fourier_obstacle([0.7, 0.1, 0.1], [0.0, 0.05]), geom, 0.15)
+    p = m.vertices[m.triangles]
+    assert np.all(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) > 0)
+    n_theta = len(m.boundary_indices)
+    n_layers = m.n_vertices // n_theta - 1
+    assert m.n_triangles == 2 * n_layers * n_theta
+    edges = {tuple(sorted(e)) for a, b, c in m.triangles.tolist()
+             for e in ((a, b), (b, c), (c, a))}
+    V = m.vertices
+    splits = []
+    for j in range(n_layers):
+        for i in range(n_theta):
+            a0, a1 = j * n_theta + i, j * n_theta + (i + 1) % n_theta
+            b0, b1 = a0 + n_theta, a1 + n_theta
+            main = tuple(sorted((a0, b1))) in edges
+            assert main != (tuple(sorted((a1, b0))) in edges)
+            shorter = np.sum((V[a0] - V[b1]) ** 2) <= np.sum((V[a1] - V[b0]) ** 2)
+            assert main == shorter
+            splits.append(main)
+    assert 0 < sum(splits) < len(splits)    # both diagonals occur
+
+
 def test_boundary_vertices_on_curves(geom):
     obs = fourier_obstacle([0.8, 0.0, 0.15])
     m = generate_mesh(obs, geom, 0.1)
