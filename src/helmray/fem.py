@@ -37,6 +37,10 @@ class SingularSystemError(SolveError):
     guaranteed below the mesh threshold, so this is surfaced as data."""
 
 
+class FactorizationMemoryError(MemoryError):
+    """SuperLU ran out of memory; a limit of the host, not of the system."""
+
+
 @dataclass
 class FeSpace:
     mesh: Mesh
@@ -215,8 +219,9 @@ class GalerkinSystem:
             perm = np.concatenate([order, np.arange(space.n_dofs, self.matrix.shape[0])])
             try:
                 lu = spla.splu(self.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
-            except RuntimeError as exc:
-                raise SingularSystemError(str(exc)) from exc
+            except RuntimeError as exc:   # SuperLU reports malloc failures so too
+                oom = "malloc" in str(exc).lower() or "memory" in str(exc).lower()
+                raise (FactorizationMemoryError if oom else SingularSystemError)(str(exc)) from exc
             self._lu = Factorization(lu=lu, perm=perm, n_dofs=space.n_dofs)
         return self._lu
 

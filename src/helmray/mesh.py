@@ -67,35 +67,29 @@ class Mesh:
     def locate(self, points, k_search=24):
         """Triangle index and barycentric coordinates for each query point.
 
-        Points outside the triangulated polygon (boundary-snap mismatches) are
-        clamped to the nearest candidate triangle.
+        A point takes the first of its ``k_search`` nearest-centroid triangles
+        that holds it (barycentric deficiency <= 1e-12).  Points outside the
+        triangulated polygon (boundary-snap mismatches) are clamped to the
+        first candidate of least deficiency.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        tree = self._centroid_tree()
         k = min(k_search, self.n_triangles)
-        _, cand = tree.query(points, k=k)
-        cand = np.atleast_2d(cand)
-        tri_idx = np.empty(len(points), dtype=int)
-        bary = np.empty((len(points), 3))
-        verts = self.vertices
-        tris = self.triangles
-        for i, (pt, cands) in enumerate(zip(points, cand)):
-            best, best_bary, best_def = -1, None, np.inf
-            for t in cands:
-                a, b, c = verts[tris[t]]
-                M = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-                try:
-                    lam = np.linalg.solve(M, pt - a)
-                except np.linalg.LinAlgError:
-                    continue
-                w = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
-                deficiency = -min(w.min(), 0.0)
-                if deficiency < best_def:
-                    best, best_bary, best_def = t, w, deficiency
-                if deficiency <= 1e-12:
-                    break
-            tri_idx[i] = best
-            bary[i] = best_bary
+        cand = self._centroid_tree().query(points, k=k)[1].reshape(len(points), k)
+        tri_idx, bary = np.empty(len(points), dtype=int), np.empty((len(points), 3))
+        best = np.full(len(points), np.inf)
+        todo = np.arange(len(points))
+        for j in range(k):
+            t = cand[todo, j]
+            a, b, c = np.moveaxis(self.vertices[self.triangles[t]], 1, 0)
+            lam = np.linalg.solve(np.stack([b - a, c - a], axis=-1), (points[todo] - a)[..., None])
+            w = np.concatenate([1.0 - lam[:, 0] - lam[:, 1], lam[:, 0], lam[:, 1]], axis=1)
+            deficiency = np.maximum(-w.min(axis=1), 0.0)
+            better = deficiency < best[todo]
+            tri_idx[todo[better]], bary[todo[better]] = t[better], w[better]
+            best[todo[better]] = deficiency[better]
+            todo = todo[deficiency > 1e-12]
+            if not len(todo):
+                break
         return tri_idx, bary
 
     def interpolate(self, vertex_values, points):

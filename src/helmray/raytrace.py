@@ -7,12 +7,12 @@ Rays reflect specularly (in the metric sense) off star-shaped obstacles.
 The tracer is event driven.  Outside the perturbation disk
 |x| < support_radius the flow is a straight line at speed 2, and a ray flies
 along it exactly to its next event: entering the disk (a line-circle root),
-the first obstacle impact (the obstacle's level function sampled along the
-line inside its reach disk, then bisected on the line), or escape, when no
-event is left.  Only rays inside the disk take fixed-step RK4 steps, and
-impacts there are located by bisection on the RK4 flow.  The longest-ray
-length of a ball B(0, R) is the supremum over sampled phase-space starting
-points of the last time the ray is inside the ball.
+the first obstacle impact, or escape, when no event is left.  Only rays
+inside the disk take fixed-step RK4 steps.  One impact locator serves both:
+the obstacle's level function along the path (the line, or the step's cubic
+Hermite interpolant), with golden-section refinement of dips and bisection.
+The longest-ray length of a ball B(0, R) is the supremum over sampled
+phase-space starting points of the last time the ray is inside the ball.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ class Trajectory:
     states: np.ndarray         # (n, 4) rows (x1, x2, xi1, xi2)
     reflections: list
     termination: Termination
-
-    @property
-    def samples(self):
-        return [(float(t), PhasePoint(s[:2].copy(), s[2:].copy()))
-                for t, s in zip(self.times, self.states)]
 
 
 @dataclass(frozen=True)
@@ -194,39 +189,7 @@ def _rk4_step(coeffs, states, dt):
 
 
 def _min_sdf(obstacles, x):
-    vals = [signed_distance(ob, x) for ob in obstacles]
-    if len(vals) == 1:
-        return vals[0], np.zeros(x.shape[:-1], dtype=int)
-    stack = np.stack(vals, axis=0)
-    which = np.argmin(stack, axis=0)
-    return np.min(stack, axis=0), which
-
-
-def _locate_impacts(coeffs, obstacles, states0, dt, hit_idx):
-    """Bisect the step fraction at which each flagged ray meets its obstacle."""
-    sub = states0[hit_idx]
-    lo = np.zeros(len(hit_idx))
-    hi = np.ones(len(hit_idx))
-    for _ in range(_N_BISECT):
-        mid = 0.5 * (lo + hi)
-        trial = _rk4_varstep(coeffs, sub, mid * dt)
-        d, _ = _min_sdf(obstacles, trial[:, :2])
-        inside = d <= 0.0
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
-    frac = 0.5 * (lo + hi)
-    final = _rk4_varstep(coeffs, sub, frac * dt)
-    d, which = _min_sdf(obstacles, final[:, :2])
-    return frac, final, which
-
-
-def _rk4_varstep(coeffs, states, dts):
-    dts = np.asarray(dts)[:, None]
-    k1 = _rhs(coeffs, states)
-    k2 = _rhs(coeffs, states + 0.5 * dts * k1)
-    k3 = _rhs(coeffs, states + 0.5 * dts * k2)
-    k4 = _rhs(coeffs, states + dts * k3)
-    return states + (dts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.min([signed_distance(ob, x) for ob in obstacles], axis=0)
 
 
 def _line_circle(x, v, r):
@@ -245,19 +208,70 @@ def _segment_ball_exit(x0, x1, R):
 
 
 # ---------------------------------------------------------------------------
-# integration engine: straight flight outside it
+# impact location: an obstacle's level function along a path, one tau per ray
 
 
-def _line_min(ob, x, v, a, b):
-    """(tau, level) at the minimum of ``ob``'s level function on each line
-    x + tau v, tau in [a, b], after _N_BISECT golden-section passes."""
-    level = lambda t: signed_distance(ob, x + t[:, None] * v)
+def _level(ob, path):
+    return lambda tau: signed_distance(ob, path(tau))
+
+
+def _level_min(level, a, b):
+    """(tau, level) at the minimum of ``level`` on each [a, b], by golden section."""
     for _ in range(_N_BISECT):
         c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
         left = level(c) < level(d)
         a, b = np.where(left, a, c), np.where(left, d, b)
     tau = 0.5 * (a + b)
     return tau, level(tau)
+
+
+def _bisect(level, a, b):
+    """Crossing of ``level`` from positive at a to non-positive at b."""
+    for _ in range(_N_BISECT):
+        m = 0.5 * (a + b)
+        inside = level(m) <= 0.0
+        a, b = np.where(inside, a, m), np.where(inside, m, b)
+    return 0.5 * (a + b)
+
+
+def _step_impacts(obstacles, s0, s1, f0, f1, dt):
+    """First impact time in (0, dt] of each RK4 step s0 -> s1 (inf where
+    none), the obstacle hit and the state there, on the step's cubic Hermite
+    interpolant with end slopes f0, f1 (Hairer, Norsett & Wanner, Solving ODEs
+    I, II.6).  Steps ending inside an obstacle are bisected on [0, dt]; the
+    level minimum of those ending within twice their length of the curve is
+    refined first, as a dip on a line is."""
+    def path(idx, cols=slice(0, 2)):
+        a, g0, g1 = s0[idx, cols], dt * f0[idx, cols], dt * f1[idx, cols]
+        d = s1[idx, cols] - a
+        c2, c3 = 3.0 * d - 2.0 * g0 - g1, g0 + g1 - 2.0 * d
+
+        def at(tau):
+            u = (tau / dt)[:, None]
+            return a + u * (g0 + u * (c2 + u * c3))
+        return at
+
+    tau_hit, which = np.full(len(s0), np.inf), np.zeros(len(s0), dtype=int)
+    chord = np.hypot(*(s1[:, :2] - s0[:, :2]).T)
+    for j, ob in enumerate(obstacles):
+        d1 = signed_distance(ob, s1[:, :2])
+        end = np.where(d1 <= 0.0, dt, np.nan)
+        dip = np.nonzero((d1 > 0.0) & (d1 < 2.0 * chord))[0]
+        if len(dip):
+            a, b = np.zeros(len(dip)), np.full(len(dip), dt)
+            tau, f_min = _level_min(_level(ob, path(dip)), a, b)
+            end[dip] = np.where(f_min <= -_EPS_EVENT, tau, np.nan)
+        sel = np.nonzero(np.isfinite(end))[0]
+        if len(sel):
+            tau = _bisect(_level(ob, path(sel)), np.zeros(len(sel)), end[sel])
+            first = tau < tau_hit[sel]
+            tau_hit[sel[first]] = tau[first]
+            which[sel[first]] = j
+    return tau_hit, which, path(slice(None), slice(None))(np.minimum(tau_hit, dt))
+
+
+# ---------------------------------------------------------------------------
+# integration engine: straight flight outside it
 
 
 def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
@@ -270,13 +284,16 @@ def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
     grid is anchored at the ray, not at the disk, so that it does not land on
     the closest approach of every line and catch exactly tangent rays.  The
     first sign change from positive to non-positive after the ray is armed
-    (level above _EPS_EVENT, or ``armed`` on entry) is bisected on the line.
-    A chord shorter than the sample spacing can fall between samples, so an
-    armed positive local minimum below twice the spacing is refined first; one
-    reaching -_EPS_EVENT brackets an impact, shallower (tangent) dips miss.
+    (level above _EPS_EVENT, or ``armed`` on entry) is bisected.  A chord
+    shorter than the spacing can fall between samples, so an armed positive
+    local minimum below twice the spacing is refined first: one at or below
+    -_EPS_EVENT brackets an impact, shallower (tangent) dips miss.
     """
-    tau_hit = np.full(len(x), np.inf)
-    which = np.zeros(len(x), dtype=int)
+    def line(idx):
+        xs, vs = x[idx], v[idx]
+        return lambda tau: xs + tau[:, None] * vs
+
+    tau_hit, which = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     for j, (ob, (center, radius)) in enumerate(zip(obstacles, reach)):
         lo, hi = _line_circle(x - center, v, radius)
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, tau_max)
@@ -290,7 +307,7 @@ def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
             owner = np.repeat(np.arange(len(sel)), n)
             k = np.arange(n.sum()) - start[owner]
             tau = np.minimum((k0[owner] + k) * dt, hi[sel][owner])
-            f = signed_distance(ob, x[sel][owner] + tau[:, None] * v[sel][owner])
+            f = _level(ob, line(sel[owner]))(tau)
             idx = np.arange(len(f))
             arm_at = np.minimum.reduceat(np.where(f > _EPS_EVENT, idx, len(f)), start)
             arm_at[armed[sel]] = -1
@@ -304,7 +321,7 @@ def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
                              & (f <= f_next) & (f < 2.0 * spacing))[0]
             if len(dip):
                 ray = sel[owner[dip]]
-                end[dip], f_min = _line_min(ob, x[ray], v[ray], tau[dip - 1], tau[dip + 1])
+                end[dip], f_min = _level_min(_level(ob, line(ray)), tau[dip - 1], tau[dip + 1])
                 event[dip] = f_min <= -_EPS_EVENT
             first = np.minimum.reduceat(np.where(event, idx, len(f)), start)
             hit = first < len(f)
@@ -312,11 +329,7 @@ def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
         if not brackets:
             continue
         sel, a, b = (np.concatenate(z) for z in zip(*brackets))
-        for _ in range(_N_BISECT):
-            m = 0.5 * (a + b)
-            inside = signed_distance(ob, x[sel] + m[:, None] * v[sel]) <= 0.0
-            a, b = np.where(inside, a, m), np.where(inside, m, b)
-        tau = 0.5 * (a + b)
+        tau = _bisect(_level(ob, line(sel)), a, b)
         first = tau < tau_hit[sel]
         tau_hit[sel[first]] = tau[first]
         which[sel[first]] = j
@@ -352,23 +365,22 @@ class _Batch:
         self.res = _BatchResult(n)
         self.states = states.copy()
         self.t = np.zeros(n)
-        r = np.hypot(states[:, 0], states[:, 1])
-        self.inside = r < coeffs.support_radius
+        self.inside = np.hypot(states[:, 0], states[:, 1]) < coeffs.support_radius
         # event latch: armed once clear of the boundary, disarmed only by a
         # reflection, so crossings that land numerically on the curve still fire
-        self.armed = (_min_sdf(obstacles, states[:, :2])[0] > _EPS_EVENT if obstacles
+        self.armed = (_min_sdf(obstacles, states[:, :2]) > _EPS_EVENT if obstacles
                       else np.ones(n, dtype=bool))
 
-    def _reflect(self, i, obstacle, x_b, xi_b, t_b):
-        """Reflect ray ``i`` at an impact; False if it glanced and was censored."""
+    def _reflect(self, i, obstacle, t_b):
+        """Reflect and disarm ray ``i`` at its impact point; False if it glanced (censored)."""
+        self.armed[i] = False
+        x_b, xi_b = self.states[i, :2], self.states[i, 2:].copy()
         try:
-            xi_out = _reflect_state(self.coeffs, obstacle, x_b, xi_b,
-                                    self.cfg.glancing_threshold)
+            xi_out = _reflect_state(self.coeffs, obstacle, x_b, xi_b, self.cfg.glancing_threshold)
         except GlancingImpact:
             return False
         if self.record is not None:
-            self.record["reflections"].append(
-                ReflectionEvent(t_b, x_b.copy(), xi_b.copy(), xi_out.copy()))
+            self.record["reflections"].append(ReflectionEvent(t_b, x_b.copy(), xi_b, xi_out.copy()))
         self.states[i, 2:] = xi_out
         return True
 
@@ -385,8 +397,7 @@ class _Batch:
             return
         cfg, res, S = self.cfg, self.res, self.coeffs.support_radius
         x, xi = self.states[ids, :2], self.states[ids, 2:]
-        v = 2.0 * xi
-        t0 = self.t[ids]
+        v, t0 = 2.0 * xi, self.t[ids]
         tau_entry = np.full(len(ids), np.inf)
         if S > 0.0:
             t_in, t_out = _line_circle(x, v, S)
@@ -411,14 +422,11 @@ class _Batch:
         entry = ~budget & np.isfinite(tau_entry) & (tau_entry <= tau_hit)
         self.inside[ids[entry]] = True
         if self.obstacles:
-            d, _ = _min_sdf(self.obstacles, self.states[ids[entry], :2])
+            d = _min_sdf(self.obstacles, self.states[ids[entry], :2])
             self.armed[ids[entry]] |= d > _EPS_EVENT
         for j in np.nonzero(~budget & (tau_hit < tau_entry))[0]:
-            i = ids[j]
-            self.armed[i] = False
-            if not self._reflect(i, self.obstacles[which[j]], self.states[i, :2],
-                                 xi[j], self.t[i]):
-                res.finish([i], 2, self.t, self.states)
+            if not self._reflect(ids[j], self.obstacles[which[j]], self.t[ids[j]]):
+                res.finish([ids[j]], 2, self.t, self.states)
         if self.record is not None and tau[0] > 0.0:
             m = int(np.ceil(tau[0] / cfg.step_size))
             s = tau[0] * np.arange(1, m) / m
@@ -429,8 +437,8 @@ class _Batch:
             self.record["states"].append(self.states[ids[0]].copy())
 
     def step(self, ids):
-        """One RK4 step for rays inside the support, with impacts bisected on
-        the RK4 flow and the ball exit refined on the straight chord."""
+        """One RK4 step for rays inside the support, with impacts located on
+        its Hermite interpolant and the ball exit refined on the straight chord."""
         if not len(ids):
             return
         coeffs, obstacles, cfg, res = self.coeffs, self.obstacles, self.cfg, self.res
@@ -439,32 +447,33 @@ class _Batch:
         new = _rk4_step(coeffs, sub, dt)
         t_new = self.t[ids] + dt
 
-        hit = np.zeros(len(ids), dtype=bool)
-        glanced = np.zeros(len(ids), dtype=bool)
-        d_new = np.full(len(ids), np.inf)
+        hit, glanced = np.zeros((2, len(ids)), dtype=bool)
+        d_new, near = np.full(len(ids), np.inf), np.zeros(0, dtype=int)
         if obstacles:
-            d_new, _ = _min_sdf(obstacles, new[:, :2])
-            hit = self.armed[ids] & (d_new <= 0.0)
-        if np.any(hit):
-            hit_local = np.nonzero(hit)[0]
-            frac, impact_states, which = _locate_impacts(coeffs, obstacles, sub, dt, hit_local)
-            for j, (loc, st, w) in enumerate(zip(hit_local, impact_states, which)):
-                i = ids[loc]
-                t_new[loc] = self.t[i] + frac[j] * dt
-                self.states[i] = st
-                self.armed[i] = False
-                glanced[loc] = not self._reflect(i, obstacles[w], st[:2], st[2:], t_new[loc])
-                new[loc] = self.states[i]
-                d_new[loc] = 0.0
+            d_new = _min_sdf(obstacles, new[:, :2])
+            # a step ending farther than twice its length from every curve has
+            # not met one: the level changes by about the arc length at most
+            chord = np.hypot(*(new[:, :2] - sub[:, :2]).T)
+            near = np.nonzero(self.armed[ids] & (d_new < 2.0 * chord))[0]
+        if len(near):
+            s0, s1 = sub[near], new[near]
+            tau, which, impact = _step_impacts(obstacles, s0, s1, _rhs(coeffs, s0),
+                                               _rhs(coeffs, s1), dt)
+            found = np.isfinite(tau)
+            loc, i = near[found], ids[near[found]]
+            hit[loc], d_new[loc] = True, 0.0
+            t_new[loc] = self.t[i] + tau[found]
+            self.states[i] = impact[found]
+            for j, w in zip(loc, which[found]):
+                glanced[j] = not self._reflect(ids[j], obstacles[w], t_new[j])
+            new[loc] = self.states[i]
 
-        x_old, x_new = sub[:, :2], new[:, :2]
-        r_new = np.hypot(x_new[:, 0], x_new[:, 1])
-        crossed_out = (np.hypot(x_old[:, 0], x_old[:, 1]) <= self.R_track) \
-            & (r_new > self.R_track) & ~hit
-        if np.any(crossed_out):
-            idx = np.nonzero(crossed_out)[0]
-            tau = _segment_ball_exit(x_old[idx], x_new[idx], self.R_track)
-            res.t_exit[ids[idx]] = self.t[ids[idx]] + tau * dt
+        r_new = np.hypot(new[:, 0], new[:, 1])
+        out = np.nonzero((np.hypot(sub[:, 0], sub[:, 1]) <= self.R_track)
+                         & (r_new > self.R_track) & ~hit)[0]
+        if len(out):
+            tau = _segment_ball_exit(sub[out, :2], new[out, :2], self.R_track)
+            res.t_exit[ids[out]] = self.t[ids[out]] + tau * dt
 
         self.states[ids] = new
         self.t[ids] = t_new
@@ -515,10 +524,8 @@ def integrate_ray(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
     rec = {"times": [0.0], "states": [p0.state()], "reflections": []}
     res = _integrate_batch(coeffs, obstacles, p0.state()[None, :], cfg,
                            R_track=geom.R, escape_radius=geom.R_ray, record=rec)
-    term = [Termination.ESCAPED, Termination.TRAPPED_BUDGET_EXCEEDED,
-            Termination.GLANCING_FLAGGED][res.termination[0]]
     return Trajectory(np.array(rec["times"]), np.array(rec["states"]),
-                      rec["reflections"], term)
+                      rec["reflections"], list(Termination)[res.termination[0]])
 
 
 def time_in_ball(traj: Trajectory, R: float) -> float:
@@ -531,12 +538,11 @@ def time_in_ball(traj: Trajectory, R: float) -> float:
         raise TrappedTrajectoryError(
             f"time in ball undefined for termination {traj.termination.value}")
     x = traj.states[:, :2]
-    r = np.hypot(x[:, 0], x[:, 1])
-    inside = r <= R
-    if not np.any(inside):
+    inside = np.nonzero(np.hypot(x[:, 0], x[:, 1]) <= R)[0]
+    if not len(inside):
         return 0.0
-    last = int(np.max(np.nonzero(inside)[0]))
-    if last == len(r) - 1:
+    last = int(inside[-1])
+    if last == len(x) - 1:
         return float(traj.times[-1])
     tau = float(_segment_ball_exit(x[last][None, :], x[last + 1][None, :], R)[0])
     return float(traj.times[last] + tau * (traj.times[last + 1] - traj.times[last]))
@@ -563,9 +569,7 @@ class RayDiagnostics:
 
     @property
     def censored_fraction(self):
-        if self.n_samples == 0:
-            return 0.0
-        return (self.n_glancing + self.n_budget) / self.n_samples
+        return (self.n_glancing + self.n_budget) / max(self.n_samples, 1)
 
 
 @dataclass
@@ -581,8 +585,7 @@ def _build_states(coeffs, obstacles, radii, pos_angles, dir_angles):
     rr, tt, pp = rr.ravel(), tt.ravel(), pp.ravel()
     pos = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
     if obstacles:
-        d, _ = _min_sdf(obstacles, pos)
-        keep = d > 1e-9
+        keep = _min_sdf(obstacles, pos) > 1e-9
         pos, pp = pos[keep], pp[keep]
         rr, tt = rr[keep], tt[keep]
     d_euc = np.stack([np.cos(pp), np.sin(pp)], axis=-1)
@@ -590,6 +593,14 @@ def _build_states(coeffs, obstacles, radii, pos_angles, dir_angles):
     states = np.concatenate([pos, xi], axis=-1)
     params = np.stack([rr, tt, pp], axis=-1)
     return states, params
+
+
+def _seed_grid(R, cfg):
+    """Radii, position angles and direction angles of the seed grid."""
+    a = cfg.frame_rotation
+    return (np.linspace(R / cfg.grid_pos_r, R, cfg.grid_pos_r),
+            a + np.linspace(0.0, 2 * np.pi, cfg.grid_pos_theta, endpoint=False),
+            a + np.linspace(0.0, 2 * np.pi, cfg.grid_dir, endpoint=False))
 
 
 def _eval_rays(coeffs, obstacles, states, cfg, R):
@@ -612,11 +623,7 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
         raise ValueError("ray ball must contain the coefficient perturbation")
     obstacles = _as_obstacles(obstacle)
     diag = RayDiagnostics()
-
-    a = cfg.frame_rotation
-    radii = np.linspace(R / cfg.grid_pos_r, R, cfg.grid_pos_r)
-    pos_angles = a + np.linspace(0.0, 2 * np.pi, cfg.grid_pos_theta, endpoint=False)
-    dir_angles = a + np.linspace(0.0, 2 * np.pi, cfg.grid_dir, endpoint=False)
+    grid = _seed_grid(R, cfg)
 
     def run(states, params):
         res = _eval_rays(coeffs, obstacles, states, cfg, R)
@@ -629,9 +636,8 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
         i = int(np.argmax(np.where(ok, res.t_exit, -np.inf)))
         return float(res.t_exit[i]), states[i], params[i]
 
-    best, best_state, best_param = run(*_build_states(coeffs, obstacles, radii,
-                                                      pos_angles, dir_angles))
-    spacings = np.array([radii[1] - radii[0] if len(radii) > 1 else R,
+    best, best_state, best_param = run(*_build_states(coeffs, obstacles, *grid))
+    spacings = np.array([grid[0][1] - grid[0][0] if cfg.grid_pos_r > 1 else R,
                          2 * np.pi / cfg.grid_pos_theta,
                          2 * np.pi / cfg.grid_dir])
     for _ in range(cfg.refinement_rounds):
@@ -672,14 +678,8 @@ def classify_trapping(coeffs: CoefficientField, obstacle, geom: TruncationGeomet
                       cfg: RayConfig) -> TrappingReport:
     """Sampled nontrapping verdict at the configured budget; censored rays listed."""
     obstacles = _as_obstacles(obstacle)
-    R = geom.R
-    radii = np.linspace(R / cfg.grid_pos_r, R, cfg.grid_pos_r)
-    pos_angles = cfg.frame_rotation + np.linspace(0, 2 * np.pi, cfg.grid_pos_theta,
-                                                  endpoint=False)
-    dir_angles = cfg.frame_rotation + np.linspace(0, 2 * np.pi, cfg.grid_dir,
-                                                  endpoint=False)
-    states, _ = _build_states(coeffs, obstacles, radii, pos_angles, dir_angles)
-    res = _eval_rays(coeffs, obstacles, states, cfg, R)
+    states, _ = _build_states(coeffs, obstacles, *_seed_grid(geom.R, cfg))
+    res = _eval_rays(coeffs, obstacles, states, cfg, geom.R)
     budget_idx = np.nonzero(res.termination == 1)[0]
     censored = [PhasePoint(states[i, :2].copy(), states[i, 2:].copy())
                 for i in budget_idx[:100]]

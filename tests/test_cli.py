@@ -174,6 +174,19 @@ def test_error_report_carries_traceback(tmp_path, capsys):
     assert trace.startswith("Traceback") and "FileNotFoundError" in trace
 
 
+def test_out_of_memory_reported_by_name(tmp_path, capsys, monkeypatch):
+    import helmray.fem as fem
+
+    def no_memory(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in complexMalloc()")
+
+    monkeypatch.setattr(fem.spla, "splu", no_memory)
+    cfg = _write(tmp_path, DISK_CFG)
+    rc = main(["solve", "--config", cfg, "--k", "3.0", "--h", "0.1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FactorizationMemoryError"
+
+
 def test_resolvent_scan_deterministic(tmp_path):
     cfg = _write(tmp_path, EUCLID_CFG)
     outs = []

@@ -262,6 +262,21 @@ def test_quasioptimality_records_only_solver_failures(disk_study, monkeypatch):
         quasioptimality_study(identity_coefficients(), obs, geom, led, [2.0], [0.1])
 
 
+def test_quasioptimality_propagates_out_of_memory(disk_study, monkeypatch):
+    # running out of memory says nothing about the discrete system, so it is
+    # not recorded as a failed (singular) row
+    import helmray.fem as fem
+
+    geom, obs, led = disk_study
+
+    def no_memory(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in complexMalloc()")
+
+    monkeypatch.setattr(fem.spla, "splu", no_memory)
+    with pytest.raises(MemoryError):
+        quasioptimality_study(identity_coefficients(), obs, geom, led, [2.0], [0.1])
+
+
 def test_h2_growth_exponent_near_linear(disk_study):
     geom, obs, led = disk_study
     res = h2_scaling_study(identity_coefficients(), obs, geom,

@@ -248,6 +248,26 @@ def test_solve_residual_on_random_rhs(unit_setup):
     assert u.residual <= 1e-10
 
 
+def test_factorization_out_of_memory_is_not_singular(unit_setup, monkeypatch):
+    import helmray.fem as fem
+
+    geom, mesh, space = unit_setup
+    system = assemble(identity_coefficients(), space, build_dtn(2.0, geom.R), 2.0)
+
+    def fails(message):
+        def splu(*args, **kwargs):
+            raise RuntimeError(message)
+        return splu
+
+    monkeypatch.setattr(fem.spla, "splu", fails("SUPERLU_MALLOC fails for buf in complexMalloc()"))
+    with pytest.raises(fem.FactorizationMemoryError) as err:
+        system.factorize()
+    assert isinstance(err.value, MemoryError) and not isinstance(err.value, fem.SolveError)
+    monkeypatch.setattr(fem.spla, "splu", fails("Factor is exactly singular"))
+    with pytest.raises(fem.SingularSystemError):
+        system.factorize()
+
+
 def test_bordered_factorization_matches_dense_reduced_system(disk_setup):
     geom, obs, mesh, space = disk_setup
     k = 3.0

@@ -107,6 +107,45 @@ def test_point_location_and_interpolation(geom):
     assert np.abs(m.interpolate(vals, pts) - exact).max() < 1e-10
 
 
+def _locate_one_by_one(m, points, k_search=24):
+    # per point, the candidates in nearest-centroid order: the first holding
+    # the point, else the first of least deficiency
+    _, cand = m._centroid_tree().query(points, k=k_search)
+    tri, bary = [], []
+    for pt, cands in zip(points, cand):
+        best, best_w, best_def = -1, None, np.inf
+        for t in cands:
+            a, b, c = m.vertices[m.triangles[t]]
+            lam = np.linalg.solve(np.array([b - a, c - a]).T, pt - a)
+            w = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+            deficiency = -min(w.min(), 0.0)
+            if deficiency < best_def:
+                best, best_w, best_def = t, w, deficiency
+            if deficiency <= 1e-12:
+                break
+        tri.append(best)
+        bary.append(best_w)
+    return np.array(tri), np.array(bary)
+
+
+@pytest.mark.parametrize("obstacle", [None, fourier_obstacle([0.7, 0.1, 0.1], [0.0, 0.05])],
+                         ids=["fan", "annulus"])
+def test_locate_matches_per_point_oracle(geom, obstacle):
+    m = generate_mesh(obstacle, geom, 0.15)
+    g = np.random.Generator(np.random.Philox(8))
+    th = g.uniform(0, 2 * np.pi, 400)
+    r = g.uniform(0.0, 2.05, 400)      # some beyond the outer polygon or in the hole
+    edges = m.vertices[m.triangles[:, [0, 1]]].mean(axis=1)[:200]
+    pts = np.concatenate([np.stack([r * np.cos(th), r * np.sin(th)], -1), m.vertices, edges])
+    tri, bary = m.locate(pts)
+    tri_ref, bary_ref = _locate_one_by_one(m, pts)
+    np.testing.assert_array_equal(tri, tri_ref)
+    np.testing.assert_array_equal(bary, bary_ref)
+    # the weights reproduce each point, also where it is clamped
+    np.testing.assert_allclose(np.einsum("pj,pjd->pd", bary, m.vertices[m.triangles[tri]]),
+                               pts, rtol=0.0, atol=1e-12)
+
+
 def test_mesh_file_roundtrip(tmp_path, geom):
     m = generate_mesh(disk_obstacle(0.5), geom, 0.2)
     path = tmp_path / "mesh.txt"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from helmray.config import RunConfig
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle,
-                              identity_coefficients, nu_bump_coefficients)
+                              identity_coefficients, nu_bump_coefficients,
+                              signed_distance)
 from helmray.raytrace import (PhasePoint, RayConfig, Termination,
                               TrappedTrajectoryError, _eval_rays, _integrate_batch,
                               _rk4_step, _ham, classify_trapping, hamiltonian,
@@ -322,10 +324,13 @@ def test_reflection_is_hamiltonian_involution(a1, a2, frame, c0, c2, s3, theta, 
     assert abs(hamiltonian(coeffs, once) - hamiltonian(coeffs, p)) <= 1e-12
 
 
+# support_radius 1.5 holds the unit ball, so the same rays take RK4 steps and
+# meet the obstacle inside the perturbation (identity coefficients: exact lines)
+@pytest.mark.parametrize("support", [0.0, 1.5])
 @settings(max_examples=100, deadline=None)
 @given(a=st.floats(0.1, 0.8), s=st.floats(0.0, 1.0), theta=angles, psi=angles)
-def test_disk_last_exit_matches_closed_form(ident, a, s, theta, psi):
-    cfg = RayConfig()
+def test_disk_last_exit_matches_closed_form(support, a, s, theta, psi):
+    cfg, ident = RayConfig(), replace(identity_coefficients(), support_radius=support)
     r0 = a + (1.0 - a) * s
     assume(r0 > a + 1e-6)
     x0 = r0 * np.array([np.cos(theta), np.sin(theta)])
@@ -348,18 +353,46 @@ def test_disk_last_exit_matches_closed_form(ident, a, s, theta, psi):
     assert res.t_exit[0] == pytest.approx((lead + chord) / 2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("cosine", [3e-3, 2e-3, 1.5e-3, 1.1e-3])
-def test_line_flight_reflects_short_chord_impacts(ident, cosine):
-    # chord 2 a cosine < 2 * step_size, the line-sample spacing; the 200 rays
-    # start at offsets spread over one spacing, so samples straddle the chord
-    # at every phase, and all of them must reflect
+@pytest.mark.parametrize("cosine, support", [
+    pytest.param(c, s, id=f"{c}-{s}" if s else f"{c}")
+    for s in (0.0, 1.5) for c in (3e-3, 2e-3, 1.5e-3, 1.1e-3)])
+def test_line_flight_reflects_short_chord_impacts(cosine, support):
+    # chord 2 a cosine < 2 * step_size, the line-sample spacing and the RK4
+    # step length; the 200 rays start at offsets spread over one spacing, so
+    # samples and steps straddle the chord at every phase, and all of them
+    # must reflect, on straight flights (support 0) and on RK4 steps (1.5)
     cfg, a = RayConfig(), 0.5
+    ident = replace(identity_coefficients(), support_radius=support)
     x = -0.9 - 2.0 * cfg.step_size * np.arange(200) / 200
     y = np.full(200, a * np.sqrt(1.0 - cosine**2))
     states = np.stack([x, y, np.ones(200), np.zeros(200)], axis=1)
     res = _eval_rays(ident, (disk_obstacle(a),), states, cfg, 1.0)
     assert np.all(res.termination == 0)
     assert np.sum(res.state_final[:, 3] == 0.0) == 0
+
+
+STAR_IN_BUMP = fourier_obstacle([0.25, 0.0, 0.03], [0.0, 0.0, 0.02])
+
+
+@pytest.mark.parametrize("obstacle", [None, STAR_IN_BUMP], ids=["bump", "bump_star"])
+@settings(max_examples=25, deadline=None)
+@given(theta=angles, b=st.floats(-0.45, 0.45))
+def test_time_reversal_returns_to_start(nu_bump, obstacle, theta, b):
+    # from the escape circle, aimed through the bump at impact parameter b;
+    # the reversed ray retraces the forward one, reflections included
+    geom, cfg = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25), RayConfig()
+    alpha = theta + np.arcsin(b / geom.R_ray)
+    x0 = geom.R_ray * np.array([np.cos(theta), np.sin(theta)])
+    p0 = PhasePoint(x0, -np.array([np.cos(alpha), np.sin(alpha)]))
+    fwd = integrate_ray(nu_bump, obstacle, geom, p0, cfg)
+    assume(fwd.termination is Termination.ESCAPED)
+    end = fwd.states[-1]
+    back = integrate_ray(nu_bump, obstacle, geom, PhasePoint(end[:2], -end[2:]), cfg)
+    assert back.termination is Termination.ESCAPED
+    assert len(back.reflections) == len(fwd.reflections)
+    np.testing.assert_allclose(back.states[-1], np.concatenate([x0, -p0.xi]), rtol=0.0, atol=1e-6)
+    for ev in fwd.reflections + back.reflections:
+        assert abs(signed_distance(obstacle, ev.point)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
