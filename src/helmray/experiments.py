@@ -7,14 +7,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bounds import ConstantsLedger, mesh_threshold
 from .dtn import build_dtn
-from .fem import (DiscreteSolution, SolveError, assemble, assemble_load_scattering,
-                  build_space, element_gradients, errors_vs_exact,
-                  nodal_interpolant, quadrature, solve, solve_adjoint)
+from .fem import (DiscreteSolution, SolveError, _fe_values, _shared_csr, assemble,
+                  assemble_load_scattering, build_space, element_gradients,
+                  errors_vs_exact, nodal_interpolant, quadrature, solve, solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
@@ -97,6 +96,13 @@ class ResolventEstimate:
     per_mode: Optional[list] = None
 
 
+def _solve_real(lu, b):
+    """x = A^{-1} b for the LU of a real matrix A and a complex vector b: the
+    real and imaginary parts of b go as the two columns of one solve."""
+    x = lu.solve(np.column_stack([b.real, b.imag]))
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
                             k, cutoff: RadialCutoff, h, s=0, rtol=1e-4,
                             seed=0, method="auto") -> ResolventEstimate:
@@ -131,13 +137,13 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     system = assemble(coeffs, space, dtn, k)
     lu = system.factorize()
     M = system.mass_plain
-    luM = spla.splu(sp.csc_matrix(M.astype(complex)))
+    luM = spla.splu(M.tocsc())
     B = M if s == 0 else system.energy_matrix()
     ch = cutoff.at_points(mesh.vertices[space.free_vertices])
 
     def apply_normal(v):
         w = ch * lu.solve(M @ (ch * v))
-        return luM.solve(ch * (M @ lu.solve(ch * (B @ w), trans="H")))
+        return _solve_real(luM, ch * (M @ lu.solve(ch * (B @ w), trans="H")))
 
     def m_dot(u, v):
         return np.vdot(u, M @ v)
@@ -265,39 +271,23 @@ class _CrossMeshProjector:
 
     def __init__(self, coeffs, coarse_space, fine_space, k, quad_degree=2):
         self.k = k
-        self.coarse = coarse_space
         self.fine = fine_space
         pts, wts, bary = quadrature(fine_space.mesh, quad_degree)
         flat = pts.reshape(-1, 2)
         self.wts = wts
-        self.pts_shape = pts.shape[:2]
         tri, lam = coarse_space.mesh.locate(flat)
         grads, _ = element_gradients(coarse_space.mesh)
         dof = coarse_space.dof_of_vertex[coarse_space.mesh.triangles[tri]]  # (P, 3)
-        nq = len(flat)
-        rows = np.repeat(np.arange(nq), 3)
-        keep = dof.ravel() >= 0
-        nd = coarse_space.n_dofs
-        self.Phi = sp.coo_matrix(
-            (lam.ravel()[keep], (rows[keep], dof.ravel()[keep])),
-            shape=(nq, nd)).tocsr()
-        gx = grads[tri, :, 0]
-        gy = grads[tri, :, 1]
-        self.Gx = sp.coo_matrix((gx.ravel()[keep], (rows[keep], dof.ravel()[keep])),
-                                shape=(nq, nd)).tocsr()
-        self.Gy = sp.coo_matrix((gy.ravel()[keep], (rows[keep], dof.ravel()[keep])),
-                                shape=(nq, nd)).tocsr()
-        A_q = coeffs.eval_A(flat)
-        self.A_q = A_q
+        self.Phi, self.Gx, self.Gy = _shared_csr(
+            np.arange(len(flat))[:, None], dof, (len(flat), coarse_space.n_dofs),
+            lam, grads[tri, :, 0], grads[tri, :, 1])
+        self.A_q = coeffs.eval_A(flat)
         self.nu_q = coeffs.eval_nu(flat)
         coarse_sys = assemble(coeffs, coarse_space, None, 0.0)
-        Ec = coarse_sys.stiffness + k**2 * coarse_sys.mass_nu
-        self.Ec_lu = spla.splu(sp.csc_matrix(Ec, dtype=complex))
+        self.Ec_lu = spla.splu((coarse_sys.stiffness + k**2 * coarse_sys.mass_nu).tocsc())
 
     def best_approx_error_sq(self, u_fine: DiscreteSolution, u_energy_sq):
         """min over coarse v of |u - v|_E^2 = |u|_E^2 - b^H Ec^{-1} b."""
-        from .fem import _fe_values
-
         vals, grads_q, _, _ = _fe_values(self.fine, u_fine.dofs, 2)
         w = self.wts.ravel()
         uv = vals.ravel()
@@ -306,7 +296,7 @@ class _CrossMeshProjector:
         b = (self.Gx.conj().T @ (w * Ag[:, 0])
              + self.Gy.conj().T @ (w * Ag[:, 1])
              + self.k**2 * (self.Phi.conj().T @ (w * self.nu_q * uv)))
-        proj = np.real(np.vdot(b, self.Ec_lu.solve(b)))
+        proj = np.real(np.vdot(b, _solve_real(self.Ec_lu, b)))
         return max(u_energy_sq - proj, 0.0)
 
 

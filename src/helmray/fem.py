@@ -94,10 +94,9 @@ def quadrature(mesh: Mesh, degree=4):
     """Physical quadrature points (M, Q, 2), absolute weights (M, Q), bary (Q, 3)."""
     bary, w = triangle_rule(degree)
     p = mesh.vertices[mesh.triangles]          # (M, 3, 2)
-    pts = np.einsum("qj,mjd->mqd", bary, p)
-    _, area = element_gradients(mesh)
-    weights = area[:, None] * w[None, :]
-    return pts, weights, bary
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return bary @ p, area[:, None] * w, bary
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +233,32 @@ class GalerkinSystem:
         return complex(np.vdot(v, self.apply(u)))
 
 
-def _scatter(fe_space, local, tri_dofs):
-    """Accumulate (M, 3, 3) element blocks into a CSR over free dofs."""
-    n = fe_space.n_dofs
-    keep = tri_dofs >= 0
-    rows = np.repeat(tri_dofs[:, :, None], 3, axis=2)
-    cols = np.repeat(tri_dofs[:, None, :], 3, axis=1)
-    mask = keep[:, :, None] & keep[:, None, :]
-    A = sp.coo_matrix((local[mask], (rows[mask], cols[mask])), shape=(n, n))
-    return A.tocsr()
+def _shared_csr(rows, cols, shape, *values):
+    """One CSR matrix of ``shape`` per real value array, holding the sums of its
+    values over the entries (rows, cols) broadcast to its shape; entries with a
+    negative row or column are left out.
+
+    The sorted unique keys and the slot of every entry are found once, each
+    value array is summed into the slots by ``np.bincount``, and the matrices
+    share ``indptr`` and ``indices`` (Cuvelier, Japhet & Scarella, BIT 2016).
+    """
+    rows, cols = np.broadcast_arrays(rows, cols)
+    keep = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(rows[keep].astype(np.int64) * shape[1] + cols[keep],
+                           return_inverse=True)
+    # the index type scipy would pick, so that no matrix copies the pattern
+    idx = np.int32 if max(len(keys), *shape) < np.iinfo(np.int32).max else np.int64
+    indices = (keys % shape[1]).astype(idx)
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]).astype(idx)
+    return [sp.csr_matrix((np.bincount(slot, weights=v[keep], minlength=len(keys)),
+                           indices, indptr), shape=shape) for v in values]
 
 
 def assemble(coeffs: CoefficientField, fe_space: FeSpace,
              dtn: Optional[DtnOperator], k: float, quad_degree=4) -> GalerkinSystem:
     """Assemble stiffness, masses, and the radiation factors C and P."""
     mesh = fe_space.mesh
-    grads, area = element_gradients(mesh)
+    grads, _ = element_gradients(mesh)
     pts, wts, bary = quadrature(mesh, quad_degree)
 
     flat = pts.reshape(-1, 2)
@@ -257,16 +266,15 @@ def assemble(coeffs: CoefficientField, fe_space: FeSpace,
     nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
 
     A_bar = np.einsum("mq,mqab->mab", wts, A_q)
-    S_loc = np.einsum("mia,mab,mjb->mij", grads, A_bar, grads)
-
-    phi = bary  # (Q, 3)
-    Mnu_loc = np.einsum("mq,mq,qi,qj->mij", wts, nu_q, phi, phi)
-    M0_loc = np.einsum("mq,qi,qj->mij", wts, phi, phi)
+    S_loc = grads @ A_bar @ grads.transpose(0, 2, 1)
+    phi_phi = (bary[:, :, None] * bary[:, None, :]).reshape(len(bary), 9)   # (Q, 9)
+    Mnu_loc = ((wts * nu_q) @ phi_phi).reshape(-1, 3, 3)
+    M0_loc = (wts @ phi_phi).reshape(-1, 3, 3)
 
     tri_dofs = fe_space.dof_of_vertex[mesh.triangles]
-    S = _scatter(fe_space, S_loc, tri_dofs)
-    Mnu = _scatter(fe_space, Mnu_loc, tri_dofs)
-    M0 = _scatter(fe_space, M0_loc, tri_dofs)
+    n = fe_space.n_dofs
+    S, Mnu, M0 = _shared_csr(tri_dofs[:, :, None], tri_dofs[:, None, :], (n, n),
+                             S_loc, Mnu_loc, M0_loc)
 
     C = P = None
     if dtn is not None:

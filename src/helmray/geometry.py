@@ -230,25 +230,18 @@ COEFFICIENT_PRESETS = {
 def fourier_obstacle(cos_coeffs, sin_coeffs=(), center=(0.0, 0.0)):
     """Star-shaped obstacle rho(theta) = c0 + sum c_m cos(m theta) + sum s_m sin(m theta)."""
     cos_coeffs = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
-    sin_coeffs = np.atleast_1d(np.asarray(sin_coeffs, dtype=float)) if len(sin_coeffs) else np.zeros(0)
+    sin_coeffs = np.atleast_1d(np.asarray(sin_coeffs, dtype=float))
+    n = max(len(cos_coeffs) - 1, len(sin_coeffs))    # orders 1..n, both rows zero-padded
+    m = np.arange(1, n + 1)
+    c, s = (np.pad(x, (0, n - len(x))) for x in (cos_coeffs[1:], sin_coeffs))
 
     def rho(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, cos_coeffs[0])
-        for m, c in enumerate(cos_coeffs[1:], start=1):
-            out += c * np.cos(m * theta)
-        for m, s in enumerate(sin_coeffs, start=1):
-            out += s * np.sin(m * theta)
-        return out
+        mt = np.multiply.outer(np.asarray(theta, dtype=float), m)
+        return cos_coeffs[0] + np.cos(mt) @ c + np.sin(mt) @ s
 
     def drho(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape)
-        for m, c in enumerate(cos_coeffs[1:], start=1):
-            out -= m * c * np.sin(m * theta)
-        for m, s in enumerate(sin_coeffs, start=1):
-            out += m * s * np.cos(m * theta)
-        return out
+        mt = np.multiply.outer(np.asarray(theta, dtype=float), m)
+        return np.cos(mt) @ (m * s) - np.sin(mt) @ (m * c)
 
     return Obstacle(rho=rho, drho=drho, empty=False,
                     center=(float(center[0]), float(center[1])), name="fourier")

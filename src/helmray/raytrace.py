@@ -216,12 +216,19 @@ def _level(ob, path):
 
 
 def _level_min(level, a, b):
-    """(tau, level) at the minimum of ``level`` on each [a, b], by golden section."""
-    for _ in range(_N_BISECT):
-        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-        left = level(c) < level(d)
+    """(tau, level) at the minimum of ``level`` on each [a, b], by golden section;
+    the interior point a pass keeps is reused, so each pass evaluates once."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = level(c), level(d)
+    for _ in range(_N_BISECT - 1):
+        left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-    tau = 0.5 * (a + b)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = level(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    left = fc < fd
+    tau = 0.5 * (np.where(left, a, c) + np.where(left, d, b))
     return tau, level(tau)
 
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helmray.bounds import ConstantsLedger, schatz_condition
-from helmray.experiments import (RadialCutoff, estimate_eta,
+from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta,
                                  estimate_resolvent_norm, h2_scaling_study,
                                  quasimode_lower_bound, quasioptimality_study,
                                  radial_profiles, resolvent_scan)
+from helmray.fem import build_space, element_gradients, quadrature
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, identity_coefficients,
                               nu_bump_coefficients)
+from helmray.mesh import generate_mesh
 from helmray.radial import free_mode_kernel_norm
 from helmray.util import power_sigma
 from conftest import rng
@@ -173,6 +176,26 @@ def test_quasimode_parameter_validation():
 
 # ---------------------------------------------------------------------------
 # eta
+
+
+def test_projector_tables_match_per_matrix_coo_builds():
+    geom = TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5)
+    obs = disk_obstacle(0.5)
+    coarse = build_space(generate_mesh(obs, geom, 0.1))
+    fine = build_space(generate_mesh(obs, geom, 0.05))
+    proj = _CrossMeshProjector(nu_bump_coefficients(), coarse, fine, 2.0)
+    pts, _, _ = quadrature(fine.mesh, 2)
+    tri, lam = coarse.mesh.locate(pts.reshape(-1, 2))
+    grads, _ = element_gradients(coarse.mesh)
+    dof = coarse.dof_of_vertex[coarse.mesh.triangles[tri]]
+    rows = np.repeat(np.arange(len(tri)), 3)
+    keep = dof.ravel() >= 0
+    for got, vals in ((proj.Phi, lam), (proj.Gx, grads[tri, :, 0]), (proj.Gy, grads[tri, :, 1])):
+        ref = sp.coo_matrix((vals.ravel()[keep], (rows[keep], dof.ravel()[keep])),
+                            shape=(len(tri), coarse.n_dofs)).tocsr()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
 
 
 def test_eta_decreases_with_mesh_refinement(free_geom):

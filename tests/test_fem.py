@@ -1,20 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
+from helmray.config import RunConfig
 from helmray.dtn import FourierTrace, build_dtn, dtn_pairing
 from helmray.fem import (assemble, assemble_load_scattering, assemble_load_source,
                          bilinear_action_quadrature, boundary_trace, build_space,
-                         energy_norm, errors_vs_exact, l2_norm_exact,
+                         element_gradients, energy_norm, errors_vs_exact, l2_norm_exact,
                          modal_projection, nodal_interpolant,
                          nodal_interpolation_error, quadrature,
                          recovered_hessian_h2_norm, solve, solve_adjoint)
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
-                              disk_obstacle, identity_coefficients,
-                              nu_bump_coefficients)
+                              disk_obstacle, fourier_obstacle,
+                              identity_coefficients, nu_bump_coefficients)
 from helmray.mesh import _cross2, generate_mesh
 from helmray.mie import manufactured_bubble, point_source, soft_disk_total_field
+from helmray.util import triangle_rule
 from conftest import rng
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +48,54 @@ def _random_dofs(space, seed=0):
 
 # ---------------------------------------------------------------------------
 # assembly
+
+
+def _einsum_coo_assembly(coeffs, space, quad_degree=4):
+    """Reference (S, M_nu, M_0): plain einsum local matrices and one COO->CSR
+    conversion per matrix."""
+    mesh = space.mesh
+    grads, area = element_gradients(mesh)
+    bary, w = triangle_rule(quad_degree)
+    pts = np.einsum("qj,mjd->mqd", bary, mesh.vertices[mesh.triangles])
+    wts = area[:, None] * w[None, :]
+    flat = pts.reshape(-1, 2)
+    A_q = coeffs.eval_A(flat).reshape(pts.shape[0], pts.shape[1], 2, 2)
+    nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
+    A_bar = np.einsum("mq,mqab->mab", wts, A_q)
+    local = (np.einsum("mia,mab,mjb->mij", grads, A_bar, grads),
+             np.einsum("mq,mq,qi,qj->mij", wts, nu_q, bary, bary),
+             np.einsum("mq,qi,qj->mij", wts, bary, bary))
+    tri = space.dof_of_vertex[mesh.triangles]
+    rows = np.repeat(tri[:, :, None], 3, axis=2)
+    cols = np.repeat(tri[:, None, :], 3, axis=1)
+    mask = (tri >= 0)[:, :, None] & (tri >= 0)[:, None, :]
+    n = space.n_dofs
+    return [sp.coo_matrix((loc[mask], (rows[mask], cols[mask])), shape=(n, n)).tocsr()
+            for loc in local]
+
+
+def _case(name):
+    if name == "star":
+        return (anisotropic_coefficients(), fourier_obstacle([0.5, 0.05, 0.05], [0, 0.05]),
+                TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5))
+    cfg = RunConfig.from_file(CONFIGS / f"{name}.ini")
+    return cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+
+
+@pytest.mark.parametrize("name", ["disk", "nu_bump", "star"])
+def test_assembly_matches_einsum_coo_reference(name):
+    coeffs, obstacle, geom = _case(name)
+    space = build_space(generate_mesh(obstacle, geom, 0.05))
+    system = assemble(coeffs, space, None, 1.0)
+    mats = (system.stiffness, system.mass_nu, system.mass_plain)
+    for got, ref in zip(mats, _einsum_coo_assembly(coeffs, space)):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+    # one pattern: the three matrices share its arrays
+    for m in mats[1:]:
+        assert np.shares_memory(m.indptr, mats[0].indptr)
+        assert np.shares_memory(m.indices, mats[0].indices)
 
 
 def test_stiffness_coercive(unit_setup):
@@ -305,11 +360,8 @@ def test_dissection_order_is_a_permutation_with_modes_last(case, unit_setup, dis
 
 def test_dissection_order_fills_less_than_colamd():
     import scipy.sparse.linalg as spla
-    from pathlib import Path
 
-    from helmray.config import RunConfig
-
-    cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "disk.ini")
+    cfg = RunConfig.from_file(CONFIGS / "disk.ini")
     geom, k = cfg.geometry(), 8.0
     space = build_space(generate_mesh(cfg.obstacle(), geom, 0.02))
     system = assemble(cfg.coefficients(), space, build_dtn(k, geom.R), k)

@@ -102,3 +102,24 @@ def test_offset_obstacle_signed_distance():
     disk = disk_obstacle(0.3, center=(0.8, 0.0))
     assert signed_distance(disk, np.array([0.8, 0.0])) == pytest.approx(-0.3)
     assert signed_distance(disk, np.array([1.4, 0.0])) == pytest.approx(0.3)
+
+
+def test_fourier_obstacle_matches_per_term_sums():
+    g = np.random.default_rng(7)
+    cos_c, sin_c = g.normal(0, 0.05, 6), g.normal(0, 0.05, 4)
+    cos_c[0] = 1.0
+    theta = g.uniform(-np.pi, np.pi, (50, 3))
+    rho, drho = np.full(theta.shape, cos_c[0]), np.zeros(theta.shape)
+    for m, c in enumerate(cos_c[1:], start=1):
+        rho += c * np.cos(m * theta)
+        drho -= m * c * np.sin(m * theta)
+    for m, s in enumerate(sin_c, start=1):
+        rho += s * np.sin(m * theta)
+        drho += m * s * np.cos(m * theta)
+    obs = fourier_obstacle(cos_c, sin_c)
+    np.testing.assert_allclose(obs.rho(theta), rho, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(obs.drho(theta), drho, rtol=0, atol=1e-14)
+    # a disk has only the constant term: exactly its radius, exactly flat
+    disk = disk_obstacle(0.5)
+    assert np.array_equal(disk.rho(theta), np.full(theta.shape, 0.5))
+    assert np.array_equal(disk.drho(theta), np.zeros(theta.shape))

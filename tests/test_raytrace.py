@@ -13,7 +13,7 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               signed_distance)
 from helmray.raytrace import (PhasePoint, RayConfig, Termination,
                               TrappedTrajectoryError, _eval_rays, _integrate_batch,
-                              _rk4_step, _ham, classify_trapping, hamiltonian,
+                              _level_min, _rk4_step, _ham, classify_trapping, hamiltonian,
                               hamiltonian_vector_field, integrate_ray,
                               longest_ray_length, reflect, time_in_ball,
                               unit_covector)
@@ -277,6 +277,23 @@ def test_ray_returns_from_obstacle_beyond_the_ball(ident):
     res = _eval_rays(ident, (obs,), np.array([[-0.9, 0.0, 1.0, 0.0]]), RayConfig(), 1.0)
     assert res.termination[0] == 0
     assert res.t_exit[0] == pytest.approx((2.4 + 2.5) / 2.0, abs=1e-3)
+
+
+def test_golden_section_evaluates_level_once_per_pass():
+    # 48 passes: two starting points, one new point on each later pass, one
+    # value at the returned minimum
+    calls = []
+
+    def level(tau):
+        calls.append(len(tau))
+        return (tau - centre) ** 2 - 0.25
+
+    centre = np.array([0.3, -1.7, 2.0])
+    tau, f = _level_min(level, np.array([0.0, -3.0, 1.9]), np.array([1.0, 0.0, 5.0]))
+    assert len(calls) == 50
+    # a quadratic's minimum is located only to about sqrt(eps)
+    np.testing.assert_allclose(tau, centre, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(f, -0.25, rtol=0, atol=1e-15)
 
 
 def test_glancing_impact_flagged(ident):
