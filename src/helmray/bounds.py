@@ -25,7 +25,7 @@ from .fem import (assemble, assemble_load_source, build_space, l2_norm_exact,
                   modal_projection, recovered_hessian_h2_norm)
 from .geometry import identity_coefficients
 from .mesh import generate_mesh
-from .util import make_rng
+from .util import make_rng, solve_real, write_json
 
 
 def compute_C_int(C_int_tilde, A_max, nu_max):
@@ -87,9 +87,7 @@ class ConstantsLedger:
             raise ValueError("k0 must be positive")
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path):
@@ -184,7 +182,7 @@ def resolvent_upper_bound(L_ray, k, s):
         raise ValueError(f"Sobolev index s={s} outside [0, 2]")
     if k <= 0 or L_ray <= 0:
         raise ValueError("need positive k and L")
-    return 2.0 ** (0.5 * s + 1.0) * L_ray * k ** (s - 1.0) / np.pi
+    return 2.0 ** (0.5 * s + 1.0) * L_ray / np.pi * k ** (s - 1.0)
 
 
 def volterra_norm(L):
@@ -264,9 +262,9 @@ def estimate_C_DtN_tilde(R, k_values, h=0.05):
     worst = 0.0
     for k in k_values:
         dtn = build_dtn(k, R)
-        E = (system.stiffness + k**2 * system.mass_plain).astype(complex).tocsc()
+        E = (system.stiffness + k**2 * system.mass_plain).tocsc()
         P = modal_projection(space, dtn.n_max)
-        W = P @ spla.splu(E).solve(P.conj().T.toarray())
+        W = P @ solve_real(spla.splu(E), P.conj().T.toarray())
         C = np.linalg.cholesky(0.5 * (W + W.conj().T))      # W = C C^H
         core = C.conj().T @ ((2.0 * np.pi * R) * dtn.coefficients[:, None] * C)
         worst = max(worst, float(scipy.linalg.svdvals(core)[0]))

@@ -1,8 +1,12 @@
 """Command-line entry point: one binary, subcommand dispatch, manifest outputs.
 
-Every run writes its artifacts plus a manifest.json (config hash, seed,
-versions, argv) into the output directory; CSV outputs are byte-reproducible
-for identical config and seed.  Timestamps live only in the manifest.
+Each subcommand is a function ``(args, cfg) -> Run`` that computes and writes
+nothing.  ``main`` is the one runner: it loads the config, calls the
+subcommand, and only then creates the output directory and writes the
+returned artifacts, a manifest.json (config hash, seed, versions, argv) and
+the config.ini it ran with, so a run that raises leaves no directory.  CSV
+outputs are byte-reproducible for identical config and seed; timestamps live
+only in the manifest.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -29,19 +35,24 @@ from .fem import (assemble, assemble_load_scattering, assemble_load_source,
                   build_space, energy_norm, solve)
 from .geometry import check_gradients, validate_configuration
 from .mesh import generate_mesh
-from .raytrace import (hamiltonian, PhasePoint, classify_trapping, integrate_ray,
-                       longest_ray_length)
+from .raytrace import _ham, classify_trapping, integrate_ray, longest_ray_length
 from .util import fmt_float, write_csv, write_json
 
 
-def _out_dir(args, name):
-    out = Path(args.out) if args.out else Path(f"out-{name}")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class Run(NamedTuple):
+    """A subcommand's outcome.  ``artifacts`` maps file names to a dict (written
+    as JSON) or a ``(header, rows)`` pair (written as CSV); ``summary`` is
+    printed as is when a string, else as JSON; ``manifest`` holds extra
+    manifest fields."""
+
+    artifacts: dict
+    summary: object
+    code: int = 0
+    manifest: Optional[dict] = None
 
 
-def _manifest(out, args, cfg: RunConfig, extra=None):
-    data = {
+def _manifest(args, cfg: RunConfig, extra=None):
+    return {
         "subcommand": args.command,
         "argv": sys.argv[1:],
         "config_sha256": cfg.sha256(),
@@ -53,31 +64,27 @@ def _manifest(out, args, cfg: RunConfig, extra=None):
             "python": sys.version.split()[0],
         },
         "timestamps": {"written_at_unix": time.time()},
+        **(extra or {}),
     }
-    if extra:
-        data.update(extra)
-    write_json(out / "manifest.json", data)
-    (out / "config.ini").write_text(cfg.to_text())
-
-
-def _load_config(args):
-    return RunConfig.from_file(args.config) if args.config else RunConfig.default()
 
 
 def _seed(args, cfg):
     return args.seed if args.seed is not None else cfg.seed()
 
 
+def _floats(text):
+    """Comma- or space-separated numbers, as ``--ks`` and ``--hs`` take them."""
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, cfg) -> Run; ``main`` writes every file
 
 
-def _cmd_validate(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_validate(args, cfg):
+    coeffs, obstacle, geom = cfg.problem()
     report = validate_configuration(coeffs, obstacle, geom)
     grad_err = check_gradients(coeffs, np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.1]]))
-    out = _out_dir(args, "validate")
     payload = {
         "ok": bool(report.ok),
         "failures": [{"invariant": name,
@@ -85,15 +92,11 @@ def _cmd_validate(args):
                      for name, pt in report.failures],
         "gradient_fd_relative_error": grad_err,
     }
-    write_json(out / "validation.json", payload)
-    _manifest(out, args, cfg)
-    print(json.dumps(payload, indent=2))
-    return 0 if report.ok else 1
+    return Run({"validation.json": payload}, payload, code=0 if report.ok else 1)
 
 
-def _cmd_rays(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_rays(args, cfg):
+    coeffs, obstacle, geom = cfg.problem()
     ray_cfg = cfg.ray_config(
         step_size=args.step, max_time_budget=args.budget,
         grid_pos_r=args.grid_pos, grid_dir=args.grid_dir,
@@ -104,8 +107,7 @@ def _cmd_rays(args):
     # certificates: L after each refinement round, and the Hamiltonian
     # drift along the re-traced maximizing ray
     traj = integrate_ray(coeffs, obstacle, geom, result.maximizer, ray_cfg)
-    H = [hamiltonian(coeffs, PhasePoint(s[:2], s[2:])) for s in traj.states]
-    out = _out_dir(args, "rays")
+    H = _ham(coeffs, traj.states)
     payload = {
         "L": result.L,
         "maximizer": {"x": [float(v) for v in result.maximizer.x],
@@ -118,21 +120,17 @@ def _cmd_rays(args):
         "H_drift": float(np.max(np.abs(H))),
         "R": float(R),
     }
-    write_json(out / "rays.json", payload)
+    artifacts = {"rays.json": payload}
     if args.dump_trajectory:
-        rows = [(t, s[0], s[1], s[2], s[3], h)
-                for t, s, h in zip(traj.times, traj.states, H)]
-        write_csv(out / "trajectory.csv", ["s", "x1", "x2", "xi1", "xi2", "H"], rows)
-    _manifest(out, args, cfg)
-    print(json.dumps(payload, indent=2))
-    return 0
+        artifacts["trajectory.csv"] = (
+            ["s", "x1", "x2", "xi1", "xi2", "H"],
+            [(t, s[0], s[1], s[2], s[3], h) for t, s, h in zip(traj.times, traj.states, H)])
+    return Run(artifacts, payload)
 
 
-def _cmd_trapping(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_trapping(args, cfg):
+    coeffs, obstacle, geom = cfg.problem()
     report = classify_trapping(coeffs, obstacle, geom, cfg.ray_config())
-    out = _out_dir(args, "trapping")
     payload = {
         "nontrapping": report.nontrapping,
         "n_samples": report.n_samples,
@@ -142,32 +140,23 @@ def _cmd_trapping(args):
         "censored": [{"x": [float(v) for v in p.x], "xi": [float(v) for v in p.xi]}
                      for p in report.censored_initial_conditions],
     }
-    write_json(out / "trapping.json", payload)
-    _manifest(out, args, cfg)
-    print(json.dumps({k: payload[k] for k in
-                      ("nontrapping", "n_samples", "n_budget", "n_glancing")}, indent=2))
-    return 0
+    return Run({"trapping.json": payload},
+               {k: payload[k] for k in ("nontrapping", "n_samples", "n_budget", "n_glancing")})
 
 
-def _cmd_dtn_check(args):
-    cfg = _load_config(args)
+def _cmd_dtn_check(args, cfg):
     op = build_dtn(args.k, args.R, args.nmax)
-    out = _out_dir(args, "dtn-check")
     rows = [(int(n), float(op.t(n).real), float(op.t(n).imag)) for n in op.orders]
-    write_csv(out / "dtn_coefficients.csv", ["n", "re_t_n", "im_t_n"], rows)
     sign_ok = bool(np.all(op.coefficients.real <= 1e-12 * np.abs(op.coefficients)))
     payload = {"k": args.k, "R": args.R, "n_max": op.n_max,
                "sign_property_re_nonpositive": sign_ok,
                "max_re": float(op.coefficients.real.max())}
-    write_json(out / "sign_report.json", payload)
-    _manifest(out, args, cfg)
-    print(json.dumps(payload, indent=2))
-    return 0 if sign_ok else 1
+    return Run({"dtn_coefficients.csv": (["n", "re_t_n", "im_t_n"], rows),
+                "sign_report.json": payload}, payload, code=0 if sign_ok else 1)
 
 
-def _cmd_solve(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_solve(args, cfg):
+    coeffs, obstacle, geom = cfg.problem()
     k = args.k if args.k is not None else cfg.wave().k
     h = args.h if args.h is not None else cfg.get("fem", "h")
     mesh = generate_mesh(obstacle, geom, h)
@@ -186,11 +175,7 @@ def _cmd_solve(args):
 
         rhs = assemble_load_source(space, f, support_radius=geom.R)
     u = solve(system, rhs)
-    out = _out_dir(args, "solve")
     vv = u.vertex_values()
-    write_csv(out / "solution.csv", ["vertex", "x1", "x2", "re_u", "im_u"],
-              [(i, mesh.vertices[i, 0], mesh.vertices[i, 1], vv[i].real, vv[i].imag)
-               for i in range(mesh.n_vertices)])
     payload = {
         "k": float(k), "h_target": float(h), "h_fem": mesh.h_fem,
         "problem": args.problem,
@@ -200,22 +185,19 @@ def _cmd_solve(args):
         "residual": u.residual,
         "nnz": system.matrix.nnz, "lu_fill": system.factorize().nnz,
     }
-    write_json(out / "solve.json", payload)
-    _manifest(out, args, cfg)
-    print(json.dumps(payload, indent=2))
-    return 0
+    return Run({"solution.csv": (["vertex", "x1", "x2", "re_u", "im_u"],
+                                 [(i, mesh.vertices[i, 0], mesh.vertices[i, 1], vv[i].real,
+                                   vv[i].imag) for i in range(mesh.n_vertices)]),
+                "solve.json": payload}, payload)
 
 
-def _cmd_constants(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_constants(args, cfg):
+    coeffs, obstacle, geom = cfg.problem()
     k0 = cfg.wave().k0
-    seed = _seed(args, cfg)
     c_int_tilde = estimate_C_int_tilde()
     c_dtn_tilde = estimate_C_DtN_tilde(geom.R, [k0, 2.0 * k0, 4.0 * k0])
-    ch2 = estimate_C_H2(coeffs, obstacle, geom, samples=args.samples, seed=seed)
-    ray_cfg = cfg.ray_config()
-    ray = longest_ray_length(coeffs, obstacle, geom, geom.R + 2.0, ray_cfg,
+    ch2 = estimate_C_H2(coeffs, obstacle, geom, samples=args.samples, seed=_seed(args, cfg))
+    ray = longest_ray_length(coeffs, obstacle, geom, geom.R + 2.0, cfg.ray_config(),
                              allow_censored=args.allow_censored)
     ledger = ConstantsLedger(
         C_int_tilde=c_int_tilde,
@@ -231,121 +213,74 @@ def _cmd_constants(args):
                     "k0": "supplied"},
     )
     ledger.validate()
-    out = _out_dir(args, "constants")
-    ledger.to_json(out / "ledger.json")
-    _manifest(out, args, cfg)
-    print(json.dumps({"C_int_tilde": ledger.C_int_tilde,
-                      "C_DtN_tilde": ledger.C_DtN_tilde,
-                      "C_H2": ledger.C_H2, "L_ray": ledger.L_ray,
-                      "C_int": ledger.C_int, "C_DtN": ledger.C_DtN}, indent=2))
-    return 0
+    return Run({"ledger.json": asdict(ledger)},
+               {"C_int_tilde": ledger.C_int_tilde, "C_DtN_tilde": ledger.C_DtN_tilde,
+                "C_H2": ledger.C_H2, "L_ray": ledger.L_ray,
+                "C_int": ledger.C_int, "C_DtN": ledger.C_DtN})
 
 
-def _cmd_threshold(args):
-    cfg = _load_config(args)
-    ledger = ConstantsLedger.from_json(args.ledger)
-    report = mesh_threshold(ledger, args.k, h_query=args.h)
-    out = _out_dir(args, "threshold")
-    write_json(out / "threshold.json", report.to_dict())
-    _manifest(out, args, cfg)
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0
+def _cmd_threshold(args, cfg):
+    report = mesh_threshold(ConstantsLedger.from_json(args.ledger), args.k, h_query=args.h)
+    return Run({"threshold.json": report.to_dict()}, report.to_dict())
 
 
-def _cmd_resolvent_scan(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
-    ks = [float(tok) for tok in args.ks.replace(",", " ").split()]
+def _cmd_resolvent_scan(args, cfg):
+    ks = _floats(args.ks)
     cutoff = RadialCutoff(inner=cfg.get("experiment", "cutoff_inner"),
                           outer=cfg.get("experiment", "cutoff_outer"))
-    scan = resolvent_scan(coeffs, obstacle, geom, ks, cutoff, s=args.s,
+    scan = resolvent_scan(*cfg.problem(), ks, cutoff, s=args.s,
                           rtol=1e-4, seed=_seed(args, cfg))
-    out = _out_dir(args, "resolvent-scan")
-    write_csv(out / "resolvent_scan.csv",
-              ["k", "norm", "k_times_norm", "lower_reference", "upper_reference",
-               "converged", "iterations"],
-              [(r["k"], r["norm"], r["k_times_norm"], r["lower_reference"],
-                r["upper_reference"], str(r["converged"]), r["iterations"])
-               for r in scan.rows])
-    _manifest(out, args, cfg, extra={"method": scan.method, "s": scan.s})
-    print(json.dumps(scan.rows, indent=2, default=fmt_float))
-    return 0
+    header = ["k", "norm", "k_times_norm", "lower_reference", "upper_reference",
+              "converged", "iterations"]
+    rows = [tuple(str(r[c]) if c == "converged" else r[c] for c in header) for r in scan.rows]
+    return Run({"resolvent_scan.csv": (header, rows)}, scan.rows,
+               manifest={"method": scan.method, "s": scan.s})
 
 
-def _cmd_quasimode(args):
-    cfg = _load_config(args)
+def _cmd_quasimode(args, cfg):
     result = quasimode_lower_bound(args.L, args.delta, args.h)
-    out = _out_dir(args, "quasimode")
     payload = {"L": args.L, "delta": args.delta, "h": args.h,
                "ratio": result.ratio, "reference": result.reference,
                "f_norm_sq": result.f_norm_sq, "u_norm_sq": result.u_norm_sq,
                "mu": result.mu,
                "note": "flat 1-D transport model of the amplification pair"}
-    write_json(out / "quasimode.json", payload)
-    _manifest(out, args, cfg)
-    print(json.dumps(payload, indent=2))
-    return 0
+    return Run({"quasimode.json": payload}, payload)
 
 
-def _cmd_eta(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_eta(args, cfg):
     k = args.k if args.k is not None else cfg.wave().k
     h = args.h if args.h is not None else cfg.get("fem", "h")
-    est = estimate_eta(coeffs, obstacle, geom, k, h, samples=args.samples,
-                       seed=_seed(args, cfg))
-    out = _out_dir(args, "eta")
+    est = estimate_eta(*cfg.problem(), k, h, samples=args.samples, seed=_seed(args, cfg))
     payload = {"k": est.k, "h_fem": est.h_fem, "samples": est.samples,
                "eta": est.value, "per_sample": est.per_sample}
-    write_json(out / "eta.json", payload)
-    _manifest(out, args, cfg)
-    print(json.dumps({k2: payload[k2] for k2 in ("k", "h_fem", "samples", "eta")},
-                     indent=2))
-    return 0
+    return Run({"eta.json": payload},
+               {k2: payload[k2] for k2 in ("k", "h_fem", "samples", "eta")})
 
 
-def _cmd_convergence(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
+def _cmd_convergence(args, cfg):
     ledger = ConstantsLedger.from_json(args.ledger)
-    ks = [float(tok) for tok in args.ks.replace(",", " ").split()]
-    hs = [float(tok) for tok in args.hs.replace(",", " ").split()]
-    table = quasioptimality_study(coeffs, obstacle, geom, ledger, ks, hs,
+    ks, hs = _floats(args.ks), _floats(args.hs)
+    table = quasioptimality_study(*cfg.problem(), ledger, ks, hs,
                                   incident_direction=(1.0, 0.0))
-    out = _out_dir(args, "convergence")
     header = ["k", "h_target", "h_fem", "energy_error", "l2_error",
               "best_approx_error", "qo_ratio", "threshold_rhs", "admissible",
               "failed"]
-    rows = []
-    for r in table.rows:
-        rows.append(tuple(r.get(col, "") if not isinstance(r.get(col), bool)
-                          else str(r.get(col)) for col in header))
-    write_csv(out / "convergence.csv", header, rows)
-    write_json(out / "summary.json",
-               {"quasioptimality_bound": table.quasioptimality_bound,
-                "rows": len(table.rows),
-                "admissible_rows": sum(1 for r in table.rows
-                                       if r.get("admissible") is True)})
-    _manifest(out, args, cfg)
-    print(f"{len(table.rows)} rows; bound 2(1+C_DtN) = "
-          f"{table.quasioptimality_bound:.4f}")
-    return 0
+    rows = [tuple(r.get(col, "") if not isinstance(r.get(col), bool) else str(r.get(col))
+                  for col in header) for r in table.rows]
+    summary = {"quasioptimality_bound": table.quasioptimality_bound,
+               "rows": len(table.rows),
+               "admissible_rows": sum(1 for r in table.rows if r.get("admissible") is True)}
+    return Run({"convergence.csv": (header, rows), "summary.json": summary},
+               f"{len(table.rows)} rows; bound 2(1+C_DtN) = "
+               f"{table.quasioptimality_bound:.4f}")
 
 
-def _cmd_h2_scan(args):
-    cfg = _load_config(args)
-    coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
-    ks = [float(tok) for tok in args.ks.replace(",", " ").split()]
-    result = h2_scaling_study(coeffs, obstacle, geom, ks, seed=_seed(args, cfg))
-    out = _out_dir(args, "h2-scan")
-    write_csv(out / "h2_scan.csv",
-              ["k", "load", "h2_over_f", "ratio_to_linear", "h_fem"],
-              [(r["k"], r["load"], r["h2_over_f"], r["ratio_to_linear"], r["h_fem"])
-               for r in result["rows"]])
-    write_json(out / "summary.json", {"fitted_exponent": result["fitted_exponent"]})
-    _manifest(out, args, cfg)
-    print(json.dumps({"fitted_exponent": result["fitted_exponent"]}, indent=2))
-    return 0
+def _cmd_h2_scan(args, cfg):
+    result = h2_scaling_study(*cfg.problem(), _floats(args.ks), seed=_seed(args, cfg))
+    header = ["k", "load", "h2_over_f", "ratio_to_linear", "h_fem"]
+    summary = {"fitted_exponent": result["fitted_exponent"]}
+    return Run({"h2_scan.csv": (header, [tuple(r[c] for c in header) for r in result["rows"]]),
+                "summary.json": summary}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +378,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = RunConfig.from_file(args.config) if args.config else RunConfig.default()
+        run = args.fn(args, cfg)
+        out = Path(args.out or f"out-{args.command}")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, artifact in run.artifacts.items():
+            if isinstance(artifact, dict):
+                write_json(out / name, artifact)
+            else:
+                write_csv(out / name, *artifact)
+        write_json(out / "manifest.json", _manifest(args, cfg, run.manifest))
+        (out / "config.ini").write_text(cfg.to_text())
+        print(run.summary if isinstance(run.summary, str)
+              else json.dumps(run.summary, indent=2, default=fmt_float))
+        return run.code
     except Exception as exc:
         report = {"error": type(exc).__name__, "message": str(exc),
                   "subcommand": args.command, "traceback": traceback.format_exc()}

@@ -143,6 +143,10 @@ class RunConfig:
                                   R=self.get("geometry", "R"),
                                   R_ray=self.get("geometry", "R_ray"))
 
+    def problem(self):
+        """The (coefficients, obstacle, geometry) triple most runs start from."""
+        return self.coefficients(), self.obstacle(), self.geometry()
+
     def wave(self) -> WaveContext:
         return WaveContext(k=self.get("wave", "k"), k0=self.get("wave", "k0"))
 

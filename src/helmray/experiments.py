@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .bounds import ConstantsLedger, mesh_threshold
+from .bounds import ConstantsLedger, mesh_threshold, resolvent_upper_bound, volterra_norm
 from .dtn import build_dtn
 from .fem import (DiscreteSolution, SolveError, _fe_values, _shared_csr, assemble,
                   assemble_load_scattering, build_space, element_gradients,
@@ -18,7 +18,8 @@ from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
 from .radial import radial_cutoff_resolvent_norm
-from .util import composite_gauss, make_rng, power_sigma, smoothstep
+from .util import (composite_gauss, cutoff_normal, make_rng, power_sigma, smoothstep,
+                   solve_real)
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +97,6 @@ class ResolventEstimate:
     per_mode: Optional[list] = None
 
 
-def _solve_real(lu, b):
-    """x = A^{-1} b for the LU of a real matrix A and a complex vector b: the
-    real and imaginary parts of b go as the two columns of one solve."""
-    x = lu.solve(np.column_stack([b.real, b.imag]))
-    return x[:, 0] + 1j * x[:, 1]
-
-
 def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
                             k, cutoff: RadialCutoff, h, s=0, rtol=1e-4,
                             seed=0, method="auto") -> ResolventEstimate:
@@ -135,19 +129,11 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     space = build_space(mesh)
     dtn = build_dtn(k, geom.R)
     system = assemble(coeffs, space, dtn, k)
-    lu = system.factorize()
     M = system.mass_plain
-    luM = spla.splu(M.tocsc())
-    B = M if s == 0 else system.energy_matrix()
-    ch = cutoff.at_points(mesh.vertices[space.free_vertices])
-
-    def apply_normal(v):
-        w = ch * lu.solve(M @ (ch * v))
-        return _solve_real(luM, ch * (M @ lu.solve(ch * (B @ w), trans="H")))
-
-    def m_dot(u, v):
-        return np.vdot(u, M @ v)
-
+    apply_normal, m_dot = cutoff_normal(
+        system.factorize(), spla.splu(M.tocsc()), M,
+        M if s == 0 else system.energy_matrix(),
+        cutoff.at_points(mesh.vertices[space.free_vertices]))
     rng = make_rng(seed)
     v0 = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
     sigma, iters, conv = power_sigma(apply_normal, m_dot, v0, rtol=rtol, maxit=600)
@@ -187,8 +173,8 @@ def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
             "k": float(k),
             "norm": est.value,
             "k_times_norm": float(k) * est.value if s == 0 else est.value,
-            "lower_reference": 2.0 * L_lo / np.pi * k ** (s - 1.0),
-            "upper_reference": 2.0 ** (0.5 * s + 1.0) * L_hi / np.pi * k ** (s - 1.0),
+            "lower_reference": volterra_norm(L_lo) * k ** (s - 1.0),
+            "upper_reference": resolvent_upper_bound(L_hi, k, s),
             "converged": est.converged,
             "iterations": est.iterations,
         })
@@ -296,7 +282,7 @@ class _CrossMeshProjector:
         b = (self.Gx.conj().T @ (w * Ag[:, 0])
              + self.Gy.conj().T @ (w * Ag[:, 1])
              + self.k**2 * (self.Phi.conj().T @ (w * self.nu_q * uv)))
-        proj = np.real(np.vdot(b, _solve_real(self.Ec_lu, b)))
+        proj = np.real(np.vdot(b, solve_real(self.Ec_lu, b)))
         return max(u_energy_sq - proj, 0.0)
 
 

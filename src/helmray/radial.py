@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dtn import default_n_max, hankel_ratio
-from .util import power_sigma
+from .util import cutoff_normal, power_sigma
 
 _GP = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GW = np.array([5.0, 8.0, 5.0]) / 9.0
@@ -52,7 +52,7 @@ class RadialMode:
 
     def lu_mass(self):
         if self._luM is None:
-            self._luM = spla.splu(sp.csc_matrix(self.M.astype(complex)))
+            self._luM = spla.splu(self.M.tocsc())
         return self._luM
 
 
@@ -115,23 +115,11 @@ def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed
     Input norm is the plain radial mass; output norm is the mass (s = 0) or the
     k-weighted energy Gram (s = 1).
     """
-    lu = mode.lu()
-    luM = mode.lu_mass()
-    M = mode.M
-    B = mode.M if s == 0 else mode.E
-    ch = chi_vals
-
-    def apply_normal(v):
-        w = ch * lu.solve(M @ (ch * v))
-        y = B @ w
-        z = luM.solve(ch * (M @ lu.solve(ch * y, trans="H")))
-        return z
-
-    def m_dot(u, v):
-        return np.vdot(u, M @ v)
-
+    apply_normal, m_dot = cutoff_normal(mode.lu(), mode.lu_mass(), mode.M,
+                                        mode.M if s == 0 else mode.E, chi_vals)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    n = mode.M.shape[0]
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return power_sigma(apply_normal, m_dot, v0, rtol=rtol, maxit=maxit)
 
 

@@ -122,6 +122,32 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def solve_real(lu, b):
+    """x = A^{-1} b for the LU of a real matrix A and a complex b, a vector or
+    the columns of a matrix: the real and imaginary parts of b go as the
+    columns of one real solve."""
+    x = lu.solve(np.column_stack([b.real, b.imag]))
+    m = x.shape[1] // 2
+    return (x[:, :m] + 1j * x[:, m:]).reshape(b.shape)
+
+
+def cutoff_normal(lu, mass_lu, M, B, ch):
+    """Normal operator of T f = ch K^{-1} M (ch f), and the mass inner product.
+
+    ``lu`` factors the system K and ``mass_lu`` the real mass M; the input
+    norm is M, the output norm B, and the adjoint is taken in M.  Returns
+    ``(apply_normal, m_dot)`` for :func:`power_sigma`.
+    """
+    def apply_normal(v):
+        w = ch * lu.solve(M @ (ch * v))
+        return solve_real(mass_lu, ch * (M @ lu.solve(ch * (B @ w), trans="H")))
+
+    def m_dot(u, v):
+        return np.vdot(u, M @ v)
+
+    return apply_normal, m_dot
+
+
 def power_sigma(apply_normal, m_dot, v0, rtol=1e-5, maxit=400):
     """Largest singular value via power iteration on the normal operator.
 

@@ -163,6 +163,7 @@ def test_error_reported_structurally(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "FileNotFoundError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_error_report_carries_traceback(tmp_path, capsys):
@@ -279,3 +280,25 @@ def test_h2_scan_subcommand(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert np.isfinite(summary["fitted_exponent"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["dtn-check", "--k", "5.0", "--R", "2.0"],
+    ["quasimode", "--L", "1.0", "--delta", "0.1", "--h", "0.05"],
+    ["threshold", "--k", "10", "--h", "0.01"],
+    ["resolvent-scan", "--ks", "3"],
+], ids=lambda argv: argv[0])
+def test_runner_writes_manifest_config_and_json_summary(tmp_path, capsys, argv):
+    from helmray.bounds import ConstantsLedger
+    if argv[0] == "threshold":
+        ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0, A_min=1.0, A_max=1.0,
+                        nu_min=1.0, nu_max=1.0, k0=1.0, L_ray=2.0).to_json(tmp_path / "l.json")
+        argv = argv + ["--ledger", str(tmp_path / "l.json")]
+    out = tmp_path / "o"
+    rc = main(argv + ["--config", _write(tmp_path, EUCLID_CFG), "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == argv[0]
+    assert RunConfig.from_file(out / "config.ini").sha256() == manifest["config_sha256"]
+    json.loads(capsys.readouterr().out)

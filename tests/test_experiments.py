@@ -1,19 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helmray.bounds import ConstantsLedger, schatz_condition
+from helmray.config import RunConfig
+from helmray.dtn import build_dtn
 from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta,
                                  estimate_resolvent_norm, h2_scaling_study,
                                  quasimode_lower_bound, quasioptimality_study,
                                  radial_profiles, resolvent_scan)
-from helmray.fem import build_space, element_gradients, quadrature
+from helmray.fem import assemble, build_space, element_gradients, quadrature
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, identity_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
-from helmray.radial import free_mode_kernel_norm
-from helmray.util import power_sigma
+from helmray.radial import assemble_radial_mode, free_mode_kernel_norm
+from helmray.util import cutoff_normal, power_sigma, solve_real
 from conftest import rng
 
 
@@ -55,6 +60,47 @@ def test_power_iteration_against_dense_svd_free_1d_kernel():
     sigma, _, conv = power_sigma(apply_normal, m_dot, v0, rtol=1e-6, maxit=2000)
     assert conv
     assert sigma == pytest.approx(sigma_dense, rel=1e-4)
+
+
+@pytest.mark.parametrize("path", ["fem2d", "modal"])
+def test_cutoff_normal_is_mass_self_adjoint(path):
+    # T = ch K^{-1} M ch, so m_dot(u, T*T v) = (T u)^H B (T v): Hermitian and,
+    # on the diagonal, nonnegative; the 2-D case uses the energy Gram as B
+    cut = RadialCutoff(0.8, 0.97)
+    if path == "fem2d":
+        cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "disk.ini")
+        coeffs, obstacle, geom = cfg.problem()
+        space = build_space(generate_mesh(obstacle, geom, 0.1))
+        system = assemble(coeffs, space, build_dtn(3.0, geom.R), 3.0)
+        M, lu, B = system.mass_plain, system.factorize(), system.energy_matrix()
+        luM = spla.splu(M.tocsc())
+        ch = cut.at_points(space.mesh.vertices[space.free_vertices])
+    else:
+        mode = assemble_radial_mode(3, 3.0, 1.0, 80, r_inner=0.5)
+        M, lu, luM, B = mode.M, mode.lu(), mode.lu_mass(), mode.M
+        ch = cut(mode.grid[mode.free])
+    apply_normal, m_dot = cutoff_normal(lu, luM, M, B, ch)
+    g = rng(1)
+    u, v = (g.standard_normal(M.shape[0]) + 1j * g.standard_normal(M.shape[0])
+            for _ in range(2))
+    uNv, vNu = m_dot(u, apply_normal(v)), m_dot(v, apply_normal(u))
+    assert abs(uNv - np.conj(vNu)) <= 1e-12 * abs(uNv)
+    vNv = m_dot(v, apply_normal(v))
+    assert vNv.real > 0.0 and abs(vNv.imag) <= 1e-12 * vNv.real
+
+
+def test_radial_mass_solve_real_matches_complex_factorization():
+    mode = assemble_radial_mode(2, 10.0, 1.0, 200, r_inner=0.3)
+    luM = mode.lu_mass()
+    assert luM.L.dtype == np.float64
+    oracle = spla.splu(sp.csc_matrix(mode.M, dtype=complex))
+    g = rng(2)
+    n = mode.M.shape[0]
+    for shape in ((n,), (n, 3)):
+        b = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        x, ref = solve_real(luM, b), oracle.solve(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_modal_estimate_matches_dense_kernel_oracle(free_geom):

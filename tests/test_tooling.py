@@ -1,11 +1,17 @@
-"""The traced benchmark run wraps helmray functions by the names its callers
+"""Checks that the benchmark harness and the README stay in step with the code.
+
+The traced benchmark run wraps helmray functions by the names its callers
 resolve (module globals, class attributes, ``experiments.spla.splu``).  The
 benchmark harness is fixed, so a change that unbinds one of those names
-breaks it; this catches that from the tier-1 suite."""
+breaks it; this catches that from the tier-1 suite.  The README's command
+block must list exactly the subcommands the parser accepts."""
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
+
+from helmray.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +23,10 @@ def test_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_lists_every_subcommand():
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("helmray ")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)
