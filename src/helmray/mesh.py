@@ -6,7 +6,8 @@ vertices on the outer circle (which the boundary Fourier projection relies on):
 * disk fan: ring i carries 6i vertices, consecutive rings are zipped by an
   angular two-pointer sweep;
 * star annulus: the region between a star-shaped curve r = rho(theta) and the
-  outer circle, mapped layer by layer at fixed angles.
+  outer circle, mapped layer by layer at fixed angles.  The mesh states this
+  ring layout as ``n_theta``, and ``read_mesh`` recovers it from the file.
 
 Vertex tags: 0 interior, 1 obstacle boundary, 2 truncation (outer) boundary.
 """
@@ -40,6 +41,8 @@ class Mesh:
     shape_regularity: float     # max circumradius / inradius
     boundary_indices: np.ndarray = None   # outer-circle vertices in angular order
     boundary_thetas: np.ndarray = None
+    n_theta: int = 0            # star annulus: vertex j * n_theta + i on ring j at
+                                # angle 2 pi i / n_theta; 0 for a disk fan
     _tree: Optional[cKDTree] = field(default=None, repr=False, compare=False)
 
     @property
@@ -175,21 +178,50 @@ def _disk_fan(R, n_r):
     return vertices, triangles, np.array(tags), rings[-1]
 
 
-def _star_annulus(obstacle, R_out, n_layers, n_theta, inner_tag):
+def _ring_tags(n_layers, n_theta):
+    return np.repeat([OBSTACLE_BOUNDARY] + [INTERIOR] * (n_layers - 1) + [TRUNCATION_BOUNDARY],
+                     n_theta)
+
+
+def _ring_count(vertices, triangles, tags):
+    """Vertices per ring if the mesh has the star-annulus layout, else 0.
+
+    Star-annulus rings run from the obstacle to the outer circle, each holding
+    one vertex at every angle 2 pi i / n_theta in the same order, and every
+    triangle joins neighbouring rings and angles.
+    """
+    n_theta = int(np.sum(tags == TRUNCATION_BOUNDARY))
+    if n_theta < 3 or len(tags) % n_theta or len(tags) < 2 * n_theta:
+        return 0
+    if not np.array_equal(tags, _ring_tags(len(tags) // n_theta - 1, n_theta)):
+        return 0
+    th = np.arctan2(vertices[:, 1], vertices[:, 0]).reshape(-1, n_theta)
+    drift = np.angle(np.exp(1j * (th - 2.0 * np.pi * np.arange(n_theta) / n_theta)))
+    ring, i = np.divmod(triangles, n_theta)
+    step = (i[:, [1, 2, 0]] - i) % n_theta
+    near = (np.abs(ring[:, [1, 2, 0]] - ring) <= 1) & ((step <= 1) | (step == n_theta - 1))
+    return n_theta if np.max(np.abs(drift)) <= 1e-9 and near.all() else 0
+
+
+def _star_annulus(obstacle, R_out, n_layers, n_theta):
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     rho = obstacle.rho(th)
     t = np.arange(n_layers + 1)[:, None] / n_layers
     r = rho + t * (R_out - rho)                          # (n_layers + 1, n_theta)
     vertices = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1).reshape(-1, 2)
-    tags = np.repeat([inner_tag] + [INTERIOR] * (n_layers - 1) + [TRUNCATION_BOUNDARY],
-                     n_theta)
+    tags = _ring_tags(n_layers, n_theta)
     # quad corners a0, a1 on layer j and b0, b1 on layer j + 1, at angles i, i + 1
     a0 = np.arange(n_layers * n_theta).reshape(n_layers, n_theta)
     a1 = np.roll(a0, -1, axis=1)
     b0, b1 = a0 + n_theta, a1 + n_theta
-    # split each quad along its shorter diagonal
-    short = (np.sum((vertices[a0] - vertices[b1]) ** 2, axis=-1)
-             <= np.sum((vertices[a1] - vertices[b0]) ** 2, axis=-1))[..., None]
+    # split each quad along its shorter diagonal; on a centred disk both have
+    # the same length, so lengths within 1e-12 relative are ties, split a0-b1
+    # on even layers and a1-b0 on odd ones, and the mesh keeps its rotations
+    main = np.linalg.norm(vertices[a0] - vertices[b1], axis=-1)
+    cross = np.linalg.norm(vertices[a1] - vertices[b0], axis=-1)
+    tie = np.abs(main - cross) <= 1e-12 * np.maximum(main, cross)
+    even = (np.arange(n_layers) % 2 == 0)[:, None]
+    short = np.where(tie, even, main < cross)[..., None]
     first = np.where(short, np.stack([a0, b0, b1], -1), np.stack([a0, b0, a1], -1))
     second = np.where(short, np.stack([a0, b1, a1], -1), np.stack([a1, b0, b1], -1))
     triangles = _orient_ccw(vertices, np.stack([first, second], -2).reshape(-1, 3))
@@ -217,7 +249,7 @@ def generate_mesh(obstacle, geom, h_target, outer_radius=None,
 
     for _ in range(4):
         if empty:
-            n_r = max(2, int(np.ceil(R_out / delta)))
+            n_r, n_theta = max(2, int(np.ceil(R_out / delta))), 0
             vertices, triangles, tags, (outer, th) = _disk_fan(R_out, n_r)
         else:
             if not obstacle.centered:
@@ -228,7 +260,7 @@ def generate_mesh(obstacle, geom, h_target, outer_radius=None,
             n_theta = max(12, int(np.ceil(2.0 * np.pi * R_out / delta)))
             n_layers = max(2, int(np.ceil((R_out - rho_min) / delta)))
             vertices, triangles, tags, (outer, th) = _star_annulus(
-                obstacle, R_out, n_layers, n_theta, OBSTACLE_BOUNDARY)
+                obstacle, R_out, n_layers, n_theta)
         h_fem, shape_reg = _quality(vertices, triangles)
         if h_fem <= h_target:
             break
@@ -238,7 +270,7 @@ def generate_mesh(obstacle, geom, h_target, outer_radius=None,
 
     return Mesh(vertices=vertices, triangles=triangles, vertex_tags=tags,
                 h_fem=h_fem, shape_regularity=shape_reg,
-                boundary_indices=outer, boundary_thetas=th)
+                boundary_indices=outer, boundary_thetas=th, n_theta=n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -288,4 +320,5 @@ def read_mesh(path):
     order = np.argsort(th)
     return Mesh(vertices=vertices, triangles=triangles, vertex_tags=tags,
                 h_fem=h_fem, shape_regularity=shape_reg,
-                boundary_indices=outer[order], boundary_thetas=th[order])
+                boundary_indices=outer[order], boundary_thetas=th[order],
+                n_theta=_ring_count(vertices, triangles, tags))

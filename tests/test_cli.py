@@ -77,6 +77,9 @@ def test_validate_fails_on_bad_geometry(tmp_path):
     bad = EUCLID_CFG.replace("R_ray = 1.25", "R_ray = 0.9")
     cfg = _write(tmp_path, bad)
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    payload = json.loads((tmp_path / "o" / "validation.json").read_text())
+    assert payload["ok"] is False
+    assert payload["failures"] == [{"invariant": "radius ordering", "point": None}]
 
 
 def test_rays_subcommand_tangent_chord(tmp_path, capsys):
@@ -208,6 +211,8 @@ def test_solve_subcommand_outputs(tmp_path):
     assert payload["residual"] <= 1e-10
     assert payload["h_fem"] <= 0.1
     assert payload["nnz"] > 0 and payload["lu_fill"] > 0
+    # a centred disk with identity coefficients: the angular solve is exact
+    assert payload["solver"] == "angular" and payload["gmres_iterations"] == 0
     assert (tmp_path / "o" / "solution.csv").exists()
 
 

@@ -9,8 +9,8 @@ from helmray.config import RunConfig
 from helmray.dtn import FourierTrace, build_dtn, dtn_pairing
 from helmray.fem import (assemble, assemble_load_scattering, assemble_load_source,
                          bilinear_action_quadrature, boundary_trace, build_space,
-                         element_gradients, energy_norm, errors_vs_exact, l2_norm_exact,
-                         modal_projection, nodal_interpolant,
+                         dissection_lu, element_gradients, energy_norm, errors_vs_exact,
+                         l2_norm_exact, modal_projection, nodal_interpolant,
                          nodal_interpolation_error, quadrature,
                          recovered_hessian_h2_norm, solve, solve_adjoint)
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
@@ -353,7 +353,7 @@ def test_dissection_order_is_a_permutation_with_modes_last(case, unit_setup, dis
     system = assemble(identity_coefficients(), space, dtn, 3.0)
     n_all = system.matrix.shape[0]
     assert n_all == space.n_dofs + (0 if dtn is None else 2 * dtn.n_max + 1)
-    perm = system.factorize().perm
+    perm = dissection_lu(system).perm
     assert np.array_equal(np.sort(perm), np.arange(n_all))
     assert np.array_equal(perm[space.n_dofs:], np.arange(space.n_dofs, n_all))
 
@@ -366,7 +366,70 @@ def test_dissection_order_fills_less_than_colamd():
     space = build_space(generate_mesh(cfg.obstacle(), geom, 0.02))
     system = assemble(cfg.coefficients(), space, build_dtn(k, geom.R), k)
     colamd = spla.splu(system.matrix.tocsc())
-    assert system.factorize().nnz < colamd.nnz
+    assert dissection_lu(system).nnz < colamd.nnz
+
+
+def _oracle_system(name):
+    """A system on a star annulus for the angular-solver oracle tests."""
+    if name == "dirichlet":    # as estimate_C_H2 builds it: padded, outer Dirichlet, k = 0
+        coeffs, obstacle, geom = _case("disk")
+        mesh = generate_mesh(obstacle, geom, 0.05, outer_radius=geom.R + 1.0)
+        return assemble(coeffs, build_space(mesh, dirichlet_outer=True), None, 0.0)
+    coeffs, obstacle, geom = _case(name)
+    k = 6.0
+    return assemble(coeffs, build_space(generate_mesh(obstacle, geom, 0.04)),
+                    build_dtn(k, geom.R), k)
+
+
+@pytest.mark.parametrize("name", ["disk", "star", "dirichlet"])
+def test_angular_solver_matches_lu_oracle(name):
+    system = _oracle_system(name)
+    ang, lu = system.factorize(), dissection_lu(system)
+    assert ang.solver == "angular" and lu.solver == "lu"
+    b = np.stack([_random_dofs(system.fe_space, 9), _random_dofs(system.fe_space, 10)], axis=1)
+    for rhs in (b[:, 0], b):
+        for trans in ("N", "H"):
+            x, ref = ang.solve(rhs, trans=trans), lu.solve(rhs, trans=trans)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            # invariant systems are solved by the preconditioner alone
+            assert (ang.iterations == 0) == (name != "star")
+    u = solve(system, b[:, 0])
+    assert u.residual <= 1e-12 and u.iterations == ang.iterations
+
+
+def test_unconverged_gmres_raises(monkeypatch):
+    import helmray.fem as fem
+
+    system = _oracle_system("star")
+    monkeypatch.setattr(fem, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(fem, "_GMRES_CYCLES", 1)
+    with pytest.raises(fem.SolveError):
+        system.factorize().solve(_random_dofs(system.fe_space, 11))
+
+
+def test_reread_annulus_mesh_solves_on_angular_path(disk_setup, tmp_path):
+    from helmray.mesh import read_mesh, write_mesh
+
+    geom, obs, mesh, space = disk_setup
+    write_mesh(tmp_path / "mesh.txt", mesh)
+    k, dtn = 3.0, build_dtn(3.0, geom.R)
+    rhs = assemble_load_scattering(space, dtn, (1.0, 0.0))
+    u = solve(assemble(identity_coefficients(), space, dtn, k), rhs)
+    space_r = build_space(read_mesh(tmp_path / "mesh.txt"))
+    reread = assemble(identity_coefficients(), space_r, dtn, k)
+    assert reread.factorize().solver == "angular"
+    v = solve(reread, rhs)
+    assert np.linalg.norm(v.dofs - u.dofs) <= 1e-10 * np.linalg.norm(u.dofs)
+
+
+def test_fan_mesh_factors_by_lu(unit_setup):
+    geom, mesh, space = unit_setup
+    assert mesh.n_theta == 0
+    system = assemble(identity_coefficients(), space, build_dtn(3.0, geom.R), 3.0)
+    lu = system.factorize()
+    assert lu.solver == "lu" and lu.iterations == 0
+    assert solve(system, _random_dofs(space, 12)).iterations == 0
 
 
 def test_manufactured_solution_second_order():

@@ -1,5 +1,11 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmray.geometry import TruncationGeometry, disk_obstacle, fourier_obstacle
 from helmray.mesh import (OBSTACLE_BOUNDARY, TRUNCATION_BOUNDARY, MeshSizeError,
@@ -51,27 +57,45 @@ def test_triangles_positively_oriented(geom):
 
 
 def test_annulus_quads_split_along_shorter_diagonal(geom):
-    # layer j holds vertices j * n_theta + i at angles 2 pi i / n_theta
-    m = generate_mesh(fourier_obstacle([0.7, 0.1, 0.1], [0.0, 0.05]), geom, 0.15)
-    p = m.vertices[m.triangles]
-    assert np.all(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) > 0)
+    # layer j holds vertices j * n_theta + i at angles 2 pi i / n_theta; where
+    # the diagonals differ in length the shorter one splits the quad, on ties
+    # (every quad of a centred disk) a0-b1 on even layers and a1-b0 on odd ones
+    for obstacle, disk in ((fourier_obstacle([0.7, 0.1, 0.1], [0.0, 0.05]), False),
+                           (disk_obstacle(0.7), True)):
+        m = generate_mesh(obstacle, geom, 0.15)
+        p = m.vertices[m.triangles]
+        assert np.all(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) > 0)
+        n_theta = len(m.boundary_indices)
+        n_layers = m.n_vertices // n_theta - 1
+        assert m.n_triangles == 2 * n_layers * n_theta
+        edges = {tuple(sorted(e)) for a, b, c in m.triangles.tolist()
+                 for e in ((a, b), (b, c), (c, a))}
+        V = m.vertices
+        splits, ties = [], []
+        for j in range(n_layers):
+            for i in range(n_theta):
+                a0, a1 = j * n_theta + i, j * n_theta + (i + 1) % n_theta
+                b0, b1 = a0 + n_theta, a1 + n_theta
+                main = tuple(sorted((a0, b1))) in edges
+                assert main != (tuple(sorted((a1, b0))) in edges)
+                d_main, d_cross = np.linalg.norm(V[a0] - V[b1]), np.linalg.norm(V[a1] - V[b0])
+                tie = abs(d_main - d_cross) <= 1e-12 * max(d_main, d_cross)
+                assert main == (j % 2 == 0 if tie else d_main < d_cross)
+                splits.append(main)
+                ties.append(tie)
+        assert 0 < sum(splits) < len(splits)    # both diagonals occur
+        assert all(ties) if disk else not any(ties)
+
+
+@pytest.mark.parametrize("h", [0.06, 0.15])
+def test_disk_annulus_invariant_under_one_angular_step(h):
+    # a centred disk: rotating by 2 pi / n_theta maps the triangle set to itself
+    m = generate_mesh(disk_obstacle(0.5), TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5), h)
     n_theta = len(m.boundary_indices)
-    n_layers = m.n_vertices // n_theta - 1
-    assert m.n_triangles == 2 * n_layers * n_theta
-    edges = {tuple(sorted(e)) for a, b, c in m.triangles.tolist()
-             for e in ((a, b), (b, c), (c, a))}
-    V = m.vertices
-    splits = []
-    for j in range(n_layers):
-        for i in range(n_theta):
-            a0, a1 = j * n_theta + i, j * n_theta + (i + 1) % n_theta
-            b0, b1 = a0 + n_theta, a1 + n_theta
-            main = tuple(sorted((a0, b1))) in edges
-            assert main != (tuple(sorted((a1, b0))) in edges)
-            shorter = np.sum((V[a0] - V[b1]) ** 2) <= np.sum((V[a1] - V[b0]) ** 2)
-            assert main == shorter
-            splits.append(main)
-    assert 0 < sum(splits) < len(splits)    # both diagonals occur
+    layer, i = np.divmod(m.triangles, n_theta)
+    rotated = layer * n_theta + (i + 1) % n_theta
+    assert ({tuple(t) for t in np.sort(rotated, axis=1).tolist()}
+            == {tuple(t) for t in np.sort(m.triangles, axis=1).tolist()})
 
 
 def test_boundary_vertices_on_curves(geom):
@@ -155,6 +179,41 @@ def test_mesh_file_roundtrip(tmp_path, geom):
     np.testing.assert_allclose(mr.vertices, m.vertices, atol=0)
     np.testing.assert_array_equal(mr.vertex_tags, m.vertex_tags)
     assert mr.h_fem == pytest.approx(m.h_fem)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["fan", "disk", "star"]), r0=st.floats(0.3, 1.2),
+       c2=st.floats(-0.1, 0.1), s1=st.floats(-0.1, 0.1), h=st.floats(0.15, 0.4))
+def test_mesh_file_roundtrip_keeps_layout(geom, kind, r0, c2, s1, h):
+    obstacle = {"fan": None, "disk": disk_obstacle(r0),
+                "star": fourier_obstacle([r0, 0.0, c2], [0.0, s1])}[kind]
+    m = generate_mesh(obstacle, geom, h)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mesh(Path(tmp) / "mesh.txt", m)
+        mr = read_mesh(Path(tmp) / "mesh.txt")
+    for name in ("vertices", "triangles", "vertex_tags", "boundary_indices"):
+        np.testing.assert_array_equal(getattr(mr, name), getattr(m, name))
+    np.testing.assert_allclose(mr.boundary_thetas, m.boundary_thetas, rtol=0, atol=1e-12)
+    assert (mr.h_fem, mr.shape_regularity) == (m.h_fem, m.shape_regularity)
+    assert mr.n_theta == m.n_theta == (0 if kind == "fan" else len(m.boundary_indices))
+
+
+def test_read_mesh_recovers_no_layout_from_other_meshes(geom, tmp_path):
+    m = generate_mesh(disk_obstacle(0.5), geom, 0.2)
+    n_theta = m.n_theta
+    # one ring turned by half a step: no longer rings at fixed angles
+    turned = m.vertices.copy()
+    ring = slice(n_theta, 2 * n_theta)
+    r = np.hypot(*turned[ring].T)
+    th = np.arctan2(turned[ring, 1], turned[ring, 0]) + np.pi / n_theta
+    turned[ring] = np.stack([r * np.cos(th), r * np.sin(th)], -1)
+    write_mesh(tmp_path / "turned.txt", replace(m, vertices=turned))
+    assert read_mesh(tmp_path / "turned.txt").n_theta == 0
+    # the same vertices with one triangle reaching two rings out
+    far = m.triangles.copy()
+    far[0, np.argmax(far[0])] += 2 * n_theta
+    write_mesh(tmp_path / "far.txt", replace(m, triangles=far))
+    assert read_mesh(tmp_path / "far.txt").n_theta == 0
 
 
 def test_off_center_obstacle_rejected(geom):
