@@ -5,7 +5,12 @@ the cutoff is radial, the cutoff solution operator block-diagonalizes over the
 angular modes e^{i n theta}.  Each block is a one-dimensional problem on
 [r_in, R] with weight r dr, closed by the mode's radiation coefficient t_n at
 r = R.  This turns resolvent-norm estimation at large k from an intractable
-2-D solve into a sweep of banded systems.
+2-D solve into a sweep of tridiagonal systems.
+
+A scan computes the quadrature once (:func:`radial_quadrature`: the grid, the
+mode-independent bands, one evaluation of a and nu); each mode then only
+combines bands (:func:`assemble_radial_mode`) and factors its system and mass
+matrices with LAPACK's tridiagonal ``?gttrf`` (:class:`TridiagonalLU`).
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .dtn import default_n_max, hankel_ratio
+from .fem import SingularSystemError
 from .util import cutoff_normal, power_sigma
 
 _GP = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -33,37 +38,91 @@ def _bands(d00, d01, d11):
     return main, d01
 
 
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix held as its bands: ``main`` and ``off``
+    (symmetric, not Hermitian, when complex)."""
+
+    main: np.ndarray
+    off: np.ndarray
+
+    @property
+    def shape(self):
+        return (len(self.main), len(self.main))
+
+    def __matmul__(self, x):
+        y = self.main * x
+        y[:-1] += self.off * x[1:]
+        y[1:] += self.off * x[:-1]
+        return y
+
+
+class TridiagonalLU:
+    """LAPACK ``?gttrf`` factors of a :class:`Tridiagonal`, solved by ``?gttrs``.
+
+    ``solve(b, trans)`` follows SuperLU's contract: ``trans`` is "N", "T" or
+    "H", ``b`` a vector or the columns of a matrix, and a real factor rejects
+    a complex ``b``.
+    """
+
+    def __init__(self, A: Tridiagonal):
+        gttrf, self._gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (A.main, A.off))
+        *self._factors, info = gttrf(A.off, A.main, A.off)
+        if info > 0:
+            raise SingularSystemError(
+                f"tridiagonal factorization has an exact zero pivot in row {info - 1}")
+        self.dtype = self._factors[1].dtype
+
+    def solve(self, b, trans="N"):
+        b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
+        x, _ = self._gttrs(*self._factors, b, trans={"H": "C"}.get(trans, trans))
+        return x
+
+
 @dataclass
 class RadialMode:
     n: int
     k: float
     grid: np.ndarray
-    K: sp.csc_matrix          # complex system with the radiation closure
-    M: sp.csr_matrix          # plain r dr mass on free nodes
-    E: sp.csr_matrix          # k-weighted energy Gram on free nodes
+    K: Tridiagonal            # complex system with the radiation closure
+    M: Tridiagonal            # plain r dr mass on free nodes
+    E: Tridiagonal            # k-weighted energy Gram on free nodes
     free: np.ndarray
     _lu: object = field(default=None, repr=False)
     _luM: object = field(default=None, repr=False)
 
     def lu(self):
         if self._lu is None:
-            self._lu = spla.splu(self.K)
+            self._lu = TridiagonalLU(self.K)
         return self._lu
 
     def lu_mass(self):
         if self._luM is None:
-            self._luM = spla.splu(self.M.tocsc())
+            self._luM = TridiagonalLU(self.M)
         return self._luM
 
 
-def assemble_radial_mode(n, k, R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None,
-                         t_n=None) -> RadialMode:
-    """P1 discretization of the mode-n operator with the radiation closure.
+@dataclass(frozen=True)
+class RadialQuadrature:
+    """The mode-independent part of every radial mode on one grid.
 
-    Bilinear form: int (a u' v' + a n^2/r^2 u v - k^2 nu u v) r dr - R t_n u(R) v(R).
-    Node r = r_inner is constrained when it is an obstacle boundary, and when
-    n != 0 at the axis (modes with angular dependence vanish at r = 0).
+    ``S``, ``C``, ``M0`` and ``Mnu`` are the (main, off) bands of
+    int a u' v' r dr, int a u v / r dr, int u v r dr and int nu u v r dr on
+    all nodes of ``grid``.
     """
+
+    R: float
+    r_inner: float
+    grid: np.ndarray
+    S: tuple
+    C: tuple
+    M0: tuple
+    Mnu: tuple
+
+
+def radial_quadrature(R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None) -> RadialQuadrature:
+    """Three-point Gauss quadrature of the P1 bands on ``n_r`` equal elements
+    of [r_inner, R], with a(r) and nu(r) evaluated once."""
     r = np.linspace(r_inner, R, n_r + 1)
     r0, r1 = r[:-1], r[1:]
     hs = r1 - r0
@@ -74,39 +133,38 @@ def assemble_radial_mode(n, k, R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None,
     a_q = np.ones_like(x) if a_of_r is None else a_of_r(x)
     nu_q = np.ones_like(x) if nu_of_r is None else nu_of_r(x)
 
+    def gram(wt):
+        return _bands(np.sum(wt * phi0 * phi0, 0), np.sum(wt * phi0 * phi1, 0),
+                      np.sum(wt * phi1 * phi1, 0))
+
     s_el = np.sum(w * a_q * x, axis=0) / hs**2
-    S = _bands(s_el, -s_el, s_el)
+    return RadialQuadrature(R=R, r_inner=r_inner, grid=r, S=_bands(s_el, -s_el, s_el),
+                            C=gram(w * a_q / np.maximum(x, 1e-300)), M0=gram(w * x),
+                            Mnu=gram(w * nu_q * x))
 
-    if n != 0:
-        q = w * a_q / np.maximum(x, 1e-300)
-        C = _bands(np.sum(q * phi0 * phi0, 0), np.sum(q * phi0 * phi1, 0),
-                   np.sum(q * phi1 * phi1, 0))
-    else:
-        C = (np.zeros(n_r + 1), np.zeros(n_r))
 
-    wm = w * x
-    M0 = _bands(np.sum(wm * phi0 * phi0, 0), np.sum(wm * phi0 * phi1, 0),
-                np.sum(wm * phi1 * phi1, 0))
-    wnu = w * nu_q * x
-    Mnu = _bands(np.sum(wnu * phi0 * phi0, 0), np.sum(wnu * phi0 * phi1, 0),
-                 np.sum(wnu * phi1 * phi1, 0))
+def assemble_radial_mode(n, k, quad: RadialQuadrature, t_n=None) -> RadialMode:
+    """P1 discretization of the mode-n operator with the radiation closure.
 
+    Bilinear form: int (a u' v' + a n^2/r^2 u v - k^2 nu u v) r dr - R t_n u(R) v(R).
+    Node r = r_inner is constrained when it is an obstacle boundary, and when
+    n != 0 at the axis (modes with angular dependence vanish at r = 0).
+    """
     if t_n is None:
-        t_n = k * hankel_ratio(n, k * R)
-    A = [s + n * n * c for s, c in zip(S, C)]
-    K = [a.astype(complex) - (k * k) * m for a, m in zip(A, Mnu)]
-    K[0][-1] -= R * t_n
-    E = [a + (k * k) * m for a, m in zip(A, Mnu)]
+        t_n = k * hankel_ratio(n, k * quad.R)
+    A = [s + n * n * c for s, c in zip(quad.S, quad.C)]
+    K = [a.astype(complex) - (k * k) * m for a, m in zip(A, quad.Mnu)]
+    K[0][-1] -= quad.R * t_n
+    E = [a + (k * k) * m for a, m in zip(A, quad.Mnu)]
 
     # the Dirichlet node r_inner drops out as the first row and column
-    first = 1 if (r_inner > 0.0) or (n != 0) else 0
+    first = 1 if (quad.r_inner > 0.0) or (n != 0) else 0
 
-    def matrix(bands, fmt):
-        main, off = bands[0][first:], bands[1][first:]
-        return sp.diags([off, main, off], [-1, 0, 1], format=fmt)
+    def matrix(bands):
+        return Tridiagonal(bands[0][first:], bands[1][first:])
 
-    return RadialMode(n=n, k=k, grid=r, K=matrix(K, "csc"), M=matrix(M0, "csr"),
-                      E=matrix(E, "csr"), free=np.arange(first, n_r + 1))
+    return RadialMode(n=n, k=k, grid=quad.grid, K=matrix(K), M=matrix(quad.M0),
+                      E=matrix(E), free=np.arange(first, len(quad.grid)))
 
 
 def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed=0):
@@ -139,14 +197,15 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
     if n_modes is None:
         n_modes = default_n_max(k, R)
     n_r = max(16, int(np.ceil((R - r_inner) / h_r)))
+    quad = radial_quadrature(R, n_r, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
+    chi_grid = chi(quad.grid)
     per_mode = []
     best, best_mode = 0.0, 0
     all_conv = True
     for n in range(0, n_modes + 1):
-        mode = assemble_radial_mode(n, k, R, n_r, r_inner=r_inner,
-                                    a_of_r=a_of_r, nu_of_r=nu_of_r)
-        ch = chi(mode.grid[mode.free])
-        sigma, iters, conv = mode_cutoff_norm(mode, ch, s=s, rtol=rtol, seed=seed)
+        mode = assemble_radial_mode(n, k, quad)
+        sigma, iters, conv = mode_cutoff_norm(mode, chi_grid[mode.free], s=s, rtol=rtol,
+                                              seed=seed)
         per_mode.append((n, sigma, iters, conv))
         all_conv = all_conv and conv
         if sigma > best:
@@ -168,9 +227,9 @@ def free_mode_kernel_norm(n, k, R, chi: Callable, n_quad=600):
     x, w = np.polynomial.legendre.leggauss(n_quad)
     r = 0.5 * R * (x + 1.0)
     wr = 0.5 * R * w
-    rlo = np.minimum.outer(r, r)
-    rhi = np.maximum.outer(r, r)
-    G = 0.5j * np.pi * jv(n, k * rlo) * hankel1(n, k * rhi)
+    # the kernel separates: J_n and H_n are needed at the nodes only
+    j, hk = 0.5j * np.pi * jv(n, k * r), hankel1(n, k * r)
+    G = np.where(r[:, None] <= r[None, :], j[:, None] * hk[None, :], j[None, :] * hk[:, None])
     ch = chi(r)
     A = ch[:, None] * G * ch[None, :]
     # singular values in L^2(r dr): sqrt(w r) scaling on both sides

@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmray.cli import main
-from helmray.config import RunConfig
+from helmray.config import _DEFAULTS, _FLOAT_KEYS, _INT_KEYS, _LIST_KEYS, RunConfig
+from helmray.geometry import COEFFICIENT_PRESETS
 
 EUCLID_CFG = """
 [geometry]
@@ -49,6 +52,40 @@ def test_config_roundtrip_stable():
     cfg2 = RunConfig.from_text(text1)
     assert cfg2.to_text() == text1
     assert cfg2.sha256() == cfg.sha256()
+
+
+_floats = st.floats(allow_nan=False)
+# every known key with a strategy for its typed value, and how `set` receives it
+_TYPED = (
+    [(key, _floats, lambda v: v) for key in sorted(_FLOAT_KEYS)]
+    + [(key, st.integers(-2**63, 2**63), lambda v: v) for key in sorted(_INT_KEYS)]
+    + [(key, st.lists(_floats, max_size=5), lambda v: ", ".join(map(repr, v)))
+       for key in sorted(_LIST_KEYS)]
+    + [(("obstacle", "empty"), st.booleans(), lambda v: v),
+       (("coefficients", "preset"), st.sampled_from(sorted(COEFFICIENT_PRESETS)), lambda v: v)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_config_roundtrip_keeps_text_and_typed_values(data):
+    cfg = RunConfig.default()
+    chosen = data.draw(st.lists(st.sampled_from(range(len(_TYPED))), unique=True))
+    typed = {}
+    for i in chosen:
+        (sec, key), values, as_set = _TYPED[i]
+        value = data.draw(values)
+        # option names are case-insensitive: set and get them in upper case
+        cfg.set(sec, key.upper(), as_set(value))
+        typed[(sec, key)] = value
+    text = cfg.to_text()
+    back = RunConfig.from_text(text)
+    assert back.to_text() == text
+    for sec, defaults in _DEFAULTS.items():
+        for key in defaults:
+            assert back.get(sec, key) == cfg.get(sec, key)
+    for (sec, key), value in typed.items():
+        assert back.get(sec, key.upper()) == value
 
 
 def test_config_typed_access():

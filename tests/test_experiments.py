@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -12,12 +13,14 @@ from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta
                                  estimate_resolvent_norm, h2_scaling_study,
                                  quasimode_lower_bound, quasioptimality_study,
                                  radial_profiles, resolvent_scan)
-from helmray.fem import assemble, build_space, element_gradients, quadrature
+from helmray.fem import (SingularSystemError, assemble, build_space, element_gradients,
+                         quadrature)
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, identity_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
-from helmray.radial import assemble_radial_mode, free_mode_kernel_norm
+from helmray.radial import (Tridiagonal, TridiagonalLU, assemble_radial_mode,
+                            free_mode_kernel_norm, mode_cutoff_norm, radial_quadrature)
 from helmray.util import cutoff_normal, power_sigma, solve_real
 from conftest import rng
 
@@ -76,7 +79,7 @@ def test_cutoff_normal_is_mass_self_adjoint(path):
         luM = spla.splu(M.tocsc())
         ch = cut.at_points(space.mesh.vertices[space.free_vertices])
     else:
-        mode = assemble_radial_mode(3, 3.0, 1.0, 80, r_inner=0.5)
+        mode = assemble_radial_mode(3, 3.0, radial_quadrature(1.0, 80, r_inner=0.5))
         M, lu, luM, B = mode.M, mode.lu(), mode.lu_mass(), mode.M
         ch = cut(mode.grid[mode.free])
     apply_normal, m_dot = cutoff_normal(lu, luM, M, B, ch)
@@ -89,18 +92,87 @@ def test_cutoff_normal_is_mass_self_adjoint(path):
     assert vNv.real > 0.0 and abs(vNv.imag) <= 1e-12 * vNv.real
 
 
+def _dense(band):
+    return np.diag(band.main) + np.diag(band.off, 1) + np.diag(band.off, -1)
+
+
 def test_radial_mass_solve_real_matches_complex_factorization():
-    mode = assemble_radial_mode(2, 10.0, 1.0, 200, r_inner=0.3)
+    mode = assemble_radial_mode(2, 10.0, radial_quadrature(1.0, 200, r_inner=0.3))
     luM = mode.lu_mass()
-    assert luM.L.dtype == np.float64
-    oracle = spla.splu(sp.csc_matrix(mode.M, dtype=complex))
+    assert luM.dtype == np.float64
+    # a complex banded LU (LAPACK ?gbsv) of the same bands as the oracle
+    M = mode.M
+    ab = np.zeros((3, M.shape[0]), dtype=complex)
+    ab[0, 1:], ab[1], ab[2, :-1] = M.off, M.main, M.off
     g = rng(2)
-    n = mode.M.shape[0]
+    n = M.shape[0]
     for shape in ((n,), (n, 3)):
         b = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-        x, ref = solve_real(luM, b), oracle.solve(b)
+        x, ref = solve_real(luM, b), sla.solve_banded((1, 1), ab, b)
         assert x.shape == b.shape
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("which", ["M", "K"])
+@pytest.mark.parametrize("trans", ["N", "T", "H"])
+@pytest.mark.parametrize("ncols", [None, 2])
+def test_tridiagonal_lu_matches_dense_solve(which, trans, ncols):
+    # the real mass factor and the complex system factor of one mode
+    mode = assemble_radial_mode(4, 6.0, radial_quadrature(1.0, 60, r_inner=0.2))
+    band = getattr(mode, which)
+    lu = mode.lu_mass() if which == "M" else mode.lu()
+    assert lu.dtype == band.main.dtype
+    A = _dense(band)
+    op = {"N": A, "T": A.T, "H": A.conj().T}[trans]
+    g = rng(3)
+    shape = (A.shape[0],) if ncols is None else (A.shape[0], ncols)
+    b = g.standard_normal(shape)
+    if which == "K":
+        b = b + 1j * g.standard_normal(shape)
+    x, ref = lu.solve(b, trans=trans), np.linalg.solve(op, b)
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_tridiagonal_matmul_matches_dense():
+    mode = assemble_radial_mode(1, 5.0, radial_quadrature(1.0, 40))
+    g = rng(4)
+    for band in (mode.K, mode.M, mode.E):
+        assert band.shape == _dense(band).shape
+        v = g.standard_normal(band.shape[0]) + 1j * g.standard_normal(band.shape[0])
+        ref = _dense(band) @ v
+        assert np.linalg.norm(band @ v - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_real_tridiagonal_factor_rejects_complex_rhs():
+    # as SuperLU does: a real factor never drops an imaginary part
+    lu = TridiagonalLU(Tridiagonal(np.full(4, 2.0), np.ones(3)))
+    with pytest.raises(TypeError):
+        lu.solve(np.ones(4) + 1j)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_singular_tridiagonal_raises_typed_error(dtype):
+    # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: elimination leaves an exact zero in row 1
+    band = Tridiagonal(np.ones(3, dtype=dtype), np.array([1.0, 0.0], dtype=dtype))
+    with pytest.raises(SingularSystemError, match="zero pivot in row 1"):
+        TridiagonalLU(band)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_mode_cutoff_norm_matches_dense_singular_value(s):
+    # ||ch K^{-1} M ch|| from the M norm to the B norm is the 2-norm of
+    # L_B^T T L_M^{-T}, with M = L_M L_M^T and B = L_B L_B^T
+    mode = assemble_radial_mode(3, 3.0, radial_quadrature(1.0, 80, r_inner=0.5))
+    ch = RadialCutoff(0.8, 0.97)(mode.grid[mode.free])
+    M, K = _dense(mode.M), _dense(mode.K)
+    B = M if s == 0 else _dense(mode.E)
+    T = ch[:, None] * np.linalg.solve(K, M * ch[None, :])
+    LM, LB = np.linalg.cholesky(M), np.linalg.cholesky(B)
+    dense = np.linalg.norm(LB.T @ T @ np.linalg.inv(LM.T), 2)
+    sigma, _, conv = mode_cutoff_norm(mode, ch, s=s, rtol=1e-12, maxit=5000)
+    assert conv
+    assert sigma == pytest.approx(dense, rel=1e-9)
 
 
 def test_modal_estimate_matches_dense_kernel_oracle(free_geom):

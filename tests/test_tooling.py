@@ -3,10 +3,12 @@
 The traced benchmark run wraps helmray functions by the names its callers
 resolve (module globals, class attributes, ``experiments.spla.splu``).  The
 benchmark harness is fixed, so a change that unbinds one of those names
-breaks it; this catches that from the tier-1 suite.  The README's command
-block must list exactly the subcommands the parser accepts."""
+breaks it; this catches that from the tier-1 suite.  A traced modal run must
+also enter every layer the modal per-layer metrics read.  The README's
+command block must list exactly the subcommands the parser accepts."""
 
 import argparse
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,32 @@ def test_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_spans_modal_layers():
+    code = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+from worker import import_helmray
+from tracing import Tracer
+hr = import_helmray()
+from helmray.geometry import TruncationGeometry, identity_coefficients
+tracer = Tracer()
+tracer.install(hr)
+hr.experiments.estimate_resolvent_norm(
+    identity_coefficients(), None, TruncationGeometry(R1=0.5, R=1.0, R_ray=3.0),
+    5.0, hr.experiments.RadialCutoff(0.8, 0.97), 0.02, method="modal")
+stats = tracer.summary()[0]
+print(json.dumps({name: [calls, incl] for (op, name), (calls, incl, _) in stats.items()}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("radial.assemble_radial_mode", "radial.lu", "radial.lu_mass",
+                 "radial.mode_cutoff_norm", "dtn.hankel_ratio"):
+        calls, seconds = spans.get(name, (0, 0.0))
+        assert calls > 0 and seconds > 0.0, name
 
 
 def test_readme_lists_every_subcommand():
