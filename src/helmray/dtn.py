@@ -22,8 +22,10 @@ def _hankel_ratio_sweep(n_max: int, z: float) -> np.ndarray:
     scipy's H_0 and H_1, and H_n'/H_n = 1/q_n - n/z.  Only the ratio is
     carried, so the sweep stays finite deep into the evanescent regime n >> z
     where H_n itself overflows; forward recurrence is stable there because
-    H_n is the dominant solution.
+    H_n is the dominant solution.  ``z`` is taken as a Python float, so that
+    a numpy scalar does not switch ``1 / q`` to numpy's complex division.
     """
+    z = float(z)
     if z <= 0.0:
         raise ValueError("argument must be positive")
     q = complex(hankel1(1, z) / hankel1(0, z))

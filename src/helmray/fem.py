@@ -8,20 +8,20 @@ carry homogeneous Dirichlet constraints.  One sparse trace operator P
 The radiation operator C P, with C = 2 pi R P^H diag(t), is never formed:
 the system operator K0 - C P (K0 = S - k^2 M_nu) is applied as K0 u - C (P u).
 
-The solver follows the mesh.  On a star annulus (n_theta vertices on each
-of its rings) K0 couples neighbouring rings and angles only; for a centred
-disk with radial coefficients K0 - C P is block-circulant in angle with
-tridiagonal coupling between rings, since P is the boundary DFT and the
-radiation term is one scalar per angular frequency.  Its angle-averaged stencil (T. Chan's optimal
-circulant, SIAM J. Sci. Stat. Comput. 9, 1988) is therefore solved by an FFT
-in angle and one tridiagonal solve per frequency (Hockney, J. ACM 12, 1965),
-and preconditions GMRES on the true operator, which for an invariant system
-needs no iteration (or one, where the assembly is circulant only to
-rounding).  A disk fan has no such layout: its modes mu = P u become
-unknowns of the sparse bordered system
+The solver follows the mesh.  On a star annulus (n_theta vertices on each of
+its rings) K0 couples neighbouring rings and angles only; for a centred disk
+with radial coefficients K0 - C P is block-circulant in angle with tridiagonal
+coupling between rings, since P is the boundary DFT and the radiation term is
+one scalar per angular frequency.  Its angle-averaged stencil (T. Chan's
+optimal circulant, SIAM J. Sci. Stat. Comput. 9, 1988) is solved by an FFT in
+angle and one tridiagonal solve per frequency (Hockney, J. ACM 12, 1965) with
+LAPACK's ``?gttrf`` (:class:`TridiagonalLU`), and preconditions GMRES on the
+true operator, which for an invariant system needs no iteration (or one, where
+the assembly is circulant only to rounding).  A disk fan has no such layout:
+its modes mu = P u become unknowns of the sparse bordered system
     [[K0, -C], [P, -I_m]] [u; mu] = [b; 0]
-(Keller & Givoli, J. Comput. Phys. 82, 1989), factored in a geometric
-nested-dissection order with the mode rows last.
+(Keller & Givoli, J. Comput. Phys. 82, 1989), factored by SuperLU in a
+geometric nested-dissection order with the mode rows last.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .dtn import DtnOperator, FourierTrace, dtn_pairing, incident_wave_data
+from .dtn import DtnOperator, incident_wave_data
 from .geometry import CoefficientField
 from .mesh import Mesh, OBSTACLE_BOUNDARY, TRUNCATION_BOUNDARY
 from .util import triangle_rule
@@ -163,13 +164,38 @@ def _dissection_order(xy, graph) -> np.ndarray:
     return np.lexsort((part, -tier))
 
 
-def _splu(matrix, **options) -> spla.SuperLU:
+def _splu(matrix) -> spla.SuperLU:
     """SuperLU of ``matrix`` as ordered; a failure raises a typed error."""
     try:
-        return spla.splu(matrix.tocsc(), permc_spec="NATURAL", **options)
+        return spla.splu(matrix.tocsc(), permc_spec="NATURAL")
     except RuntimeError as exc:   # SuperLU reports malloc failures so too
         oom = "malloc" in str(exc).lower() or "memory" in str(exc).lower()
         raise (FactorizationMemoryError if oom else SingularSystemError)(str(exc)) from exc
+
+
+class TridiagonalLU:
+    """LAPACK ``?gttrf`` factors of the tridiagonal matrix with bands
+    ``(lower, main, upper)``.  ``solve(b, trans)`` runs ``?gttrs`` under
+    SuperLU's contract: ``trans`` "N", "T" or "H", ``b`` a vector or the
+    columns of a matrix, and a real factor rejects a complex ``b``."""
+
+    def __init__(self, lower, main, upper):
+        gttrf, self._gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (lower, main, upper))
+        *self._factors, info = gttrf(lower, main, upper)
+        if info > 0:
+            raise SingularSystemError(
+                f"tridiagonal factorization has an exact zero pivot in row {info - 1}")
+        self.dtype = self._factors[1].dtype
+
+    @property
+    def nnz(self):
+        """Entries the factors store: the bands dl, d, du and du2."""
+        return sum(f.size for f in self._factors[:4])
+
+    def solve(self, b, trans="N"):
+        b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
+        x, _ = self._gttrs(*self._factors, b, trans={"H": "C"}.get(trans, trans))
+        return x
 
 
 @dataclass(frozen=True)
@@ -223,8 +249,8 @@ class AngularFactorization:
     over i, gives the symbol T_f[l, l + dl] = sum_di s[l, dl, di] w^(f di),
     w = e^(2 pi i / n_theta); the radiation term adds -2 pi R t_n / n_theta on
     the outer ring at frequency f = n mod n_theta.  The n_theta tridiagonal
-    blocks are factored as one frequency-major sparse matrix.  ``iterations``
-    holds the GMRES iterations of the last ``solve``.
+    blocks are factored as one frequency-major tridiagonal matrix.
+    ``iterations`` holds the GMRES iterations of the last ``solve``.
     """
     solver = "angular"
 
@@ -247,10 +273,7 @@ class AngularFactorization:
         # frequency-major unknowns f * n_rings + l; the entries that would couple
         # neighbouring blocks (below ring 0, above the last ring) are zero
         lower, diag, upper = (symbol[:, d].T.ravel() for d in range(3))
-        # no relaxed supernodes: they would pad the factors of a tridiagonal
-        # matrix with zeros (at 7,800 rows 58,676 stored entries against 30,596)
-        self.lu = _splu(sp.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1]),
-                        relax=1, panel_size=1)
+        self.lu = TridiagonalLU(lower[1:], diag, upper[:-1])
         self.system, self.n_theta, self.n_rings = system, n_theta, n_rings
         self.iterations = 0
 
@@ -438,14 +461,6 @@ def modal_projection(fe_space: FeSpace, n_max: int) -> sp.csr_matrix:
     vals = np.exp(-1j * np.outer(n, th)) / Nb
     rows, cols = np.repeat(n + n_max, Nb), np.tile(fe_space.boundary_dofs, len(n))
     return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(len(n), fe_space.n_dofs))
-
-
-def boundary_trace(fe_space: FeSpace, vertex_values, n_max) -> FourierTrace:
-    """Fourier trace of a nodal function on the outer circle."""
-    mesh = fe_space.mesh
-    vals = np.asarray(vertex_values, dtype=complex)[fe_space.free_vertices]
-    R = float(np.hypot(*mesh.vertices[mesh.boundary_indices[0]]))
-    return FourierTrace(coefficients=modal_projection(fe_space, n_max) @ vals, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -673,25 +688,3 @@ def recovered_hessian_h2_norm(fe_space: FeSpace, u, within_radius=None):
              + np.sum(area[sel] * hnorm2[sel]))
     return float(np.sqrt(total))
 
-
-def bilinear_action_quadrature(system: GalerkinSystem, u_dofs, v_dofs,
-                               quad_degree=4):
-    """a(u, v) evaluated by direct quadrature plus the modal boundary pairing.
-
-    Independent of the assembled matrix path; used to cross-check assembly.
-    """
-    fe_space, coeffs, k = system.fe_space, system.coeffs, system.k
-    uv, ug, pts, wts = _fe_values(fe_space, np.asarray(u_dofs), quad_degree)
-    vv, vg, _, _ = _fe_values(fe_space, np.asarray(v_dofs), quad_degree)
-    flat = pts.reshape(-1, 2)
-    A_q = coeffs.eval_A(flat).reshape(pts.shape[:2] + (2, 2))
-    nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
-    grad_term = np.einsum("mq,mqa,mqab,mqb->", wts, np.conj(vg), A_q, ug)
-    mass_term = np.sum(wts * nu_q * uv * np.conj(vv))
-    val = grad_term - k**2 * mass_term
-    if system.dtn is not None:
-        P = modal_projection(fe_space, system.dtn.n_max)
-        tu, tv = (FourierTrace(P @ np.asarray(w, dtype=complex), system.dtn.R)
-                  for w in (u_dofs, v_dofs))
-        val = val - dtn_pairing(system.dtn, tu, tv)
-    return complex(val)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import hankel1, jv
 
-from .util import quintic_step, quintic_step_d1, quintic_step_d2
-
 
 def _mie_orders(ka):
     return int(np.ceil(ka)) + max(18, int(np.ceil(6.0 * ka ** (1.0 / 3.0))))
@@ -89,48 +87,3 @@ def point_source(k, x0):
 
     return value, gradient
 
-
-def manufactured_bubble(k, x0, r_flat, r_zero):
-    """Compactly supported exact solution u = chi(r) (i/4) H_0(k|x - x0|).
-
-    chi is a radial C^2 cutoff equal to 1 for r <= r_flat and 0 for r >= r_zero;
-    the matching source is f = -(lap + k^2) u = -(2 grad chi . grad w + w lap chi)
-    with w the point source, which must sit outside the support annulus.
-
-    Returns (u, grad_u, f) callables.
-    """
-    if np.hypot(*np.asarray(x0, float)) <= r_zero:
-        raise ValueError("source center must be outside the cutoff support")
-    w, gw = point_source(k, x0)
-    width = r_zero - r_flat
-
-    def chi_parts(r):
-        t = (r - r_flat) / width
-        c = 1.0 - quintic_step(t)
-        c1 = -quintic_step_d1(t) / width
-        c2 = -quintic_step_d2(t) / width**2
-        return c, c1, c2
-
-    def u(points):
-        pts = np.atleast_2d(np.asarray(points, float))
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        c, _, _ = chi_parts(r)
-        return c * w(pts)
-
-    def grad_u(points):
-        pts = np.atleast_2d(np.asarray(points, float))
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        c, c1, _ = chi_parts(r)
-        rhat = pts / np.maximum(r, 1e-300)[:, None]
-        return c[:, None] * gw(pts) + (c1 * w(pts))[:, None] * rhat
-
-    def f(points):
-        pts = np.atleast_2d(np.asarray(points, float))
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        c, c1, c2 = chi_parts(r)
-        rhat = pts / np.maximum(r, 1e-300)[:, None]
-        lap_chi = c2 + c1 / np.maximum(r, 1e-300)
-        grad_dot = np.einsum("pa,pa->p", gw(pts), rhat) * c1
-        return -(2.0 * grad_dot + w(pts) * lap_chi)
-
-    return u, grad_u, f

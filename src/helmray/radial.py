@@ -10,19 +10,18 @@ r = R.  This turns resolvent-norm estimation at large k from an intractable
 A scan computes the quadrature once (:func:`radial_quadrature`: the grid, the
 mode-independent bands, one evaluation of a and nu); each mode then only
 combines bands (:func:`assemble_radial_mode`) and factors its system and mass
-matrices with LAPACK's tridiagonal ``?gttrf`` (:class:`TridiagonalLU`).
+matrices with ``fem.TridiagonalLU``, the angular solver's LAPACK ``?gttrf``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .dtn import default_n_max, hankel_ratio
-from .fem import SingularSystemError
+from .fem import TridiagonalLU
 from .util import cutoff_normal, power_sigma
 
 _GP = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -57,28 +56,6 @@ class Tridiagonal:
         return y
 
 
-class TridiagonalLU:
-    """LAPACK ``?gttrf`` factors of a :class:`Tridiagonal`, solved by ``?gttrs``.
-
-    ``solve(b, trans)`` follows SuperLU's contract: ``trans`` is "N", "T" or
-    "H", ``b`` a vector or the columns of a matrix, and a real factor rejects
-    a complex ``b``.
-    """
-
-    def __init__(self, A: Tridiagonal):
-        gttrf, self._gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (A.main, A.off))
-        *self._factors, info = gttrf(A.off, A.main, A.off)
-        if info > 0:
-            raise SingularSystemError(
-                f"tridiagonal factorization has an exact zero pivot in row {info - 1}")
-        self.dtype = self._factors[1].dtype
-
-    def solve(self, b, trans="N"):
-        b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
-        x, _ = self._gttrs(*self._factors, b, trans={"H": "C"}.get(trans, trans))
-        return x
-
-
 @dataclass
 class RadialMode:
     n: int
@@ -88,18 +65,12 @@ class RadialMode:
     M: Tridiagonal            # plain r dr mass on free nodes
     E: Tridiagonal            # k-weighted energy Gram on free nodes
     free: np.ndarray
-    _lu: object = field(default=None, repr=False)
-    _luM: object = field(default=None, repr=False)
 
     def lu(self):
-        if self._lu is None:
-            self._lu = TridiagonalLU(self.K)
-        return self._lu
+        return TridiagonalLU(self.K.off, self.K.main, self.K.off)
 
     def lu_mass(self):
-        if self._luM is None:
-            self._luM = TridiagonalLU(self.M)
-        return self._luM
+        return TridiagonalLU(self.M.off, self.M.main, self.M.off)
 
 
 @dataclass(frozen=True)
@@ -213,26 +184,3 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
     return RadialScanResult(value=best, best_mode=best_mode, per_mode=per_mode,
                             n_r=n_r, converged=all_conv)
 
-
-def free_mode_kernel_norm(n, k, R, chi: Callable, n_quad=600):
-    """Dense-quadrature oracle for the identity-coefficient mode norm.
-
-    The mode-n kernel of the outgoing free-space inverse is
-    (i pi / 2) J_n(k r_<) H_n(k r_>) against r' dr'; the singular value is taken
-    in the r dr inner product.  Independent of the finite-element path.
-    """
-    from scipy.special import hankel1, jv
-
-    # Gauss-Legendre on (0, R)
-    x, w = np.polynomial.legendre.leggauss(n_quad)
-    r = 0.5 * R * (x + 1.0)
-    wr = 0.5 * R * w
-    # the kernel separates: J_n and H_n are needed at the nodes only
-    j, hk = 0.5j * np.pi * jv(n, k * r), hankel1(n, k * r)
-    G = np.where(r[:, None] <= r[None, :], j[:, None] * hk[None, :], j[None, :] * hk[:, None])
-    ch = chi(r)
-    A = ch[:, None] * G * ch[None, :]
-    # singular values in L^2(r dr): sqrt(w r) scaling on both sides
-    s = np.sqrt(wr * r)
-    B = s[:, None] * A * s[None, :]
-    return float(np.linalg.svd(B, compute_uv=False)[0])

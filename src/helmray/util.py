@@ -37,30 +37,6 @@ def smoothstep(t):
     return a / (a + b)
 
 
-def quintic_step(t):
-    """C^2 polynomial step t^3(10 - 15t + 6t^2) clamped to [0, 1]."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-
-
-def quintic_step_d1(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    s = t[inside]
-    out[inside] = 30.0 * s**2 * (1.0 - s) ** 2
-    return out
-
-
-def quintic_step_d2(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    s = t[inside]
-    out[inside] = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
-    return out
-
-
 # Symmetric Gauss rules on the reference triangle, given as (barycentric coords, weights
 # summing to 1).  Degree 2: 3 points; degree 4: 6 points.
 _TRI_DEG2 = (

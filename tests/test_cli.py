@@ -222,7 +222,8 @@ def test_out_of_memory_reported_by_name(tmp_path, capsys, monkeypatch):
         raise RuntimeError("SUPERLU_MALLOC fails for buf in complexMalloc()")
 
     monkeypatch.setattr(fem.spla, "splu", no_memory)
-    cfg = _write(tmp_path, DISK_CFG)
+    # no obstacle: a disk fan, which SuperLU factors
+    cfg = _write(tmp_path, EUCLID_CFG)
     rc = main(["solve", "--config", cfg, "--k", "3.0", "--h", "0.1", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FactorizationMemoryError"

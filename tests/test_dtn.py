@@ -122,6 +122,14 @@ def test_hankel_ratio_reexport_even():
     assert hankel_ratio(-5, 2.0) == hankel_ratio(5, 2.0)
 
 
+def test_scalar_type_does_not_change_the_bits():
+    # a numpy scalar z must take the same arithmetic as a Python float
+    for n in range(60):
+        assert hankel_ratio(n, np.float64(40.0)) == hankel_ratio(n, 40.0)
+    a, b = build_dtn(np.float64(20.0), 2.0), build_dtn(20.0, 2.0)
+    np.testing.assert_array_equal(a.coefficients, b.coefficients)
+
+
 def test_trace_parseval():
     R = 1.5
     N = 512

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.special import hankel1, jv
 
 from helmray.bounds import ConstantsLedger, schatz_condition
 from helmray.config import RunConfig
@@ -13,14 +15,13 @@ from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta
                                  estimate_resolvent_norm, h2_scaling_study,
                                  quasimode_lower_bound, quasioptimality_study,
                                  radial_profiles, resolvent_scan)
-from helmray.fem import (SingularSystemError, assemble, build_space, element_gradients,
-                         quadrature)
+from helmray.fem import (SingularSystemError, TridiagonalLU, assemble, build_space,
+                         element_gradients, quadrature)
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, identity_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
-from helmray.radial import (Tridiagonal, TridiagonalLU, assemble_radial_mode,
-                            free_mode_kernel_norm, mode_cutoff_norm, radial_quadrature)
+from helmray.radial import assemble_radial_mode, mode_cutoff_norm, radial_quadrature
 from helmray.util import cutoff_normal, power_sigma, solve_real
 from conftest import rng
 
@@ -113,21 +114,29 @@ def test_radial_mass_solve_real_matches_complex_factorization():
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("which", ["M", "K"])
+@pytest.mark.parametrize("which", ["M", "K", "angular"])
 @pytest.mark.parametrize("trans", ["N", "T", "H"])
 @pytest.mark.parametrize("ncols", [None, 2])
 def test_tridiagonal_lu_matches_dense_solve(which, trans, ncols):
-    # the real mass factor and the complex system factor of one mode
+    # the real mass factor and the complex system factor of one mode, and a
+    # complex factor whose lower and upper bands differ, as the frequency
+    # blocks of the angular solver do
     mode = assemble_radial_mode(4, 6.0, radial_quadrature(1.0, 60, r_inner=0.2))
-    band = getattr(mode, which)
-    lu = mode.lu_mass() if which == "M" else mode.lu()
-    assert lu.dtype == band.main.dtype
-    A = _dense(band)
+    if which == "angular":
+        off = mode.K.off
+        lower, main, upper = off * np.exp(0.4j), mode.K.main, off * np.exp(-0.4j)
+        lu = TridiagonalLU(lower, main, upper)
+    else:
+        band = getattr(mode, which)
+        lower, main, upper = band.off, band.main, band.off
+        lu = mode.lu_mass() if which == "M" else mode.lu()
+    assert lu.dtype == main.dtype
+    A = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
     op = {"N": A, "T": A.T, "H": A.conj().T}[trans]
     g = rng(3)
     shape = (A.shape[0],) if ncols is None else (A.shape[0], ncols)
     b = g.standard_normal(shape)
-    if which == "K":
+    if which != "M":
         b = b + 1j * g.standard_normal(shape)
     x, ref = lu.solve(b, trans=trans), np.linalg.solve(op, b)
     assert x.shape == b.shape
@@ -146,7 +155,7 @@ def test_tridiagonal_matmul_matches_dense():
 
 def test_real_tridiagonal_factor_rejects_complex_rhs():
     # as SuperLU does: a real factor never drops an imaginary part
-    lu = TridiagonalLU(Tridiagonal(np.full(4, 2.0), np.ones(3)))
+    lu = TridiagonalLU(np.ones(3), np.full(4, 2.0), np.ones(3))
     with pytest.raises(TypeError):
         lu.solve(np.ones(4) + 1j)
 
@@ -154,9 +163,9 @@ def test_real_tridiagonal_factor_rejects_complex_rhs():
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_singular_tridiagonal_raises_typed_error(dtype):
     # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: elimination leaves an exact zero in row 1
-    band = Tridiagonal(np.ones(3, dtype=dtype), np.array([1.0, 0.0], dtype=dtype))
+    off = np.array([1.0, 0.0], dtype=dtype)
     with pytest.raises(SingularSystemError, match="zero pivot in row 1"):
-        TridiagonalLU(band)
+        TridiagonalLU(off, np.ones(3, dtype=dtype), off)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -173,6 +182,31 @@ def test_mode_cutoff_norm_matches_dense_singular_value(s):
     sigma, _, conv = mode_cutoff_norm(mode, ch, s=s, rtol=1e-12, maxit=5000)
     assert conv
     assert sigma == pytest.approx(dense, rel=1e-9)
+
+
+@lru_cache
+def _gauss_legendre(n_quad):
+    return np.polynomial.legendre.leggauss(n_quad)
+
+
+def free_mode_kernel_norm(n, k, R, chi, n_quad=600):
+    """Dense-quadrature oracle for the identity-coefficient mode norm.
+
+    The mode-n kernel of the outgoing free-space inverse is
+    (i pi / 2) J_n(k r_<) H_n(k r_>) against r' dr'; the singular value is taken
+    in the r dr inner product.  Independent of the finite-element path.
+    """
+    # Gauss-Legendre on (0, R)
+    x, w = _gauss_legendre(n_quad)
+    r = 0.5 * R * (x + 1.0)
+    wr = 0.5 * R * w
+    # the kernel separates: J_n and H_n are needed at the nodes only
+    j, hk = 0.5j * np.pi * jv(n, k * r), hankel1(n, k * r)
+    G = np.where(r[:, None] <= r[None, :], j[:, None] * hk[None, :], j[None, :] * hk[:, None])
+    # singular values in L^2(r dr): sqrt(w r) scaling on both sides, with the cutoff
+    s = np.sqrt(wr * r) * chi(r)
+    B = s[:, None] * G * s[None, :]
+    return float(spla.svds(B, k=1, return_singular_vectors=False, random_state=0)[0])
 
 
 def test_modal_estimate_matches_dense_kernel_oracle(free_geom):
@@ -411,9 +445,10 @@ def test_quasioptimality_propagates_out_of_memory(disk_study, monkeypatch):
     geom, obs, led = disk_study
 
     def no_memory(*args, **kwargs):
-        raise RuntimeError("SUPERLU_MALLOC fails for buf in complexMalloc()")
+        raise MemoryError("cannot allocate the tridiagonal factors")
 
-    monkeypatch.setattr(fem.spla, "splu", no_memory)
+    # the sweep needs a disk obstacle, whose annulus the angular solver factors
+    monkeypatch.setattr(fem, "TridiagonalLU", no_memory)
     with pytest.raises(MemoryError):
         quasioptimality_study(identity_coefficients(), obs, geom, led, [2.0], [0.1])
 

@@ -7,17 +7,16 @@ import scipy.sparse as sp
 
 from helmray.config import RunConfig
 from helmray.dtn import FourierTrace, build_dtn, dtn_pairing
-from helmray.fem import (assemble, assemble_load_scattering, assemble_load_source,
-                         bilinear_action_quadrature, boundary_trace, build_space,
-                         dissection_lu, element_gradients, energy_norm, errors_vs_exact,
-                         l2_norm_exact, modal_projection, nodal_interpolant,
-                         nodal_interpolation_error, quadrature,
+from helmray.fem import (_fe_values, assemble, assemble_load_scattering,
+                         assemble_load_source, build_space, dissection_lu, element_gradients,
+                         energy_norm, errors_vs_exact, l2_norm_exact, modal_projection,
+                         nodal_interpolant, nodal_interpolation_error, quadrature,
                          recovered_hessian_h2_norm, solve, solve_adjoint)
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients)
 from helmray.mesh import _cross2, generate_mesh
-from helmray.mie import manufactured_bubble, point_source, soft_disk_total_field
+from helmray.mie import point_source, soft_disk_total_field
 from helmray.util import triangle_rule
 from conftest import rng
 
@@ -109,6 +108,28 @@ def test_stiffness_coercive(unit_setup):
         quad = v @ (system.stiffness @ v)       # int A grad v . grad v
         plain = v @ (ident_sys.stiffness @ v)   # int |grad v|^2
         assert quad >= coeffs.A_min * plain - 1e-10 * abs(quad)
+
+
+def bilinear_action_quadrature(system, u_dofs, v_dofs, quad_degree=4):
+    """a(u, v) evaluated by direct quadrature plus the modal boundary pairing.
+
+    Independent of the assembled matrix path; used to cross-check assembly.
+    """
+    fe_space, coeffs, k = system.fe_space, system.coeffs, system.k
+    uv, ug, pts, wts = _fe_values(fe_space, np.asarray(u_dofs), quad_degree)
+    vv, vg, _, _ = _fe_values(fe_space, np.asarray(v_dofs), quad_degree)
+    flat = pts.reshape(-1, 2)
+    A_q = coeffs.eval_A(flat).reshape(pts.shape[:2] + (2, 2))
+    nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
+    grad_term = np.einsum("mq,mqa,mqab,mqb->", wts, np.conj(vg), A_q, ug)
+    mass_term = np.sum(wts * nu_q * uv * np.conj(vv))
+    val = grad_term - k**2 * mass_term
+    if system.dtn is not None:
+        P = modal_projection(fe_space, system.dtn.n_max)
+        tu, tv = (FourierTrace(P @ np.asarray(w, dtype=complex), system.dtn.R)
+                  for w in (u_dofs, v_dofs))
+        val = val - dtn_pairing(system.dtn, tu, tv)
+    return complex(val)
 
 
 def test_assembled_action_matches_direct_quadrature(disk_setup):
@@ -323,6 +344,21 @@ def test_factorization_out_of_memory_is_not_singular(unit_setup, monkeypatch):
         system.factorize()
 
 
+def test_annulus_factorization_makes_no_superlu_call(disk_setup, monkeypatch):
+    import helmray.fem as fem
+
+    geom, obs, mesh, space = disk_setup
+    system = assemble(identity_coefficients(), space, build_dtn(2.0, geom.R), 2.0)
+
+    def splu(*args, **kwargs):
+        raise AssertionError("SuperLU called on a star annulus")
+
+    monkeypatch.setattr(fem.spla, "splu", splu)
+    lu = system.factorize()
+    assert lu.solver == "angular"
+    assert solve(system, _random_dofs(space, 13)).residual <= 1e-10
+
+
 def test_bordered_factorization_matches_dense_reduced_system(disk_setup):
     geom, obs, mesh, space = disk_setup
     k = 3.0
@@ -430,6 +466,57 @@ def test_fan_mesh_factors_by_lu(unit_setup):
     lu = system.factorize()
     assert lu.solver == "lu" and lu.iterations == 0
     assert solve(system, _random_dofs(space, 12)).iterations == 0
+
+
+def _quintic_step(t):
+    """C^2 polynomial step t^3(10 - 15t + 6t^2) clamped to [0, 1], with its
+    first and second derivatives."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    return (t**3 * (10.0 - 15.0 * t + 6.0 * t**2), 30.0 * t**2 * (1.0 - t) ** 2,
+            60.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
+
+
+def manufactured_bubble(k, x0, r_flat, r_zero):
+    """Compactly supported exact solution u = chi(r) (i/4) H_0(k|x - x0|).
+
+    chi is a radial C^2 cutoff equal to 1 for r <= r_flat and 0 for r >= r_zero;
+    the matching source is f = -(lap + k^2) u = -(2 grad chi . grad w + w lap chi)
+    with w the point source, which must sit outside the support annulus.
+
+    Returns (u, grad_u, f) callables.
+    """
+    if np.hypot(*np.asarray(x0, float)) <= r_zero:
+        raise ValueError("source center must be outside the cutoff support")
+    w, gw = point_source(k, x0)
+    width = r_zero - r_flat
+
+    def chi_parts(r):
+        q, q1, q2 = _quintic_step((r - r_flat) / width)
+        return 1.0 - q, -q1 / width, -q2 / width**2
+
+    def u(points):
+        pts = np.atleast_2d(np.asarray(points, float))
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        c, _, _ = chi_parts(r)
+        return c * w(pts)
+
+    def grad_u(points):
+        pts = np.atleast_2d(np.asarray(points, float))
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        c, c1, _ = chi_parts(r)
+        rhat = pts / np.maximum(r, 1e-300)[:, None]
+        return c[:, None] * gw(pts) + (c1 * w(pts))[:, None] * rhat
+
+    def f(points):
+        pts = np.atleast_2d(np.asarray(points, float))
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        c, c1, c2 = chi_parts(r)
+        rhat = pts / np.maximum(r, 1e-300)[:, None]
+        lap_chi = c2 + c1 / np.maximum(r, 1e-300)
+        grad_dot = np.einsum("pa,pa->p", gw(pts), rhat) * c1
+        return -(2.0 * grad_dot + w(pts) * lap_chi)
+
+    return u, grad_u, f
 
 
 def test_manufactured_solution_second_order():
@@ -617,16 +704,13 @@ def test_galerkin_orthogonality_against_exact_reference(disk_setup):
     uex_energy = np.sqrt(np.sum(wts * (np.sum(np.abs(ugrad) ** 2, -1)
                                        + k**2 * np.abs(uvals) ** 2)))
 
-    from helmray.fem import _fe_values
     g = rng(11)
     for _ in range(20):
         v = _random_dofs(space, g.integers(1 << 30))
         vvals, vgrads, _, _ = _fe_values(space, v, 4)
         vol = np.sum(wts * (np.einsum("mqa,mqa->mq", ugrad, np.conj(vgrads))
                             - k**2 * uvals * np.conj(vvals)))
-        vv = np.zeros(mesh.n_vertices, complex)
-        vv[space.free_vertices] = v
-        tr_v = boundary_trace(space, vv, dtn.n_max)
+        tr_v = FourierTrace(modal_projection(space, dtn.n_max) @ v, dtn.R)
         a_uv = vol - dtn_pairing(dtn, tr_u, tr_v)
         Fv = np.vdot(v, rhs)
         v_energy = energy_norm(coeffs, space, v, k, system=system)

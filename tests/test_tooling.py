@@ -5,15 +5,18 @@ resolve (module globals, class attributes, ``experiments.spla.splu``).  The
 benchmark harness is fixed, so a change that unbinds one of those names
 breaks it; this catches that from the tier-1 suite.  A traced modal run must
 also enter every layer the modal per-layer metrics read.  The README's
-command block must list exactly the subcommands the parser accepts."""
+command block must list exactly the subcommands the parser accepts, and each
+table of docs/config.md exactly the keys its section accepts."""
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from helmray.cli import build_parser
+from helmray.config import _DEFAULTS, _FLOAT_KEYS, _INT_KEYS, _LIST_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,3 +61,16 @@ def test_readme_lists_every_subcommand():
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("helmray ")]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(listed) == sorted(sub.choices)
+
+
+def test_docs_config_lists_every_key():
+    accepted = {sec: set(defaults) for sec, defaults in _DEFAULTS.items()}
+    for sec, key in _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS:
+        accepted[sec].add(key)
+    documented = {}
+    for part in (ROOT / "docs" / "config.md").read_text().split("\n## [")[1:]:
+        sec, body = part.split("]", 1)
+        # the first column of every table row names its keys in backticks
+        cells = [line.split("|")[1] for line in body.splitlines() if line.startswith("| `")]
+        documented[sec] = {key.lower() for cell in cells for key in re.findall(r"`([^`]+)`", cell)}
+    assert documented == accepted
