@@ -165,7 +165,7 @@ def _cmd_solve(args, cfg):
     mesh = generate_mesh(obstacle, geom, h)
     space = build_space(mesh)
     dtn = build_dtn(k, geom.R)
-    system = assemble(coeffs, space, dtn, k, cfg.get("fem", "quad_degree", 4))
+    system = assemble(coeffs, space, dtn, k)
     if args.problem == "scattering":
         ang = np.deg2rad(args.incident_angle)
         rhs = assemble_load_scattering(space, dtn, (np.cos(ang), np.sin(ang)))
@@ -184,7 +184,7 @@ def _cmd_solve(args, cfg):
         "problem": args.problem,
         "n_vertices": mesh.n_vertices, "n_dofs": space.n_dofs,
         "shape_regularity": mesh.shape_regularity,
-        "energy_norm": energy_norm(coeffs, space, u, k, system=system),
+        "energy_norm": energy_norm(system, u),
         "residual": u.residual,
         "solver": system.factorize().solver, "gmres_iterations": u.iterations,
         "nnz": system.matrix.nnz, "lu_fill": system.factorize().nnz,

@@ -32,7 +32,7 @@ _DEFAULTS = {
         "refinement_rounds": "2",
         "frame_rotation": "0.0",
     },
-    "fem": {"h": "0.05", "quad_degree": "4"},
+    "fem": {"h": "0.05"},
     "experiment": {"seed": "0", "cutoff_inner": "0.8", "cutoff_outer": "0.97"},
 }
 
@@ -49,7 +49,7 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {
     ("ray", "grid_pos_r"), ("ray", "grid_pos_theta"), ("ray", "grid_dir"),
-    ("ray", "refinement_rounds"), ("fem", "quad_degree"), ("experiment", "seed"),
+    ("ray", "refinement_rounds"), ("experiment", "seed"),
 }
 _LIST_KEYS = {("obstacle", "rho_fourier_coefficients"), ("obstacle", "rho_fourier_sin")}
 

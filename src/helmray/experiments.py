@@ -12,14 +12,15 @@ import scipy.sparse.linalg as spla
 from .bounds import ConstantsLedger, mesh_threshold, resolvent_upper_bound, volterra_norm
 from .dtn import build_dtn
 from .fem import (DiscreteSolution, SolveError, _fe_values, _shared_csr, assemble,
-                  assemble_load_scattering, build_space, element_gradients,
-                  errors_vs_exact, nodal_interpolant, quadrature, solve, solve_adjoint)
+                  assemble_load_scattering, assemble_load_source, build_space,
+                  element_gradients, errors_vs_exact, l2_norm_exact, nodal_interpolant,
+                  quadrature, recovered_hessian_h2_norm, solve, solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
 from .radial import radial_cutoff_resolvent_norm
-from .util import (composite_gauss, cutoff_normal, make_rng, power_sigma, smoothstep,
-                   solve_real)
+from .util import (bump, composite_gauss, cutoff_normal, make_rng, power_sigma,
+                   smoothstep, solve_real)
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +47,15 @@ class RadialCutoff:
         return self(np.hypot(points[:, 0], points[:, 1]))
 
 
-def radial_profiles(coeffs: CoefficientField, r_max, n_check=48, tol=1e-12):
-    """(a_of_r, nu_of_r) callables when A = a(r) I and nu = nu(r); else None."""
+def radial_profiles(coeffs: CoefficientField, r_max):
+    """(a_of_r, nu_of_r) callables when A = a(r) I and nu = nu(r) to 1e-12 on
+    17 radii times 48 angles; else None."""
+    tol = 1e-12
     r_test = np.linspace(1e-3, r_max, 17)
-    th = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     pts = np.stack([np.outer(r_test, np.cos(th)), np.outer(r_test, np.sin(th))], axis=-1)
-    A = coeffs.eval_A(pts.reshape(-1, 2)).reshape(len(r_test), n_check, 2, 2)
-    nu = coeffs.eval_nu(pts.reshape(-1, 2)).reshape(len(r_test), n_check)
+    A = coeffs.eval_A(pts.reshape(-1, 2)).reshape(len(r_test), len(th), 2, 2)
+    nu = coeffs.eval_nu(pts.reshape(-1, 2)).reshape(len(r_test), len(th))
     iso = (np.abs(A[..., 0, 1]).max() < tol
            and np.abs(A[..., 0, 0] - A[..., 1, 1]).max() < tol
            and np.abs(A[..., 0, 0] - A[..., 0, 0].mean(axis=1, keepdims=True)).max() < tol
@@ -152,29 +155,24 @@ class ResolventScan:
 
 
 def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
-                   s=0, resolution_rule=None, rtol=1e-4, seed=0,
-                   reference_L_lower=None, reference_L_upper=None) -> ResolventScan:
+                   s=0, rtol=1e-4, seed=0) -> ResolventScan:
     """Per-k table of cutoff-resolvent norms with reference envelope values.
 
-    ``resolution_rule(k)`` gives the mesh width; default 0.5/k^2 (pollution-safe).
-    References: (2 L / pi) k^{s-1} with L the plateau (lower) and support
-    (upper) cutoff radii unless explicit ray lengths are supplied.
+    The mesh width is 0.5/k^2 (pollution-safe).  References: (2 L / pi) k^{s-1}
+    with L the plateau (lower) and support (upper) cutoff radii.
     """
-    rule = resolution_rule or (lambda k: 0.5 / k**2)
-    L_lo = reference_L_lower if reference_L_lower is not None else cutoff.inner
-    L_hi = reference_L_upper if reference_L_upper is not None else cutoff.outer
     rows = []
     method_used = None
     for k in k_values:
         est = estimate_resolvent_norm(coeffs, obstacle, geom, k, cutoff,
-                                      rule(k), s=s, rtol=rtol, seed=seed)
+                                      0.5 / k**2, s=s, rtol=rtol, seed=seed)
         method_used = est.method
         rows.append({
             "k": float(k),
             "norm": est.value,
             "k_times_norm": float(k) * est.value if s == 0 else est.value,
-            "lower_reference": volterra_norm(L_lo) * k ** (s - 1.0),
-            "upper_reference": resolvent_upper_bound(L_hi, k, s),
+            "lower_reference": volterra_norm(cutoff.inner) * k ** (s - 1.0),
+            "upper_reference": resolvent_upper_bound(cutoff.outer, k, s),
             "converged": est.converged,
             "iterations": est.iterations,
         })
@@ -197,7 +195,7 @@ class QuasimodeResult:
     u_profile: Callable
 
 
-def quasimode_lower_bound(L, delta, h, panels=120, order=20) -> QuasimodeResult:
+def quasimode_lower_bound(L, delta, h) -> QuasimodeResult:
     """Explicit transported pair showing the 1/(h mu) amplification.
 
     On the flat model: f0 = cos(mu (x - delta)) on [delta, L - delta] with
@@ -233,10 +231,8 @@ def quasimode_lower_bound(L, delta, h, panels=120, order=20) -> QuasimodeResult:
     def u0(x):
         return psi(x) * v0(x)
 
-    f2 = composite_gauss(lambda x: f0(x) ** 2, delta, L - delta,
-                         panels=panels, order=order)
-    u2 = composite_gauss(lambda x: u0(x) ** 2, 0.5 * delta, L - 0.25 * delta,
-                         panels=panels, order=order)
+    f2 = composite_gauss(lambda x: f0(x) ** 2, delta, L - delta, panels=120)
+    u2 = composite_gauss(lambda x: u0(x) ** 2, 0.5 * delta, L - 0.25 * delta, panels=120)
     return QuasimodeResult(ratio=float(np.sqrt(u2 / f2)),
                            reference=2.0 * (L - 2.0 * delta) / (np.pi * h),
                            f_norm_sq=f2, u_norm_sq=u2, mu=mu,
@@ -295,16 +291,16 @@ class EtaEstimate:
     per_sample: list
 
 
-def estimate_eta(coeffs, obstacle, geom, k, h_fem, samples=8, seed=0,
-                 fine_factor=4) -> EtaEstimate:
+def estimate_eta(coeffs, obstacle, geom, k, h_fem, samples=8, seed=0) -> EtaEstimate:
     """Running sup over random loads of the best-approximation ratio.
 
-    For white-noise L^2 loads f on the fine mesh, the adjoint solution S*f is
-    computed there and projected (energy-orthogonally) onto the coarse space;
-    eta is the sup of |S*f - P S*f|_E / |f|_{L^2}.  Nondecreasing in samples.
+    For white-noise L^2 loads f on the fine mesh (width h_fem / 4), the adjoint
+    solution S*f is computed there and projected (energy-orthogonally) onto the
+    coarse space; eta is the sup of |S*f - P S*f|_E / |f|_{L^2}.  Nondecreasing
+    in samples.
     """
     coarse_mesh = generate_mesh(obstacle, geom, h_fem)
-    fine_mesh = generate_mesh(obstacle, geom, h_fem / fine_factor)
+    fine_mesh = generate_mesh(obstacle, geom, h_fem / 4)
     coarse = build_space(coarse_mesh)
     fine = build_space(fine_mesh)
     dtn = build_dtn(k, geom.R)
@@ -341,8 +337,8 @@ class ConvergenceTable:
 
 
 def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
-                          k_values, h_values, incident_direction=(1.0, 0.0),
-                          quad_degree=4) -> ConvergenceTable:
+                          k_values, h_values,
+                          incident_direction=(1.0, 0.0)) -> ConvergenceTable:
     """Scattering sweep comparing the Galerkin error to best approximation.
 
     The reference is the modal series for a centered disk with identity
@@ -364,14 +360,11 @@ def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
             try:
                 mesh = generate_mesh(obstacle, geom, h)
                 space = build_space(mesh)
-                system = assemble(coeffs, space, dtn, k, quad_degree)
+                system = assemble(coeffs, space, dtn, k)
                 rhs = assemble_load_scattering(space, dtn, incident_direction)
                 u = solve(system, rhs)
-                en_err, l2_err = errors_vs_exact(coeffs, space, u, uex, gex, k,
-                                                 quad_degree)
-                interp = nodal_interpolant(space, uex)
-                best_err, _ = errors_vs_exact(coeffs, space, interp, uex, gex, k,
-                                              quad_degree)
+                (en_err, l2_err), (best_err, _) = errors_vs_exact(
+                    coeffs, space, [u, nodal_interpolant(space, uex)], uex, gex, k)
                 report = mesh_threshold(ledger, k, h_query=mesh.h_fem)
                 row.update({
                     "h_fem": mesh.h_fem,
@@ -393,20 +386,16 @@ def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
 # H^2 growth study
 
 
-def h2_scaling_study(coeffs, obstacle, geom, k_values, seed=0, loads=3,
-                     resolution_rule=None):
+def h2_scaling_study(coeffs, obstacle, geom, k_values, seed=0, loads=3):
     """Growth of the second-order norm of outgoing solutions against k.
 
     Loads are seeded random Gaussian beams (frequency-k oscillation along a
     random chord, transverse width k^{-1/2}); these excite the transport
     mechanism behind the linear-in-k prediction, whereas fixed smooth loads
     only see the elliptic floor.  Reports |u|_{H^2,discrete} / (k |f|_{L^2})
-    per k and the exponent fitted to |u|_{H^2}/|f| ~ k^p (prediction: p = 1).
+    per k and the exponent fitted to |u|_{H^2}/|f| ~ k^p (prediction: p = 1),
+    on meshes of width min(0.08, 0.5/k^2).
     """
-    from .fem import assemble_load_source, l2_norm_exact, recovered_hessian_h2_norm
-    from .util import bump
-
-    rule = resolution_rule or (lambda k: min(0.08, 0.5 / k**2))
     rng = make_rng(seed)
     beams = [(rng.uniform(0.0, 2.0 * np.pi),
               rng.uniform(0.75 * geom.R1, 0.95 * geom.R1)) for _ in range(loads)]
@@ -415,7 +404,7 @@ def h2_scaling_study(coeffs, obstacle, geom, k_values, seed=0, loads=3,
     rows = []
     means = []
     for k in sorted(k_values):
-        mesh = generate_mesh(obstacle, geom, rule(k))
+        mesh = generate_mesh(obstacle, geom, min(0.08, 0.5 / k**2))
         space = build_space(mesh)
         dtn = build_dtn(k, geom.R)
         system = assemble(coeffs, space, dtn, k)

@@ -333,7 +333,6 @@ class GalerkinSystem:
     mass_plain: sp.csr_matrix
     dtn_block: Optional[sp.csr_matrix]    # C = 2 pi R P^H diag(t), n_dofs x m
     projection: Optional[sp.csr_matrix]   # P, m x n_dofs: radiation operator is C @ P
-    rhs: Optional[np.ndarray] = None
     _operator: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _matrix: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _factorization = None
@@ -514,11 +513,9 @@ class DiscreteSolution:
         return self.fe_space.mesh.interpolate(self.vertex_values(), points)
 
 
-def solve(system: GalerkinSystem, rhs=None, rtol=CERTIFIED_RTOL) -> DiscreteSolution:
+def solve(system: GalerkinSystem, rhs, rtol=CERTIFIED_RTOL) -> DiscreteSolution:
     """Solve with a residual certificate."""
-    b = system.rhs if rhs is None else np.asarray(rhs, dtype=complex)
-    if b is None:
-        raise ValueError("no right-hand side")
+    b = np.asarray(rhs, dtype=complex)
     lu = system.factorize()
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -550,57 +547,60 @@ def solve_adjoint(system: GalerkinSystem, f: Union[Callable, np.ndarray]) -> Dis
 # norms, errors, interpolation
 
 
-def energy_norm(coeffs: CoefficientField, fe_space: FeSpace, u, k: float,
-                system: Optional[GalerkinSystem] = None) -> float:
-    """k-weighted norm: (|A^{1/2} grad u|^2 + k^2 |nu^{1/2} u|^2)^{1/2}."""
+def energy_norm(system: GalerkinSystem, u) -> float:
+    """k-weighted norm (|A^{1/2} grad u|^2 + k^2 |nu^{1/2} u|^2)^{1/2} from the
+    Gram matrix of the system."""
     dofs = u.dofs if isinstance(u, DiscreteSolution) else np.asarray(u)
-    if system is not None:
-        E = system.energy_matrix()
-        return float(np.sqrt(max(np.real(np.vdot(dofs, E @ dofs)), 0.0)))
-    vals, grads_q, pts, wts = _fe_values(fe_space, dofs)
-    A_q = coeffs.eval_A(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
-    nu_q = coeffs.eval_nu(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    gAg = np.einsum("mqa,mqab,mqb->mq", np.conj(grads_q), A_q, grads_q).real
-    total = np.sum(wts * (gAg + k**2 * nu_q * np.abs(vals) ** 2))
-    return float(np.sqrt(max(total, 0.0)))
+    return float(np.sqrt(max(np.real(np.vdot(dofs, system.energy_matrix() @ dofs)), 0.0)))
 
 
 def _fe_values(fe_space, dofs, quad_degree=4):
-    """FE function values and (constant) gradients at quadrature points."""
+    """FE function values (..., M, Q) and (constant) gradients (..., M, Q, 2) at
+    the quadrature points, for dof vectors stacked on the last axis of ``dofs``."""
     mesh = fe_space.mesh
     grads, _ = element_gradients(mesh)
     pts, wts, bary = quadrature(mesh, quad_degree)
-    vv = np.zeros(mesh.n_vertices, dtype=complex)
-    vv[fe_space.free_vertices] = dofs
-    nodal = vv[mesh.triangles]                       # (M, 3)
-    vals = np.einsum("qj,mj->mq", bary, nodal)
-    grad = np.einsum("mj,mja->ma", nodal, grads)     # per element
-    grads_q = np.repeat(grad[:, None, :], pts.shape[1], axis=1)
+    vv = np.zeros(np.shape(dofs)[:-1] + (mesh.n_vertices,), dtype=complex)
+    vv[..., fe_space.free_vertices] = dofs
+    nodal = vv[..., mesh.triangles]                  # (..., M, 3)
+    vals = np.einsum("qj,...mj->...mq", bary, nodal)
+    grad = np.einsum("...mj,mja->...ma", nodal, grads)     # per element
+    grads_q = np.repeat(grad[..., None, :], pts.shape[1], axis=-2)
     return vals, grads_q, pts, wts
 
 
-def errors_vs_exact(coeffs: CoefficientField, fe_space: FeSpace, u, exact,
-                    exact_grad, k: float, quad_degree=4):
-    """(energy error, L2 error) of a discrete function against callables."""
-    dofs = u.dofs if isinstance(u, DiscreteSolution) else np.asarray(u)
-    vals, grads_q, pts, wts = _fe_values(fe_space, dofs, quad_degree)
+def errors_vs_exact(coeffs: CoefficientField, fe_space: FeSpace, us, exact,
+                    exact_grad, k: float):
+    """One (energy, L2) pair per dof vector (or DiscreteSolution) in ``us``: the
+    norms (|A^{1/2} grad e|^2 + k^2 |nu^{1/2} e|^2)^{1/2} and |e|_{L2} of
+    e = u - exact, or of e = u for ``exact=None``.
+
+    The degree-4 rule, the coefficients and the reference callables are
+    evaluated once for all vectors.
+    """
+    dofs = np.stack([u.dofs if isinstance(u, DiscreteSolution) else np.asarray(u)
+                     for u in us])
+    vals, grads_q, pts, wts = _fe_values(fe_space, dofs)
     flat = pts.reshape(-1, 2)
-    ev = np.asarray(exact(flat), dtype=complex).reshape(pts.shape[:2])
-    eg = np.asarray(exact_grad(flat), dtype=complex).reshape(pts.shape[:2] + (2,))
-    dv = vals - ev
-    dg = grads_q - eg
     A_q = coeffs.eval_A(flat).reshape(pts.shape[:2] + (2, 2))
     nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
-    gAg = np.einsum("mqa,mqab,mqb->mq", np.conj(dg), A_q, dg).real
-    energy = np.sqrt(np.sum(wts * (gAg + k**2 * nu_q * np.abs(dv) ** 2)))
-    l2 = np.sqrt(np.sum(wts * np.abs(dv) ** 2))
-    return float(energy), float(l2)
+    ev = eg = 0.0
+    if exact is not None:
+        ev = np.asarray(exact(flat), dtype=complex).reshape(pts.shape[:2])
+        eg = np.asarray(exact_grad(flat), dtype=complex).reshape(pts.shape[:2] + (2,))
+    out = []
+    for dv, dg in zip(vals - ev, grads_q - eg):
+        gAg = np.einsum("mqa,mqab,mqb->mq", np.conj(dg), A_q, dg).real
+        energy = np.sqrt(np.sum(wts * (gAg + k**2 * nu_q * np.abs(dv) ** 2)))
+        out.append((float(energy), float(np.sqrt(np.sum(wts * np.abs(dv) ** 2)))))
+    return out
 
 
 def l2_norm_exact(fe_space: FeSpace, fn, quad_degree=4):
+    """L2 norm of a scalar or vector-valued callable (values on the last axis)."""
     pts, wts, _ = quadrature(fe_space.mesh, quad_degree)
-    v = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape[:2])
-    return float(np.sqrt(np.sum(wts * np.abs(v) ** 2)))
+    v = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape[:2] + (-1,))
+    return float(np.sqrt(np.sum(wts * np.sum(np.abs(v) ** 2, axis=-1))))
 
 
 def nodal_interpolant(fe_space: FeSpace, v):
@@ -608,45 +608,6 @@ def nodal_interpolant(fe_space: FeSpace, v):
     mesh = fe_space.mesh
     vals = np.asarray(v(mesh.vertices), dtype=complex)
     return vals[fe_space.free_vertices]
-
-
-@dataclass
-class InterpolationErrors:
-    l2_weighted: float       # |nu^{1/2}(v - I_h v)|_{L2}
-    grad_weighted: float     # |A^{1/2} grad(v - I_h v)|_{L2}
-    h2_norm: float           # full H^2 norm of v (mixed derivative counted once)
-    h_fem: float
-
-    @property
-    def ratio(self):
-        """(l2 + h grad) / (h^2 |v|_{H2}): the empirical interpolation constant."""
-        return (self.l2_weighted + self.h_fem * self.grad_weighted) / (
-            self.h_fem**2 * self.h2_norm)
-
-
-def nodal_interpolation_error(coeffs: CoefficientField, fe_space: FeSpace,
-                              v, grad_v, hess_v, quad_degree=4) -> InterpolationErrors:
-    """Interpolation error norms of a twice-differentiable function."""
-    dofs = nodal_interpolant(fe_space, v)
-    vals, grads_q, pts, wts = _fe_values(fe_space, dofs, quad_degree)
-    flat = pts.reshape(-1, 2)
-    ev = np.asarray(v(flat), dtype=complex).reshape(pts.shape[:2])
-    eg = np.asarray(grad_v(flat), dtype=complex).reshape(pts.shape[:2] + (2,))
-    eh = np.asarray(hess_v(flat), dtype=complex).reshape(pts.shape[:2] + (2, 2))
-    A_q = coeffs.eval_A(flat).reshape(pts.shape[:2] + (2, 2))
-    nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
-
-    dv = vals - ev
-    dg = grads_q - eg
-    l2w = np.sqrt(np.sum(wts * nu_q * np.abs(dv) ** 2))
-    gAg = np.einsum("mqa,mqab,mqb->mq", np.conj(dg), A_q, dg).real
-    gw = np.sqrt(np.sum(wts * gAg))
-    h2 = np.sqrt(np.sum(wts * (np.abs(ev) ** 2
-                               + np.sum(np.abs(eg) ** 2, axis=-1)
-                               + np.abs(eh[..., 0, 0]) ** 2
-                               + np.abs(eh[..., 0, 1]) ** 2
-                               + np.abs(eh[..., 1, 1]) ** 2)))
-    return InterpolationErrors(float(l2w), float(gw), float(h2), fe_space.mesh.h_fem)
 
 
 def recovered_hessian_h2_norm(fe_space: FeSpace, u, within_radius=None):
@@ -658,11 +619,9 @@ def recovered_hessian_h2_norm(fe_space: FeSpace, u, within_radius=None):
     """
     mesh = fe_space.mesh
     dofs = u.dofs if isinstance(u, DiscreteSolution) else np.asarray(u)
+    vals, grads_q, _, wts = _fe_values(fe_space, dofs, 2)
+    grad_K = grads_q[:, 0]                           # (M, 2)
     grads, area = element_gradients(mesh)
-    vv = np.zeros(mesh.n_vertices, dtype=complex)
-    vv[fe_space.free_vertices] = dofs
-    nodal = vv[mesh.triangles]
-    grad_K = np.einsum("mj,mja->ma", nodal, grads)   # (M, 2)
 
     wsum = np.zeros(mesh.n_vertices)
     gsum = np.zeros((mesh.n_vertices, 2), dtype=complex)
@@ -675,8 +634,6 @@ def recovered_hessian_h2_norm(fe_space: FeSpace, u, within_radius=None):
     hess = np.einsum("mjb,mja->mab", grad_nodal[mesh.triangles], grads)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
-    pts, wts, bary = quadrature(mesh, 2)
-    vals = np.einsum("qj,mj->mq", bary, nodal)
     sel = np.ones(len(area), dtype=bool)
     if within_radius is not None:
         cent = mesh.vertices[mesh.triangles].mean(axis=1)

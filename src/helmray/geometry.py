@@ -307,7 +307,7 @@ class ValidationReport:
 
 
 def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
-                           geom: TruncationGeometry, n_radial=24, n_angular=48):
+                           geom: TruncationGeometry):
     """Dense-sample check of the structural invariants of a configuration.
 
     Checks, in order: exact identity coefficients outside the support radius,
@@ -318,7 +318,7 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
     """
     failures = []
 
-    th = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     # outside the support radius: exactly Euclidean
     for r in np.linspace(geom.R1 * 1.000001, geom.R_ray, 8):
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
@@ -332,7 +332,7 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
             break
 
     # inside: bounds and symmetry
-    rr = np.linspace(0.0, geom.R_ray, n_radial)
+    rr = np.linspace(0.0, geom.R_ray, 24)
     grid = np.stack(
         [rr[:, None] * np.cos(th)[None, :], rr[:, None] * np.sin(th)[None, :]], axis=-1
     ).reshape(-1, 2)
@@ -354,7 +354,7 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
         failures.append(("nu bounds violated", grid[i]))
 
     if not obstacle.empty:
-        fine = np.linspace(0.0, 2.0 * np.pi, 4 * n_angular + 1)
+        fine = np.linspace(0.0, 2.0 * np.pi, 4 * len(th) + 1)
         rho = obstacle.rho(fine)
         if abs(rho[0] - rho[-1]) > 1e-12:
             failures.append(("rho not periodic", None))

@@ -162,18 +162,16 @@ class RadialScanResult:
 
 
 def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
-                                 a_of_r=None, nu_of_r=None, n_modes=None,
-                                 s=0, rtol=1e-5, seed=0) -> RadialScanResult:
-    """Cutoff solution-operator norm as the max over angular modes."""
-    if n_modes is None:
-        n_modes = default_n_max(k, R)
+                                 a_of_r=None, nu_of_r=None, s=0, rtol=1e-5,
+                                 seed=0) -> RadialScanResult:
+    """Cutoff solution-operator norm as the max over angular modes n <= default_n_max(k, R)."""
     n_r = max(16, int(np.ceil((R - r_inner) / h_r)))
     quad = radial_quadrature(R, n_r, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
     chi_grid = chi(quad.grid)
     per_mode = []
     best, best_mode = 0.0, 0
     all_conv = True
-    for n in range(0, n_modes + 1):
+    for n in range(0, default_n_max(k, R) + 1):
         mode = assemble_radial_mode(n, k, quad)
         sigma, iters, conv = mode_cutoff_norm(mode, chi_grid[mode.free], s=s, rtol=rtol,
                                               seed=seed)

@@ -119,7 +119,7 @@ def test_criterion_06_mie_validation_and_order():
         dtn = build_dtn(k, R)
         system = assemble(coeffs, space, dtn, k)
         u = solve(system, assemble_load_scattering(space, dtn, (1.0, 0.0)))
-        _, l2 = errors_vs_exact(coeffs, space, u, uex, gex, k)
+        [(_, l2)] = errors_vs_exact(coeffs, space, [u], uex, gex, k)
         errs.append(l2 / l2_norm_exact(space, uex))
         hs.append(mesh.h_fem)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

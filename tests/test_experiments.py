@@ -409,6 +409,36 @@ def test_quasioptimality_ratio_stable_at_fixed_pollution_product(disk_study):
     assert max(ratios) <= 1.5  # no pollution blow-up for the nontrapping disk
 
 
+def test_quasioptimality_evaluates_reference_once_per_row(disk_study, monkeypatch):
+    # one quadrature pass serves the Galerkin and the best-approximation errors:
+    # per row one gradient call, and two value calls (quadrature points, then
+    # the vertices of the nodal interpolant)
+    import helmray.experiments as ex
+
+    geom, obs, led = disk_study
+    calls = {"value": 0, "grad": 0}
+    reference = ex.soft_disk_total_field
+
+    def counted(*args):
+        value, grad = reference(*args)
+
+        def count_value(x):
+            calls["value"] += 1
+            return value(x)
+
+        def count_grad(x):
+            calls["grad"] += 1
+            return grad(x)
+
+        return count_value, count_grad
+
+    monkeypatch.setattr(ex, "soft_disk_total_field", counted)
+    table = quasioptimality_study(identity_coefficients(), obs, geom, led,
+                                  [2.0], [0.1, 0.08])
+    assert not any(r["failed"] for r in table.rows)
+    assert calls == {"value": 2 * len(table.rows), "grad": len(table.rows)}
+
+
 def test_quasioptimality_requires_closed_form_reference(disk_study):
     geom, obs, led = disk_study
     with pytest.raises(ValueError):

@@ -29,3 +29,22 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _nested_imports(tree):
+    """Line numbers of the import statements below module level in ``tree``."""
+    top = {id(node) for node in tree.body}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+def test_nested_import_detector():
+    tree = ast.parse("import os\nfrom .a import b\n"
+                     "def f():\n    import numpy\n    return numpy\n"
+                     "class C:\n    def g(self):\n        from .a import c\n        return c\n")
+    assert _nested_imports(tree) == [4, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_at_module_level(path):
+    assert _nested_imports(ast.parse(path.read_text())) == []
