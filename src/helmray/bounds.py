@@ -241,7 +241,7 @@ def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05), R=1.0):
         space = build_space(mesh)
         for v, gv, hv in battery:
             [(grad, l2)] = errors_vs_exact(ident, space, [nodal_interpolant(space, v)],
-                                           v, gv, 0.0)
+                                           lambda x: (v(x), gv(x)), 0.0)
             h2 = l2_norm_exact(space, lambda x: np.column_stack(
                 [v(x), gv(x), hv(x)[:, 0, 0], hv(x)[:, 0, 1], hv(x)[:, 1, 1]]))
             worst = max(worst, (l2 + mesh.h_fem * grad) / (mesh.h_fem**2 * h2))

@@ -1,7 +1,8 @@
 """Command-line entry point: one binary, subcommand dispatch, manifest outputs.
 
 Each subcommand is a function ``(args, cfg) -> Run`` that computes and writes
-nothing.  ``main`` is the one runner: it loads the config, calls the
+nothing.  ``main`` is the one runner: it loads the config, writes into it
+every flag whose dest names a config key (``"section.key"``), calls the
 subcommand, and only then creates the output directory and writes the
 returned artifacts, a manifest.json (config hash, seed, versions, argv) and
 the config.ini it ran with, so a run that raises leaves no directory.  CSV
@@ -56,7 +57,7 @@ def _manifest(args, cfg: RunConfig, extra=None):
         "subcommand": args.command,
         "argv": sys.argv[1:],
         "config_sha256": cfg.sha256(),
-        "seed": _seed(args, cfg),
+        "seed": cfg.seed(),
         "versions": {
             "helmray": __version__,
             "numpy": np.__version__,
@@ -66,10 +67,6 @@ def _manifest(args, cfg: RunConfig, extra=None):
         "timestamps": {"written_at_unix": time.time()},
         **(extra or {}),
     }
-
-
-def _seed(args, cfg):
-    return args.seed if args.seed is not None else cfg.seed()
 
 
 def _floats(text):
@@ -100,10 +97,7 @@ def _cmd_validate(args, cfg):
 
 def _cmd_rays(args, cfg):
     coeffs, obstacle, geom = cfg.problem()
-    ray_cfg = cfg.ray_config(
-        step_size=args.step, max_time_budget=args.budget,
-        grid_pos_r=args.grid_pos, grid_dir=args.grid_dir,
-        refinement_rounds=args.refine)
+    ray_cfg = cfg.ray_config()
     R = args.R if args.R is not None else geom.R
     result = longest_ray_length(coeffs, obstacle, geom, R, ray_cfg,
                                 allow_censored=args.allow_censored)
@@ -160,8 +154,7 @@ def _cmd_dtn_check(args, cfg):
 
 def _cmd_solve(args, cfg):
     coeffs, obstacle, geom = cfg.problem()
-    k = args.k if args.k is not None else cfg.wave().k
-    h = args.h if args.h is not None else cfg.get("fem", "h")
+    k, h = cfg.get("wave", "k"), cfg.get("fem", "h")
     mesh = generate_mesh(obstacle, geom, h)
     space = build_space(mesh)
     dtn = build_dtn(k, geom.R)
@@ -187,7 +180,10 @@ def _cmd_solve(args, cfg):
         "energy_norm": energy_norm(system, u),
         "residual": u.residual,
         "solver": system.factorize().solver, "gmres_iterations": u.iterations,
-        "nnz": system.matrix.nnz, "lu_fill": system.factorize().nnz,
+        # the bordered [[K0, -C], [P, -I]], counted from its blocks
+        "nnz": (system.operator.nnz + system.dtn_block.nnz + system.projection.nnz
+                + system.projection.shape[0]),
+        "lu_fill": system.factorize().nnz,
     }
     return Run({"solution.csv": (["vertex", "x1", "x2", "re_u", "im_u"],
                                  [(i, mesh.vertices[i, 0], mesh.vertices[i, 1], vv[i].real,
@@ -200,7 +196,7 @@ def _cmd_constants(args, cfg):
     k0 = cfg.wave().k0
     c_int_tilde = estimate_C_int_tilde()
     c_dtn_tilde = estimate_C_DtN_tilde(geom.R, [k0, 2.0 * k0, 4.0 * k0])
-    ch2 = estimate_C_H2(coeffs, obstacle, geom, samples=args.samples, seed=_seed(args, cfg))
+    ch2 = estimate_C_H2(coeffs, obstacle, geom, samples=args.samples, seed=cfg.seed())
     ray = longest_ray_length(coeffs, obstacle, geom, geom.R + 2.0, cfg.ray_config(),
                              allow_censored=args.allow_censored)
     ledger = ConstantsLedger(
@@ -233,7 +229,7 @@ def _cmd_resolvent_scan(args, cfg):
     cutoff = RadialCutoff(inner=cfg.get("experiment", "cutoff_inner"),
                           outer=cfg.get("experiment", "cutoff_outer"))
     scan = resolvent_scan(*cfg.problem(), ks, cutoff, s=args.s,
-                          rtol=1e-4, seed=_seed(args, cfg))
+                          rtol=1e-4, seed=cfg.seed())
     header = ["k", "norm", "k_times_norm", "lower_reference", "upper_reference",
               "converged", "iterations"]
     rows = [tuple(str(r[c]) if c == "converged" else r[c] for c in header) for r in scan.rows]
@@ -252,9 +248,8 @@ def _cmd_quasimode(args, cfg):
 
 
 def _cmd_eta(args, cfg):
-    k = args.k if args.k is not None else cfg.wave().k
-    h = args.h if args.h is not None else cfg.get("fem", "h")
-    est = estimate_eta(*cfg.problem(), k, h, samples=args.samples, seed=_seed(args, cfg))
+    est = estimate_eta(*cfg.problem(), cfg.get("wave", "k"), cfg.get("fem", "h"),
+                       samples=args.samples, seed=cfg.seed())
     payload = {"k": est.k, "h_fem": est.h_fem, "samples": est.samples,
                "eta": est.value, "per_sample": est.per_sample}
     return Run({"eta.json": payload},
@@ -280,7 +275,7 @@ def _cmd_convergence(args, cfg):
 
 
 def _cmd_h2_scan(args, cfg):
-    result = h2_scaling_study(*cfg.problem(), _floats(args.ks), seed=_seed(args, cfg))
+    result = h2_scaling_study(*cfg.problem(), _floats(args.ks), seed=cfg.seed())
     header = ["k", "load", "h2_over_f", "ratio_to_linear", "h_fem"]
     summary = {"fitted_exponent": result["fitted_exponent"]}
     return Run({"h2_scan.csv": (header, [tuple(r[c] for c in header) for r in result["rows"]]),
@@ -294,7 +289,8 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI configuration path")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--seed", type=int, dest="experiment.seed",
+                        help="override the config seed")
 
     p = argparse.ArgumentParser(prog="helmray",
                                 description="longest rays, radiation-closed "
@@ -310,11 +306,11 @@ def build_parser():
 
     sp = add("rays", "longest-ray length of a ball")
     sp.add_argument("--R", type=float, help="ball radius (default geometry R)")
-    sp.add_argument("--grid-pos", type=int, dest="grid_pos")
-    sp.add_argument("--grid-dir", type=int, dest="grid_dir")
-    sp.add_argument("--step", type=float)
-    sp.add_argument("--budget", type=float)
-    sp.add_argument("--refine", type=int)
+    sp.add_argument("--grid-pos", type=int, dest="ray.grid_pos_r")
+    sp.add_argument("--grid-dir", type=int, dest="ray.grid_dir")
+    sp.add_argument("--step", type=float, dest="ray.step_size")
+    sp.add_argument("--budget", type=float, dest="ray.max_time_budget")
+    sp.add_argument("--refine", type=int, dest="ray.refinement_rounds")
     sp.add_argument("--allow-censored", action="store_true")
     sp.add_argument("--dump-trajectory", action="store_true")
     sp.set_defaults(fn=_cmd_rays)
@@ -329,8 +325,8 @@ def build_parser():
     sp.set_defaults(fn=_cmd_dtn_check)
 
     sp = add("solve", "one discretized solve")
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--h", type=float)
+    sp.add_argument("--k", type=float, dest="wave.k")
+    sp.add_argument("--h", type=float, dest="fem.h")
     sp.add_argument("--problem", choices=("source", "scattering"),
                     default="scattering")
     sp.add_argument("--incident-angle", type=float, default=0.0,
@@ -360,8 +356,8 @@ def build_parser():
     sp.set_defaults(fn=_cmd_quasimode)
 
     sp = add("eta", "adjoint best-approximation estimate")
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--h", type=float)
+    sp.add_argument("--k", type=float, dest="wave.k")
+    sp.add_argument("--h", type=float, dest="fem.h")
     sp.add_argument("--samples", type=int, default=8)
     sp.set_defaults(fn=_cmd_eta)
 
@@ -383,6 +379,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig.default()
+        # a flag whose dest is "section.key" overrides that config value
+        for dest, value in vars(args).items():
+            if "." in dest and value is not None:
+                cfg.set(*dest.split("."), value)
         run = args.fn(args, cfg)
         out = Path(args.out or f"out-{args.command}")
         out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,10 @@
 """Structured run configuration: INI sections for coefficients, obstacle,
 geometry, wave, ray sampling, discretization, and experiment parameters.
 
-Parsing round-trips: parse -> serialize -> parse is the identity.  The key
-reference lives in the repository documentation (docs/config.md).
+One table types every key and holds its default; unknown sections and keys,
+and values that do not parse as their key's type, are rejected.  Parsing round-trips: parse -> serialize -> parse is the
+identity.  The key reference lives in the repository documentation
+(docs/config.md).
 """
 
 from __future__ import annotations
@@ -17,41 +19,57 @@ from .raytrace import RayConfig
 from .util import sha256_text
 
 
-_DEFAULTS = {
-    "coefficients": {"preset": "identity"},
-    "obstacle": {"empty": "true"},
-    "geometry": {"r1": "1.0", "r": "2.0", "r_ray": "4.0"},
-    "wave": {"k": "5.0", "k0": "1.0"},
-    "ray": {
-        "step_size": "0.002",
-        "max_time_budget": "25.0",
-        "glancing_threshold": "0.001",
-        "grid_pos_r": "10",
-        "grid_pos_theta": "16",
-        "grid_dir": "64",
-        "refinement_rounds": "2",
-        "frame_rotation": "0.0",
+# section -> key -> (type, default).  A default of None leaves the key unset
+# unless the file sets it; every other default is the text a file would hold.
+_KEYS = {
+    "coefficients": {
+        "preset": (str, "identity"),
+        "amplitude": (float, None), "width": (float, None),
+        "support_radius": (float, None), "a1": (float, None),
+        "a2": (float, None), "angle": (float, None),
     },
-    "fem": {"h": "0.05"},
-    "experiment": {"seed": "0", "cutoff_inner": "0.8", "cutoff_outer": "0.97"},
+    "obstacle": {
+        "empty": (bool, "true"),
+        "rho_fourier_coefficients": (list, None), "rho_fourier_sin": (list, None),
+    },
+    "geometry": {"r1": (float, "1.0"), "r": (float, "2.0"), "r_ray": (float, "4.0")},
+    "wave": {"k": (float, "5.0"), "k0": (float, "1.0")},
+    # the keyword arguments of RayConfig
+    "ray": {
+        "step_size": (float, "0.002"),
+        "max_time_budget": (float, "25.0"),
+        "glancing_threshold": (float, "0.001"),
+        "grid_pos_r": (int, "10"),
+        "grid_pos_theta": (int, "16"),
+        "grid_dir": (int, "64"),
+        "refinement_rounds": (int, "2"),
+        "frame_rotation": (float, "0.0"),
+    },
+    "fem": {"h": (float, "0.05")},
+    "experiment": {"seed": (int, "0"), "cutoff_inner": (float, "0.8"),
+                   "cutoff_outer": (float, "0.97")},
 }
 
-_FLOAT_KEYS = {
-    ("coefficients", "amplitude"), ("coefficients", "width"),
-    ("coefficients", "support_radius"), ("coefficients", "a1"),
-    ("coefficients", "a2"), ("coefficients", "angle"),
-    ("geometry", "r1"), ("geometry", "r"), ("geometry", "r_ray"),
-    ("wave", "k"), ("wave", "k0"),
-    ("ray", "step_size"), ("ray", "max_time_budget"),
-    ("ray", "glancing_threshold"), ("ray", "frame_rotation"),
-    ("fem", "h"),
-    ("experiment", "cutoff_inner"), ("experiment", "cutoff_outer"),
-}
-_INT_KEYS = {
-    ("ray", "grid_pos_r"), ("ray", "grid_pos_theta"), ("ray", "grid_dir"),
-    ("ray", "refinement_rounds"), ("experiment", "seed"),
-}
-_LIST_KEYS = {("obstacle", "rho_fourier_coefficients"), ("obstacle", "rho_fourier_sin")}
+
+def _check_keys(sec, keys):
+    if sec not in _KEYS:
+        raise ValueError(f"unknown config section [{sec}]")
+    for key in keys:
+        if key not in _KEYS[sec]:
+            raise ValueError(f"unknown config key {key!r} in section [{sec}]")
+
+
+def _cast(sec, key, text):
+    """``text`` as the type the table gives ``[sec] key``."""
+    kind = _KEYS[sec][key][0]
+    try:
+        if kind is list:
+            return [float(tok) for tok in text.replace(",", " ").split()]
+        if kind is bool:
+            return {"true": True, "false": False}[text.lower()]
+        return kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"[{sec}] {key} = {text!r} is not a {kind.__name__}") from None
 
 
 @dataclass
@@ -64,14 +82,15 @@ class RunConfig:
     def from_text(cls, text):
         cp = configparser.ConfigParser()
         cp.read_string(text)
-        sections = {}
-        for sec, defaults in _DEFAULTS.items():
-            sections[sec] = dict(defaults)
+        sections = {sec: {key: default for key, (_, default) in keys.items()
+                          if default is not None}
+                    for sec, keys in _KEYS.items()}
         for sec in cp.sections():
-            if sec not in sections:
-                raise ValueError(f"unknown config section [{sec}]")
-            for key, val in cp.items(sec):
-                sections[sec][key] = val.strip()
+            items = {key: val.strip() for key, val in cp.items(sec)}
+            _check_keys(sec, items)
+            for key, val in items.items():
+                _cast(sec, key, val)    # raises on a value of the wrong type
+                sections[sec][key] = val
         return cls(sections=sections)
 
     @classmethod
@@ -98,22 +117,15 @@ class RunConfig:
     # -- typed access --------------------------------------------------------
 
     def get(self, sec, key, default=None):
+        """The value of ``key`` cast to its type, or ``default`` when unset."""
         key = key.lower()  # option names are case-insensitive, like the parser
         val = self.sections.get(sec, {}).get(key)
-        if val is None:
-            return default
-        if (sec, key) in _FLOAT_KEYS:
-            return float(val)
-        if (sec, key) in _INT_KEYS:
-            return int(val)
-        if (sec, key) in _LIST_KEYS:
-            return [float(tok) for tok in val.replace(",", " ").split()]
-        if val.lower() in ("true", "false"):
-            return val.lower() == "true"
-        return val
+        return default if val is None else _cast(sec, key, val)
 
     def set(self, sec, key, value):
-        self.sections.setdefault(sec, {})[key.lower()] = (
+        key = key.lower()
+        _check_keys(sec, [key])
+        self.sections.setdefault(sec, {})[key] = (
             repr(float(value)) if isinstance(value, float) else str(value))
 
     # -- builders -------------------------------------------------------------
@@ -122,15 +134,12 @@ class RunConfig:
         name = self.get("coefficients", "preset")
         if name not in COEFFICIENT_PRESETS:
             raise ValueError(f"unknown coefficient preset {name!r}")
-        kwargs = {}
-        for key in ("amplitude", "width", "support_radius", "a1", "a2", "angle"):
-            val = self.get("coefficients", key)
-            if val is not None:
-                kwargs[key] = val
-        return COEFFICIENT_PRESETS[name](**kwargs)
+        return COEFFICIENT_PRESETS[name](**{key: self.get("coefficients", key)
+                                            for key in self.sections["coefficients"]
+                                            if key != "preset"})
 
     def obstacle(self) -> Obstacle:
-        if self.get("obstacle", "empty", True):
+        if self.get("obstacle", "empty"):
             return EMPTY_OBSTACLE
         cos_c = self.get("obstacle", "rho_fourier_coefficients")
         if not cos_c:
@@ -150,19 +159,8 @@ class RunConfig:
     def wave(self) -> WaveContext:
         return WaveContext(k=self.get("wave", "k"), k0=self.get("wave", "k0"))
 
-    def ray_config(self, **overrides) -> RayConfig:
-        kw = dict(
-            step_size=self.get("ray", "step_size"),
-            max_time_budget=self.get("ray", "max_time_budget"),
-            glancing_threshold=self.get("ray", "glancing_threshold"),
-            grid_pos_r=self.get("ray", "grid_pos_r"),
-            grid_pos_theta=self.get("ray", "grid_pos_theta"),
-            grid_dir=self.get("ray", "grid_dir"),
-            refinement_rounds=self.get("ray", "refinement_rounds"),
-            frame_rotation=self.get("ray", "frame_rotation"),
-        )
-        kw.update({k: v for k, v in overrides.items() if v is not None})
-        return RayConfig(**kw)
+    def ray_config(self) -> RayConfig:
+        return RayConfig(**{key: self.get("ray", key) for key in _KEYS["ray"]})
 
     def seed(self):
-        return self.get("experiment", "seed", 0)
+        return self.get("experiment", "seed")

@@ -265,8 +265,7 @@ class _CrossMeshProjector:
             lam, grads[tri, :, 0], grads[tri, :, 1])
         self.A_q = coeffs.eval_A(flat)
         self.nu_q = coeffs.eval_nu(flat)
-        coarse_sys = assemble(coeffs, coarse_space, None, 0.0)
-        self.Ec_lu = spla.splu((coarse_sys.stiffness + k**2 * coarse_sys.mass_nu).tocsc())
+        self.Ec_lu = spla.splu(assemble(coeffs, coarse_space, None, k).energy_matrix().tocsc())
 
     def best_approx_error_sq(self, u_fine: DiscreteSolution, u_energy_sq):
         """min over coarse v of |u - v|_E^2 = |u|_E^2 - b^H Ec^{-1} b."""
@@ -354,7 +353,7 @@ def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
     bound = 2.0 * (1.0 + ledger.C_DtN)
     for k in sorted(k_values):
         dtn = build_dtn(k, geom.R)
-        uex, gex = soft_disk_total_field(k, a_disk, incident_direction)
+        uex, field = soft_disk_total_field(k, a_disk, incident_direction)
         for h in sorted(h_values):
             row = {"k": float(k), "h_target": float(h)}
             try:
@@ -364,7 +363,7 @@ def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
                 rhs = assemble_load_scattering(space, dtn, incident_direction)
                 u = solve(system, rhs)
                 (en_err, l2_err), (best_err, _) = errors_vs_exact(
-                    coeffs, space, [u, nodal_interpolant(space, uex)], uex, gex, k)
+                    coeffs, space, [u, nodal_interpolant(space, uex)], field, k)
                 report = mesh_threshold(ledger, k, h_query=mesh.h_fem)
                 row.update({
                     "h_fem": mesh.h_fem,

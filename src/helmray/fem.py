@@ -569,14 +569,14 @@ def _fe_values(fe_space, dofs, quad_degree=4):
     return vals, grads_q, pts, wts
 
 
-def errors_vs_exact(coeffs: CoefficientField, fe_space: FeSpace, us, exact,
-                    exact_grad, k: float):
+def errors_vs_exact(coeffs: CoefficientField, fe_space: FeSpace, us, exact, k: float):
     """One (energy, L2) pair per dof vector (or DiscreteSolution) in ``us``: the
     norms (|A^{1/2} grad e|^2 + k^2 |nu^{1/2} e|^2)^{1/2} and |e|_{L2} of
-    e = u - exact, or of e = u for ``exact=None``.
+    e = u - u_ex, where ``exact(points)`` returns (u_ex, grad u_ex), or of
+    e = u for ``exact=None``.
 
-    The degree-4 rule, the coefficients and the reference callables are
-    evaluated once for all vectors.
+    The degree-4 rule, the coefficients and the reference are evaluated once
+    for all vectors.
     """
     dofs = np.stack([u.dofs if isinstance(u, DiscreteSolution) else np.asarray(u)
                      for u in us])
@@ -586,8 +586,9 @@ def errors_vs_exact(coeffs: CoefficientField, fe_space: FeSpace, us, exact,
     nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
     ev = eg = 0.0
     if exact is not None:
-        ev = np.asarray(exact(flat), dtype=complex).reshape(pts.shape[:2])
-        eg = np.asarray(exact_grad(flat), dtype=complex).reshape(pts.shape[:2] + (2,))
+        ev, eg = exact(flat)
+        ev = np.asarray(ev, dtype=complex).reshape(pts.shape[:2])
+        eg = np.asarray(eg, dtype=complex).reshape(pts.shape[:2] + (2,))
     out = []
     for dv, dg in zip(vals - ev, grads_q - eg):
         gAg = np.einsum("mqa,mqab,mqb->mq", np.conj(dg), A_q, dg).real

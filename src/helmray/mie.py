@@ -16,7 +16,8 @@ def _mie_orders(ka):
 
 
 def soft_disk_total_field(k, a, direction):
-    """Total field (value, gradient) callables for a plane wave on a sound-soft disk.
+    """Total field of a plane wave on a sound-soft disk: ``(value, field)``
+    callables, ``field(points)`` returning (value, gradient) from one series pass.
 
     u = u_inc + u_scat with u = 0 on r = a; the scattered part is the outgoing
     modal series with coefficients -i^n J_n(ka)/H_n(ka).  Folding the +-n pairs
@@ -31,7 +32,7 @@ def soft_disk_total_field(k, a, direction):
     ns = np.arange(0, n_terms + 1)
     qn = (1j) ** ns * jv(ns, k * a) / hankel1(ns, k * a)
 
-    def _scan(points, want_grad):
+    def field(points):
         pts = np.atleast_2d(np.asarray(points, float))
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
@@ -41,49 +42,39 @@ def soft_disk_total_field(k, a, direction):
         h_cur = hankel1(1, kr)
         uinc = np.exp(1j * k * (pts @ d))
         val = uinc - qn[0] * h_prev
-        if want_grad:
-            dr = -k * qn[0] * (-h_cur)          # H_0' = -H_1
-            dth = np.zeros_like(val)
+        dr = -k * qn[0] * (-h_cur)          # H_0' = -H_1
+        dth = np.zeros_like(val)
         for n in range(1, n_terms + 1):
             cosn = np.cos(n * psi)
             val = val - 2.0 * qn[n] * h_cur * cosn
-            if want_grad:
-                hp = h_prev - (n / kr) * h_cur  # H_n'
-                dr = dr - 2.0 * k * qn[n] * hp * cosn
-                dth = dth + 2.0 * qn[n] * h_cur * n * np.sin(n * psi)
+            hp = h_prev - (n / kr) * h_cur  # H_n'
+            dr = dr - 2.0 * k * qn[n] * hp * cosn
+            dth = dth + 2.0 * qn[n] * h_cur * n * np.sin(n * psi)
             h_prev, h_cur = h_cur, (2.0 * n / kr) * h_cur - h_prev
-        if not want_grad:
-            return val
         ginc = 1j * k * d[None, :] * uinc[:, None]
         rhat = np.stack([np.cos(th), np.sin(th)], axis=1)
         that = np.stack([-np.sin(th), np.cos(th)], axis=1)
-        return ginc + dr[:, None] * rhat + (dth / r)[:, None] * that
+        return val, ginc + dr[:, None] * rhat + (dth / r)[:, None] * that
 
     def value(points):
-        return _scan(points, want_grad=False)
+        return field(points)[0]
 
-    def gradient(points):
-        return _scan(points, want_grad=True)
-
-    return value, gradient
+    return value, field
 
 
 def point_source(k, x0):
-    """Outgoing fundamental solution (i/4) H_0(k |x - x0|) and its gradient."""
+    """Outgoing fundamental solution (i/4) H_0(k |x - x0|): ``(value, field)``
+    callables, ``field(points)`` returning (value, gradient)."""
     x0 = np.asarray(x0, float)
 
-    def value(points):
-        pts = np.atleast_2d(np.asarray(points, float))
-        s = np.linalg.norm(pts - x0, axis=1)
-        return 0.25j * hankel1(0, k * s)
-
-    def gradient(points):
-        pts = np.atleast_2d(np.asarray(points, float))
-        dx = pts - x0
+    def field(points):
+        dx = np.atleast_2d(np.asarray(points, float)) - x0
         s = np.linalg.norm(dx, axis=1)
         # H_0' = -H_1
         coef = -0.25j * k * hankel1(1, k * s) / s
-        return coef[:, None] * dx
+        return 0.25j * hankel1(0, k * s), coef[:, None] * dx
 
-    return value, gradient
+    def value(points):
+        return field(points)[0]
 
+    return value, field

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmray.cli import main
-from helmray.config import _DEFAULTS, _FLOAT_KEYS, _INT_KEYS, _LIST_KEYS, RunConfig
+from helmray.config import _KEYS, RunConfig
+from helmray.dtn import build_dtn
+from helmray.fem import assemble, build_space
 from helmray.geometry import COEFFICIENT_PRESETS
+from helmray.mesh import generate_mesh
 
 EUCLID_CFG = """
 [geometry]
@@ -55,15 +58,17 @@ def test_config_roundtrip_stable():
 
 
 _floats = st.floats(allow_nan=False)
-# every known key with a strategy for its typed value, and how `set` receives it
-_TYPED = (
-    [(key, _floats, lambda v: v) for key in sorted(_FLOAT_KEYS)]
-    + [(key, st.integers(-2**63, 2**63), lambda v: v) for key in sorted(_INT_KEYS)]
-    + [(key, st.lists(_floats, max_size=5), lambda v: ", ".join(map(repr, v)))
-       for key in sorted(_LIST_KEYS)]
-    + [(("obstacle", "empty"), st.booleans(), lambda v: v),
-       (("coefficients", "preset"), st.sampled_from(sorted(COEFFICIENT_PRESETS)), lambda v: v)]
-)
+# a strategy for the typed values of each key type, and how `set` receives them
+_STRATEGIES = {
+    float: (_floats, lambda v: v),
+    int: (st.integers(-2**63, 2**63), lambda v: v),
+    list: (st.lists(_floats, max_size=5), lambda v: ", ".join(map(repr, v))),
+    bool: (st.booleans(), lambda v: v),
+    str: (st.sampled_from(sorted(COEFFICIENT_PRESETS)), lambda v: v),  # only `preset`
+}
+# every key of the table with its strategy
+_TYPED = [((sec, key), *_STRATEGIES[kind])
+          for sec, keys in sorted(_KEYS.items()) for key, (kind, _) in sorted(keys.items())]
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,8 +86,8 @@ def test_config_roundtrip_keeps_text_and_typed_values(data):
     text = cfg.to_text()
     back = RunConfig.from_text(text)
     assert back.to_text() == text
-    for sec, defaults in _DEFAULTS.items():
-        for key in defaults:
+    for sec, keys in _KEYS.items():
+        for key in keys:
             assert back.get(sec, key) == cfg.get(sec, key)
     for (sec, key), value in typed.items():
         assert back.get(sec, key.upper()) == value
@@ -100,6 +105,31 @@ def test_config_typed_access():
 def test_config_rejects_unknown_section():
     with pytest.raises(ValueError):
         RunConfig.from_text("[nonsense]\na = 1\n")
+    with pytest.raises(ValueError, match=r"\[nonsense\]"):
+        RunConfig.from_text("[nonsense]\n")
+
+
+@pytest.mark.parametrize("sec,key", [("fem", "hh"), ("coefficients", "amplitud"),
+                                     ("fem", "quad_degree"), ("wave", "kk")])
+def test_config_rejects_unknown_key(sec, key):
+    with pytest.raises(ValueError, match=rf"'{key}' in section \[{sec}\]"):
+        RunConfig.from_text(f"[{sec}]\n{key} = 1\n")
+
+
+def test_config_get_returns_default_for_unset_keys():
+    cfg = RunConfig.default()
+    assert cfg.get("fem", "quad_degree", 4) == 4
+    assert cfg.get("nonsense", "a", 1.5) == 1.5
+    assert cfg.get("coefficients", "amplitude") is None
+
+
+@pytest.mark.parametrize("text", ["[obstacle]\nempty = no\n", "[wave]\nk = 4,0\n",
+                                  "[ray]\ngrid_dir = 64.0\n",
+                                  "[obstacle]\nrho_fourier_sin = 0.1 x\n"])
+def test_config_rejects_a_value_of_the_wrong_type(text):
+    key = text.split("\n")[1].split(" =")[0]
+    with pytest.raises(ValueError, match=rf"\] {key} = "):
+        RunConfig.from_text(text)
 
 
 def test_validate_subcommand(tmp_path):
@@ -248,7 +278,12 @@ def test_solve_subcommand_outputs(tmp_path):
     payload = json.loads((tmp_path / "o" / "solve.json").read_text())
     assert payload["residual"] <= 1e-10
     assert payload["h_fem"] <= 0.1
-    assert payload["nnz"] > 0 and payload["lu_fill"] > 0
+    assert payload["lu_fill"] > 0
+    # nnz counts the bordered matrix from its blocks, without building it
+    run = RunConfig.from_text(DISK_CFG)
+    space = build_space(generate_mesh(run.obstacle(), run.geometry(), 0.1))
+    assert payload["nnz"] == assemble(run.coefficients(), space, build_dtn(3.0, 1.0),
+                                      3.0).matrix.nnz
     # a centred disk with identity coefficients: the angular solve is exact
     assert payload["solver"] == "angular" and payload["gmres_iterations"] == 0
     assert (tmp_path / "o" / "solution.csv").exists()
@@ -345,3 +380,43 @@ def test_runner_writes_manifest_config_and_json_summary(tmp_path, capsys, argv):
     assert manifest["subcommand"] == argv[0]
     assert RunConfig.from_file(out / "config.ini").sha256() == manifest["config_sha256"]
     json.loads(capsys.readouterr().out)
+
+
+def test_solve_overrides_land_in_config_and_rerun_reproduces(tmp_path):
+    cfg = _write(tmp_path, DISK_CFG)
+    out = tmp_path / "a"
+    rc = main(["solve", "--config", cfg, "--k", "3", "--h", "0.1", "--seed", "5",
+               "--out", str(out)])
+    assert rc == 0
+    written = RunConfig.from_file(out / "config.ini")
+    assert written.sections["wave"]["k"] == "3.0"
+    assert written.sections["fem"]["h"] == "0.1"
+    assert written.sections["experiment"]["seed"] == "5"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 5 and manifest["config_sha256"] == written.sha256()
+    rc = main(["solve", "--config", str(out / "config.ini"), "--out", str(tmp_path / "b")])
+    assert rc == 0
+    assert ((tmp_path / "b" / "solution.csv").read_bytes()
+            == (out / "solution.csv").read_bytes())
+    assert (tmp_path / "b" / "config.ini").read_bytes() == (out / "config.ini").read_bytes()
+
+
+def test_solve_k_below_k0_runs(tmp_path):
+    # k0 = 2 in the file: the explicit constants are not claimed below it,
+    # but a solve there is still a well-posed problem
+    cfg = _write(tmp_path, DISK_CFG)
+    assert main(["solve", "--config", cfg, "--k", "1.5", "--h", "0.1",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert RunConfig.from_file(tmp_path / "o" / "config.ini").get("wave", "k") == 1.5
+
+
+def test_rays_overrides_land_in_config(tmp_path):
+    cfg = _write(tmp_path, DISK_CFG)
+    out = tmp_path / "o"
+    rc = main(["rays", "--config", cfg, "--R", "1.0", "--grid-pos", "3", "--grid-dir", "8",
+               "--refine", "0", "--step", "0.004", "--budget", "20", "--out", str(out)])
+    assert rc == 0
+    ray = RunConfig.from_file(out / "config.ini").ray_config()
+    assert (ray.grid_pos_r, ray.grid_dir, ray.refinement_rounds) == (3, 8, 0)
+    assert (ray.step_size, ray.max_time_budget) == (0.004, 20.0)
+    assert json.loads((out / "rays.json").read_text())["refinement_history"] == []

@@ -411,32 +411,32 @@ def test_quasioptimality_ratio_stable_at_fixed_pollution_product(disk_study):
 
 def test_quasioptimality_evaluates_reference_once_per_row(disk_study, monkeypatch):
     # one quadrature pass serves the Galerkin and the best-approximation errors:
-    # per row one gradient call, and two value calls (quadrature points, then
-    # the vertices of the nodal interpolant)
+    # per row one (value, gradient) series pass at the quadrature points, and
+    # one value pass at the vertices of the nodal interpolant
     import helmray.experiments as ex
 
     geom, obs, led = disk_study
-    calls = {"value": 0, "grad": 0}
+    calls = {"value": 0, "field": 0}
     reference = ex.soft_disk_total_field
 
     def counted(*args):
-        value, grad = reference(*args)
+        value, field = reference(*args)
 
         def count_value(x):
             calls["value"] += 1
             return value(x)
 
-        def count_grad(x):
-            calls["grad"] += 1
-            return grad(x)
+        def count_field(x):
+            calls["field"] += 1
+            return field(x)
 
-        return count_value, count_grad
+        return count_value, count_field
 
     monkeypatch.setattr(ex, "soft_disk_total_field", counted)
     table = quasioptimality_study(identity_coefficients(), obs, geom, led,
                                   [2.0], [0.1, 0.08])
     assert not any(r["failed"] for r in table.rows)
-    assert calls == {"value": 2 * len(table.rows), "grad": len(table.rows)}
+    assert calls == {"value": len(table.rows), "field": len(table.rows)}
 
 
 def test_quasioptimality_requires_closed_form_reference(disk_study):

@@ -5,8 +5,9 @@ resolve (module globals, class attributes, ``experiments.spla.splu``).  The
 benchmark harness is fixed, so a change that unbinds one of those names
 breaks it; this catches that from the tier-1 suite.  A traced modal run must
 also enter every layer the modal per-layer metrics read.  The README's
-command block must list exactly the subcommands the parser accepts, and each
-table of docs/config.md exactly the keys its section accepts."""
+command block must list exactly the subcommands the parser accepts, each
+table of docs/config.md exactly the keys its section accepts, and every flag
+that overrides a config value must name a key of the config table."""
 
 import argparse
 import json
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from helmray.cli import build_parser
-from helmray.config import _DEFAULTS, _FLOAT_KEYS, _INT_KEYS, _LIST_KEYS
+from helmray.config import _KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,9 +65,7 @@ def test_readme_lists_every_subcommand():
 
 
 def test_docs_config_lists_every_key():
-    accepted = {sec: set(defaults) for sec, defaults in _DEFAULTS.items()}
-    for sec, key in _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS:
-        accepted[sec].add(key)
+    accepted = {sec: set(keys) for sec, keys in _KEYS.items()}
     documented = {}
     for part in (ROOT / "docs" / "config.md").read_text().split("\n## [")[1:]:
         sec, body = part.split("]", 1)
@@ -74,3 +73,20 @@ def test_docs_config_lists_every_key():
         cells = [line.split("|")[1] for line in body.splitlines() if line.startswith("| `")]
         documented[sec] = {key.lower() for cell in cells for key in re.findall(r"`([^`]+)`", cell)}
     assert documented == accepted
+
+
+def test_cli_override_dests_name_config_keys():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    overrides = {(action.option_strings[0], action.dest)
+                 for sp in sub.choices.values() for action in sp._actions
+                 if "." in action.dest}
+    for _, dest in overrides:
+        sec, key = dest.split(".")
+        assert key in _KEYS.get(sec, {}), dest
+    # and docs/config.md lists exactly these flags with their keys
+    body = (ROOT / "docs" / "config.md").read_text().split("## Command-line overrides")[1]
+    rows = [line.split("|") for line in body.split("\n## ")[0].splitlines()
+            if line.startswith("| `")]
+    documented = {(row[1].strip(" `"), ".".join(re.fullmatch(r" `\[(\w+)\] (\w+)` *", row[3])
+                                                  .groups())) for row in rows}
+    assert documented == overrides
