@@ -25,10 +25,10 @@ import scipy.sparse.linalg as spla
 from .dtn import build_dtn
 from .fem import (assemble, assemble_load_source, build_space, errors_vs_exact,
                   l2_norm_exact, modal_projection, nodal_interpolant,
-                  recovered_hessian_h2_norm)
+                  recovered_hessian_h2_norm, solve)
 from .geometry import TruncationGeometry, identity_coefficients
 from .mesh import generate_mesh
-from .util import make_rng, solve_real, write_json
+from .util import make_rng, solve_real
 
 
 def compute_C_int(C_int_tilde, A_max, nu_max):
@@ -88,9 +88,6 @@ class ConstantsLedger:
                 "twice, so the enlarged-ball ray length is at least 2")
         if self.k0 <= 0:
             raise ValueError("k0 must be positive")
-
-    def to_json(self, path):
-        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path):
@@ -282,16 +279,16 @@ def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estim
     """Empirical lower estimate of the interior-regularity constant.
 
     Random smooth sources drive the A-divergence problem on the padded domain
-    (outer radius R + 1, Dirichlet outer boundary), the second-order norm on
-    the inner domain is measured by gradient recovery, and the bound's ratio is
-    maximized over samples.  A lower estimate by construction.
+    (outer radius R + 1, Dirichlet outer boundary; each solve carries its
+    residual certificate), the second-order norm on the inner domain is
+    measured by gradient recovery, and the bound's ratio is maximized over
+    samples.  A lower estimate by construction.
     """
     rng = make_rng(seed)
     R_pad = geom.R + 1.0
     mesh = generate_mesh(obstacle, geom, h, outer_radius=R_pad)
     space = build_space(mesh, dirichlet_outer=True)
     system = assemble(coeffs, space, None, 0.0)
-    lu = system.factorize()
 
     ratios = []
     for _ in range(samples):
@@ -307,7 +304,7 @@ def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estim
             return out
 
         load = assemble_load_source(space, f)
-        v = lu.solve(-load)
+        v = solve(system, -load).dofs
         h2 = recovered_hessian_h2_norm(space, v, within_radius=geom.R)
         grad = float(np.sqrt(max(np.real(np.vdot(v, system.stiffness @ v)), 0.0)))
         l2v = float(np.sqrt(max(np.real(np.vdot(v, system.mass_plain @ v)), 0.0)))

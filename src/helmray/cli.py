@@ -37,14 +37,14 @@ from .fem import (assemble, assemble_load_scattering, assemble_load_source,
 from .geometry import check_gradients, validate_configuration
 from .mesh import generate_mesh
 from .raytrace import _ham, classify_trapping, integrate_ray, longest_ray_length
-from .util import fmt_float, write_csv, write_json
+from .util import json_default, write_csv, write_json
 
 
 class Run(NamedTuple):
-    """A subcommand's outcome.  ``artifacts`` maps file names to a dict (written
-    as JSON) or a ``(header, rows)`` pair (written as CSV); ``summary`` is
-    printed as is when a string, else as JSON; ``manifest`` holds extra
-    manifest fields."""
+    """A subcommand's outcome, as computed.  ``artifacts`` maps file names to a
+    dict (written as JSON) or a ``(header, columns)`` pair, each column an
+    ndarray or list of cells (written as CSV); ``summary`` is printed as is
+    when a string, else as JSON; ``manifest`` holds extra manifest fields."""
 
     artifacts: dict
     summary: object
@@ -87,9 +87,7 @@ def _cmd_validate(args, cfg):
     grad_err = check_gradients(coeffs, np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.1]]))
     payload = {
         "ok": not failures,
-        "failures": [{"invariant": name,
-                      "point": None if pt is None else [float(pt[0]), float(pt[1])]}
-                     for name, pt in failures],
+        "failures": [{"invariant": name, "point": pt} for name, pt in failures],
         "gradient_fd_relative_error": grad_err,
     }
     return Run({"validation.json": payload}, payload, code=0 if not failures else 1)
@@ -107,21 +105,19 @@ def _cmd_rays(args, cfg):
     H = _ham(coeffs, traj.states)
     payload = {
         "L": result.L,
-        "maximizer": {"x": [float(v) for v in result.maximizer.x],
-                      "xi": [float(v) for v in result.maximizer.xi]},
+        "maximizer": {"x": result.maximizer.x, "xi": result.maximizer.xi},
         "censored_fraction": result.diagnostics.censored_fraction,
         "n_samples": result.diagnostics.n_samples,
         "n_glancing": result.diagnostics.n_glancing,
         "n_budget": result.diagnostics.n_budget,
-        "refinement_history": [float(v) for v in result.diagnostics.refinement_history],
-        "H_drift": float(np.max(np.abs(H))),
-        "R": float(R),
+        "refinement_history": result.diagnostics.refinement_history,
+        "H_drift": np.max(np.abs(H)),
+        "R": R,
     }
     artifacts = {"rays.json": payload}
     if args.dump_trajectory:
         artifacts["trajectory.csv"] = (
-            ["s", "x1", "x2", "xi1", "xi2", "H"],
-            [(t, s[0], s[1], s[2], s[3], h) for t, s, h in zip(traj.times, traj.states, H)])
+            ["s", "x1", "x2", "xi1", "xi2", "H"], [traj.times, *traj.states.T, H])
     return Run(artifacts, payload)
 
 
@@ -134,8 +130,7 @@ def _cmd_trapping(args, cfg):
         "n_budget": report.n_budget,
         "n_glancing": report.n_glancing,
         "budget": report.budget,
-        "censored": [{"x": [float(v) for v in p.x], "xi": [float(v) for v in p.xi]}
-                     for p in report.censored_initial_conditions],
+        "censored": [{"x": p.x, "xi": p.xi} for p in report.censored_initial_conditions],
     }
     return Run({"trapping.json": payload},
                {k: payload[k] for k in ("nontrapping", "n_samples", "n_budget", "n_glancing")})
@@ -143,12 +138,12 @@ def _cmd_trapping(args, cfg):
 
 def _cmd_dtn_check(args, cfg):
     op = build_dtn(args.k, args.R, args.nmax)
-    rows = [(int(n), float(op.t(n).real), float(op.t(n).imag)) for n in op.orders]
-    sign_ok = bool(np.all(op.coefficients.real <= 1e-12 * np.abs(op.coefficients)))
+    t = op.coefficients
+    sign_ok = np.all(t.real <= 1e-12 * np.abs(t))
     payload = {"k": args.k, "R": args.R, "n_max": op.n_max,
-               "sign_property_re_nonpositive": sign_ok,
-               "max_re": float(op.coefficients.real.max())}
-    return Run({"dtn_coefficients.csv": (["n", "re_t_n", "im_t_n"], rows),
+               "sign_property_re_nonpositive": sign_ok, "max_re": t.real.max()}
+    return Run({"dtn_coefficients.csv": (["n", "re_t_n", "im_t_n"],
+                                         [op.orders, t.real, t.imag]),
                 "sign_report.json": payload}, payload, code=0 if sign_ok else 1)
 
 
@@ -173,7 +168,7 @@ def _cmd_solve(args, cfg):
     u = solve(system, rhs)
     vv = u.vertex_values()
     payload = {
-        "k": float(k), "h_target": float(h), "h_fem": mesh.h_fem,
+        "k": k, "h_target": h, "h_fem": mesh.h_fem,
         "problem": args.problem,
         "n_vertices": mesh.n_vertices, "n_dofs": space.n_dofs,
         "shape_regularity": mesh.shape_regularity,
@@ -185,9 +180,8 @@ def _cmd_solve(args, cfg):
                 + system.projection.shape[0]),
         "lu_fill": system.factorize().nnz,
     }
-    return Run({"solution.csv": (["vertex", "x1", "x2", "re_u", "im_u"],
-                                 [(i, mesh.vertices[i, 0], mesh.vertices[i, 1], vv[i].real,
-                                   vv[i].imag) for i in range(mesh.n_vertices)]),
+    columns = [np.arange(mesh.n_vertices), *mesh.vertices.T, vv.real, vv.imag]
+    return Run({"solution.csv": (["vertex", "x1", "x2", "re_u", "im_u"], columns),
                 "solve.json": payload}, payload)
 
 
@@ -232,8 +226,8 @@ def _cmd_resolvent_scan(args, cfg):
                           rtol=1e-4, seed=cfg.seed())
     header = ["k", "norm", "k_times_norm", "lower_reference", "upper_reference",
               "converged", "iterations"]
-    rows = [tuple(str(r[c]) if c == "converged" else r[c] for c in header) for r in scan.rows]
-    return Run({"resolvent_scan.csv": (header, rows)}, scan.rows,
+    columns = [[r[c] for r in scan.rows] for c in header]
+    return Run({"resolvent_scan.csv": (header, columns)}, scan.rows,
                manifest={"method": scan.method, "s": scan.s})
 
 
@@ -264,12 +258,11 @@ def _cmd_convergence(args, cfg):
     header = ["k", "h_target", "h_fem", "energy_error", "l2_error",
               "best_approx_error", "qo_ratio", "threshold_rhs", "admissible",
               "failed"]
-    rows = [tuple(r.get(col, "") if not isinstance(r.get(col), bool) else str(r.get(col))
-                  for col in header) for r in table.rows]
     summary = {"quasioptimality_bound": table.quasioptimality_bound,
                "rows": len(table.rows),
                "admissible_rows": sum(1 for r in table.rows if r.get("admissible") is True)}
-    return Run({"convergence.csv": (header, rows), "summary.json": summary},
+    columns = [[r.get(c) for r in table.rows] for c in header]    # None: not computed
+    return Run({"convergence.csv": (header, columns), "summary.json": summary},
                f"{len(table.rows)} rows; bound 2(1+C_DtN) = "
                f"{table.quasioptimality_bound:.4f}")
 
@@ -278,7 +271,7 @@ def _cmd_h2_scan(args, cfg):
     result = h2_scaling_study(*cfg.problem(), _floats(args.ks), seed=cfg.seed())
     header = ["k", "load", "h2_over_f", "ratio_to_linear", "h_fem"]
     summary = {"fitted_exponent": result["fitted_exponent"]}
-    return Run({"h2_scan.csv": (header, [tuple(r[c] for c in header) for r in result["rows"]]),
+    return Run({"h2_scan.csv": (header, [[r[c] for r in result["rows"]] for c in header]),
                 "summary.json": summary}, summary)
 
 
@@ -289,7 +282,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI configuration path")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, dest="experiment.seed",
+    # only the subcommands that draw random numbers take a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, dest="experiment.seed",
                         help="override the config seed")
 
     p = argparse.ArgumentParser(prog="helmray",
@@ -298,8 +293,8 @@ def build_parser():
                                             "mesh-threshold constants")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add(name, help_text, *parents):
+        return sub.add_parser(name, help=help_text, parents=[common, *parents])
 
     sp = add("validate", "check configuration invariants")
     sp.set_defaults(fn=_cmd_validate)
@@ -333,7 +328,7 @@ def build_parser():
                     help="degrees")
     sp.set_defaults(fn=_cmd_solve)
 
-    sp = add("constants", "estimate the constants ledger")
+    sp = add("constants", "estimate the constants ledger", seeded)
     sp.add_argument("--samples", type=int, default=8)
     sp.add_argument("--allow-censored", action="store_true")
     sp.set_defaults(fn=_cmd_constants)
@@ -344,7 +339,7 @@ def build_parser():
     sp.add_argument("--h", type=float, default=None)
     sp.set_defaults(fn=_cmd_threshold)
 
-    sp = add("resolvent-scan", "cutoff resolvent norms over k")
+    sp = add("resolvent-scan", "cutoff resolvent norms over k", seeded)
     sp.add_argument("--ks", required=True, help="comma-separated wavenumbers")
     sp.add_argument("--s", type=int, choices=(0, 1), default=0)
     sp.set_defaults(fn=_cmd_resolvent_scan)
@@ -355,7 +350,7 @@ def build_parser():
     sp.add_argument("--h", type=float, default=0.01)
     sp.set_defaults(fn=_cmd_quasimode)
 
-    sp = add("eta", "adjoint best-approximation estimate")
+    sp = add("eta", "adjoint best-approximation estimate", seeded)
     sp.add_argument("--k", type=float, dest="wave.k")
     sp.add_argument("--h", type=float, dest="fem.h")
     sp.add_argument("--samples", type=int, default=8)
@@ -367,7 +362,7 @@ def build_parser():
     sp.add_argument("--hs", required=True)
     sp.set_defaults(fn=_cmd_convergence)
 
-    sp = add("h2-scan", "second-order norm growth in k")
+    sp = add("h2-scan", "second-order norm growth in k", seeded)
     sp.add_argument("--ks", required=True)
     sp.set_defaults(fn=_cmd_h2_scan)
 
@@ -394,7 +389,7 @@ def main(argv=None):
         write_json(out / "manifest.json", _manifest(args, cfg, run.manifest))
         (out / "config.ini").write_text(cfg.to_text())
         print(run.summary if isinstance(run.summary, str)
-              else json.dumps(run.summary, indent=2, default=fmt_float))
+              else json.dumps(run.summary, indent=2, default=json_default))
         return run.code
     except Exception as exc:
         report = {"error": type(exc).__name__, "message": str(exc),

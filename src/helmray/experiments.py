@@ -243,6 +243,9 @@ def quasimode_lower_bound(L, delta, h) -> QuasimodeResult:
 # adjoint approximation quality (eta)
 
 
+_PROJECTION_QUAD_DEGREE = 2   # fine-mesh quadrature of the projection
+
+
 class _CrossMeshProjector:
     """Energy-orthogonal projection of fine-mesh functions onto a coarse space.
 
@@ -251,10 +254,10 @@ class _CrossMeshProjector:
     one SPD solve per sample.
     """
 
-    def __init__(self, coeffs, coarse_space, fine_space, k, quad_degree=2):
+    def __init__(self, coeffs, coarse_space, fine_space, k):
         self.k = k
         self.fine = fine_space
-        pts, wts, bary = quadrature(fine_space.mesh, quad_degree)
+        pts, wts, _ = quadrature(fine_space.mesh, _PROJECTION_QUAD_DEGREE)
         flat = pts.reshape(-1, 2)
         self.wts = wts
         tri, lam = coarse_space.mesh.locate(flat)
@@ -269,7 +272,7 @@ class _CrossMeshProjector:
 
     def best_approx_error_sq(self, u_fine: DiscreteSolution, u_energy_sq):
         """min over coarse v of |u - v|_E^2 = |u|_E^2 - b^H Ec^{-1} b."""
-        vals, grads_q, _, _ = _fe_values(self.fine, u_fine.dofs, 2)
+        vals, grads_q, _, _ = _fe_values(self.fine, u_fine.dofs, _PROJECTION_QUAD_DEGREE)
         w = self.wts.ravel()
         uv = vals.ravel()
         ug = grads_q.reshape(-1, 2)
@@ -407,7 +410,6 @@ def h2_scaling_study(coeffs, obstacle, geom, k_values, seed=0, loads=3):
         space = build_space(mesh)
         dtn = build_dtn(k, geom.R)
         system = assemble(coeffs, space, dtn, k)
-        system.factorize()
         vals = []
         for j, (phi, offset) in enumerate(beams):
             d = np.array([np.cos(phi), np.sin(phi)])

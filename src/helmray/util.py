@@ -147,29 +147,29 @@ def power_sigma(apply_normal, m_dot, v0, rtol=1e-5, maxit=400):
     return float(sigma), maxit, False
 
 
-def fmt_float(x):
-    """Shortest round-trip decimal form; deterministic for identical doubles."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, complex):
-        return f"{fmt_float(x.real)}{'+' if x.imag >= 0 else '-'}{fmt_float(abs(x.imag))}j"
-    return repr(float(x))
-
-
-def write_csv(path, header, rows):
-    """RFC-4180 CSV with deterministic float formatting."""
+def write_csv(path, header, columns):
+    """RFC-4180 CSV of equal-length columns (ndarrays or lists), one row per
+    index.  Floats are written in their shortest round-trip form, ``None`` as an
+    empty cell and bools as ``True``/``False``."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else fmt_float(c) for c in row])
+        w.writerows(rows)
 
 
 def sha256_text(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def json_default(obj):
+    """``default`` of every JSON encoding: numpy scalars and arrays as Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")

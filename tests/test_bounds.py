@@ -203,6 +203,19 @@ def test_estimate_C_H2_radial_oracle(ch2_setup):
     assert ratio == pytest.approx(ratio_exact, rel=0.02)
 
 
+def test_estimate_C_H2_certifies_every_solve(ch2_setup, monkeypatch):
+    # a factorization whose solves are off by 1e-3 must not pass the
+    # residual certificate, here on a disk fan (the sparse LU)
+    from helmray.fem import Factorization, SolveError
+
+    exact = Factorization.solve
+    monkeypatch.setattr(Factorization, "solve",
+                        lambda self, b, trans="N": (1.0 + 1e-3) * exact(self, b, trans))
+    coeffs, geom = ch2_setup
+    with pytest.raises(SolveError):
+        estimate_C_H2(coeffs, None, geom, h=0.08, samples=1)
+
+
 def test_estimate_C_H2_scale_invariant_and_monotone(ch2_setup):
     coeffs, geom = ch2_setup
     a = estimate_C_H2(coeffs, None, geom, h=0.08, samples=2, seed=3)

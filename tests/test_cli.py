@@ -1,4 +1,6 @@
+import argparse
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmray.cli import main
+from helmray.cli import build_parser, main
 from helmray.config import _KEYS, RunConfig
 from helmray.dtn import build_dtn
 from helmray.fem import assemble, build_space
 from helmray.geometry import COEFFICIENT_PRESETS
 from helmray.mesh import generate_mesh
+from helmray.util import write_json
 
 EUCLID_CFG = """
 [geometry]
@@ -197,7 +200,7 @@ def test_threshold_matches_hand_formula(tmp_path):
                           A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
                           k0=1.0, L_ray=2.0)
     ledger_path = tmp_path / "ledger.json"
-    led.to_json(ledger_path)
+    write_json(ledger_path, asdict(led))
     cfg = _write(tmp_path, EUCLID_CFG)
     k, h = 10.0, 0.01
     rc = main(["threshold", "--config", cfg, "--ledger", str(ledger_path),
@@ -268,6 +271,21 @@ def test_resolvent_scan_deterministic(tmp_path):
         assert rc == 0
         outs.append((tmp_path / name / "resolvent_scan.csv").read_bytes())
     assert outs[0] == outs[1]
+    # the seed override lands in config.ini and the manifest
+    written = RunConfig.from_file(tmp_path / "a" / "config.ini")
+    assert written.sections["experiment"]["seed"] == "7"
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["seed"] == 7 and manifest["config_sha256"] == written.sha256()
+
+
+def test_seed_only_on_subcommands_that_draw_random_numbers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seeded = {name for name, sp in sub.choices.items()
+              if any("--seed" in a.option_strings for a in sp._actions)}
+    assert seeded == {"constants", "resolvent-scan", "eta", "h2-scan"}
+    for argv in (["dtn-check", "--k", "5", "--R", "2"], ["solve"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--seed", "5"])
 
 
 def test_solve_subcommand_outputs(tmp_path):
@@ -325,7 +343,7 @@ def test_convergence_subcommand(tmp_path):
                           A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
                           k0=2.0, L_ray=float(np.sqrt(9 - 0.25)))
     ledger_path = tmp_path / "ledger.json"
-    led.to_json(ledger_path)
+    write_json(ledger_path, asdict(led))
     cfg = _write(tmp_path, DISK_CFG)
     rc = main(["convergence", "--config", cfg, "--ledger", str(ledger_path),
                "--ks", "2", "--hs", "0.08,0.04", "--out", str(tmp_path / "o")])
@@ -370,8 +388,9 @@ def test_h2_scan_subcommand(tmp_path):
 def test_runner_writes_manifest_config_and_json_summary(tmp_path, capsys, argv):
     from helmray.bounds import ConstantsLedger
     if argv[0] == "threshold":
-        ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0, A_min=1.0, A_max=1.0,
-                        nu_min=1.0, nu_max=1.0, k0=1.0, L_ray=2.0).to_json(tmp_path / "l.json")
+        ledger = ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0, A_min=1.0,
+                                 A_max=1.0, nu_min=1.0, nu_max=1.0, k0=1.0, L_ray=2.0)
+        write_json(tmp_path / "l.json", asdict(ledger))
         argv = argv + ["--ledger", str(tmp_path / "l.json")]
     out = tmp_path / "o"
     rc = main(argv + ["--config", _write(tmp_path, EUCLID_CFG), "--out", str(out)])
@@ -385,15 +404,13 @@ def test_runner_writes_manifest_config_and_json_summary(tmp_path, capsys, argv):
 def test_solve_overrides_land_in_config_and_rerun_reproduces(tmp_path):
     cfg = _write(tmp_path, DISK_CFG)
     out = tmp_path / "a"
-    rc = main(["solve", "--config", cfg, "--k", "3", "--h", "0.1", "--seed", "5",
-               "--out", str(out)])
+    rc = main(["solve", "--config", cfg, "--k", "3", "--h", "0.1", "--out", str(out)])
     assert rc == 0
     written = RunConfig.from_file(out / "config.ini")
     assert written.sections["wave"]["k"] == "3.0"
     assert written.sections["fem"]["h"] == "0.1"
-    assert written.sections["experiment"]["seed"] == "5"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 5 and manifest["config_sha256"] == written.sha256()
+    assert manifest["config_sha256"] == written.sha256()
     rc = main(["solve", "--config", str(out / "config.ini"), "--out", str(tmp_path / "b")])
     assert rc == 0
     assert ((tmp_path / "b" / "solution.csv").read_bytes()
