@@ -4,6 +4,7 @@ adjoint-approximation quality, quasioptimality sweeps, and H^2 growth in k."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -11,10 +12,11 @@ import scipy.sparse.linalg as spla
 
 from .bounds import ConstantsLedger, mesh_threshold, resolvent_upper_bound, volterra_norm
 from .dtn import build_dtn
-from .fem import (DiscreteSolution, SolveError, _fe_values, _shared_csr, assemble,
-                  assemble_load_scattering, assemble_load_source, build_space,
-                  element_gradients, errors_vs_exact, l2_norm_exact, nodal_interpolant,
-                  quadrature, recovered_hessian_h2_norm, solve, solve_adjoint)
+from .fem import (AngularFactorization, DiscreteSolution, SolveError, _fe_values,
+                  _shared_csr, assemble, assemble_load_scattering, assemble_load_source,
+                  build_space, element_gradients, errors_vs_exact, l2_norm_exact,
+                  nodal_interpolant, quadrature, recovered_hessian_h2_norm, solve,
+                  solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
@@ -134,7 +136,7 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     system = assemble(coeffs, space, dtn, k)
     M = system.mass_plain
     apply_normal, m_dot = cutoff_normal(
-        system.factorize(), spla.splu(M.tocsc()), M,
+        system.factorize(), _mass_solver(system), M,
         M if s == 0 else system.energy_matrix(),
         cutoff.at_points(mesh.vertices[space.free_vertices]))
     rng = make_rng(seed)
@@ -143,6 +145,21 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     return ResolventEstimate(value=sigma, k=k, s=s, method="fem2d",
                              converged=conv, iterations=iters,
                              resolution={"h": h, "n_dofs": space.n_dofs})
+
+
+def _mass_solver(system):
+    """b -> M^{-1} b for the plain mass M and a complex b: the angular solver
+    where M equals its angle-averaged stencil to rounding (a centred disk
+    annulus), with b as one complex column; otherwise SuperLU of M, with the
+    real and imaginary parts of b as two real columns.  On a star annulus the
+    angular mass solve needs 21 GMRES iterations, 15 times the time of an LU
+    solve at 89,608 dofs."""
+    M, n_theta = system.mass_plain, system.fe_space.mesh.n_theta
+    if n_theta:
+        mass = AngularFactorization(M, n_theta)
+        if mass.invariant:
+            return mass.solve
+    return partial(solve_real, spla.splu(M.tocsc()))
 
 
 @dataclass

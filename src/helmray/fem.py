@@ -15,9 +15,13 @@ coupling between rings, since P is the boundary DFT and the radiation term is
 one scalar per angular frequency.  Its angle-averaged stencil (T. Chan's
 optimal circulant, SIAM J. Sci. Stat. Comput. 9, 1988) is solved by an FFT in
 angle and one tridiagonal solve per frequency (Hockney, J. ACM 12, 1965) with
-LAPACK's ``?gttrf`` (:class:`TridiagonalLU`), and preconditions GMRES on the
-true operator, which for an invariant system needs no iteration (or one, where
-the assembly is circulant only to rounding).  A disk fan has no such layout:
+LAPACK's ``?gttrf`` (:class:`TridiagonalLU`).  A solve starts from the
+circulant solve and checks its residual on the true operator: columns above
+1e-12 take one refinement step, and only those still above it go to GMRES,
+preconditioned by the circulant solve.  An invariant system, circulant to
+rounding, needs no GMRES iteration.  The same class factors the plain mass
+matrix; the resolvent estimate solves with it where the mesh is invariant in
+angle (a centred disk annulus).  A disk fan has no such layout:
 its modes mu = P u become unknowns of the sparse bordered system
     [[K0, -C], [P, -I_m]] [u; mu] = [b; 0]
 (Keller & Givoli, J. Comput. Phys. 82, 1989), factored by SuperLU in a
@@ -237,44 +241,59 @@ def dissection_lu(system: "GalerkinSystem") -> Factorization:
 
 _GMRES_RTOL, _GMRES_RESTART, _GMRES_CYCLES = 1e-12, 50, 4
 CERTIFIED_RTOL = 1e-10     # relative residual a solve must reach
+# largest gap between the entries of a matrix and its angle-averaged stencil,
+# relative to its largest entry, that still counts as rounding: the mass of a
+# centred disk annulus reaches 2.4e-13 at 301,940 dofs, that of a star
+# annulus 0.14 or more, since its diagonals flip with the angle
+_INVARIANT_RTOL = 1e-10
 
 
 class AngularFactorization:
-    """Solver of a system on a star annulus: GMRES on K0 - C P, preconditioned
-    by the angle-averaged circulant solve (FFT in angle, one tridiagonal solve
-    per frequency).
+    """Solver of a ring-structured real matrix on a star annulus: the system's
+    K0 with its DtN closure, or the plain mass matrix with none (the resolvent
+    estimate's mass solve where the matrix is ``invariant``).
 
     Dof l * n_theta + i sits on free ring l at angle 2 pi i / n_theta.  The
-    stencil of K0 between rings l and l + dl at angular offset di, averaged
-    over i, gives the symbol T_f[l, l + dl] = sum_di s[l, dl, di] w^(f di),
-    w = e^(2 pi i / n_theta); the radiation term adds -2 pi R t_n / n_theta on
-    the outer ring at frequency f = n mod n_theta.  The n_theta tridiagonal
-    blocks are factored as one frequency-major tridiagonal matrix.
+    stencil of the matrix between rings l and l + dl at angular offset di,
+    averaged over i, gives the symbol T_f[l, l + dl] = sum_di s[l, dl, di]
+    w^(f di), w = e^(2 pi i / n_theta); the DtN closure adds -2 pi R t_n /
+    n_theta on the outer ring at frequency f = n mod n_theta.  The n_theta
+    tridiagonal blocks are factored as one frequency-major tridiagonal matrix,
+    and ``precondition`` is the circulant solve with them.  ``invariant``
+    records whether the matrix equals its angle-averaged stencil to rounding,
+    as on a centred disk, where the circulant solve is exact.
+
+    ``solve`` checks every column against ``apply(u, trans)``, the true
+    operator (the matrix itself unless given): x = precondition(b) and one
+    refinement step x += precondition(b - apply(x)) where the residual is
+    above 1e-12 |b|, then GMRES from x on the columns still above it.
     ``iterations`` holds the GMRES iterations of the last ``solve``.
     """
     solver = "angular"
 
-    def __init__(self, system: "GalerkinSystem"):
-        n_theta = system.fe_space.mesh.n_theta
-        K = system.operator
+    def __init__(self, matrix: sp.csr_matrix, n_theta: int,
+                 dtn: Optional[DtnOperator] = None, apply: Optional[Callable] = None):
+        K = matrix
         n_rings = K.shape[0] // n_theta
         ring, i = np.divmod(np.repeat(np.arange(K.shape[0], dtype=K.indices.dtype),
                                       np.diff(K.indptr)), n_theta)
         ring_c, i_c = np.divmod(K.indices, n_theta)
         dl, di = ring_c - ring + 1, (i_c - i + 1) % n_theta    # 0, 1, 2 for -1, 0, 1
-        stencil = np.bincount((ring * 3 + dl) * 3 + di, weights=K.data,
-                              minlength=9 * n_rings).reshape(n_rings, 3, 3) / n_theta
-        symbol = stencil @ np.exp(2j * np.pi / n_theta
-                                  * np.outer([-1, 0, 1], np.arange(n_theta)))
-        if system.dtn is not None:
-            n = np.arange(-system.dtn.n_max, system.dtn.n_max + 1)
-            np.add.at(symbol[-1, 1], n % n_theta,
-                      -2.0 * np.pi * system.dtn.R * system.dtn.coefficients / n_theta)
+        slot = (ring * 3 + dl) * 3 + di
+        stencil = np.bincount(slot, weights=K.data, minlength=9 * n_rings) / n_theta
+        self.invariant = bool(np.max(np.abs(K.data - stencil[slot]), initial=0.0)
+                              <= _INVARIANT_RTOL * np.max(np.abs(K.data), initial=0.0))
+        symbol = stencil.reshape(n_rings, 3, 3) @ np.exp(
+            2j * np.pi / n_theta * np.outer([-1, 0, 1], np.arange(n_theta)))
+        if dtn is not None:
+            n = np.arange(-dtn.n_max, dtn.n_max + 1)
+            np.add.at(symbol[-1, 1], n % n_theta, -2.0 * np.pi * dtn.R * dtn.coefficients / n_theta)
         # frequency-major unknowns f * n_rings + l; the entries that would couple
         # neighbouring blocks (below ring 0, above the last ring) are zero
         lower, diag, upper = (symbol[:, d].T.ravel() for d in range(3))
         self.lu = TridiagonalLU(lower[1:], diag, upper[:-1])
-        self.system, self.n_theta, self.n_rings = system, n_theta, n_rings
+        self._apply = apply or (lambda u, trans="N": (K.T if trans == "H" else K) @ u)
+        self.n_theta, self.n_rings = n_theta, n_rings
         self.iterations = 0
 
     @property
@@ -289,8 +308,8 @@ class AngularFactorization:
         return np.fft.ifft(x, axis=1).reshape(b.shape)
 
     def solve(self, b, trans="N"):
-        """x with (K0 - C P) x = b (or its transpose, or conjugate transpose),
-        column by column; GMRES starts from the preconditioned right-hand side.
+        """x with A x = b (or its transpose, or conjugate transpose), column by
+        column, for the true operator A.
 
         GMRES aims at a relative residual of 1e-12.  That lies below the
         rounding floor of fine meshes with mass-weighted loads (a source load
@@ -302,11 +321,19 @@ class AngularFactorization:
         if trans == "T":
             return np.conj(self.solve(np.conj(b), "H"))
         n = len(b)
-        A = spla.LinearOperator((n, n), lambda u: self.system.apply(u, trans), dtype=complex)
-        M = spla.LinearOperator((n, n), lambda u: self.precondition(u, trans), dtype=complex)
-        B, x = b.reshape(n, -1), self.precondition(b, trans).reshape(n, -1)
+        B = b.reshape(n, -1)
+        target = _GMRES_RTOL * np.linalg.norm(B, axis=0)
+        x = self.precondition(B, trans)
+        r = B - self._apply(x, trans)
+        todo = np.flatnonzero(np.linalg.norm(r, axis=0) > target)
+        if todo.size:
+            x[:, todo] += self.precondition(r[:, todo], trans)
+            res = np.linalg.norm(B[:, todo] - self._apply(x[:, todo], trans), axis=0)
+            todo = todo[res > target[todo]]
         self.iterations = 0
-        for j in range(x.shape[1]):
+        A = spla.LinearOperator((n, n), lambda u: self._apply(u, trans), dtype=complex)
+        M = spla.LinearOperator((n, n), lambda u: self.precondition(u, trans), dtype=complex)
+        for j in todo:
             steps = []
             x[:, j], info = spla.gmres(A, B[:, j], x0=x[:, j], M=M,
                                        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
@@ -314,7 +341,7 @@ class AngularFactorization:
                                        callback_type="pr_norm")
             self.iterations += len(steps)
             if info:    # stalled: at the rounding floor, or not converged
-                r = self.system.apply(x[:, j], trans) - B[:, j]
+                r = self._apply(x[:, j], trans) - B[:, j]
                 res = np.linalg.norm(r) / np.linalg.norm(B[:, j])
                 if res > CERTIFIED_RTOL:
                     raise SolveError(f"GMRES stopped at relative residual {res:.3e} "
@@ -372,8 +399,10 @@ class GalerkinSystem:
         """The angular solver on a star annulus, the nested-dissection LU on a
         disk fan; either has ``solve(b, trans)`` on dof vectors and ``nnz``."""
         if self._factorization is None:
-            self._factorization = (AngularFactorization(self) if self.fe_space.mesh.n_theta
-                                   else dissection_lu(self))
+            n_theta = self.fe_space.mesh.n_theta
+            self._factorization = (
+                AngularFactorization(self.operator, n_theta, self.dtn, self.apply)
+                if n_theta else dissection_lu(self))
         return self._factorization
 
     def energy_matrix(self):

@@ -16,13 +16,14 @@ matrices with ``fem.TridiagonalLU``, the angular solver's LAPACK ``?gttrf``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .dtn import default_n_max, hankel_ratio
 from .fem import TridiagonalLU
-from .util import cutoff_normal, power_sigma
+from .util import cutoff_normal, power_sigma, solve_real
 
 _GP = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GW = np.array([5.0, 8.0, 5.0]) / 9.0
@@ -144,8 +145,8 @@ def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed
     Input norm is the plain radial mass; output norm is the mass (s = 0) or the
     k-weighted energy Gram (s = 1).
     """
-    apply_normal, m_dot = cutoff_normal(mode.lu(), mode.lu_mass(), mode.M,
-                                        mode.M if s == 0 else mode.E, chi_vals)
+    apply_normal, m_dot = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()),
+                                        mode.M, mode.M if s == 0 else mode.E, chi_vals)
     rng = np.random.default_rng(seed)
     n = mode.M.shape[0]
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -107,16 +107,17 @@ def solve_real(lu, b):
     return (x[:, :m] + 1j * x[:, m:]).reshape(b.shape)
 
 
-def cutoff_normal(lu, mass_lu, M, B, ch):
+def cutoff_normal(lu, mass_solve, M, B, ch):
     """Normal operator of T f = ch K^{-1} M (ch f), and the mass inner product.
 
-    ``lu`` factors the system K and ``mass_lu`` the real mass M; the input
-    norm is M, the output norm B, and the adjoint is taken in M.  Returns
-    ``(apply_normal, m_dot)`` for :func:`power_sigma`.
+    ``lu`` factors the system K and ``mass_solve(b)`` is M^{-1} b for the real
+    mass M and a complex b; the input norm is M, the output norm B, and the
+    adjoint is taken in M.  Returns ``(apply_normal, m_dot)`` for
+    :func:`power_sigma`.
     """
     def apply_normal(v):
         w = ch * lu.solve(M @ (ch * v))
-        return solve_real(mass_lu, ch * (M @ lu.solve(ch * (B @ w), trans="H")))
+        return mass_solve(ch * (M @ lu.solve(ch * (B @ w), trans="H")))
 
     def m_dot(u, v):
         return np.vdot(u, M @ v)

@@ -1,7 +1,18 @@
-import numpy as np
-import pytest
+import os
+import sys
 
-from helmray.geometry import (TruncationGeometry, disk_obstacle,
+# One BLAS thread, as the benchmark workers run: with two threads on a busy
+# 2-vCPU host, multi-column SuperLU solves took ten times as long.  The
+# variables are read when numpy loads, so they are set before it is imported;
+# a variable already in the environment wins.
+NUMPY_LOADED_BEFORE_BLAS_PIN = "numpy" in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from helmray.geometry import (TruncationGeometry, disk_obstacle,  # noqa: E402
                               identity_coefficients, nu_bump_coefficients)
 
 

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from helmray.config import RunConfig
 from helmray.dtn import FourierTrace, build_dtn, dtn_pairing
-from helmray.fem import (_fe_values, assemble, assemble_load_scattering,
+from helmray.experiments import RadialCutoff, _mass_solver, estimate_resolvent_norm
+from helmray.fem import (AngularFactorization, _fe_values, assemble, assemble_load_scattering,
                          assemble_load_source, build_space, dissection_lu, element_gradients,
                          energy_norm, errors_vs_exact, l2_norm_exact, modal_projection,
                          nodal_interpolant, quadrature, recovered_hessian_h2_norm, solve,
@@ -17,7 +18,7 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               identity_coefficients, nu_bump_coefficients)
 from helmray.mesh import _cross2, generate_mesh
 from helmray.mie import point_source, soft_disk_total_field
-from helmray.util import triangle_rule
+from helmray.util import solve_real, triangle_rule
 from conftest import rng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -442,6 +443,86 @@ def test_unconverged_gmres_raises(monkeypatch):
     monkeypatch.setattr(fem, "_GMRES_CYCLES", 1)
     with pytest.raises(fem.SolveError):
         system.factorize().solve(_random_dofs(system.fe_space, 11))
+
+
+def test_invariant_annulus_solve_needs_no_gmres_iteration(monkeypatch):
+    # a cutoff load of the fem2d resolvent estimate on disk.ini, smooth like the
+    # power-iteration loads, for which the circulant solve alone misses the
+    # GMRES target and one refinement step meets it
+    import helmray.fem as fem
+
+    coeffs, obstacle, geom = _case("disk")
+    k = 4.0
+    space = build_space(generate_mesh(obstacle, geom, 0.5 / k**2))
+    system = assemble(coeffs, space, build_dtn(k, geom.R), k)
+    xy = space.mesh.vertices[space.free_vertices]
+    b = system.mass_plain @ (RadialCutoff(0.8, 0.97).at_points(xy) * np.exp(1j * k * xy[:, 0]))
+    calls = {"apply": 0, "precondition": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("apply", fem.GalerkinSystem), ("precondition", AngularFactorization)):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    lu = system.factorize()
+    for trans in ("N", "H"):
+        calls.update(apply=0, precondition=0)
+        x = lu.solve(b, trans=trans)
+        assert calls["apply"] <= 2 and calls["precondition"] <= 2 and lu.iterations == 0
+        assert np.linalg.norm(system.apply(x, trans) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_angular_mass_solve_matches_superlu(disk_setup):
+    import scipy.sparse.linalg as spla
+
+    geom, obs, mesh, space = disk_setup
+    M = assemble(identity_coefficients(), space, None, 1.0).mass_plain
+    mass = AngularFactorization(M, mesh.n_theta)
+    assert mass.invariant
+    b = np.stack([_random_dofs(space, 15), _random_dofs(space, 16)], axis=1)
+    for rhs in (b[:, 0], b):
+        x, ref = mass.solve(rhs), solve_real(spla.splu(M.tocsc()), rhs)
+        assert x.shape == rhs.shape and mass.iterations == 0
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["star", "fan"])
+def test_star_annulus_and_fan_keep_the_lu_mass(name, unit_setup, monkeypatch):
+    import helmray.fem as fem
+
+    if name == "fan":
+        system = assemble(identity_coefficients(), unit_setup[2], None, 1.0)
+    else:
+        system = _oracle_system("star")
+        mass = AngularFactorization(system.mass_plain, system.fe_space.mesh.n_theta)
+        assert not mass.invariant
+    splu, factored = fem.spla.splu, []
+
+    def counted(*args, **kwargs):
+        factored.append(splu(*args, **kwargs))
+        return factored[-1]
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    b = _random_dofs(system.fe_space, 17)
+    x = _mass_solver(system)(b)
+    assert len(factored) == 1
+    assert np.array_equal(x, solve_real(factored[0], b))
+
+
+def test_disk_annulus_resolvent_estimate_makes_no_superlu_call(monkeypatch):
+    import helmray.fem as fem
+
+    def splu(*args, **kwargs):
+        raise AssertionError("SuperLU called on a centred disk annulus")
+
+    monkeypatch.setattr(fem.spla, "splu", splu)
+    coeffs, obstacle, geom = _case("disk")
+    est = estimate_resolvent_norm(coeffs, obstacle, geom, 4.0, RadialCutoff(0.8, 0.97), 0.05,
+                                  method="fem2d")
+    assert est.method == "fem2d" and est.converged
 
 
 def test_reread_annulus_mesh_solves_on_angular_path(disk_setup, tmp_path):

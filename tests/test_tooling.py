@@ -11,6 +11,7 @@ that overrides a config value must name a key of the config table."""
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -20,6 +21,14 @@ from helmray.cli import build_parser
 from helmray.config import _KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_blas_threads_pinned_before_numpy_loads():
+    import conftest
+
+    assert not conftest.NUMPY_LOADED_BEFORE_BLAS_PIN
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert var in os.environ
 
 
 def test_benchmark_tracer_installs():
