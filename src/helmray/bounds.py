@@ -15,7 +15,7 @@ the cumulative-integration operator norm 2L/pi.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -80,8 +80,22 @@ class ConstantsLedger:
         return 1.0 + self.C_DtN
 
     def validate(self):
-        if not (self.C_cont <= 1.0 + self.C_DtN + 1e-12):
-            raise ValueError("continuity constant exceeds 1 + C_DtN")
+        """Reject constants the theory does not admit; a ledger may be read
+        from a file, so every numeric field is checked."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "provenance" and not np.isfinite(value):
+                raise ValueError(f"{f.name} = {value} is not finite")
+        for name, ok in (("C_int_tilde", self.C_int_tilde > 0), ("C_H2", self.C_H2 > 0),
+                         ("C_DtN_tilde", self.C_DtN_tilde >= 0)):
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)} is out of range")
+        if not 0 < self.A_min <= self.A_max:
+            raise ValueError(f"need 0 < A_min <= A_max, got A_min = {self.A_min}, "
+                             f"A_max = {self.A_max}")
+        if not 0 < self.nu_min <= self.nu_max:
+            raise ValueError(f"need 0 < nu_min <= nu_max, got nu_min = {self.nu_min}, "
+                             f"nu_max = {self.nu_max}")
         if self.L_ray < 2.0:
             raise ValueError(
                 f"L_ray = {self.L_ray} < 2: a ray must cross the padding annulus "

@@ -92,13 +92,6 @@ class FourierTrace:
         coeffs = np.concatenate([fft[-n_max:], fft[: n_max + 1]])
         return cls(coefficients=coeffs, R=R)
 
-    @classmethod
-    def from_function(cls, fn, R, n_max):
-        N = max(4 * n_max + 4, 64)
-        th = 2.0 * np.pi * np.arange(N) / N
-        full = cls.from_samples(fn(th), R)
-        return full.truncated(n_max)
-
     def truncated(self, n_max):
         m = self.n_max
         if n_max > m:
@@ -111,10 +104,6 @@ class FourierTrace:
         theta = np.asarray(theta, dtype=float)
         n = np.arange(-self.n_max, self.n_max + 1)
         return np.tensordot(np.exp(1j * np.outer(theta, n)), self.coefficients, axes=(1, 0))
-
-    def l2_norm(self):
-        """L^2 norm on the circle: 2 pi R times the coefficient energy."""
-        return float(np.sqrt(2.0 * np.pi * self.R * np.sum(np.abs(self.coefficients) ** 2)))
 
 
 def build_dtn(k: float, R: float, n_max: int | None = None) -> DtnOperator:

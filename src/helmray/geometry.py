@@ -302,9 +302,6 @@ class ValidationReport:
     ok: bool
     failures: list = field(default_factory=list)  # (invariant name, sample point or None)
 
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
 
 def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
                            geom: TruncationGeometry):

@@ -57,9 +57,6 @@ class Mesh:
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
-    def total_area(self):
-        return float(np.sum(self.areas()))
-
     # -- point location -----------------------------------------------------
 
     def _centroid_tree(self):

@@ -60,21 +60,3 @@ def soft_disk_total_field(k, a, direction):
         return field(points)[0]
 
     return value, field
-
-
-def point_source(k, x0):
-    """Outgoing fundamental solution (i/4) H_0(k |x - x0|): ``(value, field)``
-    callables, ``field(points)`` returning (value, gradient)."""
-    x0 = np.asarray(x0, float)
-
-    def field(points):
-        dx = np.atleast_2d(np.asarray(points, float)) - x0
-        s = np.linalg.norm(dx, axis=1)
-        # H_0' = -H_1
-        coef = -0.25j * k * hankel1(1, k * s) / s
-        return 0.25j * hankel1(0, k * s), coef[:, None] * dx
-
-    def value(points):
-        return field(points)[0]
-
-    return value, field

@@ -8,9 +8,14 @@ The tracer is event driven.  Outside the perturbation disk
 |x| < support_radius the flow is a straight line at speed 2, and a ray flies
 along it exactly to its next event: entering the disk (a line-circle root),
 the first obstacle impact, or escape, when no event is left.  Only rays
-inside the disk take fixed-step RK4 steps.  One impact locator serves both:
-the obstacle's level function along the path (the line, or the step's cubic
-Hermite interpolant), with golden-section refinement of dips and bisection.
+inside the disk take fixed-step RK4 steps.  One impact locator serves both.
+It samples the obstacle's level function along the path (the line, or the
+step's cubic Hermite interpolant) and bisects the first interval from a
+positive sample to a non-positive one.  A short chord can hide between two
+positive samples, so an interval is first searched for its level minimum by
+golden section when both its ends are positive, one of them is a local
+minimum of the ray's samples and the lower is below twice the interval's
+chord; a minimum at or below -1e-9 brackets an impact.
 The longest-ray length of a ball B(0, R) is the supremum over sampled
 phase-space starting points of the last time the ray is inside the ball.
 """
@@ -84,9 +89,11 @@ class RayConfig:
         for name in ("step_size", "max_time_budget", "glancing_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("grid_pos_r", "grid_pos_theta", "grid_dir", "refine_points"):
+        for name in ("grid_pos_r", "grid_pos_theta", "grid_dir"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.refine_points < 2:
+            raise ValueError("refine_points must be >= 2: a refined grid spans the old spacing")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +183,7 @@ def reflect(coeffs: CoefficientField, obstacle: Obstacle, p: PhasePoint,
 
 _EPS_EVENT = 1e-9     # level-function value that arms a ray after a reflection
 _N_BISECT = 48        # bisection passes per located impact
-_SAMPLE_CHUNK = 1024  # rays whose line samples are held in memory at once
+_SAMPLE_CHUNK = 2**18  # level samples held in memory at once, give or take a ray's
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
@@ -241,13 +248,10 @@ def _bisect(level, a, b):
     return 0.5 * (a + b)
 
 
-def _step_impacts(obstacles, s0, s1, f0, f1, dt):
-    """First impact time in (0, dt] of each RK4 step s0 -> s1 (inf where
-    none), the obstacle hit and the state there, on the step's cubic Hermite
-    interpolant with end slopes f0, f1 (Hairer, Norsett & Wanner, Solving ODEs
-    I, II.6).  Steps ending inside an obstacle are bisected on [0, dt]; the
-    level minimum of those ending within twice their length of the curve is
-    refined first, as a dip on a line is."""
+def _hermite(s0, s1, f0, f1, dt):
+    """The cubic Hermite interpolant of the RK4 steps s0 -> s1 with end slopes
+    f0, f1 (Hairer, Norsett & Wanner, Solving ODEs I, II.6): ``path(idx, cols)``
+    maps one time in [0, dt] per step of ``idx`` to those state columns."""
     def path(idx, cols=slice(0, 2)):
         a, g0, g1 = s0[idx, cols], dt * f0[idx, cols], dt * f1[idx, cols]
         d = s1[idx, cols] - a
@@ -257,86 +261,72 @@ def _step_impacts(obstacles, s0, s1, f0, f1, dt):
             u = (tau / dt)[:, None]
             return a + u * (g0 + u * (c2 + u * c3))
         return at
-
-    tau_hit, which = np.full(len(s0), np.inf), np.zeros(len(s0), dtype=int)
-    chord = np.hypot(*(s1[:, :2] - s0[:, :2]).T)
-    for j, ob in enumerate(obstacles):
-        d1 = signed_distance(ob, s1[:, :2])
-        end = np.where(d1 <= 0.0, dt, np.nan)
-        dip = np.nonzero((d1 > 0.0) & (d1 < 2.0 * chord))[0]
-        if len(dip):
-            a, b = np.zeros(len(dip)), np.full(len(dip), dt)
-            tau, f_min = _level_min(_level(ob, path(dip)), a, b)
-            end[dip] = np.where(f_min <= -_EPS_EVENT, tau, np.nan)
-        sel = np.nonzero(np.isfinite(end))[0]
-        if len(sel):
-            tau = _bisect(_level(ob, path(sel)), np.zeros(len(sel)), end[sel])
-            first = tau < tau_hit[sel]
-            tau_hit[sel[first]] = tau[first]
-            which[sel[first]] = j
-    return tau_hit, which, path(slice(None), slice(None))(np.minimum(tau_hit, dt))
+    return path
 
 
-# ---------------------------------------------------------------------------
-# integration engine: straight flight outside it
+def _impacts(obstacles, path, windows, armed, dt):
+    """First impact time of each ray on its path and the obstacle hit; inf
+    where there is none.
 
-
-def _line_impacts(obstacles, reach, x, v, tau_max, armed, dt):
-    """First impact time on the line x + tau v, 0 < tau <= tau_max, and the
-    obstacle hit; inf where there is none.
-
-    Each obstacle's level function is sampled where the line crosses the
-    obstacle's reach disk, at the times ``k * dt`` (k integer) from x: where
-    an RK4 march of the line from x would stand, 2 dt apart at speed 2.  The
-    grid is anchored at the ray, not at the disk, so that it does not land on
-    the closest approach of every line and catch exactly tangent rays.  The
-    first sign change from positive to non-positive after the ray is armed
-    (level above _EPS_EVENT, or ``armed`` on entry) is bisected.  A chord
-    shorter than the spacing can fall between samples, so an armed positive
-    local minimum below twice the spacing is refined first: one at or below
-    -_EPS_EVENT brackets an impact, shallower (tangent) dips miss.
+    ``path(idx)`` maps one time per ray of ``idx`` to positions, and obstacle
+    j can be met only at times in ``windows[j] = (lo, hi)``.  Its level
+    function is sampled at the times ``k * dt`` (k integer) from the ray's
+    start that the window needs, the last clipped to hi: on a line, where an
+    RK4 march from the start would stand, and on an RK4 step its two ends.
+    The grid is anchored at the ray, not at the window, so that it does not
+    land on the closest approach of every line and catch exactly tangent
+    rays.  The first interval from a positive sample to a non-positive one
+    after the ray is armed (a sample above _EPS_EVENT, or ``armed`` on entry)
+    is bisected.  A chord shorter than the spacing can fall between samples,
+    so an armed interval is searched for its level minimum by golden section
+    first when both its ends are positive, one of them is a local minimum of
+    the ray's samples (a missing neighbour counts as +inf) and the lower is
+    below twice the interval's chord: a minimum at or below -_EPS_EVENT
+    brackets an impact, shallower (tangent) dips miss.
     """
-    def line(idx):
-        xs, vs = x[idx], v[idx]
-        return lambda tau: xs + tau[:, None] * vs
-
-    tau_hit, which = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
-    for j, (ob, (center, radius)) in enumerate(zip(obstacles, reach)):
-        lo, hi = _line_circle(x - center, v, radius)
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, tau_max)
+    tau_hit, which = np.full(len(armed), np.inf), np.zeros(len(armed), dtype=int)
+    for j, (ob, (lo, hi)) in enumerate(zip(obstacles, windows)):
         rays = np.nonzero(lo < hi)[0]
+        if not len(rays):
+            continue
+        n = np.ceil(hi[rays] / dt) - np.floor(lo[rays] / dt) + 1
+        part = (np.cumsum(n) - n) // _SAMPLE_CHUNK   # rays whose samples start in one chunk
         brackets = []
-        for c in range(0, len(rays), _SAMPLE_CHUNK):
-            sel = rays[c:c + _SAMPLE_CHUNK]
+        for sel in np.split(rays, np.flatnonzero(np.diff(part)) + 1):
             k0 = np.floor(lo[sel] / dt)
             n = (np.ceil(hi[sel] / dt) - k0).astype(int) + 1
             start = np.cumsum(n) - n
             owner = np.repeat(np.arange(len(sel)), n)
             k = np.arange(n.sum()) - start[owner]
             tau = np.minimum((k0[owner] + k) * dt, hi[sel][owner])
-            f = _level(ob, line(sel[owner]))(tau)
+            pos = path(sel[owner])(tau)
+            f = signed_distance(ob, pos)
             idx = np.arange(len(f))
             arm_at = np.minimum.reduceat(np.where(f > _EPS_EVENT, idx, len(f)), start)
             arm_at[armed[sel]] = -1
-            live = idx > arm_at[owner]
-            f_prev = np.concatenate([[0.0], f[:-1]])
-            f_next = np.concatenate([f[1:], [0.0]])
-            event = (k >= 1) & (f <= 0.0) & (f_prev > 0.0) & live
+            # sample i > 0 of a ray stands for its interval (i - 1, i)
+            live = (k >= 1) & (idx > arm_at[owner])
+            f_prev = np.where(k >= 1, np.roll(f, 1), np.inf)
+            f_next = np.where(k < n[owner] - 1, np.roll(f, -1), np.inf)
+            low = (f <= f_prev) & (f <= f_next)
+            lower = np.minimum(f_prev, f)
+            chord = np.hypot(*(pos - np.roll(pos, 1, axis=0)).T)
+            event = live & (f_prev > 0.0) & (f <= 0.0)
             end = tau.copy()     # bracket [tau[i - 1], end[i]] of an event at i
-            spacing = dt * np.hypot(v[sel, 0], v[sel, 1])[owner]
-            dip = np.nonzero((k >= 1) & (k <= n[owner] - 2) & live & (f > 0.0) & (f <= f_prev)
-                             & (f <= f_next) & (f < 2.0 * spacing))[0]
+            dip = np.nonzero(live & (lower > 0.0) & (low | np.roll(low, 1))
+                             & (lower < 2.0 * chord))[0]
             if len(dip):
-                ray = sel[owner[dip]]
-                end[dip], f_min = _level_min(_level(ob, line(ray)), tau[dip - 1], tau[dip + 1])
+                level = _level(ob, path(sel[owner[dip]]))
+                end[dip], f_min = _level_min(level, tau[dip - 1], tau[dip])
                 event[dip] = f_min <= -_EPS_EVENT
             first = np.minimum.reduceat(np.where(event, idx, len(f)), start)
             hit = first < len(f)
-            brackets.append((sel[hit], tau[first[hit] - 1], end[first[hit]]))
+            if np.any(hit):
+                brackets.append((sel[hit], tau[first[hit] - 1], end[first[hit]]))
         if not brackets:
             continue
         sel, a, b = (np.concatenate(z) for z in zip(*brackets))
-        tau = _bisect(_level(ob, line(sel)), a, b)
+        tau = _bisect(_level(ob, path(sel)), a, b)
         first = tau < tau_hit[sel]
         tau_hit[sel[first]] = tau[first]
         which[sel[first]] = j
@@ -410,8 +400,13 @@ class _Batch:
             t_in, t_out = _line_circle(x, v, S)
             ahead = t_out > 0.0
             tau_entry[ahead] = np.maximum(t_in[ahead], 0.0)
-        tau_hit, which = _line_impacts(self.obstacles, self.reach, x, v, tau_entry,
-                                       self.armed[ids], cfg.step_size)
+        def line(idx):
+            xs, vs = x[idx], v[idx]
+            return lambda tau: xs + tau[:, None] * vs
+
+        windows = [(np.maximum(lo, 0.0), np.minimum(hi, tau_entry))
+                   for lo, hi in (_line_circle(x - c, v, r) for c, r in self.reach)]
+        tau_hit, which = _impacts(self.obstacles, line, windows, self.armed[ids], cfg.step_size)
         tau_event = np.minimum(tau_entry, tau_hit)
         _, t_esc = _line_circle(x, v, self.escape_radius)
         t_esc = np.where(t_esc > 0.0, t_esc, 0.0)
@@ -464,13 +459,15 @@ class _Batch:
             near = np.nonzero(self.armed[ids] & (d_new < 2.0 * chord))[0]
         if len(near):
             s0, s1 = sub[near], new[near]
-            tau, which, impact = _step_impacts(obstacles, s0, s1, _rhs(coeffs, s0),
-                                               _rhs(coeffs, s1), dt)
-            found = np.isfinite(tau)
+            path = _hermite(s0, s1, _rhs(coeffs, s0), _rhs(coeffs, s1), dt)
+            window = (np.zeros(len(near)), np.full(len(near), dt))
+            tau, which = _impacts(obstacles, path, [window] * len(obstacles),
+                                  self.armed[ids[near]], dt)
+            found = np.nonzero(np.isfinite(tau))[0]
             loc, i = near[found], ids[near[found]]
             hit[loc], d_new[loc] = True, 0.0
             t_new[loc] = self.t[i] + tau[found]
-            self.states[i] = impact[found]
+            self.states[i] = path(found, slice(None))(tau[found])
             for j, w in zip(loc, which[found]):
                 glanced[j] = not self._reflect(ids[j], obstacles[w], t_new[j])
             new[loc] = self.states[i]

@@ -42,6 +42,17 @@ def test_ledger_rejects_small_ray_length():
         _unit_ledger(L_ray=1.5).validate()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("C_H2", -1.0), ("C_H2", 0.0), ("C_int_tilde", 0.0), ("C_DtN_tilde", -0.1),
+    ("L_ray", np.nan), ("k0", np.inf), ("s", np.nan), ("A_min", 0.0), ("A_max", 0.5),
+    ("nu_min", -1.0), ("nu_max", 0.5)])
+def test_ledger_rejects_constants_outside_their_range(name, value):
+    # a ledger read with --ledger comes from outside the program; C_H2 = -1
+    # used to give admissible=True with h_max = nan
+    with pytest.raises(ValueError, match=name):
+        mesh_threshold(_unit_ledger(**{name: value}), k=10.0, h_query=0.01)
+
+
 # -- reference norms ---------------------------------------------------------
 
 def test_resolvent_upper_bound_values():

@@ -62,7 +62,7 @@ def test_validate_flags_support_violation():
     geom = TruncationGeometry(R1=1.0, R=4.0, R_ray=5.0)
     report = validate_configuration(bad, EMPTY_OBSTACLE, geom)
     assert not report.ok
-    assert report.first_failure()[0] == "coefficient support violation"
+    assert report.failures[0][0] == "coefficient support violation"
 
 
 def test_validate_flags_obstacle_outside_support_disk():

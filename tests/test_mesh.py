@@ -25,7 +25,7 @@ def test_disk_mesh_meets_width_target(geom):
 
 
 def test_disk_mesh_area_converges(geom):
-    errs = [abs(generate_mesh(None, geom, h).total_area() - np.pi * 4.0)
+    errs = [abs(generate_mesh(None, geom, h).areas().sum() - np.pi * 4.0)
             for h in (0.2, 0.1)]
     assert errs[1] <= errs[0] / 3.0  # O(h^2) polygon deficit
 
@@ -33,7 +33,7 @@ def test_disk_mesh_area_converges(geom):
 def test_annulus_area_oracle(geom):
     m = generate_mesh(disk_obstacle(0.5), geom, 0.1)
     exact = np.pi * (4.0 - 0.25)
-    assert m.total_area() == pytest.approx(exact, abs=20 * m.h_fem**2)
+    assert m.areas().sum() == pytest.approx(exact, abs=20 * m.h_fem**2)
 
 
 def test_vertex_count_scaling(geom):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helmray import raytrace
 from helmray.config import RunConfig
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle,
@@ -176,6 +177,12 @@ def test_longest_ray_disk_in_ball_smaller_than_unit(ident, unit_ball_geom, half_
     assert res.L == pytest.approx(np.sqrt(0.8**2 - 0.5**2), abs=2e-3)
 
 
+def test_ray_config_needs_two_refine_points():
+    # the refined spacing 2 h / (refine_points - 1) divides by zero at 1
+    with pytest.raises(ValueError, match="refine_points"):
+        RayConfig(refine_points=1)
+
+
 def test_longest_ray_monotone_under_refinement(ident, unit_ball_geom, half_disk):
     cfg0 = RayConfig(grid_pos_r=5, grid_pos_theta=9, grid_dir=23,
                      refinement_rounds=0)
@@ -294,6 +301,24 @@ def test_golden_section_evaluates_level_once_per_pass():
     # a quadratic's minimum is located only to about sqrt(eps)
     np.testing.assert_allclose(tau, centre, rtol=0, atol=1e-7)
     np.testing.assert_allclose(f, -0.25, rtol=0, atol=1e-15)
+
+
+def test_flight_past_the_obstacle_makes_no_bisection_pass(ident, monkeypatch):
+    # lines through the reach disk (radius 1.01 a) that miss the disk: their
+    # level minima are refined by golden section, and no ray is left to bisect
+    a, calls = 0.5, []
+
+    def counting(ob, x):
+        calls.append(len(x))
+        return signed_distance(ob, x)
+
+    monkeypatch.setattr(raytrace, "signed_distance", counting)
+    y = a + np.linspace(1e-4, 4e-3, 50)
+    states = np.stack([np.full(50, -0.8), y, np.ones(50), np.zeros(50)], axis=1)
+    res = _eval_rays(ident, (disk_obstacle(a),), states, RayConfig(), 1.0)
+    assert np.all(res.termination == 0) and np.all(res.state_final[:, 2] == 1.0)
+    # arming, the line samples, 50 golden-section evaluations, the support entry
+    assert len(calls) == 1 + 1 + 50 + 1
 
 
 def test_glancing_impact_flagged(ident):

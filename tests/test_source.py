@@ -48,3 +48,38 @@ def test_nested_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_at_module_level(path):
     assert _nested_imports(ast.parse(path.read_text())) == []
+
+
+def _private_names(tree):
+    """Names bound at module level in ``tree`` that start with one underscore."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(trees):
+    """Every name the trees load, as a bare name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_private_name_detector():
+    tree = ast.parse("_A = 1\n_B, _C = 2, 3\n__D = 4\nE = _A\n"
+                     "def _f():\n    return _B\nclass _K:\n    _x = 1\n")
+    other = ast.parse("import m\nm._C = m._K\n")
+    assert sorted(_private_names(tree) - _read_names([tree, other])) == ["_C", "_f"]
+
+
+def test_every_private_name_is_read():
+    # a private module-level name nothing in src/ or perfbench/ reads is dead
+    # code that the tests alone keep compiling
+    readers = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    read = _read_names(ast.parse(p.read_text()) for p in readers)
+    unread = {p.name: sorted(_private_names(ast.parse(p.read_text())) - read) for p in MODULES}
+    assert {name: names for name, names in unread.items() if names} == {}
