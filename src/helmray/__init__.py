@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .bounds import (ConstantsLedger, ThresholdReport, compute_C_DtN,
                      compute_C_int, h2_bound_rhs, mesh_threshold,
                      resolvent_upper_bound, schatz_condition, volterra_norm)
-from .dtn import DtnOperator, FourierTrace, apply_dtn, build_dtn, dtn_pairing, hankel_ratio
+from .dtn import DtnOperator, build_dtn, hankel_ratio
 from .geometry import (CoefficientField, Obstacle, TruncationGeometry,
                        WaveContext, boundary_normal, disk_obstacle,
                        fourier_obstacle, identity_coefficients,

@@ -15,7 +15,7 @@ the cumulative-integration operator norm 2L/pi.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -105,8 +105,24 @@ class ConstantsLedger:
 
     @classmethod
     def from_json(cls, path):
+        """Read a ledger file; a missing, unknown or non-numeric entry raises a
+        ValueError naming its key."""
         with open(path) as fh:
-            return cls(**json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a ledger file holds one JSON object")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown ledger key {unknown[0]!r}")
+        for f in fields(cls):
+            if f.name == "provenance":    # free-form, may be left out
+                continue
+            value = data.get(f.name, f.default)
+            if value is MISSING:
+                raise ValueError(f"ledger key {f.name!r} is missing")
+            if type(value) not in (int, float):
+                raise ValueError(f"ledger key {f.name!r} = {value!r} is not a number")
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field
+from typing import Optional
 
-from .geometry import (COEFFICIENT_PRESETS, EMPTY_OBSTACLE, Obstacle,
-                       TruncationGeometry, WaveContext, fourier_obstacle)
+from .geometry import (COEFFICIENT_PRESETS, Obstacle, TruncationGeometry,
+                       WaveContext, fourier_obstacle)
 from .raytrace import RayConfig
 from .util import sha256_text
 
@@ -138,9 +139,9 @@ class RunConfig:
                                             for key in self.sections["coefficients"]
                                             if key != "preset"})
 
-    def obstacle(self) -> Obstacle:
+    def obstacle(self) -> Optional[Obstacle]:
         if self.get("obstacle", "empty"):
-            return EMPTY_OBSTACLE
+            return None
         cos_c = self.get("obstacle", "rho_fourier_coefficients")
         if not cos_c:
             raise ValueError("non-empty obstacle needs rho_fourier_coefficients")

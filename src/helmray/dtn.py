@@ -5,6 +5,10 @@ circle of radius R expand in modes H_n(kr) e^{i n theta}, so the map from
 Dirichlet to Neumann data is diagonal with coefficients
 t_n = k H_n'(kR) / H_n(kR).  Every coefficient has nonpositive real part, which
 is what makes the truncated variational problem satisfy a Garding inequality.
+
+Boundary modes are plain (2 n_max + 1,) arrays, mode n at index n + n_max, as
+``fem.modal_projection`` produces them; ``build_dtn`` and ``incident_wave_data``
+use the same layout, and ``fem`` pairs them, <T g, h> = 2 pi R sum t_n g_n conj(h_n).
 """
 
 from __future__ import annotations
@@ -59,51 +63,9 @@ class DtnOperator:
     n_max: int
     coefficients: np.ndarray  # t_n for n = -n_max..n_max, index n + n_max
 
-    def t(self, n):
-        return self.coefficients[np.asarray(n) + self.n_max]
-
     @property
     def orders(self):
         return np.arange(-self.n_max, self.n_max + 1)
-
-
-@dataclass(frozen=True)
-class FourierTrace:
-    """Trace on the circle r = R stored as Fourier coefficients g_n, |n| <= n_max."""
-
-    coefficients: np.ndarray  # index n + n_max
-    R: float
-
-    @property
-    def n_max(self):
-        return (len(self.coefficients) - 1) // 2
-
-    @classmethod
-    def from_samples(cls, values, R):
-        """Coefficients from uniformly spaced samples over the full circle.
-
-        Trapezoidal projection; spectrally accurate for smooth traces.  Keeps
-        modes below the Nyquist limit of the sample count.
-        """
-        values = np.asarray(values, dtype=complex)
-        N = len(values)
-        fft = np.fft.fft(values) / N
-        n_max = (N - 1) // 2
-        coeffs = np.concatenate([fft[-n_max:], fft[: n_max + 1]])
-        return cls(coefficients=coeffs, R=R)
-
-    def truncated(self, n_max):
-        m = self.n_max
-        if n_max > m:
-            pad = np.zeros(n_max - m, dtype=complex)
-            return FourierTrace(np.concatenate([pad, self.coefficients, pad]), self.R)
-        c = self.coefficients[m - n_max : m + n_max + 1]
-        return FourierTrace(c.copy(), self.R)
-
-    def evaluate(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        n = np.arange(-self.n_max, self.n_max + 1)
-        return np.tensordot(np.exp(1j * np.outer(theta, n)), self.coefficients, axes=(1, 0))
 
 
 def build_dtn(k: float, R: float, n_max: int | None = None) -> DtnOperator:
@@ -120,24 +82,7 @@ def build_dtn(k: float, R: float, n_max: int | None = None) -> DtnOperator:
     return DtnOperator(k=k, R=R, n_max=n_max, coefficients=coeffs)
 
 
-def apply_dtn(op: DtnOperator, g: FourierTrace) -> FourierTrace:
-    """Diagonal action: (T g)_n = t_n g_n."""
-    if g.R != op.R:
-        raise ValueError("trace radius does not match the operator")
-    gg = g.truncated(op.n_max)
-    return FourierTrace(op.coefficients * gg.coefficients, op.R)
-
-
-def dtn_pairing(op: DtnOperator, g: FourierTrace, h: FourierTrace) -> complex:
-    """<T g, h> on the circle = 2 pi R sum_n t_n g_n conj(h_n)."""
-    if g.R != op.R or h.R != op.R:
-        raise ValueError("trace radius does not match the operator")
-    gg = g.truncated(op.n_max).coefficients
-    hh = h.truncated(op.n_max).coefficients
-    return complex(2.0 * np.pi * op.R * np.sum(op.coefficients * gg * np.conj(hh)))
-
-
-def incident_wave_data(op: DtnOperator, direction) -> FourierTrace:
+def incident_wave_data(op: DtnOperator, direction) -> np.ndarray:
     """Modal coefficients of (d u_inc / dr - T u_inc) on the circle for a plane wave.
 
     The plane wave e^{i k x . d} expands as sum_n i^n J_n(kr) e^{i n (theta - phi_d)},
@@ -150,5 +95,4 @@ def incident_wave_data(op: DtnOperator, direction) -> FourierTrace:
     k, R = op.k, op.R
     n = op.orders
     jn, jp = jv(n, k * R), jvp(n, k * R)
-    coeffs = (1j) ** n * np.exp(-1j * n * phi) * (k * jp - op.coefficients * jn)
-    return FourierTrace(coefficients=coeffs, R=R)
+    return (1j) ** n * np.exp(-1j * n * phi) * (k * jp - op.coefficients * jn)

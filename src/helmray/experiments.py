@@ -79,9 +79,11 @@ def radial_profiles(coeffs: CoefficientField, r_max):
 
 
 def _disk_inner_radius(obstacle):
-    if obstacle is None or obstacle.empty:
+    """Inner radius of the modal path: 0 without an obstacle, the radius of a
+    disk centred at the origin, None for any other obstacle."""
+    if obstacle is None:
         return 0.0
-    if abs(obstacle.max_radius - obstacle.min_radius) < 1e-12:
+    if obstacle.centered and abs(obstacle.max_radius - obstacle.min_radius) < 1e-12:
         return obstacle.max_radius
     return None
 

@@ -518,7 +518,7 @@ def assemble_load_scattering(fe_space: FeSpace, dtn: DtnOperator, direction):
     """Boundary data load for plane-wave scattering off the Dirichlet obstacle."""
     data = incident_wave_data(dtn, direction)
     P = modal_projection(fe_space, dtn.n_max)
-    return (2.0 * np.pi * dtn.R) * (P.conj().T @ data.coefficients)
+    return (2.0 * np.pi * dtn.R) * (P.conj().T @ data)
 
 
 # ---------------------------------------------------------------------------

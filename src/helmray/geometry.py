@@ -44,27 +44,22 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Star-shaped obstacle r = rho(theta) about ``center``; ``empty`` encodes
-    the no-obstacle case.  Off-center obstacles are supported by the ray
-    tracer; meshing requires the origin."""
+    """Star-shaped obstacle r = rho(theta) about ``center``.  Functions that
+    take an obstacle read ``None`` as no obstacle.  Off-center obstacles are
+    supported by the ray tracer; meshing requires the origin."""
 
-    rho: Optional[Callable] = None
-    drho: Optional[Callable] = None
-    empty: bool = True
+    rho: Callable
+    drho: Callable
     center: tuple = (0.0, 0.0)
-    name: str = "empty"
+    name: str = "fourier"
 
     @property
     def max_radius(self):
-        if self.empty:
-            return 0.0
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         return float(np.max(self.rho(th)))
 
     @property
     def min_radius(self):
-        if self.empty:
-            return 0.0
         th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         return float(np.min(self.rho(th)))
 
@@ -243,17 +238,12 @@ def fourier_obstacle(cos_coeffs, sin_coeffs=(), center=(0.0, 0.0)):
         mt = np.multiply.outer(np.asarray(theta, dtype=float), m)
         return np.cos(mt) @ (m * s) - np.sin(mt) @ (m * c)
 
-    return Obstacle(rho=rho, drho=drho, empty=False,
-                    center=(float(center[0]), float(center[1])), name="fourier")
+    return Obstacle(rho=rho, drho=drho, center=(float(center[0]), float(center[1])))
 
 
 def disk_obstacle(radius, center=(0.0, 0.0)):
     obs = fourier_obstacle([radius], center=center)
-    return Obstacle(rho=obs.rho, drho=obs.drho, empty=False,
-                    center=obs.center, name=f"disk({radius})")
-
-
-EMPTY_OBSTACLE = Obstacle()
+    return Obstacle(rho=obs.rho, drho=obs.drho, center=obs.center, name=f"disk({radius})")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +257,6 @@ def signed_distance(obstacle: Obstacle, x):
     Agrees with the Euclidean distance for circles and differs from it by a smooth
     positive factor near a general smooth boundary.
     """
-    if obstacle.empty:
-        raise ValueError("signed_distance needs a non-empty obstacle")
     x = np.asarray(x, dtype=float) - np.asarray(obstacle.center)
     r = np.hypot(x[..., 0], x[..., 1])
     th = np.arctan2(x[..., 1], x[..., 0])
@@ -277,8 +265,6 @@ def signed_distance(obstacle: Obstacle, x):
 
 def boundary_normal(obstacle: Obstacle, x, tol=1e-6):
     """Outward Euclidean unit normal at a point on the obstacle curve."""
-    if obstacle.empty:
-        raise ValueError("boundary_normal needs a non-empty obstacle")
     x = np.asarray(x, dtype=float)
     d = signed_distance(obstacle, x)
     if np.any(np.abs(d) > tol):
@@ -303,7 +289,7 @@ class ValidationReport:
     failures: list = field(default_factory=list)  # (invariant name, sample point or None)
 
 
-def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
+def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle],
                            geom: TruncationGeometry):
     """Dense-sample check of the structural invariants of a configuration.
 
@@ -350,7 +336,7 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Obstacle,
         i = int(np.argmax(np.maximum(coeffs.nu_min - nu, nu - coeffs.nu_max)))
         failures.append(("nu bounds violated", grid[i]))
 
-    if not obstacle.empty:
+    if obstacle is not None:
         fine = np.linspace(0.0, 2.0 * np.pi, 4 * len(th) + 1)
         rho = obstacle.rho(fine)
         if abs(rho[0] - rho[-1]) > 1e-12:

@@ -236,7 +236,6 @@ def generate_mesh(obstacle, geom, h_target, outer_radius=None,
     if h_target <= 0:
         raise ValueError("h_target must be positive")
     R_out = float(outer_radius if outer_radius is not None else geom.R)
-    empty = obstacle is None or obstacle.empty
     delta = h_target / 1.55
     est = (np.pi * R_out**2) / (0.5 * delta**2)
     if est > max_vertices:
@@ -245,7 +244,7 @@ def generate_mesh(obstacle, geom, h_target, outer_radius=None,
             f"budget is {max_vertices}")
 
     for _ in range(4):
-        if empty:
+        if obstacle is None:
             n_r, n_theta = max(2, int(np.ceil(R_out / delta))), 0
             vertices, triangles, tags, (outer, th) = _disk_fan(R_out, n_r)
         else:

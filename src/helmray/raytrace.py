@@ -423,7 +423,7 @@ class _Batch:
         res.finish(ids[~budget & np.isinf(tau_event)], 0, self.t, self.states)
         entry = ~budget & np.isfinite(tau_entry) & (tau_entry <= tau_hit)
         self.inside[ids[entry]] = True
-        if self.obstacles:
+        if self.obstacles and entry.any():
             d = _min_sdf(self.obstacles, self.states[ids[entry], :2])
             self.armed[ids[entry]] |= d > _EPS_EVENT
         for j in np.nonzero(~budget & (tau_hit < tau_entry))[0]:
@@ -555,9 +555,7 @@ def time_in_ball(traj: Trajectory, R: float) -> float:
 def _as_obstacles(obstacle):
     if obstacle is None:
         return ()
-    if isinstance(obstacle, Obstacle):
-        return () if obstacle.empty else (obstacle,)
-    return tuple(ob for ob in obstacle if not ob.empty)
+    return (obstacle,) if isinstance(obstacle, Obstacle) else tuple(obstacle)
 
 
 # ---------------------------------------------------------------------------

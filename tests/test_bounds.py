@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -51,6 +54,27 @@ def test_ledger_rejects_constants_outside_their_range(name, value):
     # used to give admissible=True with h_max = nan
     with pytest.raises(ValueError, match=name):
         mesh_threshold(_unit_ledger(**{name: value}), k=10.0, h_query=0.01)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("C_H3", 1.0), ("k0", ...), ("C_H2", "1.0"), ("C_H2", None), ("k0", True)],
+    ids=["unknown", "missing", "quoted", "null", "boolean"])
+def test_ledger_file_errors_name_the_key(tmp_path, key, value):
+    # ``...`` drops the key from the file
+    data = {**asdict(_unit_ledger()), key: value}
+    if value is ...:
+        del data[key]
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=key):
+        ConstantsLedger.from_json(path)
+
+
+def test_ledger_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(list(asdict(_unit_ledger()).values())))
+    with pytest.raises(ValueError, match="JSON object"):
+        ConstantsLedger.from_json(path)
 
 
 # -- reference norms ---------------------------------------------------------

@@ -239,6 +239,19 @@ def test_error_reported_structurally(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_bad_ledger_reported_by_key(tmp_path, capsys):
+    cfg = _write(tmp_path, DISK_CFG)
+    ledger = tmp_path / "bad.json"
+    ledger.write_text(json.dumps({"C_int_tilde": 1.0, "C_DtN_tilde": 1.0, "C_H2": "1.0",
+                                  "A_min": 1.0, "A_max": 1.0, "nu_min": 1.0,
+                                  "nu_max": 1.0, "k0": 1.0, "L_ray": 2.0}))
+    rc = main(["threshold", "--config", cfg, "--ledger", str(ledger),
+               "--k", "4", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ValueError" and "C_H2" in report["message"]
+
+
 def test_error_report_carries_traceback(tmp_path, capsys):
     cfg = _write(tmp_path, DISK_CFG)
     rc = main(["threshold", "--config", cfg, "--ledger", "/nonexistent.json",

@@ -226,6 +226,18 @@ def test_modal_and_2d_paths_agree(free_geom):
     assert b.value == pytest.approx(a.value, rel=0.01)
 
 
+def test_off_centre_disk_does_not_take_the_modal_path():
+    # the modal path solves about the origin; an off-centre disk once took it
+    # and returned the centred disk's value bit for bit
+    args = (identity_coefficients(), disk_obstacle(0.3, center=(0.4, 0.0)),
+            TruncationGeometry(0.9, 1.0, 3.0), 2.0, RadialCutoff(0.8, 0.97), 0.05)
+    with pytest.raises(ValueError, match="rotationally symmetric"):
+        estimate_resolvent_norm(*args, method="modal")
+    # auto takes fem2d, whose structured mesher needs a centred obstacle
+    with pytest.raises(ValueError, match="origin-centered"):
+        estimate_resolvent_norm(*args)
+
+
 def test_fem2d_matches_modal_on_disk_annulus_at_paper_resolution():
     # disk.ini at k = 6, h = 1/k^2 (9,828 dofs, about 0.5 s): the gap was
     # 1.27e-3 at seed 0, and 0.95e-3 to 1.37e-3 over seeds 0-5

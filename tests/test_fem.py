@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.special import hankel1
 
 from helmray.config import RunConfig
-from helmray.dtn import FourierTrace, build_dtn, dtn_pairing
+from helmray.dtn import build_dtn
 from helmray.experiments import RadialCutoff, _mass_solver, estimate_resolvent_norm
 from helmray.fem import (AngularFactorization, _fe_values, assemble, assemble_load_scattering,
                          assemble_load_source, build_space, dissection_lu, element_gradients,
@@ -127,10 +127,10 @@ def bilinear_action_quadrature(system, u_dofs, v_dofs, quad_degree=4):
     mass_term = np.sum(wts * nu_q * uv * np.conj(vv))
     val = grad_term - k**2 * mass_term
     if system.dtn is not None:
-        P = modal_projection(fe_space, system.dtn.n_max)
-        tu, tv = (FourierTrace(P @ np.asarray(w, dtype=complex), system.dtn.R)
-                  for w in (u_dofs, v_dofs))
-        val = val - dtn_pairing(system.dtn, tu, tv)
+        dtn = system.dtn
+        P = modal_projection(fe_space, dtn.n_max)
+        tu, tv = P @ np.asarray(u_dofs, dtype=complex), P @ np.asarray(v_dofs, dtype=complex)
+        val = val - 2.0 * np.pi * dtn.R * np.sum(dtn.coefficients * tu * np.conj(tv))
     return complex(val)
 
 
@@ -818,8 +818,8 @@ def test_galerkin_orthogonality_against_exact_reference(disk_setup):
     uvals, ugrad = uvals.reshape(pts.shape[:2]), ugrad.reshape(pts.shape[:2] + (2,))
     n = max(4 * dtn.n_max + 4, 64)
     th = 2.0 * np.pi * np.arange(n) / n
-    tr_u = FourierTrace.from_samples(
-        uex(np.stack([geom.R * np.cos(th), geom.R * np.sin(th)], -1)), geom.R).truncated(dtn.n_max)
+    samples = uex(np.stack([geom.R * np.cos(th), geom.R * np.sin(th)], -1))
+    tr_u = (np.fft.fft(samples) / n)[dtn.orders % n]
     uex_energy = np.sqrt(np.sum(wts * (np.sum(np.abs(ugrad) ** 2, -1)
                                        + k**2 * np.abs(uvals) ** 2)))
 
@@ -829,8 +829,8 @@ def test_galerkin_orthogonality_against_exact_reference(disk_setup):
         vvals, vgrads, _, _ = _fe_values(space, v, 4)
         vol = np.sum(wts * (np.einsum("mqa,mqa->mq", ugrad, np.conj(vgrads))
                             - k**2 * uvals * np.conj(vvals)))
-        tr_v = FourierTrace(modal_projection(space, dtn.n_max) @ v, dtn.R)
-        a_uv = vol - dtn_pairing(dtn, tr_u, tr_v)
+        tr_v = modal_projection(space, dtn.n_max) @ v
+        a_uv = vol - 2.0 * np.pi * dtn.R * np.sum(dtn.coefficients * tr_u * np.conj(tr_v))
         Fv = np.vdot(v, rhs)
         v_energy = energy_norm(system, v)
         assert abs(a_uv - Fv) <= 10.0 * mesh.h_fem**2 * uex_energy * v_energy

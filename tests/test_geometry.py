@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helmray.geometry import (EMPTY_OBSTACLE, TruncationGeometry, WaveContext,
-                              anisotropic_coefficients, boundary_normal,
-                              check_gradients, disk_obstacle, fourier_obstacle,
+from helmray.geometry import (TruncationGeometry, WaveContext, anisotropic_coefficients,
+                              boundary_normal, check_gradients, disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance, validate_configuration)
 
@@ -50,7 +49,7 @@ def test_boundary_normal_rejects_points_off_curve():
 
 def test_validate_trivial_configuration_passes():
     geom = TruncationGeometry(R1=1.0, R=2.0, R_ray=4.0)
-    report = validate_configuration(identity_coefficients(), EMPTY_OBSTACLE, geom)
+    report = validate_configuration(identity_coefficients(), None, geom)
     assert report.ok
 
 
@@ -60,7 +59,7 @@ def test_validate_flags_support_violation():
     from dataclasses import replace
     bad = replace(coeffs, support_radius=1.0)
     geom = TruncationGeometry(R1=1.0, R=4.0, R_ray=5.0)
-    report = validate_configuration(bad, EMPTY_OBSTACLE, geom)
+    report = validate_configuration(bad, None, geom)
     assert not report.ok
     assert report.failures[0][0] == "coefficient support violation"
 
@@ -77,7 +76,7 @@ def test_eigenvalue_and_nu_bounds_hold_on_presets():
     for coeffs in (identity_coefficients(),
                    nu_bump_coefficients(1.0, 0.5),
                    anisotropic_coefficients(0.7, -0.2, 0.4, 0.5)):
-        report = validate_configuration(coeffs, EMPTY_OBSTACLE, geom)
+        report = validate_configuration(coeffs, None, geom)
         assert report.ok, report.failures
 
 

@@ -317,8 +317,27 @@ def test_flight_past_the_obstacle_makes_no_bisection_pass(ident, monkeypatch):
     states = np.stack([np.full(50, -0.8), y, np.ones(50), np.zeros(50)], axis=1)
     res = _eval_rays(ident, (disk_obstacle(a),), states, RayConfig(), 1.0)
     assert np.all(res.termination == 0) and np.all(res.state_final[:, 2] == 1.0)
-    # arming, the line samples, 50 golden-section evaluations, the support entry
-    assert len(calls) == 1 + 1 + 50 + 1
+    # arming, the line samples and 50 golden-section evaluations; no ray
+    # enters the support, so no entry point is tested
+    assert len(calls) == 1 + 1 + 50
+
+
+def test_disk_search_makes_no_empty_level_call(monkeypatch):
+    # a flight in which no ray enters the support has no entry point to test
+    # against the obstacle; the search once made 6 of its 262 level calls on
+    # empty arrays
+    coeffs, obstacle, geom = RunConfig.from_file(CONFIGS / "disk.ini").problem()
+    sizes = []
+
+    def recording(ob, x):
+        sizes.append(len(x))
+        return signed_distance(ob, x)
+
+    monkeypatch.setattr(raytrace, "signed_distance", recording)
+    cfg = RayConfig(grid_pos_r=4, grid_pos_theta=8, grid_dir=16, refine_points=7)
+    res = longest_ray_length(coeffs, obstacle, geom, 1.0, cfg)
+    assert sizes and 0 not in sizes
+    assert res.L == 0.8660254037844388
 
 
 def test_glancing_impact_flagged(ident):
