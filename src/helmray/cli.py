@@ -225,7 +225,7 @@ def _cmd_resolvent_scan(args, cfg):
     scan = resolvent_scan(*cfg.problem(), ks, cutoff, s=args.s,
                           rtol=1e-4, seed=cfg.seed())
     header = ["k", "norm", "k_times_norm", "lower_reference", "upper_reference",
-              "converged", "iterations"]
+              "converged", "iterations", "residual"]
     columns = [[r[c] for r in scan.rows] for c in header]
     return Run({"resolvent_scan.csv": (header, columns)}, scan.rows,
                manifest={"method": scan.method, "s": scan.s})

@@ -101,6 +101,7 @@ class ResolventEstimate:
     converged: bool
     iterations: int
     resolution: dict
+    residual: float      # relative Ritz residual; the largest over modes on the modal path
     per_mode: Optional[list] = None
 
 
@@ -130,23 +131,23 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
                                  converged=res.converged, iterations=iters,
                                  resolution={"h_r": h, "n_r": res.n_r,
                                              "n_modes": len(res.per_mode) - 1},
-                                 per_mode=res.per_mode)
+                                 residual=res.residual, per_mode=res.per_mode)
 
     mesh = generate_mesh(obstacle, geom, h)
     space = build_space(mesh)
     dtn = build_dtn(k, geom.R)
     system = assemble(coeffs, space, dtn, k)
     M = system.mass_plain
-    apply_normal, m_dot = cutoff_normal(
+    apply_normal = cutoff_normal(
         system.factorize(), _mass_solver(system), M,
         M if s == 0 else system.energy_matrix(),
         cutoff.at_points(mesh.vertices[space.free_vertices]))
     rng = make_rng(seed)
     v0 = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
-    sigma, iters, conv = power_sigma(apply_normal, m_dot, v0, rtol=rtol, maxit=600)
+    sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=rtol, maxit=600)
     return ResolventEstimate(value=sigma, k=k, s=s, method="fem2d",
                              converged=conv, iterations=iters,
-                             resolution={"h": h, "n_dofs": space.n_dofs})
+                             resolution={"h": h, "n_dofs": space.n_dofs}, residual=resid)
 
 
 def _mass_solver(system):
@@ -194,6 +195,7 @@ def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
             "upper_reference": resolvent_upper_bound(cutoff.outer, k, s),
             "converged": est.converged,
             "iterations": est.iterations,
+            "residual": est.residual,
         })
     return ResolventScan(rows=rows, cutoff_inner=cutoff.inner,
                          cutoff_outer=cutoff.outer, s=s, method=method_used)

@@ -202,6 +202,26 @@ class TridiagonalLU:
         return x
 
 
+class TridiagonalLDL:
+    """LAPACK ``?pttrf`` factors L D L^T of the real symmetric positive
+    definite tridiagonal matrix with bands ``(main, off)``: no pivoting, half
+    the work of :class:`TridiagonalLU` per solve.  ``solve(b, trans)`` keeps
+    that class's contract; every ``trans`` is the same solve."""
+
+    def __init__(self, main, off):
+        pttrf, self._pttrs = lapack.get_lapack_funcs(("pttrf", "pttrs"), (main, off))
+        *self._factors, info = pttrf(main, off)
+        if info > 0:
+            raise SingularSystemError(
+                f"tridiagonal matrix is not positive definite: nonpositive pivot in row {info - 1}")
+        self.dtype = self._factors[0].dtype
+
+    def solve(self, b, trans="N"):
+        b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
+        x, _ = self._pttrs(*self._factors, b)
+        return x
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Sparse LU of a system matrix; solves take and return dof vectors.

@@ -51,7 +51,6 @@ class Obstacle:
     rho: Callable
     drho: Callable
     center: tuple = (0.0, 0.0)
-    name: str = "fourier"
 
     @property
     def max_radius(self):
@@ -242,8 +241,7 @@ def fourier_obstacle(cos_coeffs, sin_coeffs=(), center=(0.0, 0.0)):
 
 
 def disk_obstacle(radius, center=(0.0, 0.0)):
-    obs = fourier_obstacle([radius], center=center)
-    return Obstacle(rho=obs.rho, drho=obs.drho, center=obs.center, name=f"disk({radius})")
+    return fourier_obstacle([radius], center=center)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ r = R.  This turns resolvent-norm estimation at large k from an intractable
 
 A scan computes the quadrature once (:func:`radial_quadrature`: the grid, the
 mode-independent bands, one evaluation of a and nu); each mode then only
-combines bands (:func:`assemble_radial_mode`) and factors its system and mass
-matrices with ``fem.TridiagonalLU``, the angular solver's LAPACK ``?gttrf``.
+combines bands (:func:`assemble_radial_mode`), factors its complex system
+with ``fem.TridiagonalLU`` (LAPACK ``?gttrf``, as the angular solver does) and
+its real SPD mass with ``fem.TridiagonalLDL`` (``?pttrf``), and estimates its
+norm by Lanczos in the mass inner product (``util.power_sigma``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dtn import default_n_max, hankel_ratio
-from .fem import TridiagonalLU
+from .fem import TridiagonalLDL, TridiagonalLU
 from .util import cutoff_normal, power_sigma, solve_real
 
 _GP = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -71,7 +73,7 @@ class RadialMode:
         return TridiagonalLU(self.K.off, self.K.main, self.K.off)
 
     def lu_mass(self):
-        return TridiagonalLU(self.M.off, self.M.main, self.M.off)
+        return TridiagonalLDL(self.M.main, self.M.off)
 
 
 @dataclass(frozen=True)
@@ -140,17 +142,20 @@ def assemble_radial_mode(n, k, quad: RadialQuadrature, t_n=None) -> RadialMode:
 
 
 def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed=0):
-    """Norm of f -> chi K^{-1} M (chi f) on the mode, by normal-operator power iteration.
+    """Norm of f -> chi K^{-1} M (chi f) on the mode, by Lanczos on the normal
+    operator in the mass inner product.
 
     Input norm is the plain radial mass; output norm is the mass (s = 0) or the
-    k-weighted energy Gram (s = 1).
+    k-weighted energy Gram (s = 1).  Returns ``(sigma, iterations, converged,
+    residual)`` from :func:`~helmray.util.power_sigma`, the residual being the
+    relative Ritz residual.
     """
-    apply_normal, m_dot = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()),
-                                        mode.M, mode.M if s == 0 else mode.E, chi_vals)
+    apply_normal = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()),
+                                 mode.M, mode.M if s == 0 else mode.E, chi_vals)
     rng = np.random.default_rng(seed)
     n = mode.M.shape[0]
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return power_sigma(apply_normal, m_dot, v0, rtol=rtol, maxit=maxit)
+    return power_sigma(apply_normal, mode.M, v0, rtol=rtol, maxit=maxit)
 
 
 @dataclass
@@ -160,6 +165,7 @@ class RadialScanResult:
     per_mode: list          # (n, sigma, iterations, converged)
     n_r: int
     converged: bool
+    residual: float         # largest relative Ritz residual over the modes
 
 
 def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
@@ -171,15 +177,15 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
     chi_grid = chi(quad.grid)
     per_mode = []
     best, best_mode = 0.0, 0
-    all_conv = True
+    all_conv, residual = True, 0.0
     for n in range(0, default_n_max(k, R) + 1):
         mode = assemble_radial_mode(n, k, quad)
-        sigma, iters, conv = mode_cutoff_norm(mode, chi_grid[mode.free], s=s, rtol=rtol,
-                                              seed=seed)
+        sigma, iters, conv, resid = mode_cutoff_norm(mode, chi_grid[mode.free], s=s,
+                                                     rtol=rtol, seed=seed)
         per_mode.append((n, sigma, iters, conv))
-        all_conv = all_conv and conv
+        all_conv, residual = all_conv and conv, max(residual, resid)
         if sigma > best:
             best, best_mode = sigma, n
     return RadialScanResult(value=best, best_mode=best_mode, per_mode=per_mode,
-                            n_r=n_r, converged=all_conv)
+                            n_r=n_r, converged=all_conv, residual=residual)
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -284,6 +285,11 @@ def test_resolvent_scan_deterministic(tmp_path):
         assert rc == 0
         outs.append((tmp_path / name / "resolvent_scan.csv").read_bytes())
     assert outs[0] == outs[1]
+    # the last column is the certificate: the relative Ritz residual
+    with open(tmp_path / "a" / "resolvent_scan.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[-1] == "residual" and len(rows) == 2
+    assert all(row[-3] == "True" and float(row[-1]) <= 1e-4 for row in rows)
     # the seed override lands in config.ini and the manifest
     written = RunConfig.from_file(tmp_path / "a" / "config.ini")
     assert written.sections["experiment"]["seed"] == "7"
