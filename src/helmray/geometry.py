@@ -25,6 +25,10 @@ class CoefficientField:
     eval_nu(x): (..., 2) -> (...)
     eval_grad_A(x): (..., 2) -> (..., 2, 2, 2), last axis the derivative direction
     eval_grad_nu(x): (..., 2) -> (..., 2)
+
+    ``A_min == A_max == 1`` declares A = I everywhere: the ray tracer then
+    evaluates neither A nor its gradient, so a field that declares it must
+    keep it (``validate_configuration`` checks the bounds on a grid).
     """
 
     eval_A: Callable
@@ -104,6 +108,13 @@ class WaveContext:
 # coefficient presets
 
 
+def _bump_grad(x, w, scale=1.0):
+    """Gradient of scale * bump(|x| / w) in x; 0 at the origin."""
+    r = np.hypot(x[..., 0], x[..., 1])
+    db = scale * bump_deriv(r / w) / w
+    return np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
+
+
 def identity_coefficients():
     """A = I, nu = 1 everywhere."""
 
@@ -152,12 +163,7 @@ def nu_bump_coefficients(amplitude=1.0, width=0.5, support_radius=None):
         return 1.0 + amplitude * bump(r / w)
 
     def eval_grad_nu(x):
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        db = amplitude * bump_deriv(r / w) / w
-        with np.errstate(invalid="ignore", divide="ignore"):
-            coef = np.where(r > 0.0, db / np.maximum(r, 1e-300), 0.0)
-        return coef[..., None] * x
+        return _bump_grad(np.asarray(x, dtype=float), w, amplitude)
 
     lo, hi = (1.0 + min(amplitude, 0.0), 1.0 + max(amplitude, 0.0))
     return CoefficientField(
@@ -176,13 +182,9 @@ def anisotropic_coefficients(a1=0.5, a2=0.0, angle=0.0, width=0.5, support_radiu
     c, s = np.cos(angle), np.sin(angle)
     Q = np.array([[c, -s], [s, c]])
 
-    def _profile(x):
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        return r, bump(r / w)
-
     def eval_A(x):
-        _, b = _profile(x)
+        x = np.asarray(x, dtype=float)
+        b = bump(np.hypot(x[..., 0], x[..., 1]) / w)
         diag = np.zeros(b.shape + (2, 2))
         diag[..., 0, 0] = 1.0 + a1 * b
         diag[..., 1, 1] = 1.0 + a2 * b
@@ -190,12 +192,8 @@ def anisotropic_coefficients(a1=0.5, a2=0.0, angle=0.0, width=0.5, support_radiu
 
     def eval_grad_A(x):
         x = np.asarray(x, dtype=float)
-        r, _ = _profile(x)
-        db = bump_deriv(r / w) / w
-        with np.errstate(invalid="ignore", divide="ignore"):
-            coef = np.where(r > 0.0, db / np.maximum(r, 1e-300), 0.0)
-        grad_b = coef[..., None] * x  # (..., 2)
-        ddiag = np.zeros(r.shape + (2, 2))
+        grad_b = _bump_grad(x, w)  # (..., 2)
+        ddiag = np.zeros(x.shape[:-1] + (2, 2))
         ddiag[..., 0, 0] = a1
         ddiag[..., 1, 1] = a2
         core = np.einsum("ab,...bc,dc->...ad", Q, ddiag, Q)  # (..., 2, 2)

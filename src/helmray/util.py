@@ -11,23 +11,24 @@ import numpy as np
 from scipy.linalg import lapack
 
 
+def _bump_gap(rho):
+    """1 - rho^2 and 1 / (1 - rho^2), the latter +inf off the open support."""
+    t = 1.0 - rho * rho
+    return t, np.divide(1.0, t, out=np.full(t.shape, np.inf), where=t > 0.0)
+
+
 def bump(rho):
     """C-infinity bump on [-1, 1]: exp(1 - 1/(1-rho^2)) inside, 0 outside, value 1 at 0."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    m = np.abs(rho) < 1.0
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - rho[m] ** 2))
-    return out
+    _, inv = _bump_gap(np.asarray(rho, dtype=float))
+    return np.exp(1.0 - inv)
 
 
 def bump_deriv(rho):
     """Derivative of :func:`bump`."""
     rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    m = np.abs(rho) < 1.0
-    r = rho[m]
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - r**2)) * (-2.0 * r / (1.0 - r**2) ** 2)
-    return out
+    t, inv = _bump_gap(rho)
+    slope = np.divide(-2.0 * rho, t * t, out=np.zeros(t.shape), where=t > 0.0)
+    return np.exp(1.0 - inv) * slope
 
 
 def smoothstep(t):

@@ -80,13 +80,30 @@ def test_eigenvalue_and_nu_bounds_hold_on_presets():
         assert report.ok, report.failures
 
 
+
+def test_validate_flags_identity_declaration_broken_inside():
+    # the ray tracer takes A_min == A_max == 1 to mean A = I and never
+    # evaluates A; validation must catch a field that breaks the declaration
+    ident = identity_coefficients()
+
+    def eval_A(x):
+        r = np.hypot(x[..., 0], x[..., 1])
+        return np.where((r < 0.5)[..., None, None], 1.5, 1.0) * ident.eval_A(x)
+
+    from dataclasses import replace
+    bad = replace(ident, eval_A=eval_A, support_radius=0.5)
+    report = validate_configuration(bad, None, TruncationGeometry(R1=0.5, R=1.0, R_ray=2.0))
+    assert [name for name, _ in report.failures] == ["A eigenvalue bounds violated"]
+
 @pytest.mark.parametrize("make", [
     lambda: nu_bump_coefficients(1.0, 0.5),
     lambda: anisotropic_coefficients(0.7, -0.2, 0.4, 0.5),
 ])
 def test_analytic_gradients_match_finite_differences(make):
     coeffs = make()
-    pts = np.array([[0.1, 0.2], [0.31, -0.12], [-0.25, 0.07], [0.0, 0.4]])
+    # the origin, where grad b(|x| / w) divides by |x|, and both sides of r = w = 0.5
+    pts = np.array([[0.1, 0.2], [0.31, -0.12], [-0.25, 0.07], [0.0, 0.4], [0.0, 0.0],
+                    [0.45, 0.0], [0.0, -0.48], [0.5, 0.0], [0.0, 0.5001], [0.3, 0.4]])
     assert check_gradients(coeffs, pts, step=1e-5) < 1e-6
 
 

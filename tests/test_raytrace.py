@@ -59,6 +59,19 @@ def test_vector_field_matches_finite_differences(nu_bump):
             assert dxi[m] == pytest.approx(-fd_x, rel=1e-6, abs=1e-8)
 
 
+
+def test_identity_A_shortcut_matches_general_rhs(nu_bump):
+    # nu_bump declares A_min = A_max = 1, so _rhs skips A and its gradient;
+    # A_min = 0.5 sends the same field through the general formula
+    w = 0.5
+    x = np.array([[0.1, -0.2], [0.31, 0.27], [-0.45, 0.05],   # inside the support
+                  [0.0, 0.0], [w, 0.0], [0.0, -w], [-0.3, 0.4],  # origin, r = w
+                  [0.7, 0.1], [-1.2, -0.9]])                     # outside
+    xi = rng(11).normal(size=x.shape)
+    states = np.concatenate([x, xi], axis=1)
+    np.testing.assert_array_equal(raytrace._rhs(nu_bump, states),
+                                  raytrace._rhs(replace(nu_bump, A_min=0.5), states))
+
 def test_reflection_specular_cases(ident):
     disk = disk_obstacle(1.0)
     # head-on at the north pole: normal (0, 1)

@@ -66,6 +66,29 @@ print(json.dumps({name: [calls, incl] for (op, name), (calls, incl, _) in stats.
         assert calls > 0 and seconds > 0.0, name
 
 
+
+def test_benchmark_tracer_counts_rk4_stages():
+    # the tracer counts stage evaluations through eval_grad_nu, which every
+    # RK4 stage calls, also where A = I lets the stage skip eval_A
+    code = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+from worker import import_helmray, load_case
+from tracing import Tracer
+hr = import_helmray()
+tracer = Tracer()
+tracer.install(hr)
+_, coeffs, obstacle, geom = load_case(hr, 'nu_bump')
+cfg = hr.raytrace.RayConfig(grid_pos_r=2, grid_pos_theta=4, grid_dir=8, refinement_rounds=0)
+hr.raytrace.longest_ray_length(tracer.wrap_coefficients(coeffs), obstacle, geom, 1.0, cfg)
+print(json.dumps({name: v for (op, name), v in tracer.counters.items()}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["raytrace.stage_evals"] == 4 * counts["raytrace.steps"] > 0
+
 def test_readme_lists_every_subcommand():
     block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("helmray ")]

@@ -1,7 +1,8 @@
 """The artifact writers: ``write_csv`` keeps the bytes of the per-cell
 formatter it replaced, and ``write_json`` encodes numpy values as Python ones.
 The singular-value estimate ``power_sigma`` reports converged only within its
-tolerance."""
+tolerance.  The bump and its derivative are exactly 0 off the open support,
+match their closed forms on it and raise no floating-point error."""
 
 import csv
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helmray.util import power_sigma, write_csv, write_json
+from helmray.util import bump, bump_deriv, power_sigma, write_csv, write_json
 
 
 def _fmt_float(x):
@@ -87,3 +88,29 @@ def test_power_sigma_converged_means_within_rtol(seed):
     sigma, _, conv, residual = power_sigma(lambda v: eig * v, sp.diags(mass), v0, rtol=rtol)
     assert conv and residual <= rtol
     assert abs(sigma - 1.0) <= rtol
+
+
+def test_bump_kernels_match_closed_form_and_vanish_off_support():
+    rho = np.linspace(-2.0, 2.0, 4001)
+    inside = np.abs(rho) < 1.0
+    r = rho[inside]
+    b = np.exp(1.0 - 1.0 / (1.0 - r**2))
+    # points in 0.9966 < |rho| < 1 give exp an underflowing argument, a
+    # rounding of the result and not a fault of the kernel
+    with np.errstate(all="raise", under="ignore"):
+        vals, ders = bump(rho), bump_deriv(rho)
+    np.testing.assert_array_equal(vals[inside], b)
+    np.testing.assert_array_equal(ders[inside], b * (-2.0 * r / (1.0 - r**2) ** 2))
+    assert not vals[~inside].any() and not ders[~inside].any()
+    edges = np.array([-np.inf, -3.0, -1.0, 1.0, 1.5, np.inf, 0.0, 0.5, -0.9])
+    with np.errstate(all="raise"):
+        vals, ders = bump(edges), bump_deriv(edges)
+    assert not vals[:6].any() and not ders[:6].any()
+    assert vals[6] == 1.0 and ders[6] == 0.0
+
+
+@pytest.mark.parametrize("rho", [np.float64(0.25), np.array(1.0), np.full((3, 2), 0.5)])
+def test_bump_kernels_keep_input_shape(rho):
+    assert np.shape(bump(rho)) == np.shape(rho)
+    assert np.shape(bump_deriv(rho)) == np.shape(rho)
+
