@@ -237,10 +237,10 @@ def volterra_discrete_norm(L, n=2000):
 # empirical estimators
 
 
-def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05), R=1.0):
-    """Empirical unweighted interpolation constant from a smooth-function battery:
-    the worst (|v - I_h v|_{L2} + h |grad(v - I_h v)|_{L2}) / (h^2 |v|_{H2}), with
-    the full H^2 norm counting the mixed derivative once."""
+def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05)):
+    """Empirical unweighted interpolation constant from a smooth-function battery
+    on the unit disk: the worst (|v - I_h v|_{L2} + h |grad(v - I_h v)|_{L2}) /
+    (h^2 |v|_{H2}), with the full H^2 norm counting the mixed derivative once."""
     battery = [
         (lambda x: x[:, 0] ** 2,
          lambda x: np.stack([2 * x[:, 0], np.zeros(len(x))], 1),
@@ -260,7 +260,7 @@ def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05), R=1.0):
              np.stack([np.exp(x[:, 0] - x[:, 1]), -np.exp(x[:, 0] - x[:, 1])], 1),
              np.stack([-np.exp(x[:, 0] - x[:, 1]), np.exp(x[:, 0] - x[:, 1])], 1)], 1)),
     ]
-    geom = TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R)
+    geom = TruncationGeometry(R1=0.9, R=1.0, R_ray=3.0)
     ident = identity_coefficients()
     worst = 0.0
     for h in h_values:

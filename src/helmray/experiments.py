@@ -252,8 +252,8 @@ def quasimode_lower_bound(L, delta, h) -> QuasimodeResult:
     def u0(x):
         return psi(x) * v0(x)
 
-    f2 = composite_gauss(lambda x: f0(x) ** 2, delta, L - delta, panels=120)
-    u2 = composite_gauss(lambda x: u0(x) ** 2, 0.5 * delta, L - 0.25 * delta, panels=120)
+    f2 = composite_gauss(lambda x: f0(x) ** 2, delta, L - delta)
+    u2 = composite_gauss(lambda x: u0(x) ** 2, 0.5 * delta, L - 0.25 * delta)
     return QuasimodeResult(ratio=float(np.sqrt(u2 / f2)),
                            reference=2.0 * (L - 2.0 * delta) / (np.pi * h),
                            f_norm_sq=f2, u_norm_sq=u2, mu=mu,

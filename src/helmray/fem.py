@@ -515,11 +515,10 @@ def modal_projection(fe_space: FeSpace, n_max: int) -> sp.csr_matrix:
 # loads
 
 
-def assemble_load_source(fe_space: FeSpace, f: Callable, quad_degree=4,
-                         support_radius=None):
+def assemble_load_source(fe_space: FeSpace, f: Callable, support_radius=None):
     """Right-hand side F(v) = int f conj(v) for a callable source."""
     mesh = fe_space.mesh
-    pts, wts, bary = quadrature(mesh, quad_degree)
+    pts, wts, bary = quadrature(mesh, 4)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=complex).reshape(pts.shape[:2])
     if support_radius is not None:
         r = np.hypot(pts[..., 0], pts[..., 1])
@@ -558,12 +557,9 @@ class DiscreteSolution:
         out[self.fe_space.free_vertices] = self.dofs
         return out
 
-    def evaluate(self, points):
-        return self.fe_space.mesh.interpolate(self.vertex_values(), points)
 
-
-def solve(system: GalerkinSystem, rhs, rtol=CERTIFIED_RTOL) -> DiscreteSolution:
-    """Solve with a residual certificate."""
+def solve(system: GalerkinSystem, rhs) -> DiscreteSolution:
+    """Solve with a residual certificate: relative residual <= CERTIFIED_RTOL."""
     b = np.asarray(rhs, dtype=complex)
     lu = system.factorize()
     x = lu.solve(b)
@@ -571,8 +567,8 @@ def solve(system: GalerkinSystem, rhs, rtol=CERTIFIED_RTOL) -> DiscreteSolution:
         raise SingularSystemError("factorization produced non-finite solution")
     bn = np.linalg.norm(b)
     res = float(np.linalg.norm(system.apply(x) - b) / bn) if bn > 0 else 0.0
-    if res > rtol:
-        raise SolveError(f"relative residual {res:.3e} exceeds {rtol:g}")
+    if res > CERTIFIED_RTOL:
+        raise SolveError(f"relative residual {res:.3e} exceeds {CERTIFIED_RTOL:g}")
     return DiscreteSolution(dofs=x, fe_space=system.fe_space, k=system.k, residual=res,
                             iterations=lu.iterations)
 
@@ -646,9 +642,9 @@ def errors_vs_exact(coeffs: CoefficientField, fe_space: FeSpace, us, exact, k: f
     return out
 
 
-def l2_norm_exact(fe_space: FeSpace, fn, quad_degree=4):
+def l2_norm_exact(fe_space: FeSpace, fn):
     """L2 norm of a scalar or vector-valued callable (values on the last axis)."""
-    pts, wts, _ = quadrature(fe_space.mesh, quad_degree)
+    pts, wts, _ = quadrature(fe_space.mesh, 4)
     v = np.asarray(fn(pts.reshape(-1, 2))).reshape(pts.shape[:2] + (-1,))
     return float(np.sqrt(np.sum(wts * np.sum(np.abs(v) ** 2, axis=-1))))
 

@@ -64,16 +64,16 @@ class Mesh:
             self._tree = cKDTree(self.vertices[self.triangles].mean(axis=1))
         return self._tree
 
-    def locate(self, points, k_search=24):
+    def locate(self, points):
         """Triangle index and barycentric coordinates for each query point.
 
-        A point takes the first of its ``k_search`` nearest-centroid triangles
+        A point takes the first of its 24 nearest-centroid triangles
         that holds it (barycentric deficiency <= 1e-12).  Points outside the
         triangulated polygon (boundary-snap mismatches) are clamped to the
         first candidate of least deficiency.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        k = min(k_search, self.n_triangles)
+        k = min(24, self.n_triangles)
         cand = self._centroid_tree().query(points, k=k)[1].reshape(len(points), k)
         tri_idx, bary = np.empty(len(points), dtype=int), np.empty((len(points), 3))
         best = np.full(len(points), np.inf)

@@ -117,15 +117,15 @@ def radial_quadrature(R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None) -> RadialQ
                             Mnu=gram(w * nu_q * x))
 
 
-def assemble_radial_mode(n, k, quad: RadialQuadrature, t_n=None) -> RadialMode:
+def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
     """P1 discretization of the mode-n operator with the radiation closure.
 
-    Bilinear form: int (a u' v' + a n^2/r^2 u v - k^2 nu u v) r dr - R t_n u(R) v(R).
+    Bilinear form: int (a u' v' + a n^2/r^2 u v - k^2 nu u v) r dr - R t_n u(R) v(R),
+    with t_n = k H_n'(kR) / H_n(kR).
     Node r = r_inner is constrained when it is an obstacle boundary, and when
     n != 0 at the axis (modes with angular dependence vanish at r = 0).
     """
-    if t_n is None:
-        t_n = k * hankel_ratio(n, k * quad.R)
+    t_n = k * hankel_ratio(n, k * quad.R)
     A = [s + n * n * c for s, c in zip(quad.S, quad.C)]
     K = [a.astype(complex) - (k * k) * m for a, m in zip(A, quad.Mnu)]
     K[0][-1] -= quad.R * t_n

@@ -341,23 +341,11 @@ def _impacts(obstacles, path, windows, armed, dt):
     return tau_hit, which
 
 
-class _BatchResult:
-    __slots__ = ("t_exit", "termination", "t_final", "state_final")
-
-    def __init__(self, n):
-        self.t_exit = np.zeros(n)
-        self.termination = np.full(n, -1, dtype=int)  # 0 escaped, 1 budget, 2 glancing
-        self.t_final = np.zeros(n)
-        self.state_final = np.zeros((n, 4))
-
-    def finish(self, ids, code, t, states):
-        self.termination[ids] = code
-        self.t_final[ids] = t[ids]
-        self.state_final[ids] = states[ids]
-
-
 class _Batch:
-    """Mutable state of the rays of one ``_integrate_batch`` call."""
+    """The rays of one ``_integrate_batch`` call, which are also its result:
+    per ray ``termination`` (-1 running, 0 escaped, 1 budget, 2 glancing),
+    ``t_exit`` (last exit from B(0, R_track), 0 if none), and ``t`` and
+    ``states``, final once the ray ends: an ended ray is never moved again."""
 
     def __init__(self, coeffs, obstacles, states, cfg, R_track, escape_radius, record):
         self.coeffs, self.obstacles, self.cfg = coeffs, obstacles, cfg
@@ -367,7 +355,8 @@ class _Batch:
         self.reach = [(np.asarray(ob.center, float), 1.01 * ob.max_radius)
                       for ob in obstacles]
         n = len(states)
-        self.res = _BatchResult(n)
+        self.t_exit = np.zeros(n)
+        self.termination = np.full(n, -1, dtype=int)
         self.states = states.copy()
         self.t = np.zeros(n)
         self.inside = np.hypot(states[:, 0], states[:, 1]) < coeffs.support_radius
@@ -377,17 +366,18 @@ class _Batch:
                       else np.ones(n, dtype=bool))
 
     def _reflect(self, i, obstacle, t_b):
-        """Reflect and disarm ray ``i`` at its impact point; False if it glanced (censored)."""
+        """Reflect and disarm ray ``i`` at its impact point; a glancing impact
+        ends the ray there instead (censored)."""
         self.armed[i] = False
         x_b, xi_b = self.states[i, :2], self.states[i, 2:].copy()
         try:
             xi_out = _reflect_state(self.coeffs, obstacle, x_b, xi_b, self.cfg.glancing_threshold)
         except GlancingImpact:
-            return False
+            self.termination[i] = 2
+            return
         if self.record is not None:
             self.record["reflections"].append(ReflectionEvent(t_b, x_b.copy(), xi_b, xi_out.copy()))
         self.states[i, 2:] = xi_out
-        return True
 
     def fly(self, ids):
         """Move each ray of ``ids`` along its straight line to its next event.
@@ -400,7 +390,7 @@ class _Batch:
         """
         if not len(ids):
             return
-        cfg, res, S = self.cfg, self.res, self.coeffs.support_radius
+        cfg, S = self.cfg, self.coeffs.support_radius
         x, xi = self.states[ids, :2], self.states[ids, 2:]
         v, t0 = 2.0 * xi, self.t[ids]
         tau_entry = np.full(len(ids), np.inf)
@@ -423,20 +413,19 @@ class _Batch:
         tau = np.where(budget, cfg.max_time_budget - t0, tau)
         _, t_ball = _line_circle(x, v, self.R_track)
         exits = (t_ball >= 0.0) & (t_ball <= tau)
-        res.t_exit[ids[exits]] = t0[exits] + t_ball[exits]
+        self.t_exit[ids[exits]] = t0[exits] + t_ball[exits]
 
         self.states[ids, :2] = x + tau[:, None] * v
         self.t[ids] = t0 + tau
-        res.finish(ids[budget], 1, self.t, self.states)
-        res.finish(ids[~budget & np.isinf(tau_event)], 0, self.t, self.states)
+        self.termination[ids[budget]] = 1
+        self.termination[ids[~budget & np.isinf(tau_event)]] = 0
         entry = ~budget & np.isfinite(tau_entry) & (tau_entry <= tau_hit)
         self.inside[ids[entry]] = True
         if self.obstacles and entry.any():
             d = _min_sdf(self.obstacles, self.states[ids[entry], :2])
             self.armed[ids[entry]] |= d > _EPS_EVENT
         for j in np.nonzero(~budget & (tau_hit < tau_entry))[0]:
-            if not self._reflect(ids[j], self.obstacles[which[j]], self.t[ids[j]]):
-                res.finish([ids[j]], 2, self.t, self.states)
+            self._reflect(ids[j], self.obstacles[which[j]], self.t[ids[j]])
         if self.record is not None and tau[0] > 0.0:
             m = int(np.ceil(tau[0] / cfg.step_size))
             s = tau[0] * np.arange(1, m) / m
@@ -451,13 +440,13 @@ class _Batch:
         its Hermite interpolant and the ball exit refined on the straight chord."""
         if not len(ids):
             return
-        coeffs, obstacles, cfg, res = self.coeffs, self.obstacles, self.cfg, self.res
+        coeffs, obstacles, cfg = self.coeffs, self.obstacles, self.cfg
         dt = cfg.step_size
         sub = self.states[ids]
         new = _rk4_step(coeffs, sub, dt)
         t_new = self.t[ids] + dt
 
-        hit, glanced = np.zeros((2, len(ids)), dtype=bool)
+        hit = np.zeros(len(ids), dtype=bool)
         d_new, near = np.full(len(ids), np.inf), np.zeros(0, dtype=int)
         if obstacles:
             d_new = _min_sdf(obstacles, new[:, :2])
@@ -477,15 +466,15 @@ class _Batch:
             t_new[loc] = self.t[i] + tau[found]
             self.states[i] = path(found, slice(None))(tau[found])
             for j, w in zip(loc, which[found]):
-                glanced[j] = not self._reflect(ids[j], obstacles[w], t_new[j])
+                self._reflect(ids[j], obstacles[w], t_new[j])
             new[loc] = self.states[i]
 
         r_new = np.hypot(new[:, 0], new[:, 1])
-        out = np.nonzero((np.hypot(sub[:, 0], sub[:, 1]) <= self.R_track)
-                         & (r_new > self.R_track) & ~hit)[0]
+        out = np.nonzero((r_new > self.R_track) & ~hit)[0]
+        out = out[np.hypot(sub[out, 0], sub[out, 1]) <= self.R_track]
         if len(out):
             tau = _segment_ball_exit(sub[out, :2], new[out, :2], self.R_track)
-            res.t_exit[ids[out]] = self.t[ids[out]] + tau * dt
+            self.t_exit[ids[out]] = self.t[ids[out]] + tau * dt
 
         self.states[ids] = new
         self.t[ids] = t_new
@@ -495,14 +484,15 @@ class _Batch:
             self.record["times"].append(t_new[0])
             self.record["states"].append(new[0].copy())
 
-        budget = (t_new > cfg.max_time_budget) & ~glanced
-        res.finish(ids[glanced], 2, self.t, self.states)
-        res.finish(ids[budget], 1, self.t, self.states)
+        # a ray that glanced on this step keeps its ending at the impact
+        over = ids[t_new > cfg.max_time_budget]
+        self.termination[over[self.termination[over] < 0]] = 1
 
 
 def _integrate_batch(coeffs, obstacles, states, cfg: RayConfig, R_track,
                      escape_radius, record=None):
-    """Advance a batch of rays to termination, tracking last exit from B(0, R_track).
+    """Advance a batch of rays to termination, tracking last exit from
+    B(0, R_track); the returned ``_Batch`` is the result.
 
     Rays inside the perturbation disk |x| < coeffs.support_radius take fixed
     RK4 steps; every other ray flies analytically along its straight line to
@@ -516,10 +506,10 @@ def _integrate_batch(coeffs, obstacles, states, cfg: RayConfig, R_track,
     active = np.arange(len(states))
     while len(active):
         batch.fly(active[~batch.inside[active]])
-        active = active[batch.res.termination[active] < 0]
+        active = active[batch.termination[active] < 0]
         batch.step(active[batch.inside[active]])
-        active = active[batch.res.termination[active] < 0]
-    return batch.res
+        active = active[batch.termination[active] < 0]
+    return batch
 
 
 def integrate_ray(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
@@ -534,10 +524,10 @@ def integrate_ray(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
         raise ValueError("initial point is not on the characteristic set")
     obstacles = _as_obstacles(obstacle)
     rec = {"times": [0.0], "states": [p0.state()], "reflections": []}
-    res = _integrate_batch(coeffs, obstacles, p0.state()[None, :], cfg,
-                           R_track=geom.R, escape_radius=geom.R_ray, record=rec)
+    batch = _integrate_batch(coeffs, obstacles, p0.state()[None, :], cfg,
+                             R_track=geom.R, escape_radius=geom.R_ray, record=rec)
     return Trajectory(np.array(rec["times"]), np.array(rec["states"]),
-                      rec["reflections"], list(Termination)[res.termination[0]])
+                      rec["reflections"], list(Termination)[batch.termination[0]])
 
 
 def time_in_ball(traj: Trajectory, R: float) -> float:

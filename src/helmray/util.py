@@ -86,12 +86,12 @@ def gauss_legendre(n, a=0.0, b=1.0):
     return xm + xr * x, xr * w
 
 
-def composite_gauss(f, a, b, panels=40, order=20):
-    """Composite Gauss-Legendre quadrature of ``f`` on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
+def composite_gauss(f, a, b):
+    """Composite Gauss-Legendre quadrature of ``f`` on [a, b]: 120 panels of 20 nodes."""
+    edges = np.linspace(a, b, 121)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(order, lo, hi)
+        x, w = gauss_legendre(20, lo, hi)
         total += float(np.sum(w * f(x)))
     return total
 

@@ -15,6 +15,7 @@ from helmray.dtn import build_dtn
 from helmray.fem import assemble, build_space
 from helmray.geometry import COEFFICIENT_PRESETS
 from helmray.mesh import generate_mesh
+from helmray.raytrace import RayConfig
 from helmray.util import write_json
 
 EUCLID_CFG = """
@@ -118,6 +119,11 @@ def test_config_rejects_unknown_section():
 def test_config_rejects_unknown_key(sec, key):
     with pytest.raises(ValueError, match=rf"'{key}' in section \[{sec}\]"):
         RunConfig.from_text(f"[{sec}]\n{key} = 1\n")
+
+
+def test_config_ray_defaults_match_ray_config_defaults():
+    # the ray defaults are written twice: in config._KEYS["ray"] and in RayConfig
+    assert RunConfig.default().ray_config() == RayConfig()
 
 
 def test_config_get_returns_default_for_unset_keys():

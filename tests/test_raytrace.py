@@ -282,7 +282,7 @@ def test_escaped_rays_never_reenter(ident, unit_ball_geom):
     res = _integrate_batch(ident, (), states, RayConfig(), R_track=1.0,
                            escape_radius=1.25)
     assert np.all(res.termination == 0)
-    state = res.state_final.copy()
+    state = res.states.copy()
     rmin = np.full(n, np.inf)
     for _ in range(2000):
         state = _rk4_step(ident, state, 2e-3)
@@ -329,7 +329,7 @@ def test_flight_past_the_obstacle_makes_no_bisection_pass(ident, monkeypatch):
     y = a + np.linspace(1e-4, 4e-3, 50)
     states = np.stack([np.full(50, -0.8), y, np.ones(50), np.zeros(50)], axis=1)
     res = _eval_rays(ident, (disk_obstacle(a),), states, RayConfig(), 1.0)
-    assert np.all(res.termination == 0) and np.all(res.state_final[:, 2] == 1.0)
+    assert np.all(res.termination == 0) and np.all(res.states[:, 2] == 1.0)
     # arming, the line samples and 50 golden-section evaluations; no ray
     # enters the support, so no entry point is tested
     assert len(calls) == 1 + 1 + 50
@@ -369,6 +369,22 @@ def test_glancing_impact_flagged(ident):
                           RayConfig(glancing_threshold=1e-9))
     assert traj2.termination is Termination.ESCAPED
     assert len(traj2.reflections) == 1
+
+
+def test_glancing_impact_on_the_step_that_crosses_the_budget():
+    # the ray glances inside the RK4 step from t = 0.188 to 0.190; a budget
+    # between the step's start and the impact must not turn the glancing
+    # ending into a budget one, nor move the ray off the impact point
+    coeffs, obstacle = nu_bump_coefficients(0.5, 0.9), disk_obstacle(0.3)
+    x0 = np.array([-0.5, 0.25])
+    state = np.concatenate([x0, unit_covector(coeffs, x0, np.array([1.0, 0.0]))])[None]
+    cfg = RayConfig(glancing_threshold=0.9)
+    free = _eval_rays(coeffs, (obstacle,), state, cfg, 1.0)
+    assert free.termination[0] == 2 and 0.188 < free.t[0] < 0.190
+    capped = _eval_rays(coeffs, (obstacle,), state, replace(cfg, max_time_budget=0.1885), 1.0)
+    assert capped.termination[0] == 2
+    assert capped.t[0] == free.t[0] > 0.1885
+    assert abs(signed_distance(obstacle, capped.states[:, :2])[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["disk", "nu_bump"])
@@ -442,7 +458,7 @@ def test_line_flight_reflects_short_chord_impacts(cosine, support):
     states = np.stack([x, y, np.ones(200), np.zeros(200)], axis=1)
     res = _eval_rays(ident, (disk_obstacle(a),), states, cfg, 1.0)
     assert np.all(res.termination == 0)
-    assert np.sum(res.state_final[:, 3] == 0.0) == 0
+    assert np.sum(res.states[:, 3] == 0.0) == 0
 
 
 STAR_IN_BUMP = fourier_obstacle([0.25, 0.0, 0.03], [0.0, 0.0, 0.02])
@@ -479,9 +495,9 @@ def test_bump_flight_matches_fixed_step_march(nu_bump, r0, theta, b):
     cfg = RayConfig()
     res = _integrate_batch(nu_bump, (), state, cfg, R_track=1.0, escape_radius=1.25)
     assert res.termination[0] == 0
-    steps = int(np.ceil(res.t_final[0] / cfg.step_size))
+    steps = int(np.ceil(res.t[0] / cfg.step_size))
     for _ in range(steps):
         state = _rk4_step(nu_bump, state, cfg.step_size)
-    final = res.state_final[0].copy()
-    final[:2] += 2.0 * final[2:] * (steps * cfg.step_size - res.t_final[0])
+    final = res.states[0].copy()
+    final[:2] += 2.0 * final[2:] * (steps * cfg.step_size - res.t[0])
     np.testing.assert_allclose(state[0], final, rtol=0.0, atol=1e-6)

@@ -83,3 +83,36 @@ def test_every_private_name_is_read():
     read = _read_names(ast.parse(p.read_text()) for p in readers)
     unread = {p.name: sorted(_private_names(ast.parse(p.read_text())) - read) for p in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def _public_names(tree):
+    """Public functions and classes defined at module level in ``tree``, and the
+    public methods of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(m.name for m in node.body
+                             if isinstance(m, defs[:2]) and not m.name.startswith("_"))
+    return names
+
+
+def test_public_name_detector():
+    tree = ast.parse("A = 1\ndef f():\n    return g()\ndef g():\n    pass\ndef _h():\n    pass\n"
+                     "class K:\n    x = 1\n    def m(self):\n        pass\n"
+                     "    def _p(self):\n        pass\n    def __init__(self):\n        pass\n"
+                     "class _Q:\n    def q(self):\n        pass\n")
+    other = ast.parse("from mod import K\nK().m\n")
+    assert sorted(_public_names(tree) - _read_names([tree, other])) == ["f"]
+
+
+def test_every_public_name_is_read():
+    # a public function, class or method that nothing in src/, perfbench/ or
+    # tests/ reads is dead code
+    root = SRC.parents[1]
+    readers = [p for d in (SRC, root / "perfbench", root / "tests") for p in sorted(d.glob("*.py"))]
+    read = _read_names(ast.parse(p.read_text()) for p in readers)
+    unread = {p.name: sorted(_public_names(ast.parse(p.read_text())) - read) for p in MODULES}
+    assert {name: names for name, names in unread.items() if names} == {}
