@@ -13,7 +13,6 @@ from .geometry import (CoefficientField, Obstacle, TruncationGeometry,
                        nu_bump_coefficients, signed_distance,
                        validate_configuration)
 from .raytrace import (PhasePoint, RayConfig, Trajectory, classify_trapping,
-                       hamiltonian, hamiltonian_vector_field, integrate_ray,
-                       longest_ray_length, reflect, time_in_ball)
+                       hamiltonian, integrate_ray, longest_ray_length, time_in_ball)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,15 +8,15 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bounds import ConstantsLedger, mesh_threshold, resolvent_upper_bound, volterra_norm
 from .dtn import build_dtn
-from .fem import (AngularFactorization, DiscreteSolution, SolveError, _fe_values,
-                  _shared_csr, assemble, assemble_load_scattering, assemble_load_source,
-                  build_space, element_gradients, errors_vs_exact, l2_norm_exact,
-                  nodal_interpolant, quadrature, recovered_hessian_h2_norm, solve,
-                  solve_adjoint)
+from .fem import (AngularFactorization, DiscreteSolution, SolveError, _fe_values, assemble,
+                  assemble_load_scattering, assemble_load_source, build_space,
+                  element_gradients, errors_vs_exact, l2_norm_exact, nodal_interpolant,
+                  quadrature, recovered_hessian_h2_norm, solve, solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
@@ -284,9 +284,11 @@ class _CrossMeshProjector:
         tri, lam = coarse_space.mesh.locate(flat)
         grads, _ = element_gradients(coarse_space.mesh)
         dof = coarse_space.dof_of_vertex[coarse_space.mesh.triangles[tri]]  # (P, 3)
-        self.Phi, self.Gx, self.Gy = _shared_csr(
-            np.arange(len(flat))[:, None], dof, (len(flat), coarse_space.n_dofs),
-            lam, grads[tri, :, 0], grads[tri, :, 1])
+        keep = dof >= 0
+        rows = np.broadcast_to(np.arange(len(flat))[:, None], dof.shape)[keep]
+        self.Phi, self.Gx, self.Gy = (   # distinct columns in each row: nothing to sum
+            sp.csr_matrix((v[keep], (rows, dof[keep])), shape=(len(flat), coarse_space.n_dofs))
+            for v in (lam, grads[tri, :, 0], grads[tri, :, 1]))
         self.A_q = coeffs.eval_A(flat)
         self.nu_q = coeffs.eval_nu(flat)
         self.Ec_lu = spla.splu(assemble(coeffs, coarse_space, None, k).energy_matrix().tocsc())

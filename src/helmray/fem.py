@@ -3,7 +3,10 @@
 The sesquilinear form is
     a(u, v) = int_D (A grad u . conj(grad v) - k^2 nu u conj(v)) - <T (u|_G), v|_G>
 with T the modal radiation operator on the outer circle G.  Obstacle vertices
-carry homogeneous Dirichlet constraints.  One sparse trace operator P
+carry homogeneous Dirichlet constraints.  The stiffness and both masses are
+summed by ``np.bincount`` (Cuvelier, Japhet & Scarella, BIT 2016) into one CSR
+pattern, the diagonal and both directions of every element edge; a coefficient
+the bounds pin (A = I or nu = 1) is never evaluated.  One sparse trace operator P
 (``modal_projection``) maps dofs to the m = 2 n_max + 1 Fourier modes on G.
 The radiation operator C P, with C = 2 pi R P^H diag(t), is never formed:
 the system operator K0 - C P (K0 = S - k^2 M_nu) is applied as K0 u - C (P u).
@@ -96,24 +99,20 @@ def build_space(mesh: Mesh, dirichlet_outer: bool = False) -> FeSpace:
 
 def element_gradients(mesh: Mesh):
     """Constant P1 basis gradients per element: (M, 3, 2), plus areas (M,)."""
-    p = mesh.vertices[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
-    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
-    g0 = -(g1 + g2)
-    return np.stack([g0, g1, g2], axis=1), area
+    x, y = (mesh.vertices[mesh.triangles, c] for c in (0, 1))
+    x1, x2, y1, y2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0], y[:, 1] - y[:, 0], y[:, 2] - y[:, 0]
+    det = x1 * y2 - y1 * x2
+    grads = np.empty((len(det), 3, 2))
+    grads[:, 1, 0], grads[:, 1, 1] = y2 / det, -x2 / det
+    grads[:, 2, 0], grads[:, 2, 1] = -y1 / det, x1 / det
+    grads[:, 0] = -(grads[:, 1] + grads[:, 2])
+    return grads, 0.5 * det
 
 
 def quadrature(mesh: Mesh, degree=4):
     """Physical quadrature points (M, Q, 2), absolute weights (M, Q), bary (Q, 3)."""
     bary, w = triangle_rule(degree)
-    p = mesh.vertices[mesh.triangles]          # (M, 3, 2)
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return bary @ p, area[:, None] * w, bary
+    return bary @ mesh.vertices[mesh.triangles], mesh.areas()[:, None] * w, bary
 
 
 # ---------------------------------------------------------------------------
@@ -429,53 +428,70 @@ class GalerkinSystem:
         """Real SPD Gram of the k-weighted norm: stiffness + k^2 nu-mass."""
         return (self.stiffness + (self.k**2) * self.mass_nu).tocsr()
 
-    def action(self, u, v):
-        """a(u, v) for dof vectors: trial u, test v (conjugated slot)."""
-        return complex(np.vdot(v, self.apply(u)))
+
+# local pairs (i, j) of a symmetric P1 element matrix: its diagonal, then i < j
+_I, _J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 
 
-def _shared_csr(rows, cols, shape, *values):
-    """One CSR matrix of ``shape`` per real value array, holding the sums of its
-    values over the entries (rows, cols) broadcast to its shape; entries with a
-    negative row or column are left out.
-
-    The sorted unique keys and the slot of every entry are found once, each
-    value array is summed into the slots by ``np.bincount``, and the matrices
-    share ``indptr`` and ``indices`` (Cuvelier, Japhet & Scarella, BIT 2016).
-    """
-    rows, cols = np.broadcast_arrays(rows, cols)
-    keep = (rows >= 0) & (cols >= 0)
-    keys, slot = np.unique(rows[keep].astype(np.int64) * shape[1] + cols[keep],
-                           return_inverse=True)
+def _edge_csr(tri_dofs, n, *values):
+    """One symmetric n x n CSR matrix per (M, 6) array of element entries at the
+    local pairs (_I, _J), on one pattern: the diagonal and both directions of
+    every edge with two free ends (dofs < 0 are left out).  The edges come from
+    one ``np.unique``, the pattern is ordered once, and each matrix is one
+    ``np.bincount`` into its ``data``, its upper edges copied to the lower."""
+    a, b = tri_dofs[:, _I[3:]], tri_dofs[:, _J[3:]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # an edge with a constrained end takes the key n^2, above every free edge's
+    keys, slot = np.unique(np.where(lo >= 0, lo * n + hi, n * n), return_inverse=True)
+    lo, hi = np.divmod(keys[:np.searchsorted(keys, n * n)], n)
+    rows, cols = np.r_[np.arange(n), lo, hi], np.r_[np.arange(n), hi, lo]
+    # stable: timsort merges the three runs, which are sorted or nearly so
+    order = np.argsort(rows * n + cols, kind="stable")
+    nnz, e = len(order), len(lo)
+    at = np.full(nnz + 1, nnz)       # place in ``data``; nnz takes what is left out
+    at[order] = np.arange(nnz)
+    # a diagonal entry goes to its dof's place, an edge to its upper copy's
+    place = np.c_[at[np.where(tri_dofs >= 0, tri_dofs, nnz)],
+                  at[np.where(slot < e, n + slot, nnz).reshape(tri_dofs.shape)]].ravel()
     # the index type scipy would pick, so that no matrix copies the pattern
-    idx = np.int32 if max(len(keys), *shape) < np.iinfo(np.int32).max else np.int64
-    indices = (keys % shape[1]).astype(idx)
-    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]).astype(idx)
-    return [sp.csr_matrix((np.bincount(slot, weights=v[keep], minlength=len(keys)),
-                           indices, indptr), shape=shape) for v in values]
+    idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+    indices = cols[order].astype(idx)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(idx)
+    out = []
+    for v in values:
+        data = np.bincount(place, weights=v.ravel(), minlength=nnz + 1)[:nnz]
+        data[at[n + e:nnz]] = data[at[n:n + e]]
+        out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return out
 
 
 def assemble(coeffs: CoefficientField, fe_space: FeSpace,
              dtn: Optional[DtnOperator], k: float, quad_degree=4) -> GalerkinSystem:
-    """Assemble stiffness, masses, and the radiation factors C and P."""
+    """Assemble stiffness, masses, and the radiation factors C and P.
+    Coefficients the bounds pin are not evaluated: A = I gives the element
+    stiffness area * G G^T, and nu = 1 makes the nu-mass the plain mass."""
     mesh = fe_space.mesh
-    grads, _ = element_gradients(mesh)
-    pts, wts, bary = quadrature(mesh, quad_degree)
-
-    flat = pts.reshape(-1, 2)
-    A_q = coeffs.eval_A(flat).reshape(pts.shape[0], pts.shape[1], 2, 2)
-    nu_q = coeffs.eval_nu(flat).reshape(pts.shape[:2])
-
-    A_bar = np.einsum("mq,mqab->mab", wts, A_q)
-    S_loc = grads @ A_bar @ grads.transpose(0, 2, 1)
-    phi_phi = (bary[:, :, None] * bary[:, None, :]).reshape(len(bary), 9)   # (Q, 9)
-    Mnu_loc = ((wts * nu_q) @ phi_phi).reshape(-1, 3, 3)
-    M0_loc = (wts @ phi_phi).reshape(-1, 3, 3)
-
-    tri_dofs = fe_space.dof_of_vertex[mesh.triangles]
-    n = fe_space.n_dofs
-    S, Mnu, M0 = _shared_csr(tri_dofs[:, :, None], tri_dofs[:, None, :], (n, n),
-                             S_loc, Mnu_loc, M0_loc)
+    grads, area = element_gradients(mesh)
+    bary, w = triangle_rule(quad_degree)
+    wts = area[:, None] * w
+    pair = bary[:, _I] * bary[:, _J]                 # (Q, 6) basis products
+    pinned_A = coeffs.A_min == coeffs.A_max == 1.0
+    pinned_nu = coeffs.nu_min == coeffs.nu_max == 1.0
+    if not (pinned_A and pinned_nu):
+        flat = (bary @ mesh.vertices[mesh.triangles]).reshape(-1, 2)
+    gx, gy = grads[..., 0], grads[..., 1]
+    if pinned_A:
+        S_loc = area[:, None] * (gx[:, _I] * gx[:, _J] + gy[:, _I] * gy[:, _J])
+    else:
+        A_bar = np.einsum("mq,mqab->mab", wts, coeffs.eval_A(flat).reshape(wts.shape + (2, 2)))
+        ax = gx * A_bar[:, None, 0, 0] + gy * A_bar[:, None, 1, 0]     # rows of G A
+        ay = gx * A_bar[:, None, 0, 1] + gy * A_bar[:, None, 1, 1]
+        S_loc = ax[:, _I] * gx[:, _J] + ay[:, _I] * gy[:, _J]
+    local = [S_loc, wts @ pair]
+    if not pinned_nu:
+        local.append((wts * coeffs.eval_nu(flat).reshape(wts.shape)) @ pair)
+    S, M0, *Mnu = _edge_csr(fe_space.dof_of_vertex[mesh.triangles], fe_space.n_dofs, *local)
+    Mnu = Mnu[0] if Mnu else M0          # nu = 1: the nu-mass is the plain mass
 
     C = P = None
     if dtn is not None:

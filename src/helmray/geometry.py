@@ -26,9 +26,10 @@ class CoefficientField:
     eval_grad_A(x): (..., 2) -> (..., 2, 2, 2), last axis the derivative direction
     eval_grad_nu(x): (..., 2) -> (..., 2)
 
-    ``A_min == A_max == 1`` declares A = I everywhere: the ray tracer then
-    evaluates neither A nor its gradient, so a field that declares it must
-    keep it (``validate_configuration`` checks the bounds on a grid).
+    ``A_min == A_max == 1`` declares A = I everywhere, and ``nu_min == nu_max
+    == 1`` declares nu = 1: the ray tracer (A only) and the FEM assembly then
+    skip the pinned coefficient, so a field that declares a pin must keep it
+    (``validate_configuration`` checks the bounds on a grid).
     """
 
     eval_A: Callable

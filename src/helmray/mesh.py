@@ -92,13 +92,6 @@ class Mesh:
                 break
         return tri_idx, bary
 
-    def interpolate(self, vertex_values, points):
-        """Evaluate the P1 interpolant of nodal data at arbitrary points."""
-        tri_idx, bary = self.locate(points)
-        vals = np.asarray(vertex_values)[self.triangles[tri_idx]]
-        return np.einsum("pj,pj->p", bary, vals) if vals.ndim == 2 else \
-            np.einsum("pj,pj...->p...", bary, vals)
-
 
 # ---------------------------------------------------------------------------
 # construction helpers

@@ -142,12 +142,6 @@ def hamiltonian(coeffs: CoefficientField, p: PhasePoint) -> float:
     return float(_ham(coeffs, p.state()[None, :])[0])
 
 
-def hamiltonian_vector_field(coeffs: CoefficientField, p: PhasePoint):
-    """Return (dx/ds, dxi/ds) evaluated from the analytic coefficient gradients."""
-    out = _rhs(coeffs, p.state()[None, :])[0]
-    return out[:2].copy(), out[2:].copy()
-
-
 def unit_covector(coeffs: CoefficientField, x, direction):
     """Scale a Euclidean direction onto the characteristic set: xi.A xi = nu."""
     x = np.asarray(x, dtype=float)
@@ -161,6 +155,12 @@ def unit_covector(coeffs: CoefficientField, x, direction):
 
 
 def _reflect_state(coeffs, obstacle, x, xi, glancing_threshold):
+    """Metric-specular reflection of the covector xi at the boundary point x.
+
+    The outgoing covector is xi - 2 (<xi,n>_G / <n,n>_G) n with n the Euclidean
+    unit conormal and <a,b>_G = a.A(x) b / nu(x).  This is the unique involution
+    conserving the Hamiltonian and the Euclidean tangential momentum.
+    """
     n = boundary_normal(obstacle, x, tol=1e-6)
     A = coeffs.eval_A(x)
     xiAn = float(xi @ A @ n)
@@ -170,19 +170,6 @@ def _reflect_state(coeffs, obstacle, x, xi, glancing_threshold):
     if abs(cosang) <= glancing_threshold:
         raise GlancingImpact(f"|metric cosine| = {abs(cosang):.2e} at impact")
     return xi - 2.0 * (xiAn / nAn) * n
-
-
-def reflect(coeffs: CoefficientField, obstacle: Obstacle, p: PhasePoint,
-            glancing_threshold: float = 0.0) -> PhasePoint:
-    """Metric-specular reflection off the obstacle boundary.
-
-    The outgoing covector is xi - 2 (<xi,n>_G / <n,n>_G) n with n the Euclidean
-    unit conormal and <a,b>_G = a.A(x) b / nu(x).  This is the unique involution
-    conserving the Hamiltonian and the Euclidean tangential momentum.
-    """
-    xi_out = _reflect_state(coeffs, obstacle, np.asarray(p.x, float),
-                            np.asarray(p.xi, float), glancing_threshold)
-    return PhasePoint(np.asarray(p.x, float).copy(), xi_out)
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +433,33 @@ class _Batch:
         new = _rk4_step(coeffs, sub, dt)
         t_new = self.t[ids] + dt
 
-        hit = np.zeros(len(ids), dtype=bool)
-        d_new, near = np.full(len(ids), np.inf), np.zeros(0, dtype=int)
+        hit = []
         if obstacles:
             d_new = _min_sdf(obstacles, new[:, :2])
             # a step ending farther than twice its length from every curve has
             # not met one: the level changes by about the arc length at most
             chord = np.hypot(*(new[:, :2] - sub[:, :2]).T)
             near = np.nonzero(self.armed[ids] & (d_new < 2.0 * chord))[0]
-        if len(near):
-            s0, s1 = sub[near], new[near]
-            path = _hermite(s0, s1, _rhs(coeffs, s0), _rhs(coeffs, s1), dt)
-            window = (np.zeros(len(near)), np.full(len(near), dt))
-            tau, which = _impacts(obstacles, path, [window] * len(obstacles),
-                                  self.armed[ids[near]], dt)
-            found = np.nonzero(np.isfinite(tau))[0]
-            loc, i = near[found], ids[near[found]]
-            hit[loc], d_new[loc] = True, 0.0
-            t_new[loc] = self.t[i] + tau[found]
-            self.states[i] = path(found, slice(None))(tau[found])
-            for j, w in zip(loc, which[found]):
-                self._reflect(ids[j], obstacles[w], t_new[j])
-            new[loc] = self.states[i]
+            if len(near):
+                s0, s1 = sub[near], new[near]
+                path = _hermite(s0, s1, _rhs(coeffs, s0), _rhs(coeffs, s1), dt)
+                window = (np.zeros(len(near)), np.full(len(near), dt))
+                tau, which = _impacts(obstacles, path, [window] * len(obstacles),
+                                      self.armed[ids[near]], dt)
+                found = np.nonzero(np.isfinite(tau))[0]
+                hit, i = near[found], ids[near[found]]
+                d_new[hit] = 0.0
+                t_new[hit] = self.t[i] + tau[found]
+                self.states[i] = path(found, slice(None))(tau[found])
+                for j, w in zip(hit, which[found]):
+                    self._reflect(ids[j], obstacles[w], t_new[j])
+                new[hit] = self.states[i]
+            self.armed[ids] |= d_new > _EPS_EVENT
 
         r_new = np.hypot(new[:, 0], new[:, 1])
-        out = np.nonzero((r_new > self.R_track) & ~hit)[0]
+        out = r_new > self.R_track
+        out[hit] = False
+        out = np.nonzero(out)[0]
         out = out[np.hypot(sub[out, 0], sub[out, 1]) <= self.R_track]
         if len(out):
             tau = _segment_ball_exit(sub[out, :2], new[out, :2], self.R_track)
@@ -478,7 +467,6 @@ class _Batch:
 
         self.states[ids] = new
         self.t[ids] = t_new
-        self.armed[ids] |= d_new > _EPS_EVENT
         self.inside[ids] = r_new < coeffs.support_radius
         if self.record is not None:
             self.record["times"].append(t_new[0])

@@ -39,3 +39,10 @@ def half_disk():
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def interpolate(mesh, vertex_values, points):
+    """The P1 interpolant of nodal data on ``mesh`` at arbitrary points."""
+    tri_idx, bary = mesh.locate(points)
+    vals = np.asarray(vertex_values)[mesh.triangles[tri_idx]]
+    return np.einsum("pj,pj...->p...", bary, vals)

@@ -144,7 +144,7 @@ def test_criterion_07_garding_inequality():
     worst = np.inf
     for _ in range(100):
         v = g.standard_normal(space.n_dofs) + 1j * g.standard_normal(space.n_dofs)
-        re_a = np.real(system.action(v, v))
+        re_a = np.real(np.vdot(v, system.apply(v)))
         rhs = (np.real(np.vdot(v, E @ v))
                - 2.0 * k**2 * coeffs.nu_max * np.real(np.vdot(v, system.mass_plain @ v)))
         scale = max(abs(re_a), abs(rhs), 1.0)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
 from helmray.mesh import _cross2, generate_mesh
 from helmray.mie import soft_disk_total_field
 from helmray.util import solve_real, triangle_rule
-from conftest import rng
+from conftest import interpolate, rng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -99,6 +100,65 @@ def test_assembly_matches_einsum_coo_reference(name):
         assert np.shares_memory(m.indices, mats[0].indices)
 
 
+def _add_at_assembly(coeffs, space, quad_degree=4):
+    """Dense (S, M_nu, M_0): element matrices from the inverse Jacobian and the
+    quadrature rule, summed triangle by triangle with ``np.add.at``."""
+    mesh, n = space.mesh, space.n_dofs
+    bary, w = triangle_rule(quad_degree)
+    out = np.zeros((3, n, n))
+    for tri in mesh.triangles:
+        p = mesh.vertices[tri]
+        jac = np.stack([p[1] - p[0], p[2] - p[0]], axis=1)
+        area = 0.5 * abs(np.linalg.det(jac))
+        grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ np.linalg.inv(jac)
+        pts = bary @ p
+        A_bar = np.einsum("q,qab->ab", area * w, coeffs.eval_A(pts))
+        local = (grads @ A_bar @ grads.T,
+                 np.einsum("q,qi,qj->ij", area * w * coeffs.eval_nu(pts), bary, bary),
+                 np.einsum("q,qi,qj->ij", area * w, bary, bary))
+        dofs = space.dof_of_vertex[tri]
+        keep = dofs >= 0
+        for mat, loc in zip(out, local):
+            np.add.at(mat, np.ix_(dofs[keep], dofs[keep]), loc[np.ix_(keep, keep)])
+    return out
+
+
+_ANNULUS = (disk_obstacle(0.5), TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5))
+
+
+@pytest.mark.parametrize("coeffs", [identity_coefficients(), nu_bump_coefficients(width=0.9),
+                                    anisotropic_coefficients(0.8, -0.3, 0.4, width=0.9)],
+                         ids=["identity", "nu_bump", "anisotropic"])
+@pytest.mark.parametrize("mesh_case", ["annulus", "fan", "dirichlet_outer"])
+def test_assembly_matches_add_at_oracle(coeffs, mesh_case):
+    obstacle, geom = (None, _ANNULUS[1]) if mesh_case == "fan" else _ANNULUS
+    space = build_space(generate_mesh(obstacle, geom, 0.1),
+                        dirichlet_outer=mesh_case == "dirichlet_outer")
+    system = assemble(coeffs, space, None, 1.0)
+    mats = (system.stiffness, system.mass_nu, system.mass_plain)
+    for got, ref in zip(mats, _add_at_assembly(coeffs, space)):
+        # canonical CSR: int32 indices, strictly increasing columns in every row
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        row = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+        assert np.all((np.diff(got.indices) > 0) | (np.diff(row) > 0))
+        assert np.max(np.abs(got.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_pinned_field_is_never_evaluated():
+    # A_min == A_max == 1 and nu_min == nu_max == 1 pin A = I and nu = 1, so
+    # assembly calls none of the field's callables
+    def unreachable(x):
+        raise AssertionError("a pinned coefficient was evaluated")
+
+    pinned = replace(identity_coefficients(), eval_A=unreachable, eval_nu=unreachable,
+                     eval_grad_A=unreachable, eval_grad_nu=unreachable)
+    space = build_space(generate_mesh(*_ANNULUS, 0.1))
+    got = assemble(pinned, space, None, 1.0)
+    ref = _add_at_assembly(identity_coefficients(), space)
+    for mat, dense in zip((got.stiffness, got.mass_nu, got.mass_plain), ref):
+        assert np.max(np.abs(mat.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
 def test_stiffness_coercive(unit_setup):
     geom, mesh, space = unit_setup
     coeffs = anisotropic_coefficients(0.8, -0.3, 0.4, 0.45)
@@ -145,7 +205,7 @@ def test_assembled_action_matches_direct_quadrature(disk_setup):
         u = _random_dofs(space, g.integers(1 << 30))
         v = _random_dofs(space, g.integers(1 << 30))
         direct = bilinear_action_quadrature(system, u, v)
-        via_matrix = system.action(u, v)
+        via_matrix = np.vdot(v, system.apply(u))
         assert abs(direct - via_matrix) <= 1e-10 * abs(direct)
 
 
@@ -159,7 +219,7 @@ def test_garding_inequality_on_random_functions(disk_setup):
     g = rng(3)
     for _ in range(100):
         v = _random_dofs(space, g.integers(1 << 30))
-        re_a = np.real(system.action(v, v))
+        re_a = np.real(np.vdot(v, system.apply(v)))
         energy2 = np.real(np.vdot(v, E @ v))
         l2_plain2 = np.real(np.vdot(v, system.mass_plain @ v))
         lhs = re_a
@@ -236,7 +296,7 @@ def test_source_load_matches_exact_p1_mass(unit_setup):
     g = rng(5)
     nodal = g.standard_normal(mesh.n_vertices)
 
-    rhs = assemble_load_source(space, lambda x: mesh.interpolate(nodal, x))
+    rhs = assemble_load_source(space, lambda x: interpolate(mesh, nodal, x))
 
     # independent oracle: exact elementwise integrals area/12 (1 + delta_ij)
     exact = np.zeros(mesh.n_vertices)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helmray.geometry import TruncationGeometry, disk_obstacle, fourier_obstacle
 from helmray.mesh import (OBSTACLE_BOUNDARY, TRUNCATION_BOUNDARY, MeshSizeError,
                           _cross2, generate_mesh, read_mesh, write_mesh)
+from conftest import interpolate
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ def test_point_location_and_interpolation(geom):
     r = g.uniform(0.55, 1.95, 64)
     pts = np.stack([r * np.cos(th), r * np.sin(th)], -1)
     exact = pts[:, 0] + 2.0 * pts[:, 1]
-    assert np.abs(m.interpolate(vals, pts) - exact).max() < 1e-10
+    assert np.abs(interpolate(m, vals, pts) - exact).max() < 1e-10
 
 
 def _locate_one_by_one(m, points, k_search=24):

@@ -14,14 +14,25 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               signed_distance)
 from helmray.raytrace import (PhasePoint, RayConfig, Termination,
                               TrappedTrajectoryError, _eval_rays, _integrate_batch,
-                              _level_min, _rk4_step, _ham, classify_trapping, hamiltonian,
-                              hamiltonian_vector_field, integrate_ray,
-                              longest_ray_length, reflect, time_in_ball,
-                              unit_covector)
+                              _level_min, _reflect_state, _rhs, _rk4_step, _ham,
+                              classify_trapping, hamiltonian, integrate_ray,
+                              longest_ray_length, time_in_ball, unit_covector)
 from conftest import rng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 angles = st.floats(0.0, 2 * np.pi)
+
+
+def hamiltonian_vector_field(coeffs, p):
+    """(dx/ds, dxi/ds) at one phase point, from the tracer's right-hand side."""
+    out = _rhs(coeffs, p.state()[None, :])[0]
+    return out[:2], out[2:]
+
+
+def reflect(coeffs, obstacle, p, glancing_threshold=0.0):
+    """The phase point with its covector reflected off the obstacle boundary."""
+    x, xi = np.asarray(p.x, float), np.asarray(p.xi, float)
+    return PhasePoint(x, _reflect_state(coeffs, obstacle, x, xi, glancing_threshold))
 
 
 def test_hamiltonian_values(ident):
@@ -69,8 +80,8 @@ def test_identity_A_shortcut_matches_general_rhs(nu_bump):
                   [0.7, 0.1], [-1.2, -0.9]])                     # outside
     xi = rng(11).normal(size=x.shape)
     states = np.concatenate([x, xi], axis=1)
-    np.testing.assert_array_equal(raytrace._rhs(nu_bump, states),
-                                  raytrace._rhs(replace(nu_bump, A_min=0.5), states))
+    np.testing.assert_array_equal(_rhs(nu_bump, states),
+                                  _rhs(replace(nu_bump, A_min=0.5), states))
 
 def test_reflection_specular_cases(ident):
     disk = disk_obstacle(1.0)
