@@ -302,7 +302,6 @@ def estimate_C_DtN_tilde(R, k_values, h=0.05):
 class CH2Estimate:
     value: float
     samples: int
-    ratios: list
 
 
 def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estimate:
@@ -340,4 +339,4 @@ def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estim
         l2v = float(np.sqrt(max(np.real(np.vdot(v, system.mass_plain @ v)), 0.0)))
         l2f = l2_norm_exact(space, f)
         ratios.append(h2 / (grad + l2v + l2f))
-    return CH2Estimate(value=float(np.max(ratios)), samples=samples, ratios=ratios)
+    return CH2Estimate(value=float(np.max(ratios)), samples=samples)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .geometry import (COEFFICIENT_PRESETS, Obstacle, TruncationGeometry,
@@ -35,17 +35,9 @@ _KEYS = {
     },
     "geometry": {"r1": (float, "1.0"), "r": (float, "2.0"), "r_ray": (float, "4.0")},
     "wave": {"k": (float, "5.0"), "k0": (float, "1.0")},
-    # the keyword arguments of RayConfig
-    "ray": {
-        "step_size": (float, "0.002"),
-        "max_time_budget": (float, "25.0"),
-        "glancing_threshold": (float, "0.001"),
-        "grid_pos_r": (int, "10"),
-        "grid_pos_theta": (int, "16"),
-        "grid_dir": (int, "64"),
-        "refinement_rounds": (int, "2"),
-        "frame_rotation": (float, "0.0"),
-    },
+    # the keyword arguments of RayConfig but the code-only refine_points
+    "ray": {f.name: (type(f.default), str(f.default)) for f in fields(RayConfig)
+            if f.name != "refine_points"},
     "fem": {"h": (float, "0.05")},
     "experiment": {"seed": (int, "0"), "cutoff_inner": (float, "0.8"),
                    "cutoff_outer": (float, "0.97")},

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -168,8 +168,6 @@ def _mass_solver(system):
 @dataclass
 class ResolventScan:
     rows: list                  # dicts per k
-    cutoff_inner: float
-    cutoff_outer: float
     s: int
     method: str
 
@@ -197,8 +195,7 @@ def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
             "iterations": est.iterations,
             "residual": est.residual,
         })
-    return ResolventScan(rows=rows, cutoff_inner=cutoff.inner,
-                         cutoff_outer=cutoff.outer, s=s, method=method_used)
+    return ResolventScan(rows=rows, s=s, method=method_used)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +209,6 @@ class QuasimodeResult:
     f_norm_sq: float
     u_norm_sq: float
     mu: float
-    f_profile: Callable
-    u_profile: Callable
 
 
 def quasimode_lower_bound(L, delta, h) -> QuasimodeResult:
@@ -256,8 +251,7 @@ def quasimode_lower_bound(L, delta, h) -> QuasimodeResult:
     u2 = composite_gauss(lambda x: u0(x) ** 2, 0.5 * delta, L - 0.25 * delta)
     return QuasimodeResult(ratio=float(np.sqrt(u2 / f2)),
                            reference=2.0 * (L - 2.0 * delta) / (np.pi * h),
-                           f_norm_sq=f2, u_norm_sq=u2, mu=mu,
-                           f_profile=f0, u_profile=u0)
+                           f_norm_sq=f2, u_norm_sq=u2, mu=mu)
 
 
 # ---------------------------------------------------------------------------

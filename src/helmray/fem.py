@@ -22,7 +22,8 @@ LAPACK's ``?gttrf`` (:class:`TridiagonalLU`).  A solve starts from the
 circulant solve and checks its residual on the true operator: columns above
 1e-12 take one refinement step, and only those still above it go to GMRES,
 preconditioned by the circulant solve.  An invariant system, circulant to
-rounding, needs no GMRES iteration.  The same class factors the plain mass
+rounding, takes no GMRES iteration: its refined solve stands within the
+residual certificate.  The same class factors the plain mass
 matrix; the resolvent estimate solves with it where the mesh is invariant in
 angle (a centred disk annulus).  A disk fan has no such layout:
 its modes mu = P u become unknowns of the sparse bordered system
@@ -285,7 +286,9 @@ class AngularFactorization:
     ``solve`` checks every column against ``apply(u, trans)``, the true
     operator (the matrix itself unless given): x = precondition(b) and one
     refinement step x += precondition(b - apply(x)) where the residual is
-    above 1e-12 |b|, then GMRES from x on the columns still above it.
+    above 1e-12 |b|, then GMRES from x on the columns still above it.  An
+    invariant matrix takes no GMRES step: its refined solve stands within
+    ``CERTIFIED_RTOL`` and raises ``SolveError`` above it.
     ``iterations`` holds the GMRES iterations of the last ``solve``.
     """
     solver = "angular"
@@ -334,7 +337,8 @@ class AngularFactorization:
         rounding floor of fine meshes with mass-weighted loads (a source load
         at 301,940 dofs: 1.5e-12, where the LU reaches 3.0e-12), so a solve
         that stalls above it stands if its residual is within the certificate
-        ``CERTIFIED_RTOL`` of ``solve``, and raises ``SolveError`` otherwise.
+        ``CERTIFIED_RTOL`` of ``solve``, and raises ``SolveError`` otherwise;
+        an invariant matrix's refined solve meets the same test without GMRES.
         """
         b = np.asarray(b, dtype=complex)
         if trans == "T":
@@ -348,7 +352,13 @@ class AngularFactorization:
         if todo.size:
             x[:, todo] += self.precondition(r[:, todo], trans)
             res = np.linalg.norm(B[:, todo] - self._apply(x[:, todo], trans), axis=0)
-            todo = todo[res > target[todo]]
+            if not self.invariant:
+                todo = todo[res > target[todo]]
+            else:   # circulant to rounding: the refined solve is at the floor, where GMRES stalls
+                rel = np.max(res / np.linalg.norm(B[:, todo], axis=0))
+                if rel > CERTIFIED_RTOL:
+                    raise SolveError(f"circulant solve stopped at relative residual {rel:.3e}")
+                todo = todo[:0]
         self.iterations = 0
         A = spla.LinearOperator((n, n), lambda u: self._apply(u, trans), dtype=complex)
         M = spla.LinearOperator((n, n), lambda u: self.precondition(u, trans), dtype=complex)

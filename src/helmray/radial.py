@@ -61,7 +61,6 @@ class Tridiagonal:
 
 @dataclass
 class RadialMode:
-    n: int
     k: float
     grid: np.ndarray
     K: Tridiagonal            # complex system with the radiation closure
@@ -137,7 +136,7 @@ def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
     def matrix(bands):
         return Tridiagonal(bands[0][first:], bands[1][first:])
 
-    return RadialMode(n=n, k=k, grid=quad.grid, K=matrix(K), M=matrix(quad.M0),
+    return RadialMode(k=k, grid=quad.grid, K=matrix(K), M=matrix(quad.M0),
                       E=matrix(E), free=np.arange(first, len(quad.grid)))
 
 
@@ -161,7 +160,6 @@ def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed
 @dataclass
 class RadialScanResult:
     value: float
-    best_mode: int
     per_mode: list          # (n, sigma, iterations, converged)
     n_r: int
     converged: bool
@@ -176,16 +174,14 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
     quad = radial_quadrature(R, n_r, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
     chi_grid = chi(quad.grid)
     per_mode = []
-    best, best_mode = 0.0, 0
-    all_conv, residual = True, 0.0
+    best, all_conv, residual = 0.0, True, 0.0
     for n in range(0, default_n_max(k, R) + 1):
         mode = assemble_radial_mode(n, k, quad)
         sigma, iters, conv, resid = mode_cutoff_norm(mode, chi_grid[mode.free], s=s,
                                                      rtol=rtol, seed=seed)
         per_mode.append((n, sigma, iters, conv))
         all_conv, residual = all_conv and conv, max(residual, resid)
-        if sigma > best:
-            best, best_mode = sigma, n
-    return RadialScanResult(value=best, best_mode=best_mode, per_mode=per_mode,
-                            n_r=n_r, converged=all_conv, residual=residual)
+        best = max(best, sigma)
+    return RadialScanResult(value=best, per_mode=per_mode, n_r=n_r, converged=all_conv,
+                            residual=residual)
 

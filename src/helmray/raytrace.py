@@ -10,14 +10,16 @@ along it exactly to its next event: entering the disk (a line-circle root),
 the first obstacle impact, or escape, when no event is left.  Only rays
 inside the disk take fixed-step RK4 steps; where the coefficient bounds pin
 A = I (A_min == A_max == 1), each stage evaluates only nu and its gradient.
-One impact locator serves both.
-It samples the obstacle's level function along the path (the line, or the
-step's cubic Hermite interpolant) and bisects the first interval from a
-positive sample to a non-positive one.  A short chord can hide between two
-positive samples, so an interval is first searched for its level minimum by
-golden section when both its ends are positive, one of them is a local
-minimum of the ray's samples and the lower is below twice the interval's
-chord; a minimum at or below -1e-9 brackets an impact.
+One impact locator serves both.  It samples the obstacle's level function
+along the path (the line, or the step's cubic Hermite interpolant) and
+bisects the first interval from a positive sample to a non-positive one.  A
+short chord can hide between two positive samples, so an interval is first
+searched for its level minimum by golden section when both its ends are
+positive, one of them is a local minimum of the ray's samples and the lower
+is below twice the interval's chord; a minimum at or below -1e-9 brackets
+an impact.  The impacts of a flight or a step are reflected in one array
+update per obstacle, and an impact whose metric cosine is at or below the
+glancing threshold ends its ray there instead (censored).
 The longest-ray length of a ball B(0, R) is the supremum over sampled
 phase-space starting points of the last time the ray is inside the ball.
 """
@@ -36,10 +38,6 @@ class Termination(enum.Enum):
     ESCAPED = "escaped"
     TRAPPED_BUDGET_EXCEEDED = "trapped_budget_exceeded"
     GLANCING_FLAGGED = "glancing_flagged"
-
-
-class GlancingImpact(Exception):
-    """Raised when a boundary impact is too tangential to reflect reliably."""
 
 
 class TrappedTrajectoryError(Exception):
@@ -63,8 +61,6 @@ class PhasePoint:
 class ReflectionEvent:
     time: float
     point: np.ndarray
-    xi_in: np.ndarray
-    xi_out: np.ndarray
 
 
 @dataclass
@@ -154,22 +150,23 @@ def unit_covector(coeffs: CoefficientField, x, direction):
 # reflection
 
 
-def _reflect_state(coeffs, obstacle, x, xi, glancing_threshold):
-    """Metric-specular reflection of the covector xi at the boundary point x.
+def _reflect_state(coeffs, obstacle, x, xi):
+    """Metric-specular reflection of the covectors xi (..., 2) at the boundary
+    points x (..., 2), and the metric cosine of each impact.
 
     The outgoing covector is xi - 2 (<xi,n>_G / <n,n>_G) n with n the Euclidean
     unit conormal and <a,b>_G = a.A(x) b / nu(x).  This is the unique involution
-    conserving the Hamiltonian and the Euclidean tangential momentum.
+    conserving the Hamiltonian and the Euclidean tangential momentum.  The
+    cosine is <xi,n>_G / (|xi|_G |n|_G).
     """
     n = boundary_normal(obstacle, x, tol=1e-6)
     A = coeffs.eval_A(x)
-    xiAn = float(xi @ A @ n)
-    nAn = float(n @ A @ n)
-    xiAxi = float(xi @ A @ xi)
-    cosang = xiAn / np.sqrt(max(nAn * xiAxi, 1e-300))
-    if abs(cosang) <= glancing_threshold:
-        raise GlancingImpact(f"|metric cosine| = {abs(cosang):.2e} at impact")
-    return xi - 2.0 * (xiAn / nAn) * n
+    # stacked matmuls make per point the BLAS calls a single point makes, so
+    # a batch reflects bit for bit as its points one at a time
+    xiA, nA = xi[..., None, :] @ A, n[..., None, :] @ A
+    xiAn, nAn, xiAxi = ((u @ v[..., None])[..., 0, 0] for u, v in ((xiA, n), (nA, n), (xiA, xi)))
+    cosang = xiAn / np.sqrt(np.maximum(nAn * xiAxi, 1e-300))
+    return xi - (2.0 * (xiAn / nAn))[..., None] * n, cosang
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +349,23 @@ class _Batch:
         self.armed = (_min_sdf(obstacles, states[:, :2]) > _EPS_EVENT if obstacles
                       else np.ones(n, dtype=bool))
 
-    def _reflect(self, i, obstacle, t_b):
-        """Reflect and disarm ray ``i`` at its impact point; a glancing impact
-        ends the ray there instead (censored)."""
-        self.armed[i] = False
-        x_b, xi_b = self.states[i, :2], self.states[i, 2:].copy()
-        try:
-            xi_out = _reflect_state(self.coeffs, obstacle, x_b, xi_b, self.cfg.glancing_threshold)
-        except GlancingImpact:
-            self.termination[i] = 2
-            return
-        if self.record is not None:
-            self.record["reflections"].append(ReflectionEvent(t_b, x_b.copy(), xi_b, xi_out.copy()))
-        self.states[i, 2:] = xi_out
+    def _reflect(self, ids, which, t):
+        """Reflect and disarm the rays ``ids`` at their impacts, at times ``t``,
+        on the obstacles ``which``; a glancing impact (|metric cosine| at or
+        below the threshold) ends its ray there instead (censored)."""
+        self.armed[ids] = False
+        for j, ob in enumerate(self.obstacles):
+            at = which == j
+            if not at.any():
+                continue
+            i = ids[at]
+            xi, cosang = _reflect_state(self.coeffs, ob, self.states[i, :2], self.states[i, 2:])
+            ok = np.abs(cosang) > self.cfg.glancing_threshold
+            self.termination[i[~ok]] = 2
+            self.states[i[ok], 2:] = xi[ok]
+            if self.record is not None:
+                events = map(ReflectionEvent, t[at][ok], self.states[i[ok], :2])
+                self.record["reflections"].extend(events)
 
     def fly(self, ids):
         """Move each ray of ``ids`` along its straight line to its next event.
@@ -411,8 +412,8 @@ class _Batch:
         if self.obstacles and entry.any():
             d = _min_sdf(self.obstacles, self.states[ids[entry], :2])
             self.armed[ids[entry]] |= d > _EPS_EVENT
-        for j in np.nonzero(~budget & (tau_hit < tau_entry))[0]:
-            self._reflect(ids[j], self.obstacles[which[j]], self.t[ids[j]])
+        hit = np.nonzero(~budget & (tau_hit < tau_entry))[0]
+        self._reflect(ids[hit], which[hit], self.t[ids[hit]])
         if self.record is not None and tau[0] > 0.0:
             m = int(np.ceil(tau[0] / cfg.step_size))
             s = tau[0] * np.arange(1, m) / m
@@ -451,8 +452,7 @@ class _Batch:
                 d_new[hit] = 0.0
                 t_new[hit] = self.t[i] + tau[found]
                 self.states[i] = path(found, slice(None))(tau[found])
-                for j, w in zip(hit, which[found]):
-                    self._reflect(ids[j], obstacles[w], t_new[j])
+                self._reflect(i, which[found], t_new[hit])
                 new[hit] = self.states[i]
             self.armed[ids] |= d_new > _EPS_EVENT
 

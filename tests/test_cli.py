@@ -122,7 +122,7 @@ def test_config_rejects_unknown_key(sec, key):
 
 
 def test_config_ray_defaults_match_ray_config_defaults():
-    # the ray defaults are written twice: in config._KEYS["ray"] and in RayConfig
+    # config._KEYS["ray"] derives its defaults from RayConfig's fields
     assert RunConfig.default().ray_config() == RayConfig()
 
 

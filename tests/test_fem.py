@@ -536,6 +536,26 @@ def test_invariant_annulus_solve_needs_no_gmres_iteration(monkeypatch):
         assert np.linalg.norm(system.apply(x, trans) - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_invariant_solve_at_the_rounding_floor_needs_no_gmres(monkeypatch):
+    # below the rounding floor GMRES only stalls; on an invariant system the
+    # refined circulant solve stands when it is within the certificate, and
+    # raises SolveError when it is not
+    import helmray.fem as fem
+
+    monkeypatch.setattr(fem, "_GMRES_RTOL", 1e-16)
+    coeffs, obstacle, geom = _case("disk")
+    k = 4.0
+    space = build_space(generate_mesh(obstacle, geom, 0.05))
+    system = assemble(coeffs, space, build_dtn(k, geom.R), k)
+    assert space.n_dofs == 3120 and system.factorize().invariant
+    b = _random_dofs(space, 17)
+    u = solve(system, b)
+    assert u.iterations == 0 and u.residual <= fem.CERTIFIED_RTOL
+    monkeypatch.setattr(fem, "CERTIFIED_RTOL", 1e-17)
+    with pytest.raises(fem.SolveError):
+        system.factorize().solve(b)
+
+
 def test_angular_mass_solve_matches_superlu(disk_setup):
     import scipy.sparse.linalg as spla
 

@@ -29,10 +29,10 @@ def hamiltonian_vector_field(coeffs, p):
     return out[:2], out[2:]
 
 
-def reflect(coeffs, obstacle, p, glancing_threshold=0.0):
+def reflect(coeffs, obstacle, p):
     """The phase point with its covector reflected off the obstacle boundary."""
     x, xi = np.asarray(p.x, float), np.asarray(p.xi, float)
-    return PhasePoint(x, _reflect_state(coeffs, obstacle, x, xi, glancing_threshold))
+    return PhasePoint(x, _reflect_state(coeffs, obstacle, x, xi)[0])
 
 
 def test_hamiltonian_values(ident):
@@ -102,16 +102,46 @@ def test_reflection_conserves_hamiltonian_anisotropic():
         x = obs.rho(th) * np.array([np.cos(th), np.sin(th)])
         xi = unit_covector(coeffs, x, g.normal(size=2))
         p = PhasePoint(x, xi)
-        try:
-            out = reflect(coeffs, obs, p, glancing_threshold=1e-8)
-        except Exception:
+        xi_out, cosang = _reflect_state(coeffs, obs, x, xi)
+        if abs(cosang) <= 1e-8:    # glancing: the tracer censors, not reflects
             continue
+        out = PhasePoint(x, xi_out)
         assert abs(hamiltonian(coeffs, out) - hamiltonian(coeffs, p)) < 1e-12
         # Euclidean tangential momentum preserved
         from helmray.geometry import boundary_normal
         n = boundary_normal(obs, x)
         t = np.array([-n[1], n[0]])
         assert abs(out.xi @ t - p.xi @ t) < 1e-12
+
+
+def test_reflection_batch_matches_per_point_calls():
+    coeffs = anisotropic_coefficients(0.8, -0.3, 0.5, 0.9)
+    obs = fourier_obstacle([0.4, 0.0, 0.05])
+    g = rng(7)
+    th = g.uniform(0, 2 * np.pi, 40)
+    x = obs.rho(th)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    xi = unit_covector(coeffs, x, g.normal(size=(40, 2)))
+    xi_out, cosang = _reflect_state(coeffs, obs, x, xi)
+    for i in range(40):
+        one, c = _reflect_state(coeffs, obs, x[i], xi[i])
+        np.testing.assert_array_equal(one, xi_out[i])
+        assert c == cosang[i]
+
+
+@pytest.mark.parametrize("support", [0.0, 1.5])
+def test_one_motion_reflects_one_ray_and_censors_a_glancing_one(support):
+    # both rays meet the disk in the same flight (support 0) or on RK4 steps
+    # (1.5); the one at impact parameter 0.49 has metric cosine 0.2, below
+    # the threshold 0.5, and ends at its impact, the head-on one reflects
+    ident, disk = replace(identity_coefficients(), support_radius=support), disk_obstacle(0.5)
+    states = np.array([[-0.9, 0.49, 1.0, 0.0], [-0.9, 0.0, 1.0, 0.0]])
+    res = _eval_rays(ident, (disk,), states, RayConfig(glancing_threshold=0.5), 1.0)
+    assert res.termination.tolist() == [2, 0]
+    assert abs(signed_distance(disk, res.states[:1, :2])[0]) <= 1e-12
+    np.testing.assert_array_equal(res.states[0, 2:], [1.0, 0.0])
+    assert res.t[0] == pytest.approx((0.9 - np.sqrt(0.25 - 0.49**2)) / 2.0, abs=1e-9)
+    np.testing.assert_allclose(res.states[1, 2:], [-1.0, 0.0], atol=1e-12)
+    assert res.t_exit[1] == pytest.approx(0.45, abs=1e-9)
 
 
 def test_euclidean_chord(ident, unit_ball_geom):

@@ -116,3 +116,54 @@ def test_every_public_name_is_read():
     read = _read_names(ast.parse(p.read_text()) for p in readers)
     unread = {p.name: sorted(_public_names(ast.parse(p.read_text())) - read) for p in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+# written whole through dataclasses.asdict, so their fields need no reader
+_ASDICT_DATACLASSES = {"ConstantsLedger", "ThresholdReport"}
+
+
+def _dataclass_fields(tree):
+    """``Class.field`` for every annotated field of a ``@dataclass`` class in
+    ``tree``, but those of the classes written whole through ``asdict``."""
+    def is_dataclass(node):
+        for d in node.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+                return True
+        return False
+    return {f"{node.name}.{item.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and is_dataclass(node)
+            and node.name not in _ASDICT_DATACLASSES
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+
+
+def _attributes_read(trees):
+    """Every attribute name the trees load."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_dead_field_detector():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                     "@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z = 1\n"
+                     "@dataclass(frozen=True)\nclass B:\n    u: float\n    v: float\n"
+                     "@dataclasses.dataclass\nclass C:\n    w: int\n"
+                     "class D:\n    t: int\n"
+                     "@dataclass\nclass ThresholdReport:\n    s: int\n"
+                     "def f(a, b):\n    a.y = b.u\n    return A(x=1, y=a.v)\n")
+    other = ast.parse("def g(c):\n    return c.w\n")
+    fields = _dataclass_fields(tree)
+    assert fields == {"A.x", "A.y", "B.u", "B.v", "C.w"}
+    read = _attributes_read([tree, other])
+    assert sorted(f for f in fields if f.split(".")[1] not in read) == ["A.x", "A.y"]
+
+
+def test_every_dataclass_field_is_read():
+    # a dataclass field that nothing in src/, perfbench/ or tests/ reads as an
+    # attribute is computed, stored and kept alive for no reader
+    root = SRC.parents[1]
+    readers = [p for d in (SRC, root / "perfbench", root / "tests") for p in sorted(d.glob("*.py"))]
+    read = _attributes_read(ast.parse(p.read_text()) for p in readers)
+    fields = set().union(*(_dataclass_fields(ast.parse(p.read_text())) for p in MODULES))
+    assert sorted(f for f in fields if f.split(".")[1] not in read) == []
