@@ -253,8 +253,7 @@ def _cmd_eta(args, cfg):
 def _cmd_convergence(args, cfg):
     ledger = ConstantsLedger.from_json(args.ledger)
     ks, hs = _floats(args.ks), _floats(args.hs)
-    table = quasioptimality_study(*cfg.problem(), ledger, ks, hs,
-                                  incident_direction=(1.0, 0.0))
+    table = quasioptimality_study(*cfg.problem(), ledger, ks, hs)
     header = ["k", "h_target", "h_fem", "energy_error", "l2_error",
               "best_approx_error", "qo_ratio", "threshold_rhs", "admissible",
               "failed"]

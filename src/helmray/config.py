@@ -10,6 +10,7 @@ identity.  The key reference lives in the repository documentation
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -127,9 +128,13 @@ class RunConfig:
         name = self.get("coefficients", "preset")
         if name not in COEFFICIENT_PRESETS:
             raise ValueError(f"unknown coefficient preset {name!r}")
-        return COEFFICIENT_PRESETS[name](**{key: self.get("coefficients", key)
-                                            for key in self.sections["coefficients"]
-                                            if key != "preset"})
+        preset = COEFFICIENT_PRESETS[name]
+        keys = [key for key in self.sections["coefficients"] if key != "preset"]
+        taken = inspect.signature(preset).parameters
+        for key in keys:
+            if key not in taken:
+                raise ValueError(f"[coefficients] {key} does not apply to preset {name!r}")
+        return preset(**{key: self.get("coefficients", key) for key in keys})
 
     def obstacle(self) -> Optional[Obstacle]:
         if self.get("obstacle", "empty"):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,14 +94,11 @@ def _disk_inner_radius(obstacle):
 @dataclass
 class ResolventEstimate:
     value: float
-    k: float
-    s: int
     method: str          # 'modal' or 'fem2d'
     converged: bool
     iterations: int
     resolution: dict
     residual: float      # relative Ritz residual; the largest over modes on the modal path
-    per_mode: Optional[list] = None
 
 
 def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
@@ -127,11 +123,11 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
                                            a_of_r=prof[0], nu_of_r=prof[1],
                                            s=s, rtol=rtol, seed=seed)
         iters = max(it for _, _, it, _ in res.per_mode) if res.per_mode else 0
-        return ResolventEstimate(value=res.value, k=k, s=s, method="modal",
+        return ResolventEstimate(value=res.value, method="modal",
                                  converged=res.converged, iterations=iters,
                                  resolution={"h_r": h, "n_r": res.n_r,
                                              "n_modes": len(res.per_mode) - 1},
-                                 residual=res.residual, per_mode=res.per_mode)
+                                 residual=res.residual)
 
     mesh = generate_mesh(obstacle, geom, h)
     space = build_space(mesh)
@@ -145,7 +141,7 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     rng = make_rng(seed)
     v0 = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
     sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=rtol, maxit=600)
-    return ResolventEstimate(value=sigma, k=k, s=s, method="fem2d",
+    return ResolventEstimate(value=sigma, method="fem2d",
                              converged=conv, iterations=iters,
                              resolution={"h": h, "n_dofs": space.n_dofs}, residual=resid)
 
@@ -356,14 +352,14 @@ class ConvergenceTable:
 
 
 def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
-                          k_values, h_values,
-                          incident_direction=(1.0, 0.0)) -> ConvergenceTable:
+                          k_values, h_values) -> ConvergenceTable:
     """Scattering sweep comparing the Galerkin error to best approximation.
 
     The reference is the modal series for a centered disk with identity
-    coefficients (exact up to truncation).  The best-approximation error is
-    proxied by the nodal interpolant of the reference, so reported ratios are
-    lower bounds of the true quasioptimality ratio.
+    coefficients (exact up to truncation) under a plane wave along +x.  The
+    best-approximation error is proxied by the nodal interpolant of the
+    reference, so reported ratios are lower bounds of the true quasioptimality
+    ratio.
     """
     a_disk = _disk_inner_radius(obstacle)
     if a_disk is None or a_disk == 0.0 or not coeffs.is_identity():
@@ -373,14 +369,14 @@ def quasioptimality_study(coeffs, obstacle, geom, ledger: ConstantsLedger,
     bound = 2.0 * (1.0 + ledger.C_DtN)
     for k in sorted(k_values):
         dtn = build_dtn(k, geom.R)
-        uex, field = soft_disk_total_field(k, a_disk, incident_direction)
+        uex, field = soft_disk_total_field(k, a_disk, (1.0, 0.0))
         for h in sorted(h_values):
             row = {"k": float(k), "h_target": float(h)}
             try:
                 mesh = generate_mesh(obstacle, geom, h)
                 space = build_space(mesh)
                 system = assemble(coeffs, space, dtn, k)
-                rhs = assemble_load_scattering(space, dtn, incident_direction)
+                rhs = assemble_load_scattering(space, dtn, (1.0, 0.0))
                 u = solve(system, rhs)
                 (en_err, l2_err), (best_err, _) = errors_vs_exact(
                     coeffs, space, [u, nodal_interpolant(space, uex)], field, k)

@@ -574,7 +574,6 @@ def assemble_load_scattering(fe_space: FeSpace, dtn: DtnOperator, direction):
 class DiscreteSolution:
     dofs: np.ndarray
     fe_space: FeSpace
-    k: float
     residual: float = 0.0
     iterations: int = 0       # GMRES iterations of the solve; 0 for the LU
 
@@ -595,7 +594,7 @@ def solve(system: GalerkinSystem, rhs) -> DiscreteSolution:
     res = float(np.linalg.norm(system.apply(x) - b) / bn) if bn > 0 else 0.0
     if res > CERTIFIED_RTOL:
         raise SolveError(f"relative residual {res:.3e} exceeds {CERTIFIED_RTOL:g}")
-    return DiscreteSolution(dofs=x, fe_space=system.fe_space, k=system.k, residual=res,
+    return DiscreteSolution(dofs=x, fe_space=system.fe_space, residual=res,
                             iterations=lu.iterations)
 
 
@@ -611,7 +610,7 @@ def solve_adjoint(system: GalerkinSystem, f: Union[Callable, np.ndarray]) -> Dis
         load = system.mass_plain @ np.conj(np.asarray(f, dtype=complex))
     u = solve(system, load)
     return DiscreteSolution(dofs=np.conj(u.dofs), fe_space=system.fe_space,
-                            k=system.k, residual=u.residual, iterations=u.iterations)
+                            residual=u.residual, iterations=u.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The PDE coefficients are a symmetric positive-definite matrix field A(x) and a
 positive scalar field nu(x), both equal to the identity / one outside a compact
-disk of radius ``support_radius``.  Obstacles are smooth star-shaped curves
+disk of radius ``support_radius``.  The three presets share one radial-bump
+builder, A = I + b(r) Q diag(a1, a2) Q^T and nu = 1 + amplitude b(r), which is
+exactly I and 1 where the bump b vanishes.  Obstacles are smooth star-shaped curves
 r = rho(theta).  All evaluation callables are pure and vectorized over a
 trailing coordinate axis: positions have shape (..., 2).
 """
@@ -41,7 +43,6 @@ class CoefficientField:
     A_max: float
     nu_min: float
     nu_max: float
-    name: str = "custom"
 
     def is_identity(self):
         return self.A_min == self.A_max == self.nu_min == self.nu_max == 1.0
@@ -116,33 +117,69 @@ def _bump_grad(x, w, scale=1.0):
     return np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
 
 
-def identity_coefficients():
-    """A = I, nu = 1 everywhere."""
+def _identity_A(x):
+    return np.zeros(np.shape(x)[:-1] + (2, 2)) + np.eye(2)
 
-    def eval_A(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        return out
 
-    def eval_nu(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
+def _one(x):
+    return np.ones(np.shape(x)[:-1])
 
-    def eval_grad_A(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2, 2))
 
-    def eval_grad_nu(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2,))
+def _zero_grad_A(x):
+    return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
 
+
+def _zero_grad_nu(x):
+    return np.zeros(np.shape(x)[:-1] + (2,))
+
+
+def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_radius=None):
+    """A = I + b(r) Q diag(a1, a2) Q^T and nu = 1 + amplitude b(r), with b(r) =
+    bump(r / width) and Q the rotation by ``angle``.
+
+    Where b = 0 both are exactly I and 1.  A part with no perturbation (a1 = a2
+    = 0, or amplitude = 0) is the plain identity / one and never evaluates b.
+    """
+    if amplitude <= -1.0:
+        raise ValueError("amplitude must exceed -1 to keep nu positive")
+    if min(a1, a2) <= -1.0:
+        raise ValueError("eigenvalue perturbations must exceed -1")
+    w = float(width)
+    eval_A, eval_grad_A, eval_nu, eval_grad_nu = _identity_A, _zero_grad_A, _one, _zero_grad_nu
+
+    if a1 != 0.0 or a2 != 0.0:
+        c, s = np.cos(angle), np.sin(angle)
+        P = np.array([[a1 * c * c + a2 * s * s, (a1 - a2) * c * s],
+                      [(a1 - a2) * c * s, a1 * s * s + a2 * c * c]])    # Q diag(a1, a2) Q^T
+
+        def eval_A(x):
+            x = np.asarray(x, dtype=float)
+            b = bump(np.hypot(x[..., 0], x[..., 1]) / w)
+            return np.eye(2) + b[..., None, None] * P
+
+        def eval_grad_A(x):
+            return P[:, :, None] * _bump_grad(np.asarray(x, dtype=float), w)[..., None, None, :]
+
+    if amplitude != 0.0:
+        def eval_nu(x):
+            x = np.asarray(x, dtype=float)
+            return 1.0 + amplitude * bump(np.hypot(x[..., 0], x[..., 1]) / w)
+
+        def eval_grad_nu(x):
+            return _bump_grad(np.asarray(x, dtype=float), w, amplitude)
+
+    eigs = (1.0, 1.0 + a1, 1.0 + a2)
     return CoefficientField(
         eval_A, eval_nu, eval_grad_A, eval_grad_nu,
-        support_radius=0.0, A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
-        name="identity",
+        support_radius=float(support_radius) if support_radius is not None else w,
+        A_min=min(eigs), A_max=max(eigs),
+        nu_min=1.0 + min(amplitude, 0.0), nu_max=1.0 + max(amplitude, 0.0),
     )
+
+
+def identity_coefficients():
+    """A = I, nu = 1 everywhere."""
+    return _radial_bump(support_radius=0.0)
 
 
 def nu_bump_coefficients(amplitude=1.0, width=0.5, support_radius=None):
@@ -151,62 +188,12 @@ def nu_bump_coefficients(amplitude=1.0, width=0.5, support_radius=None):
     nu_max = 1 + amplitude at the origin; the perturbation vanishes identically
     for r >= width.
     """
-    if amplitude <= -1.0:
-        raise ValueError("amplitude must exceed -1 to keep nu positive")
-    w = float(width)
-    R1 = float(support_radius) if support_radius is not None else w
-
-    ident = identity_coefficients()
-
-    def eval_nu(x):
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        return 1.0 + amplitude * bump(r / w)
-
-    def eval_grad_nu(x):
-        return _bump_grad(np.asarray(x, dtype=float), w, amplitude)
-
-    lo, hi = (1.0 + min(amplitude, 0.0), 1.0 + max(amplitude, 0.0))
-    return CoefficientField(
-        ident.eval_A, eval_nu, ident.eval_grad_A, eval_grad_nu,
-        support_radius=R1, A_min=1.0, A_max=1.0, nu_min=lo, nu_max=hi,
-        name="nu_bump",
-    )
+    return _radial_bump(amplitude=amplitude, width=width, support_radius=support_radius)
 
 
 def anisotropic_coefficients(a1=0.5, a2=0.0, angle=0.0, width=0.5, support_radius=None):
-    """A = Q diag(1 + a1 b, 1 + a2 b) Q^T with b the radial bump, Q a fixed rotation."""
-    if min(a1, a2) <= -1.0:
-        raise ValueError("eigenvalue perturbations must exceed -1")
-    w = float(width)
-    R1 = float(support_radius) if support_radius is not None else w
-    c, s = np.cos(angle), np.sin(angle)
-    Q = np.array([[c, -s], [s, c]])
-
-    def eval_A(x):
-        x = np.asarray(x, dtype=float)
-        b = bump(np.hypot(x[..., 0], x[..., 1]) / w)
-        diag = np.zeros(b.shape + (2, 2))
-        diag[..., 0, 0] = 1.0 + a1 * b
-        diag[..., 1, 1] = 1.0 + a2 * b
-        return np.einsum("ab,...bc,dc->...ad", Q, diag, Q)
-
-    def eval_grad_A(x):
-        x = np.asarray(x, dtype=float)
-        grad_b = _bump_grad(x, w)  # (..., 2)
-        ddiag = np.zeros(x.shape[:-1] + (2, 2))
-        ddiag[..., 0, 0] = a1
-        ddiag[..., 1, 1] = a2
-        core = np.einsum("ab,...bc,dc->...ad", Q, ddiag, Q)  # (..., 2, 2)
-        return core[..., :, :, None] * grad_b[..., None, None, :]
-
-    ident = identity_coefficients()
-    eigs = [1.0, 1.0 + a1, 1.0 + a2]
-    return CoefficientField(
-        eval_A, ident.eval_nu, eval_grad_A, ident.eval_grad_nu,
-        support_radius=R1, A_min=min(eigs), A_max=max(eigs), nu_min=1.0, nu_max=1.0,
-        name="anisotropic",
-    )
+    """A = I + b Q diag(a1, a2) Q^T with b the radial bump, Q a fixed rotation."""
+    return _radial_bump(a1=a1, a2=a2, angle=angle, width=width, support_radius=support_radius)
 
 
 COEFFICIENT_PRESETS = {
@@ -260,11 +247,12 @@ def signed_distance(obstacle: Obstacle, x):
     return r - obstacle.rho(th)
 
 
-def boundary_normal(obstacle: Obstacle, x, tol=1e-6):
-    """Outward Euclidean unit normal at a point on the obstacle curve."""
+def boundary_normal(obstacle: Obstacle, x):
+    """Outward Euclidean unit normal at a point on the obstacle curve (within
+    1e-6 in signed distance)."""
     x = np.asarray(x, dtype=float)
     d = signed_distance(obstacle, x)
-    if np.any(np.abs(d) > tol):
+    if np.any(np.abs(d) > 1e-6):
         raise ValueError(f"point not on the boundary: |signed distance| = {np.max(np.abs(d)):.3e}")
     xc = x - np.asarray(obstacle.center)
     th = np.arctan2(xc[..., 1], xc[..., 0])
@@ -321,10 +309,11 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
     asym = np.abs(A[..., 0, 1] - A[..., 1, 0]).max()
     if asym > 1e-12:
         failures.append(("A not symmetric", grid[int(np.argmax(np.abs(A[..., 0, 1] - A[..., 1, 0])))]))
-    tr = A[..., 0, 0] + A[..., 1, 1]
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-    lam_lo, lam_hi = tr / 2 - disc, tr / 2 + disc
+    # half the eigenvalue gap as a hypot: sqrt((tr/2)^2 - det) cancels where
+    # the two eigenvalues nearly coincide
+    mean = (A[..., 0, 0] + A[..., 1, 1]) / 2
+    disc = np.hypot((A[..., 0, 0] - A[..., 1, 1]) / 2, A[..., 0, 1])
+    lam_lo, lam_hi = mean - disc, mean + disc
     tol = 1e-10
     if np.any(lam_lo < coeffs.A_min - tol) or np.any(lam_hi > coeffs.A_max + tol):
         i = int(np.argmax(np.maximum(coeffs.A_min - lam_lo, lam_hi - coeffs.A_max)))

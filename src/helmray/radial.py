@@ -61,7 +61,6 @@ class Tridiagonal:
 
 @dataclass
 class RadialMode:
-    k: float
     grid: np.ndarray
     K: Tridiagonal            # complex system with the radiation closure
     M: Tridiagonal            # plain r dr mass on free nodes
@@ -136,7 +135,7 @@ def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
     def matrix(bands):
         return Tridiagonal(bands[0][first:], bands[1][first:])
 
-    return RadialMode(k=k, grid=quad.grid, K=matrix(K), M=matrix(quad.M0),
+    return RadialMode(grid=quad.grid, K=matrix(K), M=matrix(quad.M0),
                       E=matrix(E), free=np.arange(first, len(quad.grid)))
 
 

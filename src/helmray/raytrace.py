@@ -159,7 +159,7 @@ def _reflect_state(coeffs, obstacle, x, xi):
     conserving the Hamiltonian and the Euclidean tangential momentum.  The
     cosine is <xi,n>_G / (|xi|_G |n|_G).
     """
-    n = boundary_normal(obstacle, x, tol=1e-6)
+    n = boundary_normal(obstacle, x)
     A = coeffs.eval_A(x)
     # stacked matmuls make per point the BLAS calls a single point makes, so
     # a batch reflects bit for bit as its points one at a time

@@ -150,6 +150,21 @@ def test_validate_subcommand(tmp_path):
     assert payload["gradient_fd_relative_error"] < 1e-6
 
 
+@pytest.mark.parametrize("preset,key", [("identity", "width"), ("anisotropic", "amplitude"),
+                                        ("nu_bump", "a1")])
+def test_config_rejects_a_key_the_preset_does_not_take(preset, key):
+    cfg = RunConfig.from_text(f"[coefficients]\npreset = {preset}\n{key} = 0.3\n")
+    with pytest.raises(ValueError, match=rf"\[coefficients\] {key} .* preset '{preset}'"):
+        cfg.coefficients()
+
+
+def test_validate_reports_a_key_the_preset_does_not_take(tmp_path, capsys):
+    cfg = _write(tmp_path, EUCLID_CFG + "\n[coefficients]\npreset = identity\nwidth = 0.3\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ValueError" and "width" in report["message"]
+
+
 def test_validate_fails_on_bad_geometry(tmp_path):
     bad = EUCLID_CFG.replace("R_ray = 1.25", "R_ray = 0.9")
     cfg = _write(tmp_path, bad)

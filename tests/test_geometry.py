@@ -5,6 +5,7 @@ from helmray.geometry import (TruncationGeometry, WaveContext, anisotropic_coeff
                               boundary_normal, check_gradients, disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance, validate_configuration)
+from helmray.util import bump, bump_deriv
 
 
 def test_signed_distance_unit_disk():
@@ -94,6 +95,68 @@ def test_validate_flags_identity_declaration_broken_inside():
     bad = replace(ident, eval_A=eval_A, support_radius=0.5)
     report = validate_configuration(bad, None, TruncationGeometry(R1=0.5, R=1.0, R_ray=2.0))
     assert [name for name, _ in report.failures] == ["A eigenvalue bounds violated"]
+
+def test_anisotropic_field_is_exactly_identity_off_the_bump():
+    # A = I + b Q diag(a1, a2) Q^T is I to the last bit where b = 0, at every
+    # frame angle (Q diag(1 + a1 b, 1 + a2 b) Q^T is not)
+    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    off = np.stack([np.cos(th), np.sin(th)], axis=-1)[None] * np.array([0.5, 0.7, 1.2])[:, None, None]
+    for d in range(181):
+        coeffs = anisotropic_coefficients(0.5, 0.5, np.deg2rad(d))
+        assert np.array_equal(coeffs.eval_A(off), np.broadcast_to(np.eye(2), off.shape[:-1] + (2, 2))), d
+        report = validate_configuration(coeffs, None, geom)
+        assert report.ok, (d, report.failures)
+
+
+def test_unperturbed_anisotropic_field_keeps_its_identity_pin():
+    # a1 = a2 = 0 declares A_min = A_max = 1, which the tracer and the FEM
+    # read as A = I; eval_A must then be I everywhere, in the bump too
+    coeffs = anisotropic_coefficients(0.0, 0.0, np.deg2rad(3))
+    assert coeffs.A_min == coeffs.A_max == 1.0
+    pts = np.random.default_rng(3).uniform(-0.6, 0.6, (200, 2))
+    assert np.array_equal(coeffs.eval_A(pts), np.broadcast_to(np.eye(2), (200, 2, 2)))
+    assert not coeffs.eval_grad_A(pts).any()
+
+
+def test_identity_and_nu_bump_match_their_closed_forms_bit_for_bit():
+    pts = np.random.default_rng(5).uniform(-0.6, 0.6, (300, 2))
+    eye, zero_A = np.broadcast_to(np.eye(2), (300, 2, 2)), np.zeros((300, 2, 2, 2))
+    ident = identity_coefficients()
+    assert ident.support_radius == 0.0
+    assert np.array_equal(ident.eval_A(pts), eye)
+    assert np.array_equal(ident.eval_nu(pts), np.ones(300))
+    assert np.array_equal(ident.eval_grad_A(pts), zero_A)
+    assert np.array_equal(ident.eval_grad_nu(pts), np.zeros((300, 2)))
+
+    amp, w = 0.7, 0.45
+    coeffs = nu_bump_coefficients(amp, w)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    assert np.array_equal(coeffs.eval_A(pts), eye)
+    assert np.array_equal(coeffs.eval_grad_A(pts), zero_A)
+    assert np.array_equal(coeffs.eval_nu(pts), 1.0 + amp * bump(r / w))
+    assert np.array_equal(coeffs.eval_grad_nu(pts), (amp * bump_deriv(r / w) / w / r)[:, None] * pts)
+    assert np.array_equal(coeffs.eval_grad_nu(np.zeros(2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nu_bump_coefficients(amplitude=-1.0),
+    lambda: anisotropic_coefficients(a1=-1.0),
+    lambda: anisotropic_coefficients(0.5, -1.5, 0.3),
+])
+def test_presets_reject_non_positive_coefficients(make):
+    with pytest.raises(ValueError, match="exceed -1"):
+        make()
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.05, 0.2, 0.3])
+def test_eigenvalue_check_holds_where_the_eigenvalues_nearly_coincide(angle):
+    # near the bump's edge both eigenvalues are 1 + O(b); sqrt((tr/2)^2 - det)
+    # lost 1.5e-8 there, far above the 1e-10 tolerance
+    coeffs = anisotropic_coefficients(0.5, 0.2, angle, 0.5)
+    report = validate_configuration(coeffs, None, TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25))
+    assert report.ok, report.failures
+
 
 @pytest.mark.parametrize("make", [
     lambda: nu_bump_coefficients(1.0, 0.5),
