@@ -135,7 +135,7 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     system = assemble(coeffs, space, dtn, k)
     M = system.mass_plain
     apply_normal = cutoff_normal(
-        system.factorize(), _mass_solver(system), M,
+        system.factorize(), _spd_solver(M, mesh.n_theta), M,
         M if s == 0 else system.energy_matrix(),
         cutoff.at_points(mesh.vertices[space.free_vertices]))
     rng = make_rng(seed)
@@ -146,19 +146,19 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
                              resolution={"h": h, "n_dofs": space.n_dofs}, residual=resid)
 
 
-def _mass_solver(system):
-    """b -> M^{-1} b for the plain mass M and a complex b: the angular solver
-    where M equals its angle-averaged stencil to rounding (a centred disk
-    annulus), with b as one complex column; otherwise SuperLU of M, with the
-    real and imaginary parts of b as two real columns.  On a star annulus the
-    angular mass solve needs 21 GMRES iterations, 15 times the time of an LU
-    solve at 89,608 dofs."""
-    M, n_theta = system.mass_plain, system.fe_space.mesh.n_theta
+def _spd_solver(matrix, n_theta):
+    """b -> matrix^{-1} b for a real SPD matrix on a mesh with ``n_theta``
+    angles per ring (0 for a fan) and a complex b: the angular solver where the
+    matrix equals its angle-averaged stencil to rounding (a centred disk
+    annulus), with b as one complex column; otherwise SuperLU of the matrix,
+    with the real and imaginary parts of b as two real columns.  On a star
+    annulus the angular mass solve needs 21 GMRES iterations, 15 times the
+    time of an LU solve at 89,608 dofs."""
     if n_theta:
-        mass = AngularFactorization(M, n_theta)
-        if mass.invariant:
-            return mass.solve
-    return partial(solve_real, spla.splu(M.tocsc()))
+        angular = AngularFactorization(matrix, n_theta)
+        if angular.invariant:
+            return angular.solve
+    return partial(solve_real, spla.splu(matrix.tocsc()))
 
 
 @dataclass
@@ -281,7 +281,8 @@ class _CrossMeshProjector:
             for v in (lam, grads[tri, :, 0], grads[tri, :, 1]))
         self.A_q = coeffs.eval_A(flat)
         self.nu_q = coeffs.eval_nu(flat)
-        self.Ec_lu = spla.splu(assemble(coeffs, coarse_space, None, k).energy_matrix().tocsc())
+        self.Ec_solve = _spd_solver(assemble(coeffs, coarse_space, None, k).energy_matrix(),
+                                    coarse_space.mesh.n_theta)
 
     def best_approx_error_sq(self, u_fine: DiscreteSolution, u_energy_sq):
         """min over coarse v of |u - v|_E^2 = |u|_E^2 - b^H Ec^{-1} b."""
@@ -293,7 +294,7 @@ class _CrossMeshProjector:
         b = (self.Gx.conj().T @ (w * Ag[:, 0])
              + self.Gy.conj().T @ (w * Ag[:, 1])
              + self.k**2 * (self.Phi.conj().T @ (w * self.nu_q * uv)))
-        proj = np.real(np.vdot(b, solve_real(self.Ec_lu, b)))
+        proj = np.real(np.vdot(b, self.Ec_solve(b)))
         return max(u_energy_sq - proj, 0.0)
 
 

@@ -10,6 +10,10 @@ the bounds pin (A = I or nu = 1) is never evaluated.  One sparse trace operator 
 (``modal_projection``) maps dofs to the m = 2 n_max + 1 Fourier modes on G.
 The radiation operator C P, with C = 2 pi R P^H diag(t), is never formed:
 the system operator K0 - C P (K0 = S - k^2 M_nu) is applied as K0 u - C (P u).
+It is complex symmetric (the assembly copies upper entries to lower ones, and
+t_n = t_{-n}), so every solver here solves forward only: a solve with the
+conjugate transpose is conj(K^{-1} conj(b)) (R. W. Freund, SIAM J. Sci. Stat.
+Comput. 13, 1992), as in ``solve_adjoint`` and ``util.cutoff_normal``.
 
 The solver follows the mesh.  On a star annulus (n_theta vertices on each of
 its rings) K0 couples neighbouring rings and angles only; for a centred disk
@@ -23,9 +27,9 @@ circulant solve and checks its residual on the true operator: columns above
 1e-12 take one refinement step, and only those still above it go to GMRES,
 preconditioned by the circulant solve.  An invariant system, circulant to
 rounding, takes no GMRES iteration: its refined solve stands within the
-residual certificate.  The same class factors the plain mass
-matrix; the resolvent estimate solves with it where the mesh is invariant in
-angle (a centred disk annulus).  A disk fan has no such layout:
+residual certificate.  The same class factors the real SPD matrices
+of the estimates, the plain mass and the coarse energy Gram, where the mesh is
+invariant in angle (a centred disk annulus).  A disk fan has no such layout:
 its modes mu = P u become unknowns of the sparse bordered system
     [[K0, -C], [P, -I_m]] [u; mu] = [b; 0]
 (Keller & Givoli, J. Comput. Phys. 82, 1989), factored by SuperLU in a
@@ -179,9 +183,8 @@ def _splu(matrix) -> spla.SuperLU:
 
 class TridiagonalLU:
     """LAPACK ``?gttrf`` factors of the tridiagonal matrix with bands
-    ``(lower, main, upper)``.  ``solve(b, trans)`` runs ``?gttrs`` under
-    SuperLU's contract: ``trans`` "N", "T" or "H", ``b`` a vector or the
-    columns of a matrix, and a real factor rejects a complex ``b``."""
+    ``(lower, main, upper)``.  ``solve(b)`` runs ``?gttrs`` on a vector or
+    the columns of a matrix; a real factor rejects a complex ``b``."""
 
     def __init__(self, lower, main, upper):
         gttrf, self._gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (lower, main, upper))
@@ -196,17 +199,17 @@ class TridiagonalLU:
         """Entries the factors store: the bands dl, d, du and du2."""
         return sum(f.size for f in self._factors[:4])
 
-    def solve(self, b, trans="N"):
+    def solve(self, b):
         b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
-        x, _ = self._gttrs(*self._factors, b, trans={"H": "C"}.get(trans, trans))
+        x, _ = self._gttrs(*self._factors, b)
         return x
 
 
 class TridiagonalLDL:
     """LAPACK ``?pttrf`` factors L D L^T of the real symmetric positive
     definite tridiagonal matrix with bands ``(main, off)``: no pivoting, half
-    the work of :class:`TridiagonalLU` per solve.  ``solve(b, trans)`` keeps
-    that class's contract; every ``trans`` is the same solve."""
+    the work of :class:`TridiagonalLU` per solve, whose ``solve(b)`` contract
+    it keeps."""
 
     def __init__(self, main, off):
         pttrf, self._pttrs = lapack.get_lapack_funcs(("pttrf", "pttrs"), (main, off))
@@ -216,7 +219,7 @@ class TridiagonalLDL:
                 f"tridiagonal matrix is not positive definite: nonpositive pivot in row {info - 1}")
         self.dtype = self._factors[0].dtype
 
-    def solve(self, b, trans="N"):
+    def solve(self, b):
         b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
         x, _ = self._pttrs(*self._factors, b)
         return x
@@ -227,9 +230,8 @@ class Factorization:
     """Sparse LU of a system matrix; solves take and return dof vectors.
 
     ``solve`` pads the right-hand side with zeros on the mode rows of the
-    bordered matrix and drops the modes from the result.  The padding is exact
-    for every ``trans``: the second block row of B^T (B^H) gives
-    mu = -C^T x (-C^H x), so x solves (K0 - C P)^T x = b ((K0 - C P)^H x = b).
+    bordered matrix and drops the modes from the result: the second block row
+    gives mu = P x, so x solves (K0 - C P) x = b.
     """
     lu: spla.SuperLU
     perm: np.ndarray       # elimination order of the rows and columns of the matrix
@@ -241,12 +243,12 @@ class Factorization:
     def nnz(self):
         return self.lu.nnz
 
-    def solve(self, b, trans="N"):
+    def solve(self, b):
         b = np.asarray(b)
         pad = np.zeros((len(self.perm),) + b.shape[1:], dtype=complex)
         pad[:self.n_dofs] = b
         x = np.empty_like(pad)
-        x[self.perm] = self.lu.solve(pad[self.perm], trans=trans)
+        x[self.perm] = self.lu.solve(pad[self.perm])
         return x[:self.n_dofs]
 
 
@@ -270,8 +272,9 @@ _INVARIANT_RTOL = 1e-10
 
 class AngularFactorization:
     """Solver of a ring-structured real matrix on a star annulus: the system's
-    K0 with its DtN closure, or the plain mass matrix with none (the resolvent
-    estimate's mass solve where the matrix is ``invariant``).
+    K0 with its DtN closure, or a real SPD matrix with none where it is
+    ``invariant`` (the plain mass of the resolvent estimate, the coarse energy
+    Gram of the eta estimate).
 
     Dof l * n_theta + i sits on free ring l at angle 2 pi i / n_theta.  The
     stencil of the matrix between rings l and l + dl at angular offset di,
@@ -283,8 +286,8 @@ class AngularFactorization:
     records whether the matrix equals its angle-averaged stencil to rounding,
     as on a centred disk, where the circulant solve is exact.
 
-    ``solve`` checks every column against ``apply(u, trans)``, the true
-    operator (the matrix itself unless given): x = precondition(b) and one
+    ``solve`` checks every column against ``apply(u)``, the true operator
+    (the matrix itself unless given): x = precondition(b) and one
     refinement step x += precondition(b - apply(x)) where the residual is
     above 1e-12 |b|, then GMRES from x on the columns still above it.  An
     invariant matrix takes no GMRES step: its refined solve stands within
@@ -314,7 +317,7 @@ class AngularFactorization:
         # neighbouring blocks (below ring 0, above the last ring) are zero
         lower, diag, upper = (symbol[:, d].T.ravel() for d in range(3))
         self.lu = TridiagonalLU(lower[1:], diag, upper[:-1])
-        self._apply = apply or (lambda u, trans="N": (K.T if trans == "H" else K) @ u)
+        self._apply = apply or K.dot
         self.n_theta, self.n_rings = n_theta, n_rings
         self.iterations = 0
 
@@ -322,16 +325,15 @@ class AngularFactorization:
     def nnz(self):
         return self.lu.nnz
 
-    def precondition(self, b, trans="N"):
-        """The circulant solve with b; with its conjugate transpose for trans="H"."""
+    def precondition(self, b):
+        """The circulant solve with b."""
         bh = np.fft.fft(b.reshape(self.n_rings, self.n_theta, -1), axis=1)
-        x = self.lu.solve(bh.transpose(1, 0, 2).reshape(len(b), -1), trans=trans)
+        x = self.lu.solve(bh.transpose(1, 0, 2).reshape(len(b), -1))
         x = x.reshape(self.n_theta, self.n_rings, -1).transpose(1, 0, 2)
         return np.fft.ifft(x, axis=1).reshape(b.shape)
 
-    def solve(self, b, trans="N"):
-        """x with A x = b (or its transpose, or conjugate transpose), column by
-        column, for the true operator A.
+    def solve(self, b):
+        """x with A x = b, column by column, for the true operator A.
 
         GMRES aims at a relative residual of 1e-12.  That lies below the
         rounding floor of fine meshes with mass-weighted loads (a source load
@@ -341,17 +343,15 @@ class AngularFactorization:
         an invariant matrix's refined solve meets the same test without GMRES.
         """
         b = np.asarray(b, dtype=complex)
-        if trans == "T":
-            return np.conj(self.solve(np.conj(b), "H"))
         n = len(b)
         B = b.reshape(n, -1)
         target = _GMRES_RTOL * np.linalg.norm(B, axis=0)
-        x = self.precondition(B, trans)
-        r = B - self._apply(x, trans)
+        x = self.precondition(B)
+        r = B - self._apply(x)
         todo = np.flatnonzero(np.linalg.norm(r, axis=0) > target)
         if todo.size:
-            x[:, todo] += self.precondition(r[:, todo], trans)
-            res = np.linalg.norm(B[:, todo] - self._apply(x[:, todo], trans), axis=0)
+            x[:, todo] += self.precondition(r[:, todo])
+            res = np.linalg.norm(B[:, todo] - self._apply(x[:, todo]), axis=0)
             if not self.invariant:
                 todo = todo[res > target[todo]]
             else:   # circulant to rounding: the refined solve is at the floor, where GMRES stalls
@@ -360,8 +360,8 @@ class AngularFactorization:
                     raise SolveError(f"circulant solve stopped at relative residual {rel:.3e}")
                 todo = todo[:0]
         self.iterations = 0
-        A = spla.LinearOperator((n, n), lambda u: self._apply(u, trans), dtype=complex)
-        M = spla.LinearOperator((n, n), lambda u: self.precondition(u, trans), dtype=complex)
+        A = spla.LinearOperator((n, n), self._apply, dtype=complex)
+        M = spla.LinearOperator((n, n), self.precondition, dtype=complex)
         for j in todo:
             steps = []
             x[:, j], info = spla.gmres(A, B[:, j], x0=x[:, j], M=M,
@@ -370,7 +370,7 @@ class AngularFactorization:
                                        callback_type="pr_norm")
             self.iterations += len(steps)
             if info:    # stalled: at the rounding floor, or not converged
-                r = self._apply(x[:, j], trans) - B[:, j]
+                r = self._apply(x[:, j]) - B[:, j]
                 res = np.linalg.norm(r) / np.linalg.norm(B[:, j])
                 if res > CERTIFIED_RTOL:
                     raise SolveError(f"GMRES stopped at relative residual {res:.3e} "
@@ -411,14 +411,9 @@ class GalerkinSystem:
             self._matrix = K.tocsr()
         return self._matrix
 
-    def apply(self, u, trans="N"):
-        """(K0 - C P) u, or (K0 - C P)^H u for trans="H"."""
+    def apply(self, u):
+        """(K0 - C P) u."""
         u = np.asarray(u)
-        if trans == "H":
-            out = self.operator.T @ u
-            if self.dtn_block is not None:
-                out = out - np.conj(self.projection.T @ (self.dtn_block.T @ np.conj(u)))
-            return out
         out = self.operator @ u
         if self.dtn_block is not None:
             out = out - self.dtn_block @ (self.projection @ u)
@@ -426,7 +421,7 @@ class GalerkinSystem:
 
     def factorize(self):
         """The angular solver on a star annulus, the nested-dissection LU on a
-        disk fan; either has ``solve(b, trans)`` on dof vectors and ``nnz``."""
+        disk fan; either has ``solve(b)`` on dof vectors and ``nnz``."""
         if self._factorization is None:
             n_theta = self.fe_space.mesh.n_theta
             self._factorization = (

@@ -290,13 +290,10 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
     # outside the support radius: exactly Euclidean
     for r in np.linspace(geom.R1 * 1.000001, geom.R_ray, 8):
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        A = coeffs.eval_A(pts)
-        nu = coeffs.eval_nu(pts)
-        dev_A = np.abs(A - np.eye(2)).max()
-        dev_nu = np.abs(nu - 1.0).max()
-        if dev_A != 0.0 or dev_nu != 0.0:
-            i = int(np.argmax(np.abs(nu - 1.0)))
-            failures.append(("coefficient support violation", pts[i]))
+        dev = np.maximum(np.abs(coeffs.eval_A(pts) - np.eye(2)).max(axis=(-2, -1)),
+                         np.abs(coeffs.eval_nu(pts) - 1.0))
+        if dev.max() != 0.0:
+            failures.append(("coefficient support violation", pts[int(np.argmax(dev))]))
             break
 
     # inside: bounds and symmetry

@@ -113,13 +113,15 @@ def solve_real(lu, b):
 def cutoff_normal(lu, mass_solve, M, B, ch):
     """Normal operator of T f = ch K^{-1} M (ch f).
 
-    ``lu`` factors the system K and ``mass_solve(b)`` is M^{-1} b for the real
-    mass M and a complex b; the input norm is M, the output norm B, and the
-    adjoint is taken in M, the inner product of :func:`power_sigma`.
+    ``lu.solve(b)`` is K^{-1} b for the complex symmetric system K, and
+    ``mass_solve(b)`` is M^{-1} b for the real mass M and a complex b; the
+    input norm is M, the output norm B, and the adjoint is taken in M, the
+    inner product of :func:`power_sigma`.  Since K^T = K, the adjoint solve
+    K^{-H} c is the conjugated forward solve conj(K^{-1} conj(c)).
     """
     def apply_normal(v):
         w = ch * lu.solve(M @ (ch * v))
-        return mass_solve(ch * (M @ lu.solve(ch * (B @ w), trans="H")))
+        return mass_solve(ch * (M @ np.conj(lu.solve(np.conj(ch * (B @ w))))))
 
     return apply_normal
 

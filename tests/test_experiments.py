@@ -18,7 +18,7 @@ from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta
 from helmray.fem import (SingularSystemError, TridiagonalLDL, TridiagonalLU, assemble,
                          build_space, element_gradients, quadrature)
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
-                              disk_obstacle, identity_coefficients,
+                              disk_obstacle, fourier_obstacle, identity_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
 from helmray.radial import assemble_radial_mode, mode_cutoff_norm, radial_quadrature
@@ -63,14 +63,22 @@ def test_power_iteration_against_dense_svd_free_1d_kernel():
     assert sigma == pytest.approx(sigma_dense, rel=1e-4)
 
 
-@pytest.mark.parametrize("path", ["fem2d", "modal"])
+@pytest.mark.parametrize("path", ["fem2d", "fan", "star", "modal"])
 def test_cutoff_normal_is_mass_self_adjoint(path):
     # T = ch K^{-1} M ch, so u^H M T*T v = (T u)^H B (T v): Hermitian and,
-    # on the diagonal, nonnegative; the 2-D case uses the energy Gram as B
+    # on the diagonal, nonnegative; the 2-D cases use the energy Gram as B:
+    # disk.ini's annulus, nu_bump.ini's fan (the sparse LU) and a star
+    # annulus under anisotropic A (GMRES)
     cut = RadialCutoff(0.8, 0.97)
-    if path == "fem2d":
-        cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "disk.ini")
-        coeffs, obstacle, geom = cfg.problem()
+    if path != "modal":
+        if path == "star":
+            coeffs, obstacle, geom = (
+                anisotropic_coefficients(), fourier_obstacle([0.5, 0.05, 0.05], [0, 0.05]),
+                TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5))
+        else:
+            name = "disk" if path == "fem2d" else "nu_bump"
+            cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
+            coeffs, obstacle, geom = cfg.problem()
         space = build_space(generate_mesh(obstacle, geom, 0.1))
         system = assemble(coeffs, space, build_dtn(3.0, geom.R), 3.0)
         M, lu, B = system.mass_plain, system.factorize(), system.energy_matrix()
@@ -116,30 +124,33 @@ def test_radial_mass_solve_real_matches_complex_factorization():
 
 
 @pytest.mark.parametrize("which", ["M", "K", "angular"])
-@pytest.mark.parametrize("trans", ["N", "T", "H"])
+@pytest.mark.parametrize("op", ["N", "T", "H"])
 @pytest.mark.parametrize("ncols", [None, 2])
-def test_tridiagonal_lu_matches_dense_solve(which, trans, ncols):
+def test_tridiagonal_lu_matches_dense_solve(which, op, ncols):
     # the real mass factor and the complex system factor of one mode, and a
     # complex factor whose lower and upper bands differ, as the frequency
-    # blocks of the angular solver do
+    # blocks of the angular solver do; a solve with A^T ("T") or A^H ("H") is
+    # made of forward solves only: for the symmetric bands of a mode it is the
+    # forward solve (conjugated for A^H), and for the angular block it is the
+    # forward solve of the factor of the swapped bands
     mode = assemble_radial_mode(4, 6.0, radial_quadrature(1.0, 60, r_inner=0.2))
     if which == "angular":
         off = mode.K.off
         lower, main, upper = off * np.exp(0.4j), mode.K.main, off * np.exp(-0.4j)
-        lu = TridiagonalLU(lower, main, upper)
+        lu = TridiagonalLU(lower, main, upper) if op == "N" else TridiagonalLU(upper, main, lower)
     else:
         band = getattr(mode, which)
         lower, main, upper = band.off, band.main, band.off
         lu = mode.lu_mass() if which == "M" else mode.lu()
     assert lu.dtype == main.dtype
     A = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
-    op = {"N": A, "T": A.T, "H": A.conj().T}[trans]
     g = rng(3)
     shape = (A.shape[0],) if ncols is None else (A.shape[0], ncols)
     b = g.standard_normal(shape)
     if which != "M":
         b = b + 1j * g.standard_normal(shape)
-    x, ref = lu.solve(b, trans=trans), np.linalg.solve(op, b)
+    x = np.conj(lu.solve(np.conj(b))) if op == "H" else lu.solve(b)
+    ref = np.linalg.solve({"N": A, "T": A.T, "H": A.conj().T}[op], b)
     assert x.shape == b.shape
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 

@@ -9,7 +9,8 @@ from scipy.special import hankel1
 
 from helmray.config import RunConfig
 from helmray.dtn import build_dtn
-from helmray.experiments import RadialCutoff, _mass_solver, estimate_resolvent_norm
+from helmray.experiments import (RadialCutoff, _spd_solver, estimate_eta,
+                                 estimate_resolvent_norm)
 from helmray.fem import (AngularFactorization, _fe_values, assemble, assemble_load_scattering,
                          assemble_load_source, build_space, dissection_lu, element_gradients,
                          energy_norm, errors_vs_exact, l2_norm_exact, modal_projection,
@@ -433,8 +434,8 @@ def test_bordered_factorization_matches_dense_reduced_system(disk_setup):
     lu = system.factorize()
     b = np.stack([_random_dofs(space, 7), _random_dofs(space, 8)], axis=1)
     for rhs in (b[:, 0], b):
-        for trans, code in (("N", 0), ("H", 2)):
-            x = lu.solve(rhs, trans=trans)
+        # the adjoint solve is the conjugated forward solve: A is complex symmetric
+        for x, code in ((lu.solve(rhs), 0), (np.conj(lu.solve(np.conj(rhs))), 2)):
             ref = scipy.linalg.lu_solve(dense, rhs, trans=code)
             assert x.shape == rhs.shape
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -468,7 +469,8 @@ def test_dissection_order_fills_less_than_colamd():
 
 
 def _oracle_system(name):
-    """A system on a star annulus for the angular-solver oracle tests."""
+    """A system on a star annulus for the angular-solver oracle tests (a disk
+    fan for nu_bump)."""
     if name == "dirichlet":    # as estimate_C_H2 builds it: padded, outer Dirichlet, k = 0
         coeffs, obstacle, geom = _case("disk")
         mesh = generate_mesh(obstacle, geom, 0.05, outer_radius=geom.R + 1.0)
@@ -479,6 +481,37 @@ def _oracle_system(name):
                     build_dtn(k, geom.R), k)
 
 
+def _superlu_adjoint_solve(lu, b):
+    """x with (K0 - C P)^H x = b from SuperLU's own conjugate-transpose solve
+    of the factored (bordered) matrix: an adjoint oracle that does not rest on
+    K being complex symmetric.  The padding is exact: the second block row of
+    B^H gives mu = -C^H x."""
+    pad = np.zeros((len(lu.perm),) + b.shape[1:], dtype=complex)
+    pad[:lu.n_dofs] = b
+    x = np.empty_like(pad)
+    x[lu.perm] = lu.lu.solve(pad[lu.perm], trans="H")
+    return x[:lu.n_dofs]
+
+
+def _adjoint_apply(system, u):
+    """(K0 - C P)^H u from the factors, with no use of symmetry."""
+    out = system.operator.T @ u
+    if system.dtn_block is not None:
+        out = out - system.projection.conj().T @ (system.dtn_block.conj().T @ u)
+    return out
+
+
+@pytest.mark.parametrize("name", ["nu_bump", "disk", "star", "dirichlet"])
+def test_system_operator_is_complex_symmetric(name):
+    # x^T K y = y^T K x: the premise of every adjoint solve being the
+    # conjugated forward solve; star is the GMRES path, dirichlet the k = 0
+    # system estimate_C_H2 solves, nu_bump a disk fan
+    system = _oracle_system(name)
+    x, y = _random_dofs(system.fe_space, 21), _random_dofs(system.fe_space, 22)
+    xKy, yKx = x @ system.apply(y), y @ system.apply(x)
+    assert abs(xKy - yKx) <= 1e-13 * abs(xKy)
+
+
 @pytest.mark.parametrize("name", ["disk", "star", "dirichlet"])
 def test_angular_solver_matches_lu_oracle(name):
     system = _oracle_system(name)
@@ -486,8 +519,8 @@ def test_angular_solver_matches_lu_oracle(name):
     assert ang.solver == "angular" and lu.solver == "lu"
     b = np.stack([_random_dofs(system.fe_space, 9), _random_dofs(system.fe_space, 10)], axis=1)
     for rhs in (b[:, 0], b):
-        for trans in ("N", "H"):
-            x, ref = ang.solve(rhs, trans=trans), lu.solve(rhs, trans=trans)
+        for x, ref in ((ang.solve(rhs), lu.solve(rhs)),
+                       (np.conj(ang.solve(np.conj(rhs))), _superlu_adjoint_solve(lu, rhs))):
             assert x.shape == rhs.shape
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             # invariant systems are solved by the preconditioner alone
@@ -529,11 +562,12 @@ def test_invariant_annulus_solve_needs_no_gmres_iteration(monkeypatch):
     for name, owner in (("apply", fem.GalerkinSystem), ("precondition", AngularFactorization)):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     lu = system.factorize()
-    for trans in ("N", "H"):
+    for adjoint in (False, True):
         calls.update(apply=0, precondition=0)
-        x = lu.solve(b, trans=trans)
+        x = np.conj(lu.solve(np.conj(b))) if adjoint else lu.solve(b)
         assert calls["apply"] <= 2 and calls["precondition"] <= 2 and lu.iterations == 0
-        assert np.linalg.norm(system.apply(x, trans) - b) <= 1e-12 * np.linalg.norm(b)
+        Ax = _adjoint_apply(system, x) if adjoint else system.apply(x)
+        assert np.linalg.norm(Ax - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_invariant_solve_at_the_rounding_floor_needs_no_gmres(monkeypatch):
@@ -588,7 +622,7 @@ def test_star_annulus_and_fan_keep_the_lu_mass(name, unit_setup, monkeypatch):
 
     monkeypatch.setattr(fem.spla, "splu", counted)
     b = _random_dofs(system.fe_space, 17)
-    x = _mass_solver(system)(b)
+    x = _spd_solver(system.mass_plain, system.fe_space.mesh.n_theta)(b)
     assert len(factored) == 1
     assert np.array_equal(x, solve_real(factored[0], b))
 
@@ -604,6 +638,8 @@ def test_disk_annulus_resolvent_estimate_makes_no_superlu_call(monkeypatch):
     est = estimate_resolvent_norm(coeffs, obstacle, geom, 4.0, RadialCutoff(0.8, 0.97), 0.05,
                                   method="fem2d")
     assert est.method == "fem2d" and est.converged
+    # the eta estimate too: its coarse energy Gram takes the angular solver
+    assert estimate_eta(coeffs, obstacle, geom, 4.0, 0.2, samples=1).samples == 1
 
 
 def test_reread_annulus_mesh_solves_on_angular_path(disk_setup, tmp_path):

@@ -65,6 +65,23 @@ def test_validate_flags_support_violation():
     assert report.failures[0][0] == "coefficient support violation"
 
 
+def test_validate_reports_a_support_violation_where_A_breaks_it():
+    # nu is exactly 1 everywhere, so the point must come from A, not |nu - 1|
+    from dataclasses import replace
+    ident = identity_coefficients()
+
+    def eval_A(x):
+        A = ident.eval_A(x).copy()
+        A[..., 0, 0] += np.where(np.asarray(x)[..., 1] > 0.3, 1e-3, 0.0)
+        return A
+
+    bad = replace(ident, eval_A=eval_A, A_max=1.001)
+    report = validate_configuration(bad, None, TruncationGeometry(0.5, 1.0, 1.25))
+    name, point = report.failures[0]
+    assert name == "coefficient support violation"
+    assert point[1] > 0.3 and not np.array_equal(eval_A(point), np.eye(2))
+
+
 def test_validate_flags_obstacle_outside_support_disk():
     geom = TruncationGeometry(R1=1.0, R=2.0, R_ray=4.0)
     report = validate_configuration(identity_coefficients(), disk_obstacle(1.5), geom)
