@@ -126,7 +126,7 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
         return ResolventEstimate(value=res.value, method="modal",
                                  converged=res.converged, iterations=iters,
                                  resolution={"h_r": h, "n_r": res.n_r,
-                                             "n_modes": len(res.per_mode) - 1},
+                                             "n_modes": len(res.per_mode)},
                                  residual=res.residual)
 
     mesh = generate_mesh(obstacle, geom, h)

@@ -12,13 +12,16 @@ mode-independent bands, one evaluation of a and nu); each mode then only
 combines bands (:func:`assemble_radial_mode`), factors its complex system
 with ``fem.TridiagonalLU`` (LAPACK ``?gttrf``, as the angular solver does) and
 its real SPD mass with ``fem.TridiagonalLDL`` (``?pttrf``), and estimates its
-norm by Lanczos in the mass inner product (``util.power_sigma``).
+norm by Lanczos in the mass inner product (``util.power_sigma``).  The seeded
+Lanczos start vector depends only on the number of free nodes, so it is drawn
+once per layout: twice when r_inner = 0 (mode 0 keeps the axis node), once
+otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -52,10 +55,16 @@ class Tridiagonal:
     def shape(self):
         return (len(self.main), len(self.main))
 
+    @cached_property
+    def _complex_bands(self):
+        # cast once: a real band times a complex vector is cast on every product
+        return self.main.astype(complex, copy=False), self.off.astype(complex, copy=False)
+
     def __matmul__(self, x):
-        y = self.main * x
-        y[:-1] += self.off * x[1:]
-        y[1:] += self.off * x[:-1]
+        main, off = self._complex_bands if x.dtype.kind == "c" else (self.main, self.off)
+        y = main * x
+        y[:-1] += off * x[1:]
+        y[1:] += off * x[:-1]
         return y
 
 
@@ -144,16 +153,25 @@ def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed
     operator in the mass inner product.
 
     Input norm is the plain radial mass; output norm is the mass (s = 0) or the
-    k-weighted energy Gram (s = 1).  Returns ``(sigma, iterations, converged,
-    residual)`` from :func:`~helmray.util.power_sigma`, the residual being the
-    relative Ritz residual.
+    k-weighted energy Gram (s = 1).  Lanczos starts from the complex Gaussian
+    vector of ``seed``, the same for every mode with as many free nodes.
+    Returns ``(sigma, iterations, converged, residual)`` from
+    :func:`~helmray.util.power_sigma`, the residual being the relative Ritz
+    residual.
     """
     apply_normal = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()),
                                  mode.M, mode.M if s == 0 else mode.E, chi_vals)
+    return power_sigma(apply_normal, mode.M, _start_vector(seed, mode.M.shape[0]),
+                       rtol=rtol, maxit=maxit)
+
+
+@lru_cache(maxsize=1)      # a scan runs its modes in order of n: layouts come in runs
+def _start_vector(seed, n):
+    """Read-only complex Gaussian vector of length ``n`` from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    n = mode.M.shape[0]
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return power_sigma(apply_normal, mode.M, v0, rtol=rtol, maxit=maxit)
+    v0.flags.writeable = False
+    return v0
 
 
 @dataclass

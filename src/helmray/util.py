@@ -107,7 +107,9 @@ def solve_real(lu, b):
     columns of one real solve."""
     x = lu.solve(np.column_stack([b.real, b.imag]))
     m = x.shape[1] // 2
-    return (x[:, :m] + 1j * x[:, m:]).reshape(b.shape)
+    out = np.empty((len(x), m), dtype=complex)
+    out.real, out.imag = x[:, :m], x[:, m:]
+    return out.reshape(b.shape)
 
 
 def cutoff_normal(lu, mass_solve, M, B, ch):
@@ -137,26 +139,26 @@ def power_sigma(apply_normal, M, v0, rtol=1e-5, maxit=400):
     product, and ``M @ v`` the real symmetric positive definite M.  Every new
     Lanczos vector is orthogonalized against all earlier ones by two classical
     Gram-Schmidt passes (full reorthogonalization; C. Lanczos, J. Res. NBS 45,
-    1950; C. C. Paige, IMA J. Appl. Math. 18, 1976), so the basis Q and M Q
-    are kept: two complex vectors per iteration.  The largest Ritz value theta
-    of the tridiagonal projection is sigma^2, and the iteration stops once its
-    Ritz residual ||T*T y - theta y||_M is at most ``rtol * theta``, which
-    bounds the distance from theta to an eigenvalue of T*T.  Returns
-    ``(sigma, iterations, converged, residual)``, with the residual relative
-    to theta.  The name is kept from the power iteration this replaced, under
-    which the benchmark binds it.
+    1950; C. C. Paige, IMA J. Appl. Math. 18, 1976), so the basis Q and
+    conj(M Q) are kept: two complex vectors per iteration.  The largest Ritz
+    value theta of the tridiagonal projection is sigma^2, and the iteration
+    stops once its Ritz residual ||T*T y - theta y||_M is at most
+    ``rtol * theta``, which bounds the distance from theta to an eigenvalue of
+    T*T.  Returns ``(sigma, iterations, converged, residual)``, with the
+    residual relative to theta.  The name is kept from the power iteration
+    this replaced, under which the benchmark binds it.
     """
     v = np.asarray(v0, dtype=complex)
     Mv = M @ v
     scale = np.sqrt(np.vdot(v, Mv).real)
     Q = np.empty((min(maxit + 1, _BASIS_ROWS), len(v)), dtype=complex)
-    MQ = np.empty_like(Q)
-    Q[0], MQ[0] = v / scale, Mv / scale
+    MQc = np.empty_like(Q)      # conj(M Q): the inner products <q, w> are MQc @ w
+    _scaled(v, Mv, 1.0 / scale, Q[0], MQc[0])
     alpha, beta = np.zeros(maxit), np.zeros(maxit)
     for j in range(1, maxit + 1):
         w, a = apply_normal(Q[j - 1]), 0.0
         for _ in range(2):
-            c = np.conj(MQ[:j] @ np.conj(w))
+            c = MQc[:j] @ w
             w = w - c @ Q[:j]
             a += c[j - 1].real
         alpha[j - 1] = a
@@ -170,11 +172,21 @@ def power_sigma(apply_normal, M, v0, rtol=1e-5, maxit=400):
         if converged or j == maxit:
             break
         if j == len(Q):
-            Q, MQ = (np.concatenate([X, np.empty_like(X)]) for X in (Q, MQ))
+            Q, MQc = (np.concatenate([X, np.empty_like(X)]) for X in (Q, MQc))
         beta[j - 1] = b
-        Q[j], MQ[j] = w / b, Mw / b
+        _scaled(w, Mw, 1.0 / b, Q[j], MQc[j])
     relative = resid / theta if theta > 0.0 else (0.0 if resid == 0.0 else np.inf)
     return float(np.sqrt(theta)), j, bool(converged), float(relative)
+
+
+def _scaled(q, Mq, inv, q_row, Mq_conj_row):
+    """Basis rows q * inv and conj(Mq) * inv, written in place.  numpy divides
+    a complex array by a real scalar as by a complex one, by multiplying with
+    the reciprocal, so the product gives the quotient's bits at a quarter of
+    its cost; conjugating in place leaves no temporary for conj(Mq)."""
+    np.multiply(q, inv, out=q_row)
+    np.multiply(Mq, inv, out=Mq_conj_row)
+    np.conjugate(Mq_conj_row, out=Mq_conj_row)
 
 
 def write_csv(path, header, columns):

@@ -10,7 +10,7 @@ from scipy.special import hankel1, jv
 
 from helmray.bounds import ConstantsLedger, schatz_condition
 from helmray.config import RunConfig
-from helmray.dtn import build_dtn
+from helmray.dtn import build_dtn, default_n_max
 from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta,
                                  estimate_resolvent_norm, h2_scaling_study,
                                  quasimode_lower_bound, quasioptimality_study,
@@ -21,7 +21,9 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle, identity_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
-from helmray.radial import assemble_radial_mode, mode_cutoff_norm, radial_quadrature
+from helmray import radial
+from helmray.radial import (assemble_radial_mode, mode_cutoff_norm, radial_cutoff_resolvent_norm,
+                            radial_quadrature)
 from helmray.util import cutoff_normal, power_sigma, solve_real
 from conftest import rng
 
@@ -156,6 +158,8 @@ def test_tridiagonal_lu_matches_dense_solve(which, op, ncols):
 
 
 def test_tridiagonal_matmul_matches_dense():
+    # a complex vector meets bands cast to complex once, with the bits of the
+    # product by the bands as stored; a real vector meets the real bands
     mode = assemble_radial_mode(1, 5.0, radial_quadrature(1.0, 40))
     g = rng(4)
     for band in (mode.K, mode.M, mode.E):
@@ -163,6 +167,15 @@ def test_tridiagonal_matmul_matches_dense():
         v = g.standard_normal(band.shape[0]) + 1j * g.standard_normal(band.shape[0])
         ref = _dense(band) @ v
         assert np.linalg.norm(band @ v - ref) <= 1e-14 * np.linalg.norm(ref)
+        stored = band.main * v
+        stored[:-1] += band.off * v[1:]
+        stored[1:] += band.off * v[:-1]
+        assert np.array_equal(band @ v, stored)
+        if band.main.dtype == np.float64:
+            u = g.standard_normal(band.shape[0])
+            y, ref = band @ u, _dense(band) @ u
+            assert y.dtype == np.float64
+            assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_real_tridiagonal_factor_rejects_complex_rhs():
@@ -202,6 +215,36 @@ def test_mode_cutoff_norm_matches_dense_singular_value(s):
     assert sigma == pytest.approx(dense, rel=1e-9)
 
 
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("r_inner, layouts", [(0.0, 2), (0.5, 1)])
+def test_modal_scan_draws_one_start_vector_per_layout(monkeypatch, r_inner, layouts, s):
+    # mode 0 keeps the axis node at r_inner = 0, so two free-node counts there;
+    # the scan must give the bits of mode-by-mode estimates with fresh draws
+    k, cut = 6.0, RadialCutoff(0.8, 0.97)
+    radial._start_vector.cache_clear()
+    draws, default_rng = [], np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    res = radial_cutoff_resolvent_norm(k, 1.0, 0.01, cut, r_inner=r_inner, s=s, seed=2)
+    assert len(draws) == layouts
+    quad = radial_quadrature(1.0, res.n_r, r_inner=r_inner)
+    per_mode, residual = [], 0.0
+    for n in range(default_n_max(k, 1.0) + 1):
+        radial._start_vector.cache_clear()
+        mode = assemble_radial_mode(n, k, quad)
+        sigma, iters, conv, resid = mode_cutoff_norm(mode, cut(quad.grid[mode.free]), s=s, seed=2)
+        per_mode.append((n, sigma, iters, conv))
+        residual = max(residual, resid)
+    assert res.per_mode == per_mode and res.residual == residual
+    v0 = radial._start_vector(2, 10)
+    with pytest.raises(ValueError):
+        v0[0] = 1.0
+
+
 @lru_cache
 def _gauss_legendre(n_quad):
     return np.polynomial.legendre.leggauss(n_quad)
@@ -231,6 +274,7 @@ def test_modal_estimate_matches_dense_kernel_oracle(free_geom):
     cut = RadialCutoff(0.8, 0.97)
     est = estimate_resolvent_norm(identity_coefficients(), None, free_geom,
                                   5.0, cut, 0.02, method="modal", rtol=1e-5)
+    assert est.resolution["n_modes"] == default_n_max(5.0, free_geom.R) + 1 == 22
     oracle = max(free_mode_kernel_norm(n, 5.0, 1.0, cut) for n in range(0, 22))
     assert est.value == pytest.approx(oracle, rel=5e-3)
 

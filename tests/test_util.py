@@ -1,17 +1,28 @@
 """The artifact writers: ``write_csv`` keeps the bytes of the per-cell
 formatter it replaced, and ``write_json`` encodes numpy values as Python ones.
 The singular-value estimate ``power_sigma`` reports converged only within its
-tolerance.  The bump and its derivative are exactly 0 off the open support,
-match their closed forms on it and raise no floating-point error."""
+tolerance, and keeps the results of the loop with complex quotients and
+conjugated copies that it replaced.  The bump and its derivative are exactly
+0 off the open support, match their closed forms on it and raise no
+floating-point error."""
 
 import csv
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from helmray.util import bump, bump_deriv, power_sigma, write_csv, write_json
+from helmray.dtn import build_dtn
+from helmray.experiments import RadialCutoff
+from helmray.fem import assemble, build_space
+from helmray.mesh import generate_mesh
+from helmray.radial import assemble_radial_mode, radial_quadrature
+from helmray.util import (bump, bump_deriv, cutoff_normal, power_sigma, solve_real, write_csv,
+                          write_json)
 
 
 def _fmt_float(x):
@@ -88,6 +99,59 @@ def test_power_sigma_converged_means_within_rtol(seed):
     sigma, _, conv, residual = power_sigma(lambda v: eig * v, sp.diags(mass), v0, rtol=rtol)
     assert conv and residual <= rtol
     assert abs(sigma - 1.0) <= rtol
+
+
+def _power_sigma_quotients(apply_normal, M, v0, rtol, maxit):
+    """The Lanczos loop ``power_sigma`` replaced: it divides by the norms and
+    keeps M Q, conjugating twice per Gram-Schmidt pass."""
+    v = np.asarray(v0, dtype=complex)
+    Mv = M @ v
+    scale = np.sqrt(np.vdot(v, Mv).real)
+    Q = np.empty((maxit + 1, len(v)), dtype=complex)
+    MQ = np.empty_like(Q)
+    Q[0], MQ[0] = v / scale, Mv / scale
+    alpha, beta = np.zeros(maxit), np.zeros(maxit)
+    for j in range(1, maxit + 1):
+        w, a = apply_normal(Q[j - 1]), 0.0
+        for _ in range(2):
+            c = np.conj(MQ[:j] @ np.conj(w))
+            w = w - c @ Q[:j]
+            a += c[j - 1].real
+        alpha[j - 1] = a
+        Mw = M @ w
+        b = np.sqrt(max(np.vdot(w, Mw).real, 0.0))
+        theta, s, _ = lapack.dstev(alpha[:j], beta[:max(j - 1, 1)])
+        theta = max(theta[-1], 0.0)
+        resid = b * abs(s[-1, -1])
+        converged = resid <= rtol * theta or b == 0.0
+        if converged or j == maxit:
+            break
+        beta[j - 1] = b
+        Q[j], MQ[j] = w / b, Mw / b
+    return float(np.sqrt(theta)), j, bool(converged), float(resid / theta)
+
+
+@pytest.mark.parametrize("path, rtol", [("modal", 1e-10), ("fem2d", 1e-10), ("fem2d", 0.0)])
+def test_power_sigma_matches_loop_with_quotients(path, rtol, ident, unit_ball_geom):
+    # a radial mode (tridiagonal mass) and a 2-D fan (sparse mass); on the fan
+    # rtol = 0 runs to maxit, past the rows the basis first holds, so it grows
+    cut = RadialCutoff(0.8, 0.97)
+    if path == "modal":
+        mode = assemble_radial_mode(3, 6.0, radial_quadrature(1.0, 120))
+        M, lu, luM, ch = mode.M, mode.lu(), mode.lu_mass(), cut(mode.grid[mode.free])
+    else:
+        space = build_space(generate_mesh(None, unit_ball_geom, 0.1))
+        system = assemble(ident, space, build_dtn(3.0, unit_ball_geom.R), 3.0)
+        M, lu, luM = system.mass_plain, system.factorize(), spla.splu(system.mass_plain.tocsc())
+        ch = cut.at_points(space.mesh.vertices[space.free_vertices])
+    apply_normal = cutoff_normal(lu, partial(solve_real, luM), M, M, ch)
+    g = np.random.default_rng(5)
+    v0 = g.standard_normal(M.shape[0]) + 1j * g.standard_normal(M.shape[0])
+    sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=rtol, maxit=30)
+    ref = _power_sigma_quotients(apply_normal, M, v0, rtol=rtol, maxit=30)
+    assert (iters, conv) == ref[1:3] == ((30, False) if rtol == 0.0 else (iters, True))
+    assert sigma == pytest.approx(ref[0], rel=1e-15, abs=0.0)
+    assert resid == pytest.approx(ref[3], rel=1e-15, abs=0.0)
 
 
 def test_bump_kernels_match_closed_form_and_vanish_off_support():
