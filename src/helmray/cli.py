@@ -6,14 +6,16 @@ every flag whose dest names a config key (``"section.key"``), calls the
 subcommand, and only then creates the output directory and writes the
 returned artifacts, a manifest.json (config hash, seed, versions, argv) and
 the config.ini it ran with, so a run that raises leaves no directory.  CSV
-outputs are byte-reproducible for identical config and seed; timestamps live
-only in the manifest.
+outputs are byte-reproducible for identical config and seed; timestamps and
+the ``profile`` of a solve (wall seconds and peak resident memory per stage)
+live only in the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 import traceback
@@ -67,6 +69,16 @@ def _manifest(args, cfg: RunConfig, extra=None):
         "timestamps": {"written_at_unix": time.time()},
         **(extra or {}),
     }
+
+
+def _mark(profile, stage, start):
+    """Append to the list ``profile`` a stage's wall seconds since ``start`` and
+    the peak resident memory of the process so far (ru_maxrss, kilobytes on
+    Linux) in MB; return the time now, the start of the next stage."""
+    now = time.perf_counter()
+    profile.append({"stage": stage, "wall_s": now - start,
+                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+    return now
 
 
 def _floats(text):
@@ -148,12 +160,15 @@ def _cmd_dtn_check(args, cfg):
 
 
 def _cmd_solve(args, cfg):
+    profile, t = [], time.perf_counter()
     coeffs, obstacle, geom = cfg.problem()
     k, h = cfg.get("wave", "k"), cfg.get("fem", "h")
     mesh = generate_mesh(obstacle, geom, h)
+    t = _mark(profile, "mesh", t)
     space = build_space(mesh)
     dtn = build_dtn(k, geom.R)
     system = assemble(coeffs, space, dtn, k)
+    t = _mark(profile, "assembly", t)
     if args.problem == "scattering":
         ang = np.deg2rad(args.incident_angle)
         rhs = assemble_load_scattering(space, dtn, (np.cos(ang), np.sin(ang)))
@@ -180,9 +195,10 @@ def _cmd_solve(args, cfg):
                 + system.projection.shape[0]),
         "lu_fill": system.factorize().nnz,
     }
+    _mark(profile, "solve", t)      # load, factorization, solve and its certificates
     columns = [np.arange(mesh.n_vertices), *mesh.vertices.T, vv.real, vv.imag]
     return Run({"solution.csv": (["vertex", "x1", "x2", "re_u", "im_u"], columns),
-                "solve.json": payload}, payload)
+                "solve.json": payload}, payload, manifest={"profile": profile})
 
 
 def _cmd_constants(args, cfg):
@@ -380,11 +396,14 @@ def main(argv=None):
         run = args.fn(args, cfg)
         out = Path(args.out or f"out-{args.command}")
         out.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
         for name, artifact in run.artifacts.items():
             if isinstance(artifact, dict):
                 write_json(out / name, artifact)
             else:
                 write_csv(out / name, *artifact)
+        if run.manifest and "profile" in run.manifest:
+            _mark(run.manifest["profile"], "writing", start)
         write_json(out / "manifest.json", _manifest(args, cfg, run.manifest))
         (out / "config.ini").write_text(cfg.to_text())
         print(run.summary if isinstance(run.summary, str)

@@ -6,7 +6,10 @@ with T the modal radiation operator on the outer circle G.  Obstacle vertices
 carry homogeneous Dirichlet constraints.  The stiffness and both masses are
 summed by ``np.bincount`` (Cuvelier, Japhet & Scarella, BIT 2016) into one CSR
 pattern, the diagonal and both directions of every element edge; a coefficient
-the bounds pin (A = I or nu = 1) is never evaluated.  One sparse trace operator P
+the bounds pin (A = I or nu = 1) is never evaluated.  The pattern is built
+first, then each matrix's element entries are summed and dropped in turn: on
+disk.ini assembly peaks at about 415 B per dof (``tracemalloc``), of which the
+result holds 160-200.  One sparse trace operator P
 (``modal_projection``) maps dofs to the m = 2 n_max + 1 Fourier modes on G.
 The radiation operator C P, with C = 2 pi R P^H diag(t), is never formed:
 the system operator K0 - C P (K0 = S - k^2 M_nu) is applied as K0 u - C (P u).
@@ -104,8 +107,9 @@ def build_space(mesh: Mesh, dirichlet_outer: bool = False) -> FeSpace:
 
 def element_gradients(mesh: Mesh):
     """Constant P1 basis gradients per element: (M, 3, 2), plus areas (M,)."""
-    x, y = (mesh.vertices[mesh.triangles, c] for c in (0, 1))
-    x1, x2, y1, y2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0], y[:, 1] - y[:, 0], y[:, 2] - y[:, 0]
+    v, t = mesh.vertices, mesh.triangles
+    x1, y1 = (v[t[:, 1]] - v[t[:, 0]]).T
+    x2, y2 = (v[t[:, 2]] - v[t[:, 0]]).T
     det = x1 * y2 - y1 * x2
     grads = np.empty((len(det), 3, 2))
     grads[:, 1, 0], grads[:, 1, 1] = y2 / det, -x2 / det
@@ -270,6 +274,28 @@ CERTIFIED_RTOL = 1e-10     # relative residual a solve must reach
 _INVARIANT_RTOL = 1e-10
 
 
+def _ring_stencil(K, n_theta):
+    """The stencil s[ring, dl, di] of a ring-structured matrix K averaged over
+    the angle, flat, and whether K equals it to ``_INVARIANT_RTOL``."""
+    scale = np.max(np.abs(K.data), initial=0.0)
+    rows = np.arange(K.shape[0], dtype=K.indices.dtype)
+    counts = np.diff(K.indptr)
+    # slot (ring * 3 + dl) * 3 + di of every entry, dl and di being 0, 1, 2 for
+    # offsets -1, 0, 1, is 6 ring + 3 ring_c + 3 + di: built in place
+    ring_c, slot = np.divmod(K.indices, n_theta)
+    slot -= np.repeat(rows % n_theta - 1, counts)
+    slot %= n_theta
+    ring_c *= 3
+    slot += ring_c
+    slot += np.repeat(rows // n_theta * 6 + 3, counts)
+    del ring_c
+    stencil = np.bincount(slot, weights=K.data, minlength=9 * (len(rows) // n_theta)) / n_theta
+    gap = stencil[slot]
+    del slot
+    np.subtract(K.data, gap, out=gap)
+    return stencil, bool(np.max(np.abs(gap, out=gap), initial=0.0) <= _INVARIANT_RTOL * scale)
+
+
 class AngularFactorization:
     """Solver of a ring-structured real matrix on a star annulus: the system's
     K0 with its DtN closure, or a real SPD matrix with none where it is
@@ -300,14 +326,7 @@ class AngularFactorization:
                  dtn: Optional[DtnOperator] = None, apply: Optional[Callable] = None):
         K = matrix
         n_rings = K.shape[0] // n_theta
-        ring, i = np.divmod(np.repeat(np.arange(K.shape[0], dtype=K.indices.dtype),
-                                      np.diff(K.indptr)), n_theta)
-        ring_c, i_c = np.divmod(K.indices, n_theta)
-        dl, di = ring_c - ring + 1, (i_c - i + 1) % n_theta    # 0, 1, 2 for -1, 0, 1
-        slot = (ring * 3 + dl) * 3 + di
-        stencil = np.bincount(slot, weights=K.data, minlength=9 * n_rings) / n_theta
-        self.invariant = bool(np.max(np.abs(K.data - stencil[slot]), initial=0.0)
-                              <= _INVARIANT_RTOL * np.max(np.abs(K.data), initial=0.0))
+        stencil, self.invariant = _ring_stencil(K, n_theta)
         symbol = stencil.reshape(n_rings, 3, 3) @ np.exp(
             2j * np.pi / n_theta * np.outer([-1, 0, 1], np.arange(n_theta)))
         if dtn is not None:
@@ -397,7 +416,7 @@ class GalerkinSystem:
     def operator(self):
         """The real K0 = S - k^2 M_nu."""
         if self._operator is None:
-            self._operator = (self.stiffness - (self.k**2) * self.mass_nu).tocsr()
+            self._operator = _on_pattern(self.stiffness, -(self.k**2), self.mass_nu)
         return self._operator
 
     @property
@@ -431,42 +450,95 @@ class GalerkinSystem:
 
     def energy_matrix(self):
         """Real SPD Gram of the k-weighted norm: stiffness + k^2 nu-mass."""
-        return (self.stiffness + (self.k**2) * self.mass_nu).tocsr()
+        return _on_pattern(self.stiffness, self.k**2, self.mass_nu)
+
+
+def _on_pattern(S, c, M):
+    """S + c M for CSR matrices on one pattern, as ``assemble`` builds them:
+    entry for entry scipy's ``S + c * M``, an entry that cancels to 0 dropped,
+    without its buffers sized for nnz(S) + nnz(M)."""
+    K = sp.csr_matrix((S.data + c * M.data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
+    K.eliminate_zeros()
+    return K
 
 
 # local pairs (i, j) of a symmetric P1 element matrix: its diagonal, then i < j
 _I, _J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 
 
-def _edge_csr(tri_dofs, n, *values):
-    """One symmetric n x n CSR matrix per (M, 6) array of element entries at the
-    local pairs (_I, _J), on one pattern: the diagonal and both directions of
-    every edge with two free ends (dofs < 0 are left out).  The edges come from
-    one ``np.unique``, the pattern is ordered once, and each matrix is one
-    ``np.bincount`` into its ``data``, its upper edges copied to the lower."""
-    a, b = tri_dofs[:, _I[3:]], tri_dofs[:, _J[3:]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # an edge with a constrained end takes the key n^2, above every free edge's
-    keys, slot = np.unique(np.where(lo >= 0, lo * n + hi, n * n), return_inverse=True)
-    lo, hi = np.divmod(keys[:np.searchsorted(keys, n * n)], n)
-    rows, cols = np.r_[np.arange(n), lo, hi], np.r_[np.arange(n), hi, lo]
-    # stable: timsort merges the three runs, which are sorted or nearly so
-    order = np.argsort(rows * n + cols, kind="stable")
-    nnz, e = len(order), len(lo)
-    at = np.full(nnz + 1, nnz)       # place in ``data``; nnz takes what is left out
-    at[order] = np.arange(nnz)
-    # a diagonal entry goes to its dof's place, an edge to its upper copy's
-    place = np.c_[at[np.where(tri_dofs >= 0, tri_dofs, nnz)],
-                  at[np.where(slot < e, n + slot, nnz).reshape(tri_dofs.shape)]].ravel()
+def _edge_csr(tri_dofs, n):
+    """The CSR pattern of the P1 matrices on triangles with dofs ``tri_dofs``
+    (dofs < 0 are left out): the diagonal and both directions of every edge
+    with two free ends.  Returns ``to_csr(local)``, which sums an (M, 6) array
+    of element entries at the local pairs (_I, _J) into one symmetric n x n CSR
+    matrix with one ``np.bincount`` and copies its upper edges to the lower;
+    all of them share one ``indices`` and one ``indptr``.
+
+    The edges are numbered by one argsort of their keys lo * n + hi, and the
+    place of every entry in ``data`` follows from per-row counts.  Every array
+    of size M is dropped once used: with the element entries, they set the
+    peak memory of assembly."""
+    m = len(tri_dofs)
+    keys = np.empty((m, 3), dtype=np.int64)
+    for c, (i, j) in enumerate(zip(_I[3:], _J[3:])):
+        lo = np.minimum(tri_dofs[:, i], tri_dofs[:, j])
+        hi = np.maximum(tri_dofs[:, i], tri_dofs[:, j])
+        # an edge with a constrained end takes the key n^2, above every free edge's
+        keys[:, c] = np.where(lo >= 0, lo * n + hi, n * n)
+    order = np.argsort(keys, axis=None)
+    keys = keys.ravel()[order]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    edges = keys[first]
+    del keys
+    slot = np.empty((m, 3), dtype=np.int32)         # edge number of each local edge
+    slot.ravel()[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order
+    e = np.searchsorted(edges, n * n)               # slot e: a constrained end
+    lo, hi = np.divmod(edges[:e], n)
+    # row r holds its lower edges, its diagonal, then its upper edges, each by
+    # column: the upper edges of a row are consecutive in key order, and a
+    # stable sort by hi orders the lower ones
+    up, down = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+    indptr = np.r_[0, np.cumsum(down + 1 + up)]
+    nnz = indptr[-1]
+    diag = indptr[:-1] + down
     # the index type scipy would pick, so that no matrix copies the pattern
     idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
-    indices = cols[order].astype(idx)
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(idx)
-    out = []
-    for v in values:
-        data = np.bincount(place, weights=v.ravel(), minlength=nnz + 1)[:nnz]
-        data[at[n + e:nnz]] = data[at[n:n + e]]
-        out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    at_up = ((diag + 1 - (np.cumsum(up) - up))[lo] + np.arange(e)).astype(idx)
+    by_hi = np.argsort(hi, kind="stable")
+    at_down = np.empty(e, dtype=idx)
+    at_down[by_hi] = (indptr[:-1] - (np.cumsum(down) - down))[hi[by_hi]] + np.arange(e)
+    indices = np.empty(nnz, dtype=idx)
+    indices[diag], indices[at_up], indices[at_down] = np.arange(n), hi, lo
+    indptr = indptr.astype(idx)
+    # place in ``data`` of every element entry; nnz takes what is left out:
+    # dof -1 reads the last entry of diag_at, slot e that of edge_at
+    diag_at, edge_at = np.r_[diag, nnz], np.r_[at_up, nnz]
+    place = np.empty((m, 6), dtype=np.intp)        # bincount's own type: no copy
+    for c in range(3):
+        place[:, c] = diag_at[tri_dofs[:, c]]
+        place[:, 3 + c] = edge_at[slot[:, c]]
+
+    def to_csr(local):
+        data = np.bincount(place.ravel(), weights=local.ravel(), minlength=nnz + 1)[:nnz]
+        data[at_down] = data[at_up]
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    return to_csr
+
+
+def _stiffness_entries(grads, area, A_bar=None):
+    """Element stiffness entries (M, 6) at the local pairs (_I, _J), built
+    column by column: area * G G^T where A = I, else G A_bar G^T with A_bar
+    the quadrature-weighted sum of A over the element."""
+    gx, gy = grads[..., 0], grads[..., 1]
+    if A_bar is not None:
+        ax = gx * A_bar[:, None, 0, 0] + gy * A_bar[:, None, 1, 0]     # rows of G A
+        ay = gx * A_bar[:, None, 0, 1] + gy * A_bar[:, None, 1, 1]
+    out = np.empty((len(area), 6))
+    for c, (i, j) in enumerate(zip(_I, _J)):
+        out[:, c] = (area * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) if A_bar is None
+                     else ax[:, i] * gx[:, j] + ay[:, i] * gy[:, j])
     return out
 
 
@@ -474,29 +546,32 @@ def assemble(coeffs: CoefficientField, fe_space: FeSpace,
              dtn: Optional[DtnOperator], k: float, quad_degree=4) -> GalerkinSystem:
     """Assemble stiffness, masses, and the radiation factors C and P.
     Coefficients the bounds pin are not evaluated: A = I gives the element
-    stiffness area * G G^T, and nu = 1 makes the nu-mass the plain mass."""
+    stiffness area * G G^T, and nu = 1 makes the nu-mass the plain mass.
+
+    The pattern comes first.  Then each matrix's element entries are built,
+    summed and dropped in turn, so that besides the pattern the peak holds one
+    (M, 6) array of entries and what it is built from."""
     mesh = fe_space.mesh
+    to_csr = _edge_csr(fe_space.dof_of_vertex[mesh.triangles], fe_space.n_dofs)
     grads, area = element_gradients(mesh)
     bary, w = triangle_rule(quad_degree)
-    wts = area[:, None] * w
     pair = bary[:, _I] * bary[:, _J]                 # (Q, 6) basis products
     pinned_A = coeffs.A_min == coeffs.A_max == 1.0
     pinned_nu = coeffs.nu_min == coeffs.nu_max == 1.0
     if not (pinned_A and pinned_nu):
         flat = (bary @ mesh.vertices[mesh.triangles]).reshape(-1, 2)
-    gx, gy = grads[..., 0], grads[..., 1]
-    if pinned_A:
-        S_loc = area[:, None] * (gx[:, _I] * gx[:, _J] + gy[:, _I] * gy[:, _J])
-    else:
-        A_bar = np.einsum("mq,mqab->mab", wts, coeffs.eval_A(flat).reshape(wts.shape + (2, 2)))
-        ax = gx * A_bar[:, None, 0, 0] + gy * A_bar[:, None, 1, 0]     # rows of G A
-        ay = gx * A_bar[:, None, 0, 1] + gy * A_bar[:, None, 1, 1]
-        S_loc = ax[:, _I] * gx[:, _J] + ay[:, _I] * gy[:, _J]
-    local = [S_loc, wts @ pair]
-    if not pinned_nu:
-        local.append((wts * coeffs.eval_nu(flat).reshape(wts.shape)) @ pair)
-    S, M0, *Mnu = _edge_csr(fe_space.dof_of_vertex[mesh.triangles], fe_space.n_dofs, *local)
-    Mnu = Mnu[0] if Mnu else M0          # nu = 1: the nu-mass is the plain mass
+    A_bar = None if pinned_A else np.einsum(
+        "mq,mqab->mab", area[:, None] * w, coeffs.eval_A(flat).reshape(len(area), len(w), 2, 2))
+    S_loc = _stiffness_entries(grads, area, A_bar)
+    del grads, A_bar
+    S = to_csr(S_loc)
+    del S_loc
+    wts = area[:, None] * w
+    Mnu = None if pinned_nu else to_csr((wts * coeffs.eval_nu(flat).reshape(wts.shape)) @ pair)
+    M0_loc = wts @ pair
+    del wts
+    M0 = to_csr(M0_loc)
+    del M0_loc, to_csr          # to_csr holds the pattern's (M, 6) places
 
     C = P = None
     if dtn is not None:
@@ -507,9 +582,9 @@ def assemble(coeffs: CoefficientField, fe_space: FeSpace,
         P = modal_projection(fe_space, dtn.n_max)
         C = ((2.0 * np.pi * dtn.R) * (P.conj().T @ sp.diags(dtn.coefficients))).tocsr()
 
-    return GalerkinSystem(fe_space=fe_space, coeffs=coeffs, dtn=dtn, k=k,
-                          stiffness=S, mass_nu=Mnu, mass_plain=M0,
-                          dtn_block=C, projection=P)
+    return GalerkinSystem(fe_space=fe_space, coeffs=coeffs, dtn=dtn, k=k, stiffness=S,
+                          mass_nu=M0 if pinned_nu else Mnu,   # nu = 1: the plain mass
+                          mass_plain=M0, dtn_block=C, projection=P)
 
 
 def modal_projection(fe_space: FeSpace, n_max: int) -> sp.csr_matrix:

@@ -458,6 +458,20 @@ def test_solve_overrides_land_in_config_and_rerun_reproduces(tmp_path):
     assert (tmp_path / "b" / "config.ini").read_bytes() == (out / "config.ini").read_bytes()
 
 
+def test_solve_manifest_profiles_every_stage(tmp_path):
+    cfg = _write(tmp_path, DISK_CFG)
+    assert main(["solve", "--config", cfg, "--k", "3", "--h", "0.1",
+                 "--out", str(tmp_path / "o")]) == 0
+    profile = json.loads((tmp_path / "o" / "manifest.json").read_text())["profile"]
+    assert [p["stage"] for p in profile] == ["mesh", "assembly", "solve", "writing"]
+    assert all(p["wall_s"] >= 0.0 for p in profile)
+    peaks = [p["peak_rss_mb"] for p in profile]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)       # a running maximum
+    # timings stay out of the CSV
+    header = (tmp_path / "o" / "solution.csv").read_text().splitlines()[0]
+    assert header == "vertex,x1,x2,re_u,im_u"
+
+
 def test_solve_k_below_k0_runs(tmp_path):
     # k0 = 2 in the file: the explicit constants are not claimed below it,
     # but a solve there is still a well-posed problem

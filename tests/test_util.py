@@ -103,7 +103,8 @@ def test_power_sigma_converged_means_within_rtol(seed):
 
 def _power_sigma_quotients(apply_normal, M, v0, rtol, maxit):
     """The Lanczos loop ``power_sigma`` replaced: it divides by the norms and
-    keeps M Q, conjugating twice per Gram-Schmidt pass."""
+    keeps M Q, conjugating twice per Gram-Schmidt pass.  Its residual
+    certificate below rounding is the one ``power_sigma`` took on since."""
     v = np.asarray(v0, dtype=complex)
     Mv = M @ v
     scale = np.sqrt(np.vdot(v, Mv).real)
@@ -123,6 +124,10 @@ def _power_sigma_quotients(apply_normal, M, v0, rtol, maxit):
         theta, s, _ = lapack.dstev(alpha[:j], beta[:max(j - 1, 1)])
         theta = max(theta[-1], 0.0)
         resid = b * abs(s[-1, -1])
+        if resid < 1e-12 * theta:       # the certificate check power_sigma keeps
+            y = s[:, -1] @ Q[:j]
+            r = apply_normal(y) - theta * y
+            resid = np.sqrt(np.vdot(r, M @ r).real)
         converged = resid <= rtol * theta or b == 0.0
         if converged or j == maxit:
             break
@@ -152,6 +157,33 @@ def test_power_sigma_matches_loop_with_quotients(path, rtol, ident, unit_ball_ge
     assert (iters, conv) == ref[1:3] == ((30, False) if rtol == 0.0 else (iters, True))
     assert sigma == pytest.approx(ref[0], rel=1e-15, abs=0.0)
     assert resid == pytest.approx(ref[3], rel=1e-15, abs=0.0)
+
+
+def _radial_mode_normal():
+    """Normal operator, mass and start vector of the n = 3 mode at k = 6 with
+    120 elements, cutoff (0.8, 0.97), and a dense oracle of its sigma."""
+    cut = RadialCutoff(0.8, 0.97)
+    mode = assemble_radial_mode(3, 6.0, radial_quadrature(1.0, 120))
+    M = mode.M
+    apply_normal = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()), M, M,
+                                 cut(mode.grid[mode.free]))
+    g = np.random.default_rng(5)
+    v0 = g.standard_normal(M.shape[0]) + 1j * g.standard_normal(M.shape[0])
+    return apply_normal, M, v0
+
+
+def test_power_sigma_certifies_no_tolerance_below_rounding():
+    # the Ritz residual estimate b |s| keeps falling after the true residual
+    # of the Ritz vector stops at rounding (about 1e-14 theta here) and reaches
+    # exactly 0 at iteration 15: rtol = 0 was reported met, with residual 0
+    apply_normal, M, v0 = _radial_mode_normal()
+    sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=0.0, maxit=30)
+    assert (iters, conv) == (30, False)
+    assert 1e-16 < resid < 1e-12
+    # a tolerance above rounding is met, and its certificate is the true residual
+    sigma_ok, _, conv, resid_ok = power_sigma(apply_normal, M, v0, rtol=1e-10, maxit=30)
+    assert conv and 1e-16 < resid_ok <= 1e-10
+    assert sigma_ok == pytest.approx(sigma, rel=1e-14)
 
 
 def test_bump_kernels_match_closed_form_and_vanish_off_support():
