@@ -1,8 +1,8 @@
 """Explicit constants, the mesh-size admissibility threshold, and reference norms.
 
 Collects every constant entering the quasioptimality theory (interpolation,
-radiation-pairing continuity, H^2 regularity, coefficient bounds, longest-ray
-length), evaluates the admissibility inequality
+radiation-pairing continuity in closed form, H^2 regularity, coefficient bounds,
+longest-ray length), evaluates the admissibility inequality
 
     1 >= h k^2 sqrt(1 + (hk)^2) L C_int C_H2 (1 + C_DtN)
          (nu_max/nu_min)^{1/2} (4 sqrt2/pi)
@@ -20,15 +20,14 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
+from scipy.special import ive
 
 from .dtn import build_dtn
 from .fem import (assemble, assemble_load_source, build_space, errors_vs_exact,
-                  l2_norm_exact, modal_projection, nodal_interpolant,
-                  recovered_hessian_h2_norm, solve)
+                  l2_norm_exact, nodal_interpolant, recovered_hessian_h2_norm, solve)
 from .geometry import TruncationGeometry, identity_coefficients
 from .mesh import generate_mesh
-from .util import make_rng, solve_real
+from .util import make_rng
 
 
 def compute_C_int(C_int_tilde, A_max, nu_max):
@@ -43,6 +42,22 @@ def compute_C_DtN(C_DtN_tilde, A_min, nu_min):
     if C_DtN_tilde < 0 or min(A_min, nu_min) <= 0:
         raise ValueError("need nonnegative constant and positive bounds")
     return C_DtN_tilde * max(1.0 / np.sqrt(A_min), 1.0 / np.sqrt(nu_min))
+
+
+def exact_C_DtN_tilde(R, k_values):
+    """Unweighted pairing constant: max over k and n of |t_n| / g_n, the norm of
+    2 pi R sum t_n u_n conj(v_n) in k-norms, g_n = k I_n'(kR) / I_n(kR) (the
+    H^1_k(B_R)-minimal extension of mode n, I_n(kr) e^{i n theta}, has energy
+    2 pi R g_n |u_n|^2).  A lower estimate of the sup over k >= min(k_values)."""
+    worst = 0.0
+    for k in k_values:
+        dtn, z = build_dtn(k, R), k * R
+        n = np.arange(dtn.n_max + 1)
+        ratio = np.abs(dtn.coefficients[dtn.n_max:]) / (k * (ive(n + 1, z) / ive(n, z) + n / z))
+        if not np.all(np.isfinite(ratio)):
+            raise ValueError(f"non-finite pairing ratio at kR = {z}")
+        worst = max(worst, float(ratio.max()))
+    return worst
 
 
 @dataclass
@@ -275,33 +290,9 @@ def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05)):
     return worst
 
 
-def estimate_C_DtN_tilde(R, k_values, h=0.05):
-    """Exact discrete norm of the radiation pairing in unweighted k-norms.
-
-    For each k, the largest singular value of E^{-1/2} D E^{-1/2}, with
-    E = stiffness + k^2 mass (identity weights) and D = P^H (2 pi R diag(t)) P
-    the radiation block, equals that of C^H (2 pi R diag(t)) C, where
-    C C^H = P E^{-1} P^H (Cholesky of the small modal Gram).  Returns the max over k.
-    """
-    geom = TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R)
-    space = build_space(generate_mesh(None, geom, h))
-    system = assemble(identity_coefficients(), space, None, 0.0)
-    worst = 0.0
-    for k in k_values:
-        dtn = build_dtn(k, R)
-        E = (system.stiffness + k**2 * system.mass_plain).tocsc()
-        P = modal_projection(space, dtn.n_max)
-        W = P @ solve_real(spla.splu(E), P.conj().T.toarray())
-        C = np.linalg.cholesky(0.5 * (W + W.conj().T))      # W = C C^H
-        core = C.conj().T @ ((2.0 * np.pi * R) * dtn.coefficients[:, None] * C)
-        worst = max(worst, float(scipy.linalg.svdvals(core)[0]))
-    return worst
-
-
 @dataclass
 class CH2Estimate:
     value: float
-    samples: int
 
 
 def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estimate:
@@ -339,4 +330,4 @@ def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estim
         l2v = float(np.sqrt(max(np.real(np.vdot(v, system.mass_plain @ v)), 0.0)))
         l2f = l2_norm_exact(space, f)
         ratios.append(h2 / (grad + l2v + l2f))
-    return CH2Estimate(value=float(np.max(ratios)), samples=samples)
+    return CH2Estimate(value=float(np.max(ratios)))

@@ -27,8 +27,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bounds import (ConstantsLedger, estimate_C_DtN_tilde, estimate_C_H2,
-                     estimate_C_int_tilde, mesh_threshold)
+from .bounds import (ConstantsLedger, estimate_C_H2, estimate_C_int_tilde,
+                     exact_C_DtN_tilde, mesh_threshold)
 from .config import RunConfig
 from .dtn import build_dtn
 from .experiments import (RadialCutoff, estimate_eta, h2_scaling_study,
@@ -205,7 +205,7 @@ def _cmd_constants(args, cfg):
     coeffs, obstacle, geom = cfg.problem()
     k0 = cfg.wave().k0
     c_int_tilde = estimate_C_int_tilde()
-    c_dtn_tilde = estimate_C_DtN_tilde(geom.R, [k0, 2.0 * k0, 4.0 * k0])
+    c_dtn_tilde = exact_C_DtN_tilde(geom.R, [k0, 2.0 * k0, 4.0 * k0])
     ch2 = estimate_C_H2(coeffs, obstacle, geom, samples=args.samples, seed=cfg.seed())
     ray = longest_ray_length(coeffs, obstacle, geom, geom.R + 2.0, cfg.ray_config(),
                              allow_censored=args.allow_censored)

@@ -689,9 +689,10 @@ def solve_adjoint(system: GalerkinSystem, f: Union[Callable, np.ndarray]) -> Dis
 
 def energy_norm(system: GalerkinSystem, u) -> float:
     """k-weighted norm (|A^{1/2} grad u|^2 + k^2 |nu^{1/2} u|^2)^{1/2} from the
-    Gram matrix of the system."""
+    stiffness and nu-mass products, without forming their sum."""
     dofs = u.dofs if isinstance(u, DiscreteSolution) else np.asarray(u)
-    return float(np.sqrt(max(np.real(np.vdot(dofs, system.energy_matrix() @ dofs)), 0.0)))
+    e = np.vdot(dofs, system.stiffness @ dofs) + system.k**2 * np.vdot(dofs, system.mass_nu @ dofs)
+    return float(np.sqrt(max(e.real, 0.0)))
 
 
 def _fe_values(fe_space, dofs, quad_degree=4):

@@ -7,6 +7,8 @@ values from scipy's cylinder functions, while the radiation closure in
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.special import hankel1, jv
 
@@ -17,7 +19,7 @@ def _mie_orders(ka):
 
 def soft_disk_total_field(k, a, direction):
     """Total field of a plane wave on a sound-soft disk: ``(value, field)``
-    callables, ``field(points)`` returning (value, gradient) from one series pass.
+    callables; ``value`` sums the value series alone, ``field`` also the gradient's.
 
     u = u_inc + u_scat with u = 0 on r = a; the scattered part is the outgoing
     modal series with coefficients -i^n J_n(ka)/H_n(ka).  Folding the +-n pairs
@@ -32,7 +34,7 @@ def soft_disk_total_field(k, a, direction):
     ns = np.arange(0, n_terms + 1)
     qn = (1j) ** ns * jv(ns, k * a) / hankel1(ns, k * a)
 
-    def field(points):
+    def series(points, gradient):
         pts = np.atleast_2d(np.asarray(points, float))
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
@@ -43,20 +45,20 @@ def soft_disk_total_field(k, a, direction):
         uinc = np.exp(1j * k * (pts @ d))
         val = uinc - qn[0] * h_prev
         dr = -k * qn[0] * (-h_cur)          # H_0' = -H_1
-        dth = np.zeros_like(val)
+        dth = 0.0
         for n in range(1, n_terms + 1):
             cosn = np.cos(n * psi)
             val = val - 2.0 * qn[n] * h_cur * cosn
-            hp = h_prev - (n / kr) * h_cur  # H_n'
-            dr = dr - 2.0 * k * qn[n] * hp * cosn
-            dth = dth + 2.0 * qn[n] * h_cur * n * np.sin(n * psi)
+            if gradient:
+                hp = h_prev - (n / kr) * h_cur  # H_n'
+                dr = dr - 2.0 * k * qn[n] * hp * cosn
+                dth = dth + 2.0 * qn[n] * h_cur * n * np.sin(n * psi)
             h_prev, h_cur = h_cur, (2.0 * n / kr) * h_cur - h_prev
+        if not gradient:
+            return val
         ginc = 1j * k * d[None, :] * uinc[:, None]
         rhat = np.stack([np.cos(th), np.sin(th)], axis=1)
         that = np.stack([-np.sin(th), np.cos(th)], axis=1)
         return val, ginc + dr[:, None] * rhat + (dth / r)[:, None] * that
 
-    def value(points):
-        return field(points)[0]
-
-    return value, field
+    return partial(series, gradient=False), partial(series, gradient=True)

@@ -59,7 +59,6 @@ class PhasePoint:
 
 @dataclass
 class ReflectionEvent:
-    time: float
     point: np.ndarray
 
 
@@ -349,9 +348,9 @@ class _Batch:
         self.armed = (_min_sdf(obstacles, states[:, :2]) > _EPS_EVENT if obstacles
                       else np.ones(n, dtype=bool))
 
-    def _reflect(self, ids, which, t):
-        """Reflect and disarm the rays ``ids`` at their impacts, at times ``t``,
-        on the obstacles ``which``; a glancing impact (|metric cosine| at or
+    def _reflect(self, ids, which):
+        """Reflect and disarm the rays ``ids`` at their impacts on the
+        obstacles ``which``; a glancing impact (|metric cosine| at or
         below the threshold) ends its ray there instead (censored)."""
         self.armed[ids] = False
         for j, ob in enumerate(self.obstacles):
@@ -364,7 +363,7 @@ class _Batch:
             self.termination[i[~ok]] = 2
             self.states[i[ok], 2:] = xi[ok]
             if self.record is not None:
-                events = map(ReflectionEvent, t[at][ok], self.states[i[ok], :2])
+                events = map(ReflectionEvent, self.states[i[ok], :2])
                 self.record["reflections"].extend(events)
 
     def fly(self, ids):
@@ -413,7 +412,7 @@ class _Batch:
             d = _min_sdf(self.obstacles, self.states[ids[entry], :2])
             self.armed[ids[entry]] |= d > _EPS_EVENT
         hit = np.nonzero(~budget & (tau_hit < tau_entry))[0]
-        self._reflect(ids[hit], which[hit], self.t[ids[hit]])
+        self._reflect(ids[hit], which[hit])
         if self.record is not None and tau[0] > 0.0:
             m = int(np.ceil(tau[0] / cfg.step_size))
             s = tau[0] * np.arange(1, m) / m
@@ -452,7 +451,7 @@ class _Batch:
                 d_new[hit] = 0.0
                 t_new[hit] = self.t[i] + tau[found]
                 self.states[i] = path(found, slice(None))(tau[found])
-                self._reflect(i, which[found], t_new[hit])
+                self._reflect(i, which[found])
                 new[hit] = self.states[i]
             self.armed[ids] |= d_new > _EPS_EVENT
 

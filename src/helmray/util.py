@@ -199,15 +199,20 @@ def _scaled(q, Mq, inv, q_row, Mq_conj_row):
     np.conjugate(Mq_conj_row, out=Mq_conj_row)
 
 
+_CSV_ROWS = 16384    # rows converted to Python values at a time
+
+
 def write_csv(path, header, columns):
     """RFC-4180 CSV of equal-length columns (ndarrays or lists), one row per
-    index.  Floats are written in their shortest round-trip form, ``None`` as an
-    empty cell and bools as ``True``/``False``."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)
+    index, converted to Python values ``_CSV_ROWS`` rows at a time.  Floats are
+    written in their shortest round-trip form, ``None`` as an empty cell and
+    bools as ``True``/``False``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        for i in range(0, max(map(len, columns), default=0), _CSV_ROWS):
+            w.writerows(zip(*(c[i:i + _CSV_ROWS].tolist() if isinstance(c, np.ndarray)
+                              else c[i:i + _CSV_ROWS] for c in columns), strict=True))
 
 
 def sha256_text(text):

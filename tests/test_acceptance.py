@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import jv, jvp, yv, yvp
 
-from helmray.bounds import (ConstantsLedger, estimate_C_DtN_tilde,
-                            estimate_C_H2, estimate_C_int_tilde, mesh_threshold,
-                            threshold_rhs, volterra_discrete_norm)
+from helmray.bounds import (ConstantsLedger, estimate_C_H2, estimate_C_int_tilde,
+                            mesh_threshold, threshold_rhs, volterra_discrete_norm)
 from helmray.cli import main as cli_main
 from helmray.dtn import build_dtn
 from helmray.experiments import (RadialCutoff, estimate_resolvent_norm,
@@ -26,6 +25,7 @@ from helmray.mie import soft_disk_total_field
 from helmray.raytrace import (RayConfig, _ham, _rk4_step, longest_ray_length,
                               unit_covector)
 from conftest import rng
+from reference import estimate_C_DtN_tilde
 
 
 def _report(idx, ok, detail):

@@ -4,13 +4,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import h1vp, hankel1, iv, ivp
 
 from helmray.bounds import (CH2Estimate, ConstantsLedger, compute_C_DtN,
-                            compute_C_int, estimate_C_DtN_tilde, estimate_C_H2,
-                            estimate_C_int_tilde, h2_bound_rhs, mesh_threshold,
+                            compute_C_int, estimate_C_H2, estimate_C_int_tilde,
+                            exact_C_DtN_tilde, h2_bound_rhs, mesh_threshold,
                             resolvent_upper_bound, schatz_condition, threshold_rhs,
                             volterra_discrete_norm, volterra_norm)
 from helmray.geometry import TruncationGeometry, identity_coefficients
+from reference import estimate_C_DtN_tilde
 
 
 def _unit_ledger(**over):
@@ -165,6 +167,31 @@ def test_h2_bound_rhs_formula():
     assert h2_bound_rhs(led, 2 * k) == pytest.approx(2 * h2_bound_rhs(led, k))
     # nonincreasing in k0
     assert h2_bound_rhs(_unit_ledger(k0=2.0), k) <= h2_bound_rhs(led, k)
+
+
+# -- radiation-pairing constant ----------------------------------------------
+
+@pytest.mark.parametrize("kR", [0.5, 1.0, 2.0, 4.0, 16.0])
+def test_exact_C_DtN_tilde_matches_scipy_cylinder_functions(kR):
+    # max_n |H_n'(kR)/H_n(kR)| I_n(kR)/I_n'(kR) from scipy's derivative routines
+    n = np.arange(40)
+    oracle = np.max(np.abs(h1vp(n, kR) / hankel1(n, kR)) * iv(n, kR) / ivp(n, kR))
+    for R in (1.0, 2.0):
+        assert exact_C_DtN_tilde(R, [kR / R]) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_exact_C_DtN_tilde_is_the_max_over_k():
+    each = [exact_C_DtN_tilde(1.0, [k]) for k in (2.0, 4.0, 8.0)]
+    assert exact_C_DtN_tilde(1.0, [2.0, 4.0, 8.0]) == max(each) == each[0]
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 4.0])
+def test_exact_C_DtN_tilde_against_mesh_reference(k):
+    # the P1 estimator at h = 0.05 differs by +1.4e-4, +3.4e-5 and -3.4e-4
+    # relative at k = 1, 2, 4 (on both sides, so it is no one-sided estimate);
+    # the tolerance is 1.5 times the largest of these gaps
+    assert estimate_C_DtN_tilde(1.0, [k], h=0.05) == pytest.approx(
+        exact_C_DtN_tilde(1.0, [k]), rel=5e-4)
 
 
 # -- empirical estimators -----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helmray.bounds import exact_C_DtN_tilde
 from helmray.cli import build_parser, main
 from helmray.config import _KEYS, RunConfig
 from helmray.dtn import build_dtn
@@ -407,6 +408,8 @@ def test_constants_subcommand(tmp_path):
     # ray ball radius R + 2 = 3 around the half-unit disk: sqrt(9 - 1/4)
     assert led.L_ray == pytest.approx(np.sqrt(8.75), rel=2e-3)
     assert led.provenance["C_H2"] == "empirical"
+    # disk.ini's k0 = 2 on R = 1; the closed form is the ledger's value
+    assert led.C_DtN_tilde == exact_C_DtN_tilde(1.0, [2.0, 4.0, 8.0])
 
 
 def test_h2_scan_subcommand(tmp_path):

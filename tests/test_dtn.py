@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv, jvp, yv, yvp
+from scipy.special import iv, ivp, jv, jvp, yv, yvp
 
-from helmray.dtn import build_dtn, hankel_ratio, incident_wave_data
+from helmray.bounds import exact_C_DtN_tilde
+from helmray.dtn import build_dtn, default_n_max, hankel_ratio, incident_wave_data
 from conftest import rng
 
 
@@ -40,15 +41,15 @@ def test_quadratic_form_sign_on_random_traces():
 
 
 def test_pairing_continuity_stable_under_mode_increase():
-    # empirical pairing norm against k-weighted trace surrogates is finite and
-    # stable when the modal truncation grows
-    from helmray.bounds import estimate_C_DtN_tilde
-    a = estimate_C_DtN_tilde(1.0, [2.0], h=0.08)
-    assert np.isfinite(a) and a > 0
-
-    # same quantity computed after enlarging n_max via a finer probe
-    b = estimate_C_DtN_tilde(1.0, [2.0], h=0.06)
-    assert abs(a - b) <= 0.1 * a
+    # four times the modes changes nothing: the pairing ratio |t_n| / g_n,
+    # g_n = k I_n'(kR) / I_n(kR), peaks at n = 0, so the closed form's max
+    # over n <= n_max is the sup over all modes
+    for k in (0.5, 2.0, 16.0):
+        op = build_dtn(k, 1.0, n_max=4 * default_n_max(k, 1.0))
+        n = np.arange(op.n_max + 1)
+        ratios = np.abs(op.coefficients[op.n_max:]) * iv(n, k) / (k * ivp(n, k))
+        assert np.all(np.isfinite(ratios)) and np.argmax(ratios) == 0
+        assert ratios.max() == pytest.approx(exact_C_DtN_tilde(1.0, [k]), rel=1e-13)
 
 
 def test_incident_wave_data_against_quadrature():

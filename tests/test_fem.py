@@ -887,6 +887,15 @@ def test_energy_norm_matrix_vs_quadrature(unit_setup):
     assert a == pytest.approx(b, rel=1e-10)
 
 
+def test_energy_norm_is_the_gram_quadratic_form(unit_setup, nu_bump):
+    # the two sparse products give the Gram's quadratic form to rounding
+    _, _, space = unit_setup
+    system = assemble(nu_bump, space, None, 3.0)
+    u = _random_dofs(space, 4)
+    gram = np.sqrt(np.vdot(u, system.energy_matrix() @ u).real)
+    assert energy_norm(system, u) == pytest.approx(gram, rel=1e-14)
+
+
 def _interpolation_errors(space, v, gv, hv):
     """|v - I_h v|_{L2}, |grad(v - I_h v)|_{L2} and the empirical interpolation
     constant (l2 + h grad) / (h^2 |v|_{H2}), the H^2 norm counting the mixed

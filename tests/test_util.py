@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+from helmray import util
 from helmray.dtn import build_dtn
 from helmray.experiments import RadialCutoff
 from helmray.fem import assemble, build_space
@@ -70,9 +71,23 @@ def test_write_csv_matches_the_per_cell_formatter(tmp_path):
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+def test_write_csv_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
+    # 11 rows in chunks of 1, 4 (a short last chunk) and 11, against one chunk
+    x = np.random.default_rng(1).standard_normal(11)
+    columns = [np.arange(11), x, list(x * 1e-300), [None, True] + ["a"] * 9]
+    write_csv(tmp_path / "whole.csv", ["i", "x", "y", "z"], columns)
+    for rows in (1, 4, 11):
+        monkeypatch.setattr(util, "_CSV_ROWS", rows)
+        write_csv(tmp_path / f"{rows}.csv", ["i", "x", "y", "z"], columns)
+        assert (tmp_path / f"{rows}.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(3), [1.0, 2.0]])
+    monkeypatch.setattr(util, "_CSV_ROWS", 2)     # the first column ends on a chunk boundary
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(4), [1.0] * 5])
 
 
 def test_write_json_encodes_numpy_as_python(tmp_path):
