@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import bump, bump_deriv
+from .util import bump, bump_and_deriv
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,13 @@ class CoefficientField:
 
     eval_A(x): (..., 2) -> (..., 2, 2) symmetric
     eval_nu(x): (..., 2) -> (...)
-    eval_grad_A(x): (..., 2) -> (..., 2, 2, 2), last axis the derivative direction
-    eval_grad_nu(x): (..., 2) -> (..., 2)
+    eval_grad_A(x, A=None): (..., 2) -> (..., 2, 2, 2), last axis the derivative direction
+    eval_grad_nu(x, nu=None): (..., 2) -> (..., 2)
+
+    Like numpy's ``out=``, a gradient callable given a value array, (..., 2, 2)
+    or (...), also writes A(x) or nu(x) into it, equal bit for bit to
+    ``eval_A(x)`` or ``eval_nu(x)``: an RK4 stage then evaluates the bump once
+    (``validate_configuration`` checks the written values on a grid).
 
     ``A_min == A_max == 1`` declares A = I everywhere, and ``nu_min == nu_max
     == 1`` declares nu = 1: the ray tracer (A only) and the FEM assembly then
@@ -111,10 +116,12 @@ class WaveContext:
 
 
 def _bump_grad(x, w, scale=1.0):
-    """Gradient of scale * bump(|x| / w) in x; 0 at the origin."""
+    """b = bump(|x| / w) and the gradient of scale * b in x (0 at the origin),
+    from one evaluation of the bump."""
     r = np.hypot(x[..., 0], x[..., 1])
-    db = scale * bump_deriv(r / w) / w
-    return np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
+    b, db = bump_and_deriv(r / w)
+    db = scale * db / w
+    return b, np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
 
 
 def _identity_A(x):
@@ -125,11 +132,15 @@ def _one(x):
     return np.ones(np.shape(x)[:-1])
 
 
-def _zero_grad_A(x):
+def _zero_grad_A(x, A=None):
+    if A is not None:
+        A[...] = np.eye(2)
     return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
 
 
-def _zero_grad_nu(x):
+def _zero_grad_nu(x, nu=None):
+    if nu is not None:
+        nu[...] = 1.0
     return np.zeros(np.shape(x)[:-1] + (2,))
 
 
@@ -157,16 +168,22 @@ def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_ra
             b = bump(np.hypot(x[..., 0], x[..., 1]) / w)
             return np.eye(2) + b[..., None, None] * P
 
-        def eval_grad_A(x):
-            return P[:, :, None] * _bump_grad(np.asarray(x, dtype=float), w)[..., None, None, :]
+        def eval_grad_A(x, A=None):
+            b, g = _bump_grad(np.asarray(x, dtype=float), w)
+            if A is not None:
+                np.add(np.eye(2), b[..., None, None] * P, out=A)
+            return P[:, :, None] * g[..., None, None, :]
 
     if amplitude != 0.0:
         def eval_nu(x):
             x = np.asarray(x, dtype=float)
             return 1.0 + amplitude * bump(np.hypot(x[..., 0], x[..., 1]) / w)
 
-        def eval_grad_nu(x):
-            return _bump_grad(np.asarray(x, dtype=float), w, amplitude)
+        def eval_grad_nu(x, nu=None):
+            b, g = _bump_grad(np.asarray(x, dtype=float), w, amplitude)
+            if nu is not None:
+                np.add(1.0, amplitude * b, out=nu)
+            return g
 
     eigs = (1.0, 1.0 + a1, 1.0 + a2)
     return CoefficientField(
@@ -279,8 +296,10 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
     """Dense-sample check of the structural invariants of a configuration.
 
     Checks, in order: exact identity coefficients outside the support radius,
-    quadratic-form bounds and symmetry of A inside, nu bounds, obstacle
-    smoothness/periodicity, and obstacle containment in the support disk.
+    quadratic-form bounds and symmetry of A inside, nu bounds, the values the
+    gradient callables write (bit for bit those of eval_nu and eval_A),
+    obstacle smoothness/periodicity, and obstacle containment in the support
+    disk.
     Smoothness of the curve and non-degenerate tangency are documented
     preconditions, not decidable here.
     """
@@ -318,6 +337,18 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
     if np.any(nu < coeffs.nu_min - tol) or np.any(nu > coeffs.nu_max + tol):
         i = int(np.argmax(np.maximum(coeffs.nu_min - nu, nu - coeffs.nu_max)))
         failures.append(("nu bounds violated", grid[i]))
+    # the values the gradient callables write, which the ray tracer reads in
+    # place of eval_nu and eval_A; it makes no A call where A is pinned to I
+    written = [("nu", coeffs.eval_grad_nu, nu)]
+    if not coeffs.A_min == coeffs.A_max == 1.0:
+        written.append(("A", coeffs.eval_grad_A, A))
+    for name, grad, value in written:
+        out = np.empty(value.shape)
+        grad(grid, out)
+        off = (out != value).reshape(len(grid), -1).any(axis=1)
+        if off.any():
+            failures.append((f"{name} written by eval_grad_{name} differs from eval_{name}",
+                             grid[int(np.argmax(off))]))
 
     if obstacle is not None:
         fine = np.linspace(0.0, 2.0 * np.pi, 4 * len(th) + 1)

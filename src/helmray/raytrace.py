@@ -8,8 +8,9 @@ The tracer is event driven.  Outside the perturbation disk
 |x| < support_radius the flow is a straight line at speed 2, and a ray flies
 along it exactly to its next event: entering the disk (a line-circle root),
 the first obstacle impact, or escape, when no event is left.  Only rays
-inside the disk take fixed-step RK4 steps; where the coefficient bounds pin
-A = I (A_min == A_max == 1), each stage evaluates only nu and its gradient.
+inside the disk take fixed-step RK4 steps.  Each stage makes one gradient
+call for nu that also writes nu, and one for A that also writes A; where the
+coefficient bounds pin A = I (A_min == A_max == 1) it skips the A call.
 One impact locator serves both.  It samples the obstacle's level function
 along the path (the line, or the step's cubic Hermite interpolant) and
 bisects the first interval from a positive sample to a non-positive one.  A
@@ -110,16 +111,16 @@ def _ham(coeffs, states):
 
 def _rhs(coeffs, states):
     x, p, q = states[..., :2], states[..., 2], states[..., 3]
-    nu = coeffs.eval_nu(x)
-    gnu = coeffs.eval_grad_nu(x)     # (..., 2)
+    nu = np.empty(states.shape[:-1])
+    gnu = coeffs.eval_grad_nu(x, nu)     # (..., 2), and nu(x) written into nu
     if coeffs.A_min == coeffs.A_max == 1.0:
         # A = I: the general formula below with Ap = p, Aq = q and dq = 0
         out = np.empty(states.shape)
         out[..., :2] = 2.0 * states[..., 2:] / nu[..., None]
         out[..., 2:] = (((p * p + q * q) / nu) / nu)[..., None] * gnu
         return out
-    A = coeffs.eval_A(x)
-    gA = coeffs.eval_grad_A(x)       # (..., 2, 2, 2)
+    A = np.empty(states.shape[:-1] + (2, 2))
+    gA = coeffs.eval_grad_A(x, A)        # (..., 2, 2, 2), and A(x) written into A
     Ap = A[..., 0, 0] * p + A[..., 0, 1] * q
     Aq = A[..., 0, 1] * p + A[..., 1, 1] * q
     out = np.empty(states.shape)

@@ -23,12 +23,17 @@ def bump(rho):
     return np.exp(1.0 - inv)
 
 
-def bump_deriv(rho):
-    """Derivative of :func:`bump`."""
+def bump_and_deriv(rho):
+    """:func:`bump` and its derivative, from one evaluation of the exponential."""
     rho = np.asarray(rho, dtype=float)
     t, inv = _bump_gap(rho)
-    slope = np.divide(-2.0 * rho, t * t, out=np.zeros(t.shape), where=t > 0.0)
-    return np.exp(1.0 - inv) * slope
+    b = np.exp(1.0 - inv)
+    return b, b * np.divide(-2.0 * rho, t * t, out=np.zeros(t.shape), where=t > 0.0)
+
+
+def bump_deriv(rho):
+    """Derivative of :func:`bump`."""
+    return bump_and_deriv(rho)[1]
 
 
 def smoothstep(t):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,6 @@ def test_validate_trivial_configuration_passes():
 def test_validate_flags_support_violation():
     # bump wider than the declared support radius
     coeffs = nu_bump_coefficients(amplitude=1.0, width=3.0, support_radius=3.0)
-    from dataclasses import replace
     bad = replace(coeffs, support_radius=1.0)
     geom = TruncationGeometry(R1=1.0, R=4.0, R_ray=5.0)
     report = validate_configuration(bad, None, geom)
@@ -67,7 +68,6 @@ def test_validate_flags_support_violation():
 
 def test_validate_reports_a_support_violation_where_A_breaks_it():
     # nu is exactly 1 everywhere, so the point must come from A, not |nu - 1|
-    from dataclasses import replace
     ident = identity_coefficients()
 
     def eval_A(x):
@@ -108,7 +108,6 @@ def test_validate_flags_identity_declaration_broken_inside():
         r = np.hypot(x[..., 0], x[..., 1])
         return np.where((r < 0.5)[..., None, None], 1.5, 1.0) * ident.eval_A(x)
 
-    from dataclasses import replace
     bad = replace(ident, eval_A=eval_A, support_radius=0.5)
     report = validate_configuration(bad, None, TruncationGeometry(R1=0.5, R=1.0, R_ray=2.0))
     assert [name for name, _ in report.failures] == ["A eigenvalue bounds violated"]
@@ -154,6 +153,58 @@ def test_identity_and_nu_bump_match_their_closed_forms_bit_for_bit():
     assert np.array_equal(coeffs.eval_nu(pts), 1.0 + amp * bump(r / w))
     assert np.array_equal(coeffs.eval_grad_nu(pts), (amp * bump_deriv(r / w) / w / r)[:, None] * pts)
     assert np.array_equal(coeffs.eval_grad_nu(np.zeros(2)), np.zeros(2))
+
+
+def _aniso_with_nu_bump():
+    # an anisotropic A together with a perturbed nu: both gradient callables
+    # write values
+    nu = nu_bump_coefficients(0.7, 0.45)
+    return replace(anisotropic_coefficients(0.7, -0.2, 0.4, 0.5), eval_nu=nu.eval_nu,
+                   eval_grad_nu=nu.eval_grad_nu, nu_max=nu.nu_max)
+
+
+@pytest.mark.parametrize("make", [
+    identity_coefficients,
+    lambda: nu_bump_coefficients(0.7, 0.45),
+    anisotropic_coefficients,
+    _aniso_with_nu_bump,
+], ids=["identity", "nu_bump", "anisotropic", "anisotropic_nu"])
+def test_gradient_callables_write_the_values_bit_for_bit(make):
+    coeffs = make()
+    # the origin, the rims r = 0.45 and r = 0.5, points outside both, and the
+    # interior; then one point as a 1-D array
+    rim = np.array([[0.45, 0.0], [0.0, -0.45], [0.5, 0.0], [-0.3, 0.4]])
+    pts = np.concatenate([np.zeros((1, 2)), rim, [[0.7, 0.1], [-1.2, -0.9]],
+                          np.random.default_rng(9).uniform(-0.6, 0.6, (40, 2))])
+    for x in (pts, np.array([0.2, -0.1])):
+        nu, A = np.empty(x.shape[:-1]), np.empty(x.shape[:-1] + (2, 2))
+        grad_nu, grad_A = coeffs.eval_grad_nu(x, nu), coeffs.eval_grad_A(x, A)
+        assert np.array_equal(nu, coeffs.eval_nu(x))
+        assert np.array_equal(A, coeffs.eval_A(x))
+        assert np.array_equal(grad_nu, coeffs.eval_grad_nu(x))
+        assert np.array_equal(grad_A, coeffs.eval_grad_A(x))
+
+
+@pytest.mark.parametrize("name", ["nu", "A"])
+def test_validate_flags_a_written_value_that_differs(name):
+    # the tracer reads the values the gradient callables write; a field whose
+    # written value leaves eval_nu or eval_A by one ulp where x2 > 0.3 fails
+    coeffs = _aniso_with_nu_bump()
+    grad = getattr(coeffs, f"eval_grad_{name}")
+
+    def eval_grad(x, value=None):
+        g = grad(x, value)
+        if value is not None:
+            off = x[..., 1] > 0.3
+            value[off] = np.nextafter(value[off], np.inf)
+        return g
+
+    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    assert validate_configuration(coeffs, None, geom).ok
+    report = validate_configuration(replace(coeffs, **{f"eval_grad_{name}": eval_grad}), None, geom)
+    [(failure, point)] = report.failures
+    assert failure == f"{name} written by eval_grad_{name} differs from eval_{name}"
+    assert point[1] > 0.3
 
 
 @pytest.mark.parametrize("make", [

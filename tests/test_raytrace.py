@@ -83,6 +83,27 @@ def test_identity_A_shortcut_matches_general_rhs(nu_bump):
     np.testing.assert_array_equal(_rhs(nu_bump, states),
                                   _rhs(replace(nu_bump, A_min=0.5), states))
 
+@pytest.mark.parametrize("make, grad, value", [
+    (nu_bump_coefficients, "eval_grad_nu", "eval_nu"),
+    (anisotropic_coefficients, "eval_grad_A", "eval_A"),
+])
+def test_rk4_step_takes_values_from_the_gradient_calls(make, grad, value):
+    # each stage makes one gradient call, which writes the value as well
+    coeffs, calls = make(), {grad: 0, value: 0}
+
+    def counting(name):
+        def f(*args):
+            calls[name] += 1
+            return getattr(coeffs, name)(*args)
+        return f
+
+    counted = replace(coeffs, **{name: counting(name) for name in calls})
+    states = np.array([[0.1, -0.2, 1.0, 0.0], [0.3, 0.2, 0.0, 1.0], [0.7, 0.1, 0.6, 0.8]])
+    new = _rk4_step(counted, states, 2e-3)
+    assert calls == {grad: 4, value: 0}
+    assert np.array_equal(new, _rk4_step(coeffs, states, 2e-3))
+
+
 def test_reflection_specular_cases(ident):
     disk = disk_obstacle(1.0)
     # head-on at the north pole: normal (0, 1)
