@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import bump, bump_and_deriv
+from .util import bump
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,38 @@ class WaveContext:
 # coefficient presets
 
 
+_GAP_FLOOR = 1e-100    # below every positive 1 - rho^2, which is at least 2^-53
+_R_FLOOR = np.finfo(float).smallest_subnormal
+
+
+def _radius(x, w):
+    """|x|, capped at 2w: the bump vanishes from |x| = w on, and the cap keeps
+    rho^2 and the gradient's factor rho / t^2 finite at every x of finite norm."""
+    return np.minimum(np.hypot(x[..., 0], x[..., 1]), 2.0 * w)
+
+
 def _bump_grad(x, w, scale=1.0):
     """b = bump(|x| / w) and the gradient of scale * b in x (0 at the origin),
-    from one evaluation of the bump."""
-    r = np.hypot(x[..., 0], x[..., 1])
-    b, db = bump_and_deriv(r / w)
-    db = scale * db / w
-    return b, np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
+    from one evaluation of the bump.
+
+    Floors stand in for masks.  Where t = 1 - rho^2 is positive the floor
+    leaves it unchanged; elsewhere exp(1 - 1/floor) is exactly 0, so b and
+    the gradient are 0.  |x| is floored at the smallest subnormal, which
+    changes no positive |x|, so the origin divides a zero by it.
+    """
+    r = _radius(x, w)
+    rho = r / w
+    t = np.maximum(1.0 - rho * rho, _GAP_FLOOR)
+    b = np.exp(1.0 - 1.0 / t)
+    db = b * (-2.0 * rho / (t * t))
+    if scale != 1.0:     # 1.0 * db is db: A's gradient and a unit amplitude skip the call
+        db = scale * db
+    f = db / w / np.maximum(r, _R_FLOOR)
+    # one column at a time: a broadcast over the last axis costs several times more
+    g = np.empty(x.shape)
+    np.multiply(f, x[..., 0], out=g[..., 0])
+    np.multiply(f, x[..., 1], out=g[..., 1])
+    return b, g
 
 
 def _identity_A(x):
@@ -165,7 +190,7 @@ def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_ra
 
         def eval_A(x):
             x = np.asarray(x, dtype=float)
-            b = bump(np.hypot(x[..., 0], x[..., 1]) / w)
+            b = bump(_radius(x, w) / w)
             return np.eye(2) + b[..., None, None] * P
 
         def eval_grad_A(x, A=None):
@@ -177,7 +202,7 @@ def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_ra
     if amplitude != 0.0:
         def eval_nu(x):
             x = np.asarray(x, dtype=float)
-            return 1.0 + amplitude * bump(np.hypot(x[..., 0], x[..., 1]) / w)
+            return 1.0 + amplitude * bump(_radius(x, w) / w)
 
         def eval_grad_nu(x, nu=None):
             b, g = _bump_grad(np.asarray(x, dtype=float), w, amplitude)

@@ -10,7 +10,9 @@ along it exactly to its next event: entering the disk (a line-circle root),
 the first obstacle impact, or escape, when no event is left.  Only rays
 inside the disk take fixed-step RK4 steps.  Each stage makes one gradient
 call for nu that also writes nu, and one for A that also writes A; where the
-coefficient bounds pin A = I (A_min == A_max == 1) it skips the A call.
+coefficient bounds pin A = I (A_min == A_max == 1) it skips the A call.  A
+step combines its stages in place, and when its cubic Hermite interpolant is
+searched for an impact, the interpolant's start slope is the first stage's.
 One impact locator serves both.  It samples the obstacle's level function
 along the path (the line, or the step's cubic Hermite interpolant) and
 bisects the first interval from a positive sample to a non-positive one.  A
@@ -114,10 +116,18 @@ def _rhs(coeffs, states):
     nu = np.empty(states.shape[:-1])
     gnu = coeffs.eval_grad_nu(x, nu)     # (..., 2), and nu(x) written into nu
     if coeffs.A_min == coeffs.A_max == 1.0:
-        # A = I: the general formula below with Ap = p, Aq = q and dq = 0
+        # A = I: the general formula below with Ap = p, Aq = q and dq = 0,
+        # written one column at a time (a broadcast over the last axis costs
+        # several times more)
         out = np.empty(states.shape)
-        out[..., :2] = 2.0 * states[..., 2:] / nu[..., None]
-        out[..., 2:] = (((p * p + q * q) / nu) / nu)[..., None] * gnu
+        for j, v in enumerate((p, q)):
+            np.divide(np.multiply(2.0, v, out=out[..., j]), nu, out=out[..., j])
+        s = p * p
+        s += q * q
+        s /= nu
+        s /= nu
+        np.multiply(s, gnu[..., 0], out=out[..., 2])
+        np.multiply(s, gnu[..., 1], out=out[..., 3])
         return out
     A = np.empty(states.shape[:-1] + (2, 2))
     gA = coeffs.eval_grad_A(x, A)        # (..., 2, 2, 2), and A(x) written into A
@@ -179,12 +189,30 @@ _SAMPLE_CHUNK = 2**18  # level samples held in memory at once, give or take a ra
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
-def _rk4_step(coeffs, states, dt):
-    k1 = _rhs(coeffs, states)
-    k2 = _rhs(coeffs, states + 0.5 * dt * k1)
-    k3 = _rhs(coeffs, states + 0.5 * dt * k2)
-    k4 = _rhs(coeffs, states + dt * k3)
-    return states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(coeffs, states, dt, k1=None):
+    """One classical RK4 step of the rows ``states``, which it leaves as they
+    are; ``k1`` is the first stage's slope _rhs(coeffs, states) if the caller
+    has it.  The stages are combined in place, in the order of
+    states + (dt/6) (k1 + 2 k2 + 2 k3 + k4), so the step keeps its bits."""
+    if k1 is None:
+        k1 = _rhs(coeffs, states)
+    y = np.multiply(0.5 * dt, k1)
+    y += states
+    k2 = _rhs(coeffs, y)
+    np.multiply(0.5 * dt, k2, out=y)
+    y += states
+    k3 = _rhs(coeffs, y)
+    np.multiply(dt, k3, out=y)
+    y += states
+    k4 = _rhs(coeffs, y)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += states
+    return k2
 
 
 def _min_sdf(obstacles, x):
@@ -431,7 +459,8 @@ class _Batch:
         coeffs, obstacles, cfg = self.coeffs, self.obstacles, self.cfg
         dt = cfg.step_size
         sub = self.states[ids]
-        new = _rk4_step(coeffs, sub, dt)
+        k1 = _rhs(coeffs, sub)
+        new = _rk4_step(coeffs, sub, dt, k1)
         t_new = self.t[ids] + dt
 
         hit = []
@@ -442,8 +471,9 @@ class _Batch:
             chord = np.hypot(*(new[:, :2] - sub[:, :2]).T)
             near = np.nonzero(self.armed[ids] & (d_new < 2.0 * chord))[0]
             if len(near):
+                # _rhs works row by row, so k1[near] is _rhs(coeffs, s0) bit for bit
                 s0, s1 = sub[near], new[near]
-                path = _hermite(s0, s1, _rhs(coeffs, s0), _rhs(coeffs, s1), dt)
+                path = _hermite(s0, s1, k1[near], _rhs(coeffs, s1), dt)
                 window = (np.zeros(len(near)), np.full(len(near), dt))
                 tau, which = _impacts(obstacles, path, [window] * len(obstacles),
                                       self.armed[ids[near]], dt)
@@ -458,10 +488,11 @@ class _Batch:
 
         r_new = np.hypot(new[:, 0], new[:, 1])
         out = r_new > self.R_track
-        out[hit] = False
-        out = np.nonzero(out)[0]
-        out = out[np.hypot(sub[out, 0], sub[out, 1]) <= self.R_track]
+        if len(hit):
+            out[hit] = False
+        out = out.nonzero()[0]
         if len(out):
+            out = out[np.hypot(sub[out, 0], sub[out, 1]) <= self.R_track]
             tau = _segment_ball_exit(sub[out, :2], new[out, :2], self.R_track)
             self.t_exit[ids[out]] = self.t[ids[out]] + tau * dt
 
@@ -472,9 +503,11 @@ class _Batch:
             self.record["times"].append(t_new[0])
             self.record["states"].append(new[0].copy())
 
-        # a ray that glanced on this step keeps its ending at the impact
-        over = ids[t_new > cfg.max_time_budget]
-        self.termination[over[self.termination[over] < 0]] = 1
+        over = t_new > cfg.max_time_budget
+        if over.any():
+            # a ray that glanced on this step keeps its ending at the impact
+            over = ids[over]
+            self.termination[over[self.termination[over] < 0]] = 1
 
 
 def _integrate_batch(coeffs, obstacles, states, cfg: RayConfig, R_track,
@@ -493,9 +526,13 @@ def _integrate_batch(coeffs, obstacles, states, cfg: RayConfig, R_track,
     batch = _Batch(coeffs, obstacles, states, cfg, R_track, escape_radius, record)
     active = np.arange(len(states))
     while len(active):
-        batch.fly(active[~batch.inside[active]])
-        active = active[batch.termination[active] < 0]
-        batch.step(active[batch.inside[active]])
+        inside = batch.inside[active]
+        if inside.all():
+            batch.step(active)
+        else:
+            batch.fly(active[~inside])
+            active = active[batch.termination[active] < 0]
+            batch.step(active[batch.inside[active]])
         active = active[batch.termination[active] < 0]
     return batch
 

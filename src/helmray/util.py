@@ -11,29 +11,15 @@ import numpy as np
 from scipy.linalg import lapack
 
 
-def _bump_gap(rho):
-    """1 - rho^2 and 1 / (1 - rho^2), the latter +inf off the open support."""
-    t = 1.0 - rho * rho
-    return t, np.divide(1.0, t, out=np.full(t.shape, np.inf), where=t > 0.0)
-
-
 def bump(rho):
-    """C-infinity bump on [-1, 1]: exp(1 - 1/(1-rho^2)) inside, 0 outside, value 1 at 0."""
-    _, inv = _bump_gap(np.asarray(rho, dtype=float))
-    return np.exp(1.0 - inv)
+    """C-infinity bump on [-1, 1]: exp(1 - 1/(1-rho^2)) inside, 0 outside, value 1 at 0.
 
-
-def bump_and_deriv(rho):
-    """:func:`bump` and its derivative, from one evaluation of the exponential."""
+    Off the open support the exponent is -inf, so the kernel raises no
+    floating-point flag, not even underflow.
+    """
     rho = np.asarray(rho, dtype=float)
-    t, inv = _bump_gap(rho)
-    b = np.exp(1.0 - inv)
-    return b, b * np.divide(-2.0 * rho, t * t, out=np.zeros(t.shape), where=t > 0.0)
-
-
-def bump_deriv(rho):
-    """Derivative of :func:`bump`."""
-    return bump_and_deriv(rho)[1]
+    t = 1.0 - rho * rho
+    return np.exp(1.0 - np.divide(1.0, t, out=np.full(t.shape, np.inf), where=t > 0.0))
 
 
 def smoothstep(t):

@@ -1,5 +1,5 @@
-"""Reference computations that the package replaced by closed forms; the tests
-check the closed forms against them."""
+"""Reference computations that the package replaced by closed forms or leaner
+kernels; the tests check the package against them."""
 
 import numpy as np
 import scipy.linalg
@@ -33,3 +33,36 @@ def estimate_C_DtN_tilde(R, k_values, h=0.05):
         core = C.conj().T @ ((2.0 * np.pi * R) * dtn.coefficients[:, None] * C)
         worst = max(worst, float(scipy.linalg.svdvals(core)[0]))
     return worst
+
+
+def bump_and_deriv(rho):
+    """The bump exp(1 - 1/(1 - rho^2)) and its derivative by masked division:
+    1/(1 - rho^2) is +inf and the derivative's quotient 0 off the open support.
+    The floored kernel of ``geometry._bump_grad`` replaced this."""
+    rho = np.asarray(rho, dtype=float)
+    t = 1.0 - rho * rho
+    b = np.exp(1.0 - np.divide(1.0, t, out=np.full(t.shape, np.inf), where=t > 0.0))
+    return b, b * np.divide(-2.0 * rho, t * t, out=np.zeros(t.shape), where=t > 0.0)
+
+
+def bump_deriv(rho):
+    return bump_and_deriv(rho)[1]
+
+
+def bump_grad(x, w, scale=1.0):
+    """b = bump(|x| / w) and the gradient of scale * b in x, 0 at the origin by
+    a mask on |x| > 0: the radial-bump gradient that ``geometry._bump_grad``
+    replaced."""
+    r = np.hypot(x[..., 0], x[..., 1])
+    b, db = bump_and_deriv(r / w)
+    db = scale * db / w
+    return b, np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
+
+
+def radial_bump_fields(x, w, amplitude=0.0, P=np.zeros((2, 2))):
+    """nu, grad nu, A and grad A of the radial-bump presets, nu = 1 + amplitude b
+    and A = I + b P with b = bump(|x| / w), from the masked formulas above."""
+    b, grad_nu = bump_grad(x, w, amplitude)
+    grad_b = bump_grad(x, w)[1]
+    return (1.0 + amplitude * b, grad_nu, np.eye(2) + b[..., None, None] * P,
+            P[:, :, None] * grad_b[..., None, None, :])

@@ -7,7 +7,8 @@ from helmray.geometry import (TruncationGeometry, WaveContext, anisotropic_coeff
                               boundary_normal, check_gradients, disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance, validate_configuration)
-from helmray.util import bump, bump_deriv
+from helmray.util import bump
+from reference import bump_deriv, radial_bump_fields
 
 
 def test_signed_distance_unit_disk():
@@ -183,6 +184,51 @@ def test_gradient_callables_write_the_values_bit_for_bit(make):
         assert np.array_equal(A, coeffs.eval_A(x))
         assert np.array_equal(grad_nu, coeffs.eval_grad_nu(x))
         assert np.array_equal(grad_A, coeffs.eval_grad_A(x))
+
+
+def _rotated_diag(a1, a2, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[a1 * c * c + a2 * s * s, (a1 - a2) * c * s],
+                     [(a1 - a2) * c * s, a1 * s * s + a2 * c * c]])
+
+
+@pytest.mark.parametrize("amplitude, a1, a2, angle", [(0.7, 0.0, 0.0, 0.0), (0.0, 0.5, 0.2, 0.3)],
+                         ids=["nu_bump", "anisotropic"])
+def test_floored_bump_kernel_matches_the_masked_formulas(amplitude, a1, a2, angle):
+    # w = 1/2 makes |x| / w exact, so the rims sit at rho = 1 - ulp, 1 and
+    # 1 + ulp; then the origin, subnormal |x|, points off the support and
+    # inside it, and one point as a 1-D array
+    w = 0.5
+    coeffs = (nu_bump_coefficients(amplitude, w) if amplitude
+              else anisotropic_coefficients(a1, a2, angle, w))
+    rims = w * np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+    tiny = np.finfo(float).smallest_subnormal
+    pts = np.concatenate([np.stack([rims, 0.0 * rims], -1), np.stack([0.0 * rims, -rims], -1),
+                          [[0.0, 0.0], [tiny, 0.0], [0.0, -3.0 * tiny], [3e-310, -4e-310]],
+                          [[0.7, 0.1], [-1.0, 0.0], [3.0, -4.0], [1e3, 1e3]],
+                          [[0.1, -0.2], [0.3, 0.2], [-0.35, 0.35]]])
+    for x in (pts, pts[7]):
+        want = radial_bump_fields(x, w, amplitude, _rotated_diag(a1, a2, angle))
+        nu, A = np.empty(x.shape[:-1]), np.empty(x.shape[:-1] + (2, 2))
+        got = (coeffs.eval_nu(x), coeffs.eval_grad_nu(x, nu), coeffs.eval_A(x),
+               coeffs.eval_grad_A(x, A))
+        for g, v in zip(got + (nu, A), want + (want[0], want[2])):
+            assert np.array_equal(g, v)
+
+
+@pytest.mark.parametrize("make", [nu_bump_coefficients, anisotropic_coefficients])
+def test_coefficients_stay_finite_and_quiet_far_from_the_support(make):
+    # (1 - rho^2)^2 in the bump's derivative overflowed from |x| ~ 1e77 on
+    coeffs = make()
+    n = np.array([1e120, 1e150, 1e200, 1e300, 1.7e308])
+    x = np.concatenate([np.stack([n, 0.0 * n], -1), np.stack([0.0 * n, -n], -1),
+                        [[1e308, 1e308], [-1e154, 1e154]]])
+    nu, A = np.empty(len(x)), np.empty((len(x), 2, 2))
+    with np.errstate(all="raise", under="ignore"):
+        got = (coeffs.eval_nu(x), coeffs.eval_grad_nu(x, nu), coeffs.eval_A(x),
+               coeffs.eval_grad_A(x, A))
+    for g, v in zip(got + (nu, A), (1.0, 0.0, np.eye(2), 0.0, 1.0, np.eye(2))):
+        assert np.array_equal(g, np.broadcast_to(v, g.shape))
 
 
 @pytest.mark.parametrize("name", ["nu", "A"])

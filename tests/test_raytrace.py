@@ -104,6 +104,25 @@ def test_rk4_step_takes_values_from_the_gradient_calls(make, grad, value):
     assert np.array_equal(new, _rk4_step(coeffs, states, 2e-3))
 
 
+@pytest.mark.parametrize("coeffs", [nu_bump_coefficients(), anisotropic_coefficients(0.5, 0.2, 0.3)],
+                         ids=["nu_bump", "anisotropic"])
+def test_rk4_step_is_the_classical_combination_bit_for_bit(coeffs):
+    # rows inside the support, on the origin, near the rim and outside; the
+    # step combines its stages in place and must leave its inputs as they are
+    states = np.array([[0.1, -0.2, 1.0, 0.0], [0.3, 0.2, 0.0, 1.0], [0.0, 0.0, -0.6, 0.8],
+                       [0.499, 0.0, 0.0, 1.0], [0.7, 0.1, 0.6, 0.8]])
+    before, dt = states.copy(), 2e-3
+    k1 = _rhs(coeffs, states)
+    k2 = _rhs(coeffs, states + 0.5 * dt * k1)
+    k3 = _rhs(coeffs, states + 0.5 * dt * k2)
+    k4 = _rhs(coeffs, states + dt * k3)
+    want = (states + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tobytes()
+    k1_before = k1.copy()
+    assert _rk4_step(coeffs, states, dt).tobytes() == want
+    assert _rk4_step(coeffs, states, dt, k1).tobytes() == want
+    assert np.array_equal(states, before) and np.array_equal(k1, k1_before)
+
+
 def test_reflection_specular_cases(ident):
     disk = disk_obstacle(1.0)
     # head-on at the north pole: normal (0, 1)
@@ -545,6 +564,38 @@ def test_time_reversal_returns_to_start(nu_bump, obstacle, theta, b):
     np.testing.assert_allclose(back.states[-1], np.concatenate([x0, -p0.xi]), rtol=0.0, atol=1e-6)
     for ev in fwd.reflections + back.reflections:
         assert abs(signed_distance(obstacle, ev.point)) <= 1e-12
+
+
+def test_step_near_an_obstacle_reuses_the_first_stage_slope(nu_bump, monkeypatch):
+    # a step whose Hermite interpolant is searched for an impact takes its
+    # start slope from the RK4 stage k1: 5 gradient calls instead of 6, and
+    # the interpolant gets _rhs at the step's ends bit for bit, as before
+    calls = {"grad": 0, "steps": 0, "near": 0}
+    rk4_step, hermite = raytrace._rk4_step, raytrace._hermite
+
+    def grad(x, nu=None):
+        calls["grad"] += 1
+        return nu_bump.eval_grad_nu(x, nu)
+
+    def step(*args):
+        calls["steps"] += 1
+        return rk4_step(*args)
+
+    def interpolant(s0, s1, f0, f1, dt):
+        calls["near"] += 1
+        assert f0.tobytes() == _rhs(nu_bump, s0).tobytes()
+        assert f1.tobytes() == _rhs(nu_bump, s1).tobytes()
+        return hermite(s0, s1, f0, f1, dt)
+
+    monkeypatch.setattr(raytrace, "_rk4_step", step)
+    monkeypatch.setattr(raytrace, "_hermite", interpolant)
+    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    x0 = geom.R_ray * np.array([np.cos(0.3), np.sin(0.3)])
+    p0 = PhasePoint(x0, -np.array([np.cos(0.38), np.sin(0.38)]))
+    traj = integrate_ray(replace(nu_bump, eval_grad_nu=grad), STAR_IN_BUMP, geom, p0, RayConfig())
+    assert traj.termination is Termination.ESCAPED and traj.reflections
+    assert calls["near"] > 0
+    assert calls["grad"] == 4 * calls["steps"] + calls["near"]
 
 
 @settings(max_examples=20, deadline=None)

@@ -88,6 +88,7 @@ print(json.dumps({name: v for (op, name), v in tracer.counters.items()}))
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["raytrace.stage_evals"] == 4 * counts["raytrace.steps"] > 0
+    assert counts["raytrace.in_support"] > 0
 
 def test_readme_lists_every_subcommand():
     block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]

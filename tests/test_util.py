@@ -2,9 +2,9 @@
 formatter it replaced, and ``write_json`` encodes numpy values as Python ones.
 The singular-value estimate ``power_sigma`` reports converged only within its
 tolerance, and keeps the results of the loop with complex quotients and
-conjugated copies that it replaced.  The bump and its derivative are exactly
-0 off the open support, match their closed forms on it and raise no
-floating-point error."""
+conjugated copies that it replaced.  The bump and the reference derivative
+that the ray tracer's kernel is checked against are exactly 0 off the open
+support, match their closed forms on it and raise no floating-point error."""
 
 import csv
 import json
@@ -22,8 +22,8 @@ from helmray.experiments import RadialCutoff
 from helmray.fem import assemble, build_space
 from helmray.mesh import generate_mesh
 from helmray.radial import assemble_radial_mode, radial_quadrature
-from helmray.util import (bump, bump_deriv, cutoff_normal, power_sigma, solve_real, write_csv,
-                          write_json)
+from helmray.util import bump, cutoff_normal, power_sigma, solve_real, write_csv, write_json
+from reference import bump_deriv
 
 
 def _fmt_float(x):
