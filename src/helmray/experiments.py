@@ -98,7 +98,7 @@ class ResolventEstimate:
     converged: bool
     iterations: int
     resolution: dict
-    residual: float      # relative Ritz residual; the largest over modes on the modal path
+    residual: float      # relative Ritz residual; the largest over solved modes on the modal path
 
 
 def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
@@ -122,11 +122,16 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
         res = radial_cutoff_resolvent_norm(k, geom.R, h, cutoff, r_inner=r_in,
                                            a_of_r=prof[0], nu_of_r=prof[1],
                                            s=s, rtol=rtol, seed=seed)
+        # n_modes counts every mode, solved or screened; screen_bound is None
+        # when no mode was screened
         iters = max(it for _, _, it, _ in res.per_mode) if res.per_mode else 0
         return ResolventEstimate(value=res.value, method="modal",
                                  converged=res.converged, iterations=iters,
                                  resolution={"h_r": h, "n_r": res.n_r,
-                                             "n_modes": len(res.per_mode)},
+                                             "n_modes": len(res.per_mode) + len(res.screened),
+                                             "n_screened": len(res.screened),
+                                             "screen_bound": max((b for _, b in res.screened),
+                                                                 default=None)},
                                  residual=res.residual)
 
     mesh = generate_mesh(obstacle, geom, h)
@@ -190,6 +195,9 @@ def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
             "converged": est.converged,
             "iterations": est.iterations,
             "residual": est.residual,
+            # modal modes certified by mode_norm_bound instead of Lanczos
+            "n_screened": est.resolution.get("n_screened", 0),
+            "screen_bound": est.resolution.get("screen_bound"),
         })
     return ResolventScan(rows=rows, s=s, method=method_used)
 

@@ -15,7 +15,31 @@ its real SPD mass with ``fem.TridiagonalLDL`` (``?pttrf``), and estimates its
 norm by Lanczos in the mass inner product (``util.power_sigma``).  The seeded
 Lanczos start vector depends only on the number of free nodes, so it is drawn
 once per layout: twice when r_inner = 0 (mode 0 keeps the axis node), once
-otherwise.
+otherwise, and the mass is factored once per layout too.
+
+For s = 0 the sweep solves only the modes that can carry the maximum.  Let
+c_n = min_q (n^2 a_q / x_q^2 - k^2 nu_q) over the Gauss points x_q of the
+quadrature, and kappa the largest ratio of the lumped to the consistent
+r dr mass over the element blocks (4 on the axis element, about 3 elsewhere).
+Where c_n > 0, ||chi K_n^{-1} M chi||_{M->M} <= kappa max|chi|^2 / c_n under
+three hypotheses:
+
+* a > 0 at the Gauss points, so the stiffness band S is positive
+  semidefinite and n^2 C - k^2 Mnu >= c_n M0 point by point;
+* Re t_n <= 0, the sign of the radiation coefficient, so the boundary term
+  -R t_n |u(R)|^2 has a nonnegative real part; with the two above,
+  Re u^H K_n u >= c_n u^H M u and ||K_n^{-1} M||_{M->M} <= 1 / c_n;
+* the output norm is the mass (s = 0), in which chi M chi <= max|chi|^2
+  lumped M <= kappa max|chi|^2 M, since the off-diagonal mass entries are
+  nonnegative.
+
+c_n > 0 reads n/k > max_r r sqrt(nu/a): the mode has more angular momentum
+than any ray in the ball carries, so it is classically forbidden everywhere
+(J. Ralston, Comm. Pure Appl. Math. 24, 1971).  A Lanczos estimate is a
+lower bound of the true norm, so a mode whose bound lies below the largest
+estimate so far cannot change the maximum; the sweep screens it with a
+relative margin of 1e-6 for rounding and reports its bound instead of an
+estimate.
 """
 
 from __future__ import annotations
@@ -99,11 +123,18 @@ class RadialQuadrature:
     C: tuple
     M0: tuple
     Mnu: tuple
+    a_x2: np.ndarray        # a / x^2 at the Gauss points x, shape (3, n_r)
+    nu_q: np.ndarray        # nu at the Gauss points
+    kappa: float            # max over elements of 1 + b (a + c + 2 b) / (a c - b^2)
 
 
 def radial_quadrature(R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None) -> RadialQuadrature:
     """Three-point Gauss quadrature of the P1 bands on ``n_r`` equal elements
-    of [r_inner, R], with a(r) and nu(r) evaluated once."""
+    of [r_inner, R], with a(r) and nu(r) evaluated once.
+
+    ``kappa`` is the largest eigenvalue of the lumped ``M0`` element block
+    against the block [[a, b], [b, c]] itself, so that lumped M0 <= kappa M0:
+    4 on the element at the axis, about 3 away from it."""
     r = np.linspace(r_inner, R, n_r + 1)
     r0, r1 = r[:-1], r[1:]
     hs = r1 - r0
@@ -114,14 +145,26 @@ def radial_quadrature(R, n_r, r_inner=0.0, a_of_r=None, nu_of_r=None) -> RadialQ
     a_q = np.ones_like(x) if a_of_r is None else a_of_r(x)
     nu_q = np.ones_like(x) if nu_of_r is None else nu_of_r(x)
 
-    def gram(wt):
-        return _bands(np.sum(wt * phi0 * phi0, 0), np.sum(wt * phi0 * phi1, 0),
-                      np.sum(wt * phi1 * phi1, 0))
+    def blocks(wt):
+        return (np.sum(wt * phi0 * phi0, 0), np.sum(wt * phi0 * phi1, 0),
+                np.sum(wt * phi1 * phi1, 0))
 
+    m00, m01, m11 = blocks(w * x)
     s_el = np.sum(w * a_q * x, axis=0) / hs**2
     return RadialQuadrature(R=R, r_inner=r_inner, grid=r, S=_bands(s_el, -s_el, s_el),
-                            C=gram(w * a_q / np.maximum(x, 1e-300)), M0=gram(w * x),
-                            Mnu=gram(w * nu_q * x))
+                            C=_bands(*blocks(w * a_q / x)), M0=_bands(m00, m01, m11),
+                            Mnu=_bands(*blocks(w * nu_q * x)), a_x2=a_q / x**2, nu_q=nu_q,
+                            kappa=float(np.max(1.0 + m01 * (m00 + m11 + 2.0 * m01)
+                                               / (m00 * m11 - m01 * m01))))
+
+
+def mode_norm_bound(n, k, quad: RadialQuadrature, chi_max):
+    """Upper bound ``kappa chi_max^2 / c_n`` of the s = 0 norm of mode ``n``,
+    with c_n = min_q (n^2 a_q / x_q^2 - k^2 nu_q) over the Gauss points;
+    ``inf`` where c_n <= 0.  Valid where a > 0 and Re t_n <= 0 (module
+    docstring)."""
+    c_n = np.min((n * n) * quad.a_x2 - (k * k) * quad.nu_q)
+    return float(quad.kappa * chi_max**2 / c_n) if c_n > 0.0 else np.inf
 
 
 def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
@@ -148,18 +191,23 @@ def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
                       E=matrix(E), free=np.arange(first, len(quad.grid)))
 
 
-def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed=0):
+def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed=0,
+                     lu_mass=None):
     """Norm of f -> chi K^{-1} M (chi f) on the mode, by Lanczos on the normal
     operator in the mass inner product.
 
     Input norm is the plain radial mass; output norm is the mass (s = 0) or the
     k-weighted energy Gram (s = 1).  Lanczos starts from the complex Gaussian
     vector of ``seed``, the same for every mode with as many free nodes.
+    ``lu_mass`` is the factor of ``mode.M`` where the caller holds it (the
+    same for every mode of one layout), else ``mode.lu_mass()`` is taken.
     Returns ``(sigma, iterations, converged, residual)`` from
     :func:`~helmray.util.power_sigma`, the residual being the relative Ritz
     residual.
     """
-    apply_normal = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()),
+    if lu_mass is None:
+        lu_mass = mode.lu_mass()
+    apply_normal = cutoff_normal(mode.lu(), partial(solve_real, lu_mass),
                                  mode.M, mode.M if s == 0 else mode.E, chi_vals)
     return power_sigma(apply_normal, mode.M, _start_vector(seed, mode.M.shape[0]),
                        rtol=rtol, maxit=maxit)
@@ -174,31 +222,50 @@ def _start_vector(seed, n):
     return v0
 
 
+_SCREEN_MARGIN = 1e-6      # relative rounding allowance of a screening decision
+
+
 @dataclass
 class RadialScanResult:
     value: float
-    per_mode: list          # (n, sigma, iterations, converged)
+    per_mode: list          # (n, sigma, iterations, converged) of the solved modes
+    screened: list          # (n, bound) of the modes screened by mode_norm_bound
     n_r: int
     converged: bool
-    residual: float         # largest relative Ritz residual over the modes
+    residual: float         # largest relative Ritz residual over the solved modes
 
 
 def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
                                  a_of_r=None, nu_of_r=None, s=0, rtol=1e-5,
                                  seed=0) -> RadialScanResult:
-    """Cutoff solution-operator norm as the max over angular modes n <= default_n_max(k, R)."""
+    """Cutoff solution-operator norm as the max over angular modes n <= default_n_max(k, R).
+
+    For s = 0 the modes whose :func:`mode_norm_bound` lies below the largest
+    estimate so far are screened, not solved (module docstring); the bound
+    falls with n and the estimate only grows, so they are the sweep's tail.
+    """
     n_r = max(16, int(np.ceil((R - r_inner) / h_r)))
     quad = radial_quadrature(R, n_r, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
     chi_grid = chi(quad.grid)
-    per_mode = []
+    chi_max = np.max(np.abs(chi_grid))
+    screen = s == 0 and np.min(quad.a_x2) > 0.0
+    per_mode, screened, mass_factors = [], [], {}     # free-node count -> mass factor
     best, all_conv, residual = 0.0, True, 0.0
     for n in range(0, default_n_max(k, R) + 1):
+        if screen:
+            bound = mode_norm_bound(n, k, quad, chi_max)
+            if (bound * (1.0 + _SCREEN_MARGIN) < best
+                    and (k * hankel_ratio(n, k * R)).real <= 0.0):
+                screened.append((n, bound))
+                continue
         mode = assemble_radial_mode(n, k, quad)
+        if len(mode.free) not in mass_factors:
+            mass_factors[len(mode.free)] = mode.lu_mass()
         sigma, iters, conv, resid = mode_cutoff_norm(mode, chi_grid[mode.free], s=s,
-                                                     rtol=rtol, seed=seed)
+                                                     rtol=rtol, seed=seed,
+                                                     lu_mass=mass_factors[len(mode.free)])
         per_mode.append((n, sigma, iters, conv))
         all_conv, residual = all_conv and conv, max(residual, resid)
         best = max(best, sigma)
-    return RadialScanResult(value=best, per_mode=per_mode, n_r=n_r, converged=all_conv,
-                            residual=residual)
-
+    return RadialScanResult(value=best, per_mode=per_mode, screened=screened, n_r=n_r,
+                            converged=all_conv, residual=residual)

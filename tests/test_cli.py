@@ -319,6 +319,18 @@ def test_resolvent_scan_deterministic(tmp_path):
     assert manifest["seed"] == 7 and manifest["config_sha256"] == written.sha256()
 
 
+def test_resolvent_scan_summary_carries_the_screening_certificates(tmp_path, capsys):
+    # the printed rows name the modes screened by their coercivity bound and
+    # the largest such bound; the CSV keeps its columns
+    cfg = _write(tmp_path, EUCLID_CFG)
+    assert main(["resolvent-scan", "--config", cfg, "--ks", "4", "--out", str(tmp_path / "o")]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["n_screened"] > 0 and 0.0 < row["screen_bound"] < row["norm"]
+    with open(tmp_path / "o" / "resolvent_scan.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["k", "norm", "k_times_norm", "lower_reference",
+                                        "upper_reference", "converged", "iterations", "residual"]
+
+
 def test_seed_only_on_subcommands_that_draw_random_numbers():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     seeded = {name for name, sp in sub.choices.items()

@@ -10,7 +10,7 @@ from scipy.special import hankel1, jv
 
 from helmray.bounds import ConstantsLedger, schatz_condition
 from helmray.config import RunConfig
-from helmray.dtn import build_dtn, default_n_max
+from helmray.dtn import build_dtn, default_n_max, hankel_ratio
 from helmray.experiments import (RadialCutoff, _CrossMeshProjector, estimate_eta,
                                  estimate_resolvent_norm, h2_scaling_study,
                                  quasimode_lower_bound, quasioptimality_study,
@@ -22,8 +22,8 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
 from helmray import radial
-from helmray.radial import (assemble_radial_mode, mode_cutoff_norm, radial_cutoff_resolvent_norm,
-                            radial_quadrature)
+from helmray.radial import (assemble_radial_mode, mode_cutoff_norm, mode_norm_bound,
+                            radial_cutoff_resolvent_norm, radial_quadrature)
 from helmray.util import cutoff_normal, power_sigma, solve_real
 from conftest import rng
 
@@ -215,11 +215,55 @@ def test_mode_cutoff_norm_matches_dense_singular_value(s):
     assert sigma == pytest.approx(dense, rel=1e-9)
 
 
+@pytest.mark.parametrize("profile", ["identity", "nu_bump"])
+@pytest.mark.parametrize("r_inner", [0.0, 0.5])
+def test_coercivity_bound_holds_against_dense_mode_norms(profile, r_inner):
+    # ||ch K_n^{-1} M ch||_{M->M} <= kappa max|ch|^2 / c_n for every mode with
+    # c_n > 0, at wavenumbers below, near and above the first screened mode
+    a_of_r, nu_of_r = ((None, None) if profile == "identity"
+                       else radial_profiles(nu_bump_coefficients(0.6, 0.4), 1.0))
+    quad = radial_quadrature(1.0, 60, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
+    # kappa is 4 on the axis element and tends to 3 away from the axis
+    assert (quad.kappa == pytest.approx(4.0, rel=1e-14) if r_inner == 0.0
+            else 3.0 < quad.kappa < 4.0)
+    cutoffs = [RadialCutoff(0.8, 0.97)(quad.grid), rng(6).uniform(0.0, 1.0, len(quad.grid))]
+    checked = 0
+    for k in (2.0, 4.0, 7.0):
+        for n in range(0, default_n_max(k, 1.0) + 1):
+            assert hankel_ratio(n, k * 1.0).real <= 0.0     # Re t_n <= 0 at R = 1
+            mode = assemble_radial_mode(n, k, quad)
+            M, K = _dense(mode.M), _dense(mode.K)
+            LM = np.linalg.cholesky(M)
+            for chi in cutoffs:
+                ch = chi[mode.free]
+                bound = mode_norm_bound(n, k, quad, np.max(np.abs(ch)))
+                if not np.isfinite(bound):
+                    continue
+                T = ch[:, None] * np.linalg.solve(K, M * ch[None, :])
+                assert np.linalg.norm(LM.T @ T @ np.linalg.inv(LM.T), 2) <= bound
+                checked += 1
+    assert checked >= 60
+
+
+def _mode_by_mode(k, quad, cut, s, seed):
+    """(n, sigma, iterations, converged, residual) of every mode n <= n_max,
+    each solved alone with a fresh start vector and its own mass factor."""
+    out = []
+    for n in range(default_n_max(k, quad.R) + 1):
+        radial._start_vector.cache_clear()
+        mode = assemble_radial_mode(n, k, quad)
+        out.append((n, *mode_cutoff_norm(mode, cut(quad.grid[mode.free]), s=s, seed=seed)))
+    return out
+
+
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("r_inner, layouts", [(0.0, 2), (0.5, 1)])
 def test_modal_scan_draws_one_start_vector_per_layout(monkeypatch, r_inner, layouts, s):
-    # mode 0 keeps the axis node at r_inner = 0, so two free-node counts there;
-    # the scan must give the bits of mode-by-mode estimates with fresh draws
+    # mode 0 keeps the axis node at r_inner = 0, so two free-node counts there,
+    # each with one start vector and one mass factor; the scan must give the
+    # bits of mode-by-mode estimates with fresh draws and fresh mass factors
+    # on the modes it solves, which for s = 0 are a prefix of the sweep (the
+    # rest are screened)
     k, cut = 6.0, RadialCutoff(0.8, 0.97)
     radial._start_vector.cache_clear()
     draws, default_rng = [], np.random.default_rng
@@ -228,21 +272,40 @@ def test_modal_scan_draws_one_start_vector_per_layout(monkeypatch, r_inner, layo
         draws.append(args)
         return default_rng(*args, **kwargs)
 
+    factored, lu_mass = [], radial.RadialMode.lu_mass
+
+    def counting_lu_mass(mode):
+        factored.append(len(mode.free))
+        return lu_mass(mode)
+
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(radial.RadialMode, "lu_mass", counting_lu_mass)
     res = radial_cutoff_resolvent_norm(k, 1.0, 0.01, cut, r_inner=r_inner, s=s, seed=2)
-    assert len(draws) == layouts
-    quad = radial_quadrature(1.0, res.n_r, r_inner=r_inner)
-    per_mode, residual = [], 0.0
-    for n in range(default_n_max(k, 1.0) + 1):
-        radial._start_vector.cache_clear()
-        mode = assemble_radial_mode(n, k, quad)
-        sigma, iters, conv, resid = mode_cutoff_norm(mode, cut(quad.grid[mode.free]), s=s, seed=2)
-        per_mode.append((n, sigma, iters, conv))
-        residual = max(residual, resid)
-    assert res.per_mode == per_mode and res.residual == residual
+    assert len(draws) == len(factored) == len(set(factored)) == layouts
+    solved = _mode_by_mode(k, radial_quadrature(1.0, res.n_r, r_inner=r_inner), cut, s, 2)
+    solved = solved[:len(res.per_mode)]
+    assert res.per_mode == [m[:4] for m in solved]
+    assert res.residual == max(m[4] for m in solved)
     v0 = radial._start_vector(2, 10)
     with pytest.raises(ValueError):
         v0[0] = 1.0
+
+
+@pytest.mark.parametrize("r_inner", [0.0, 0.5])
+def test_screened_scan_keeps_the_value_of_the_full_sweep(r_inner):
+    # screening skips the Lanczos solves of a tail of modes without changing
+    # the maximum: each screened mode's bound lies between its own estimate
+    # and the value
+    k, cut = 6.0, RadialCutoff(0.8, 0.97)
+    res = radial_cutoff_resolvent_norm(k, 1.0, 0.01, cut, r_inner=r_inner, s=0, seed=2)
+    every = _mode_by_mode(k, radial_quadrature(1.0, res.n_r, r_inner=r_inner), cut, 0, 2)
+    assert len(res.per_mode) + len(res.screened) == len(every) == default_n_max(k, 1.0) + 1
+    assert res.screened and res.value == max(m[1] for m in every)
+    assert res.per_mode == [m[:4] for m in every[:len(res.per_mode)]]
+    for (n, bound), m in zip(res.screened, every[len(res.per_mode):]):
+        assert n == m[0] and m[1] < bound < res.value
+    full = radial_cutoff_resolvent_norm(k, 1.0, 0.01, cut, r_inner=r_inner, s=1, seed=2)
+    assert full.screened == [] and len(full.per_mode) == len(every)
 
 
 @lru_cache
