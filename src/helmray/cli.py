@@ -135,14 +135,15 @@ def _cmd_rays(args, cfg):
 
 def _cmd_trapping(args, cfg):
     coeffs, obstacle, geom = cfg.problem()
-    report = classify_trapping(coeffs, obstacle, geom, cfg.ray_config())
+    ray_cfg = cfg.ray_config()
+    diag = classify_trapping(coeffs, obstacle, geom, ray_cfg)
     payload = {
-        "nontrapping": report.nontrapping,
-        "n_samples": report.n_samples,
-        "n_budget": report.n_budget,
-        "n_glancing": report.n_glancing,
-        "budget": report.budget,
-        "censored": [{"x": p.x, "xi": p.xi} for p in report.censored_initial_conditions],
+        "nontrapping": diag.nontrapping,
+        "n_samples": diag.n_samples,
+        "n_budget": diag.n_budget,
+        "n_glancing": diag.n_glancing,
+        "budget": ray_cfg.max_time_budget,
+        "censored": [{"x": p.x, "xi": p.xi} for p in diag.censored],
     }
     return Run({"trapping.json": payload},
                {k: payload[k] for k in ("nontrapping", "n_samples", "n_budget", "n_glancing")})

@@ -13,9 +13,9 @@ import scipy.sparse.linalg as spla
 from .bounds import ConstantsLedger, mesh_threshold, resolvent_upper_bound, volterra_norm
 from .dtn import build_dtn
 from .fem import (AngularFactorization, DiscreteSolution, SolveError, _fe_values, assemble,
-                  assemble_load_scattering, assemble_load_source, build_space,
-                  element_gradients, errors_vs_exact, l2_norm_exact, nodal_interpolant,
-                  quadrature, recovered_hessian_h2_norm, solve, solve_adjoint)
+                  assemble_load_scattering, assemble_load_source, build_space, element_gradients,
+                  energy_norm, errors_vs_exact, l2_norm_exact, nodal_interpolant, quadrature,
+                  recovered_hessian_h2_norm, solve, solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
@@ -114,6 +114,8 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
         raise ValueError("cutoff must be supported inside the truncation disk")
     if method not in ("auto", "modal", "fem2d"):
         raise ValueError(f"unknown method {method!r}: expected 'auto', 'modal' or 'fem2d'")
+    if s not in (0, 1):
+        raise ValueError(f"Sobolev index s = {s!r}: expected 0 or 1")
     prof = radial_profiles(coeffs, geom.R) if method != "fem2d" else None
     r_in = _disk_inner_radius(obstacle)
     if method == "modal" and (prof is None or r_in is None):
@@ -329,7 +331,6 @@ def estimate_eta(coeffs, obstacle, geom, k, h_fem, samples=8, seed=0) -> EtaEsti
     fine = build_space(fine_mesh)
     dtn = build_dtn(k, geom.R)
     fine_sys = assemble(coeffs, fine, dtn, k)
-    fine_E = fine_sys.energy_matrix()
     proj = _CrossMeshProjector(coeffs, coarse, fine, k)
 
     rng = make_rng(seed)
@@ -342,8 +343,7 @@ def estimate_eta(coeffs, obstacle, geom, k, h_fem, samples=8, seed=0) -> EtaEsti
             continue
         f /= fnorm
         u = solve_adjoint(fine_sys, f)
-        u_E2 = np.real(np.vdot(u.dofs, fine_E @ u.dofs))
-        err2 = proj.best_approx_error_sq(u, u_E2)
+        err2 = proj.best_approx_error_sq(u, energy_norm(fine_sys, u) ** 2)
         ratios.append(float(np.sqrt(err2)))
         best = max(best, ratios[-1])
     return EtaEstimate(k=k, h_fem=coarse_mesh.h_fem, samples=len(ratios),

@@ -9,13 +9,13 @@ r = R.  This turns resolvent-norm estimation at large k from an intractable
 
 A scan computes the quadrature once (:func:`radial_quadrature`: the grid, the
 mode-independent bands, one evaluation of a and nu); each mode then only
-combines bands (:func:`assemble_radial_mode`), factors its complex system
-with ``fem.TridiagonalLU`` (LAPACK ``?gttrf``, as the angular solver does) and
-its real SPD mass with ``fem.TridiagonalLDL`` (``?pttrf``), and estimates its
-norm by Lanczos in the mass inner product (``util.power_sigma``).  The seeded
-Lanczos start vector depends only on the number of free nodes, so it is drawn
-once per layout: twice when r_inner = 0 (mode 0 keeps the axis node), once
-otherwise, and the mass is factored once per layout too.
+combines bands (:func:`assemble_radial_mode`; the energy Gram only for s = 1),
+factors its complex system with ``fem.TridiagonalLU`` (LAPACK ``?gttrf``, as
+the angular solver does), and estimates its norm by Lanczos in the mass inner
+product (``util.power_sigma``).  The mass factor (``fem.TridiagonalLDL``,
+``?pttrf``) and the seeded start vector depend only on the number of free
+nodes, so the sweep keeps one record of both per layout: two when r_inner = 0
+(mode 0 keeps the axis node), one otherwise.
 
 For s = 0 the sweep solves only the modes that can carry the maximum.  Let
 c_n = min_q (n^2 a_q / x_q^2 - k^2 nu_q) over the Gauss points x_q of the
@@ -45,7 +45,7 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -97,7 +97,7 @@ class RadialMode:
     grid: np.ndarray
     K: Tridiagonal            # complex system with the radiation closure
     M: Tridiagonal            # plain r dr mass on free nodes
-    E: Tridiagonal            # k-weighted energy Gram on free nodes
+    B: Tridiagonal            # output Gram on free nodes: M (s = 0) or the energy Gram (s = 1)
     free: np.ndarray
 
     def lu(self):
@@ -167,19 +167,20 @@ def mode_norm_bound(n, k, quad: RadialQuadrature, chi_max):
     return float(quad.kappa * chi_max**2 / c_n) if c_n > 0.0 else np.inf
 
 
-def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
+def assemble_radial_mode(n, k, quad: RadialQuadrature, s=0) -> RadialMode:
     """P1 discretization of the mode-n operator with the radiation closure.
 
     Bilinear form: int (a u' v' + a n^2/r^2 u v - k^2 nu u v) r dr - R t_n u(R) v(R),
     with t_n = k H_n'(kR) / H_n(kR).
     Node r = r_inner is constrained when it is an obstacle boundary, and when
     n != 0 at the axis (modes with angular dependence vanish at r = 0).
+    The output Gram ``B`` is ``M`` itself for s = 0 and the energy Gram
+    int (a u' v' + a n^2/r^2 u v + k^2 nu u v) r dr for s = 1.
     """
     t_n = k * hankel_ratio(n, k * quad.R)
-    A = [s + n * n * c for s, c in zip(quad.S, quad.C)]
+    A = [st + n * n * c for st, c in zip(quad.S, quad.C)]
     K = [a.astype(complex) - (k * k) * m for a, m in zip(A, quad.Mnu)]
     K[0][-1] -= quad.R * t_n
-    E = [a + (k * k) * m for a, m in zip(A, quad.Mnu)]
 
     # the Dirichlet node r_inner drops out as the first row and column
     first = 1 if (quad.r_inner > 0.0) or (n != 0) else 0
@@ -187,39 +188,26 @@ def assemble_radial_mode(n, k, quad: RadialQuadrature) -> RadialMode:
     def matrix(bands):
         return Tridiagonal(bands[0][first:], bands[1][first:])
 
-    return RadialMode(grid=quad.grid, K=matrix(K), M=matrix(quad.M0),
-                      E=matrix(E), free=np.arange(first, len(quad.grid)))
+    M = matrix(quad.M0)
+    B = M if s == 0 else matrix([a + (k * k) * m for a, m in zip(A, quad.Mnu)])
+    return RadialMode(grid=quad.grid, K=matrix(K), M=M, B=B,
+                      free=np.arange(first, len(quad.grid)))
 
 
-def mode_cutoff_norm(mode: RadialMode, chi_vals, s=0, rtol=1e-5, maxit=400, seed=0,
-                     lu_mass=None):
+def mode_cutoff_norm(mode: RadialMode, chi_vals, lu_mass, v0, rtol=1e-5, maxit=400):
     """Norm of f -> chi K^{-1} M (chi f) on the mode, by Lanczos on the normal
     operator in the mass inner product.
 
-    Input norm is the plain radial mass; output norm is the mass (s = 0) or the
-    k-weighted energy Gram (s = 1).  Lanczos starts from the complex Gaussian
-    vector of ``seed``, the same for every mode with as many free nodes.
-    ``lu_mass`` is the factor of ``mode.M`` where the caller holds it (the
-    same for every mode of one layout), else ``mode.lu_mass()`` is taken.
+    Input norm is the plain radial mass; output norm is ``mode.B``.
+    ``lu_mass`` is the factor of ``mode.M`` and ``v0`` the Lanczos start
+    vector, both shared by every mode with as many free nodes.
     Returns ``(sigma, iterations, converged, residual)`` from
     :func:`~helmray.util.power_sigma`, the residual being the relative Ritz
     residual.
     """
-    if lu_mass is None:
-        lu_mass = mode.lu_mass()
     apply_normal = cutoff_normal(mode.lu(), partial(solve_real, lu_mass),
-                                 mode.M, mode.M if s == 0 else mode.E, chi_vals)
-    return power_sigma(apply_normal, mode.M, _start_vector(seed, mode.M.shape[0]),
-                       rtol=rtol, maxit=maxit)
-
-
-@lru_cache(maxsize=1)      # a scan runs its modes in order of n: layouts come in runs
-def _start_vector(seed, n):
-    """Read-only complex Gaussian vector of length ``n`` from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v0.flags.writeable = False
-    return v0
+                                 mode.M, mode.B, chi_vals)
+    return power_sigma(apply_normal, mode.M, v0, rtol=rtol, maxit=maxit)
 
 
 _SCREEN_MARGIN = 1e-6      # relative rounding allowance of a screening decision
@@ -249,7 +237,7 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
     chi_grid = chi(quad.grid)
     chi_max = np.max(np.abs(chi_grid))
     screen = s == 0 and np.min(quad.a_x2) > 0.0
-    per_mode, screened, mass_factors = [], [], {}     # free-node count -> mass factor
+    per_mode, screened, layouts = [], [], {}   # free-node count -> (mass factor, v0)
     best, all_conv, residual = 0.0, True, 0.0
     for n in range(0, default_n_max(k, R) + 1):
         if screen:
@@ -258,12 +246,13 @@ def radial_cutoff_resolvent_norm(k, R, h_r, chi: Callable, r_inner=0.0,
                     and (k * hankel_ratio(n, k * R)).real <= 0.0):
                 screened.append((n, bound))
                 continue
-        mode = assemble_radial_mode(n, k, quad)
-        if len(mode.free) not in mass_factors:
-            mass_factors[len(mode.free)] = mode.lu_mass()
-        sigma, iters, conv, resid = mode_cutoff_norm(mode, chi_grid[mode.free], s=s,
-                                                     rtol=rtol, seed=seed,
-                                                     lu_mass=mass_factors[len(mode.free)])
+        mode = assemble_radial_mode(n, k, quad, s)
+        m = len(mode.free)
+        if m not in layouts:
+            rng = np.random.default_rng(seed)
+            layouts[m] = mode.lu_mass(), rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        sigma, iters, conv, resid = mode_cutoff_norm(mode, chi_grid[mode.free], *layouts[m],
+                                                     rtol=rtol)
         per_mode.append((n, sigma, iters, conv))
         all_conv, residual = all_conv and conv, max(residual, resid)
         best = max(best, sigma)

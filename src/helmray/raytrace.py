@@ -92,6 +92,8 @@ class RayConfig:
         for name in ("grid_pos_r", "grid_pos_theta", "grid_dir"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.refinement_rounds < 0:
+            raise ValueError("refinement_rounds must be >= 0")
         if self.refine_points < 2:
             raise ValueError("refine_points must be >= 2: a refined grid spans the old spacing")
 
@@ -591,10 +593,16 @@ class RayDiagnostics:
     n_glancing: int = 0
     n_budget: int = 0
     refinement_history: list = field(default_factory=list)
+    censored: list = field(default_factory=list)   # first 100 starting points that hit the budget
 
     @property
     def censored_fraction(self):
         return (self.n_glancing + self.n_budget) / max(self.n_samples, 1)
+
+    @property
+    def nontrapping(self):
+        """The sampled verdict: no ray exhausted the time budget."""
+        return self.n_budget == 0
 
 
 @dataclass
@@ -635,6 +643,26 @@ def _eval_rays(coeffs, obstacles, states, cfg, R):
                             escape_radius=escape)
 
 
+def _sweep(coeffs, obstacles, cfg, R, grid, diag):
+    """Trace the rays of the tensor grid ``grid`` (radii, position angles,
+    direction angles) and count them into ``diag``.  Returns the longest
+    escape as ``(t_exit, state, grid point)``, or ``(-inf, None, None)`` when
+    every ray was censored."""
+    states, params = _build_states(coeffs, obstacles, *grid)
+    res = _eval_rays(coeffs, obstacles, states, cfg, R)
+    ok = res.termination == 0
+    budget = np.nonzero(res.termination == 1)[0]
+    diag.n_samples += len(states)
+    diag.n_glancing += int(np.sum(res.termination == 2))
+    diag.n_budget += len(budget)
+    diag.censored += [PhasePoint(states[i, :2].copy(), states[i, 2:].copy())
+                      for i in budget[:100 - len(diag.censored)]]
+    if not np.any(ok):
+        return -np.inf, None, None
+    i = int(np.argmax(np.where(ok, res.t_exit, -np.inf)))
+    return float(res.t_exit[i]), states[i], params[i]
+
+
 def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
                        R: float, cfg: RayConfig, allow_censored: bool = False):
     """Sampled maximum of the last-exit time over the ball's phase space.
@@ -649,19 +677,7 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
     obstacles = _as_obstacles(obstacle)
     diag = RayDiagnostics()
     grid = _seed_grid(R, cfg)
-
-    def run(states, params):
-        res = _eval_rays(coeffs, obstacles, states, cfg, R)
-        ok = res.termination == 0
-        diag.n_samples += len(states)
-        diag.n_glancing += int(np.sum(res.termination == 2))
-        diag.n_budget += int(np.sum(res.termination == 1))
-        if not np.any(ok):
-            return -np.inf, None, None
-        i = int(np.argmax(np.where(ok, res.t_exit, -np.inf)))
-        return float(res.t_exit[i]), states[i], params[i]
-
-    best, best_state, best_param = run(*_build_states(coeffs, obstacles, *grid))
+    best, best_state, best_param = _sweep(coeffs, obstacles, cfg, R, grid, diag)
     spacings = np.array([grid[0][1] - grid[0][0] if cfg.grid_pos_r > 1 else R,
                          2 * np.pi / cfg.grid_pos_theta,
                          2 * np.pi / cfg.grid_dir])
@@ -673,7 +689,7 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
                                  best_param[0] + spacings[0], m), 1e-9, R)
         ts = np.linspace(best_param[1] - spacings[1], best_param[1] + spacings[1], m)
         ps = np.linspace(best_param[2] - spacings[2], best_param[2] + spacings[2], m)
-        cand, cand_state, cand_param = run(*_build_states(coeffs, obstacles, rs, ts, ps))
+        cand, cand_state, cand_param = _sweep(coeffs, obstacles, cfg, R, (rs, ts, ps), diag)
         if cand > best:
             best, best_state, best_param = cand, cand_state, cand_param
         spacings = 2.0 * spacings / (m - 1)
@@ -689,30 +705,10 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
     return LongestRayResult(L=best, maximizer=maximizer, diagnostics=diag)
 
 
-@dataclass
-class TrappingReport:
-    nontrapping: bool
-    n_samples: int
-    n_budget: int
-    n_glancing: int
-    budget: float
-    censored_initial_conditions: list  # up to 100 phase points that hit the budget
-
-
 def classify_trapping(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
-                      cfg: RayConfig) -> TrappingReport:
-    """Sampled nontrapping verdict at the configured budget; censored rays listed."""
-    obstacles = _as_obstacles(obstacle)
-    states, _ = _build_states(coeffs, obstacles, *_seed_grid(geom.R, cfg))
-    res = _eval_rays(coeffs, obstacles, states, cfg, geom.R)
-    budget_idx = np.nonzero(res.termination == 1)[0]
-    censored = [PhasePoint(states[i, :2].copy(), states[i, 2:].copy())
-                for i in budget_idx[:100]]
-    return TrappingReport(
-        nontrapping=len(budget_idx) == 0,
-        n_samples=len(states),
-        n_budget=len(budget_idx),
-        n_glancing=int(np.sum(res.termination == 2)),
-        budget=cfg.max_time_budget,
-        censored_initial_conditions=censored,
-    )
+                      cfg: RayConfig) -> RayDiagnostics:
+    """Sampled nontrapping verdict at the configured budget: the seed sweep of
+    :func:`longest_ray_length` at R = ``geom.R``, its censored rays listed."""
+    diag = RayDiagnostics()
+    _sweep(coeffs, _as_obstacles(obstacle), cfg, geom.R, _seed_grid(geom.R, cfg), diag)
+    return diag

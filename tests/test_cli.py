@@ -252,6 +252,16 @@ def test_unknown_subcommand_exits_nonzero():
         main(["frobnicate"])
 
 
+def test_negative_refinement_rounds_rejected(tmp_path, capsys):
+    # a negative count once ran no refinement and was written to config.ini
+    cfg = _write(tmp_path, EUCLID_CFG)
+    rc = main(["rays", "--config", cfg, "--refine", "-2", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ValueError" and "refinement_rounds" in report["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_error_reported_structurally(tmp_path, capsys):
     cfg = _write(tmp_path, DISK_CFG)
     rc = main(["threshold", "--config", cfg, "--ledger", "/nonexistent.json",

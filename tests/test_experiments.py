@@ -160,9 +160,9 @@ def test_tridiagonal_lu_matches_dense_solve(which, op, ncols):
 def test_tridiagonal_matmul_matches_dense():
     # a complex vector meets bands cast to complex once, with the bits of the
     # product by the bands as stored; a real vector meets the real bands
-    mode = assemble_radial_mode(1, 5.0, radial_quadrature(1.0, 40))
+    mode = assemble_radial_mode(1, 5.0, radial_quadrature(1.0, 40), s=1)
     g = rng(4)
-    for band in (mode.K, mode.M, mode.E):
+    for band in (mode.K, mode.M, mode.B):
         assert band.shape == _dense(band).shape
         v = g.standard_normal(band.shape[0]) + 1j * g.standard_normal(band.shape[0])
         ref = _dense(band) @ v
@@ -199,18 +199,43 @@ def test_indefinite_mass_band_raises_typed_error():
         TridiagonalLDL(np.array([1.0, -1.0, 1.0]), np.array([0.5, 0.5]))
 
 
+def test_mass_is_the_output_gram_of_a_mode_at_s0():
+    # s = 0 reports the mass norm: no energy bands are summed, B is M itself
+    quad = radial_quadrature(1.0, 40, r_inner=0.3)
+    for n in (0, 2):
+        mode = assemble_radial_mode(n, 5.0, quad)
+        assert mode.B is mode.M
+
+
+@pytest.mark.parametrize("n, r_inner", [(0, 0.0), (3, 0.0), (2, 0.4)])
+def test_energy_gram_of_a_mode_is_the_dense_sum_on_free_nodes(n, r_inner):
+    # B at s = 1 is S + n^2 C + k^2 Mnu on the free nodes, with a and nu not
+    # constant so that no band stands in for another
+    a_of_r, nu_of_r = radial_profiles(nu_bump_coefficients(0.6, 0.4), 1.0)
+    quad = radial_quadrature(1.0, 30, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
+    k = 5.0
+    mode = assemble_radial_mode(n, k, quad, s=1)
+    S, C, Mnu, M0 = (_dense(radial.Tridiagonal(*b)) for b in (quad.S, quad.C, quad.Mnu, quad.M0))
+    free = np.ix_(mode.free, mode.free)
+    assert len(mode.free) == len(quad.grid) - (n != 0 or r_inner > 0.0)
+    assert np.array_equal(_dense(mode.B), (S + n * n * C + k * k * Mnu)[free])
+    assert np.array_equal(_dense(mode.M), M0[free])
+
+
 @pytest.mark.parametrize("s", [0, 1])
 def test_mode_cutoff_norm_matches_dense_singular_value(s):
     # ||ch K^{-1} M ch|| from the M norm to the B norm is the 2-norm of
     # L_B^T T L_M^{-T}, with M = L_M L_M^T and B = L_B L_B^T
-    mode = assemble_radial_mode(3, 3.0, radial_quadrature(1.0, 80, r_inner=0.5))
+    mode = assemble_radial_mode(3, 3.0, radial_quadrature(1.0, 80, r_inner=0.5), s=s)
     ch = RadialCutoff(0.8, 0.97)(mode.grid[mode.free])
-    M, K = _dense(mode.M), _dense(mode.K)
-    B = M if s == 0 else _dense(mode.E)
+    M, K, B = _dense(mode.M), _dense(mode.K), _dense(mode.B)
     T = ch[:, None] * np.linalg.solve(K, M * ch[None, :])
     LM, LB = np.linalg.cholesky(M), np.linalg.cholesky(B)
     dense = np.linalg.norm(LB.T @ T @ np.linalg.inv(LM.T), 2)
-    sigma, _, conv, _ = mode_cutoff_norm(mode, ch, s=s, rtol=1e-12, maxit=5000)
+    g = rng(5)
+    v0 = g.standard_normal(len(ch)) + 1j * g.standard_normal(len(ch))
+    sigma, _, conv, _ = mode_cutoff_norm(mode, ch, mode.lu_mass(), v0, rtol=1e-12,
+                                         maxit=5000)
     assert conv
     assert sigma == pytest.approx(dense, rel=1e-9)
 
@@ -250,9 +275,10 @@ def _mode_by_mode(k, quad, cut, s, seed):
     each solved alone with a fresh start vector and its own mass factor."""
     out = []
     for n in range(default_n_max(k, quad.R) + 1):
-        radial._start_vector.cache_clear()
-        mode = assemble_radial_mode(n, k, quad)
-        out.append((n, *mode_cutoff_norm(mode, cut(quad.grid[mode.free]), s=s, seed=seed)))
+        mode = assemble_radial_mode(n, k, quad, s)
+        g, m = np.random.default_rng(seed), len(mode.free)
+        v0 = g.standard_normal(m) + 1j * g.standard_normal(m)
+        out.append((n, *mode_cutoff_norm(mode, cut(quad.grid[mode.free]), mode.lu_mass(), v0)))
     return out
 
 
@@ -265,7 +291,6 @@ def test_modal_scan_draws_one_start_vector_per_layout(monkeypatch, r_inner, layo
     # on the modes it solves, which for s = 0 are a prefix of the sweep (the
     # rest are screened)
     k, cut = 6.0, RadialCutoff(0.8, 0.97)
-    radial._start_vector.cache_clear()
     draws, default_rng = [], np.random.default_rng
 
     def counting_rng(*args, **kwargs):
@@ -286,9 +311,6 @@ def test_modal_scan_draws_one_start_vector_per_layout(monkeypatch, r_inner, layo
     solved = solved[:len(res.per_mode)]
     assert res.per_mode == [m[:4] for m in solved]
     assert res.residual == max(m[4] for m in solved)
-    v0 = radial._start_vector(2, 10)
-    with pytest.raises(ValueError):
-        v0[0] = 1.0
 
 
 @pytest.mark.parametrize("r_inner", [0.0, 0.5])
@@ -395,6 +417,18 @@ def test_unknown_method_rejected(free_geom):
     with pytest.raises(ValueError, match="unknown method"):
         estimate_resolvent_norm(identity_coefficients(), None, free_geom,
                                 5.0, RadialCutoff(0.8, 0.97), 0.02, method="fem")
+
+
+@pytest.mark.parametrize("s", [0.5, 2, 3])
+def test_sobolev_index_other_than_0_or_1_rejected(free_geom, s):
+    # such an s was once computed as s = 1, while resolvent_scan scaled its
+    # references by k^(s - 1)
+    coeffs, cut = identity_coefficients(), RadialCutoff(0.8, 0.97)
+    for method in ("modal", "fem2d"):
+        with pytest.raises(ValueError, match="Sobolev index"):
+            estimate_resolvent_norm(coeffs, None, free_geom, 5.0, cut, 0.02, s=s, method=method)
+    with pytest.raises(ValueError, match="Sobolev index"):
+        resolvent_scan(coeffs, None, free_geom, [5.0], cut, s=s)
 
 
 def test_vanishing_cutoff_gives_zero(free_geom):

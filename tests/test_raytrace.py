@@ -271,6 +271,13 @@ def test_longest_ray_disk_in_ball_smaller_than_unit(ident, unit_ball_geom, half_
     assert res.L == pytest.approx(np.sqrt(0.8**2 - 0.5**2), abs=2e-3)
 
 
+def test_ray_config_rejects_negative_refinement_rounds():
+    # a negative count once ran no refinement and was written back as given
+    with pytest.raises(ValueError, match="refinement_rounds"):
+        RayConfig(refinement_rounds=-3)
+    assert RayConfig(refinement_rounds=0).refinement_rounds == 0
+
+
 def test_ray_config_needs_two_refine_points():
     # the refined spacing 2 h / (refine_points - 1) divides by zero at 1
     with pytest.raises(ValueError, match="refine_points"):
@@ -338,6 +345,10 @@ def test_classify_trapping_euclid_and_disk(ident):
     assert classify_trapping(ident, None, geom, cfg).nontrapping
     rep = classify_trapping(ident, disk_obstacle(0.5), geom, cfg)
     assert rep.nontrapping and rep.n_budget == 0
+    # the verdict is the seed sweep of longest_ray_length, counted alike
+    seed = longest_ray_length(ident, disk_obstacle(0.5), geom, geom.R,
+                              replace(cfg, refinement_rounds=0))
+    assert rep == seed.diagnostics
 
 
 def test_classify_trapping_two_disks(ident):
@@ -348,7 +359,7 @@ def test_classify_trapping_two_disks(ident):
     assert not rep.nontrapping
     assert rep.n_budget > 0
     # the bouncing orbit lives on the axis between the disks
-    p = rep.censored_initial_conditions[0]
+    p = rep.censored[0]
     assert abs(p.x[1]) < 1e-9 and abs(p.xi[1]) < 1e-9
 
 

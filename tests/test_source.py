@@ -50,6 +50,35 @@ def test_module_imports_at_module_level(path):
     assert _nested_imports(ast.parse(path.read_text())) == []
 
 
+def _memo_caches(tree):
+    """Module-level functions in ``tree`` decorated with ``functools.lru_cache``
+    or ``functools.cache``, called or not, imported by name or not."""
+    def name(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(name(d) in ("lru_cache", "cache") for d in node.decorator_list))
+
+
+def test_memo_cache_detector():
+    tree = ast.parse("import functools\nfrom functools import cache, cached_property, lru_cache\n"
+                     "@lru_cache(maxsize=1)\ndef a():\n    pass\n"
+                     "@functools.lru_cache\ndef b():\n    pass\n"
+                     "@cache\ndef c():\n    pass\n"
+                     "@functools.cache\ndef d():\n    pass\n"
+                     "@staticmethod\ndef e():\n    pass\n"
+                     "class K:\n    @cached_property\n    def f(self):\n        pass\n")
+    assert _memo_caches(tree) == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_no_memo_cache(path):
+    # a module-level memo is state shared by every caller, which tests must
+    # clear; a per-instance cached_property is allowed
+    assert _memo_caches(ast.parse(path.read_text())) == []
+
+
 def _private_names(tree):
     """Names bound at module level in ``tree`` that start with one underscore."""
     bound = set()
