@@ -8,10 +8,9 @@ from .bounds import (ConstantsLedger, ThresholdReport, compute_C_DtN,
                      resolvent_upper_bound, schatz_condition, volterra_norm)
 from .dtn import DtnOperator, build_dtn, hankel_ratio
 from .geometry import (CoefficientField, Obstacle, TruncationGeometry,
-                       WaveContext, boundary_normal, disk_obstacle,
-                       fourier_obstacle, identity_coefficients,
-                       nu_bump_coefficients, signed_distance,
-                       validate_configuration)
+                       boundary_normal, disk_obstacle, fourier_obstacle,
+                       identity_coefficients, nu_bump_coefficients,
+                       signed_distance, validate_configuration)
 from .raytrace import (PhasePoint, RayConfig, Trajectory, classify_trapping,
                        hamiltonian, integrate_ray, longest_ray_length, time_in_ball)
 

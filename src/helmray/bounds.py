@@ -78,7 +78,6 @@ class ConstantsLedger:
     nu_max: float
     k0: float
     L_ray: float
-    s: float = 0.0
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -275,7 +274,7 @@ def estimate_C_int_tilde(h_values=(0.2, 0.1, 0.05)):
              np.stack([np.exp(x[:, 0] - x[:, 1]), -np.exp(x[:, 0] - x[:, 1])], 1),
              np.stack([-np.exp(x[:, 0] - x[:, 1]), np.exp(x[:, 0] - x[:, 1])], 1)], 1)),
     ]
-    geom = TruncationGeometry(R1=0.9, R=1.0, R_ray=3.0)
+    geom = TruncationGeometry(R1=0.9, R=1.0)
     ident = identity_coefficients()
     worst = 0.0
     for h in h_values:
@@ -304,6 +303,8 @@ def estimate_C_H2(coeffs, obstacle, geom, h=0.04, samples=8, seed=0) -> CH2Estim
     measured by gradient recovery, and the bound's ratio is maximized over
     samples.  A lower estimate by construction.
     """
+    if samples < 1:
+        raise ValueError(f"samples = {samples}: the estimate needs at least one sample")
     rng = make_rng(seed)
     R_pad = geom.R + 1.0
     mesh = generate_mesh(obstacle, geom, h, outer_radius=R_pad)

@@ -92,10 +92,10 @@ def _floats(text):
 
 def _cmd_validate(args, cfg):
     coeffs = cfg.coefficients()
-    R1, R, R_ray = (cfg.get("geometry", name) for name in ("R1", "R", "R_ray"))
+    R1, R = cfg.get("geometry", "R1"), cfg.get("geometry", "R")
     # misordered radii admit no TruncationGeometry, so no other invariant is checked
-    failures = (validate_configuration(coeffs, cfg.obstacle(), cfg.geometry()).failures
-                if 0.0 < R1 < R < R_ray else [("radius ordering", None)])
+    failures = (validate_configuration(coeffs, cfg.obstacle(), cfg.geometry())
+                if 0.0 < R1 < R else [("radius ordering", None)])
     grad_err = check_gradients(coeffs, np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.1]]))
     payload = {
         "ok": not failures,
@@ -204,7 +204,7 @@ def _cmd_solve(args, cfg):
 
 def _cmd_constants(args, cfg):
     coeffs, obstacle, geom = cfg.problem()
-    k0 = cfg.wave().k0
+    k0 = cfg.get("wave", "k0")
     c_int_tilde = estimate_C_int_tilde()
     c_dtn_tilde = exact_C_DtN_tilde(geom.R, [k0, 2.0 * k0, 4.0 * k0])
     ch2 = estimate_C_H2(coeffs, obstacle, geom, samples=args.samples, seed=cfg.seed())

@@ -2,7 +2,8 @@
 geometry, wave, ray sampling, discretization, and experiment parameters.
 
 One table types every key and holds its default; unknown sections and keys,
-and values that do not parse as their key's type, are rejected.  Parsing round-trips: parse -> serialize -> parse is the
+values that do not parse as their key's type, and numbers that are not
+finite are rejected.  Parsing round-trips: parse -> serialize -> parse is the
 identity.  The key reference lives in the repository documentation
 (docs/config.md).
 """
@@ -15,8 +16,9 @@ import io
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .geometry import (COEFFICIENT_PRESETS, Obstacle, TruncationGeometry,
-                       WaveContext, fourier_obstacle)
+import numpy as np
+
+from .geometry import COEFFICIENT_PRESETS, Obstacle, TruncationGeometry, fourier_obstacle
 from .raytrace import RayConfig
 from .util import sha256_text
 
@@ -26,15 +28,11 @@ from .util import sha256_text
 _KEYS = {
     "coefficients": {
         "preset": (str, "identity"),
-        "amplitude": (float, None), "width": (float, None),
-        "support_radius": (float, None), "a1": (float, None),
+        "amplitude": (float, None), "width": (float, None), "a1": (float, None),
         "a2": (float, None), "angle": (float, None),
     },
-    "obstacle": {
-        "empty": (bool, "true"),
-        "rho_fourier_coefficients": (list, None), "rho_fourier_sin": (list, None),
-    },
-    "geometry": {"r1": (float, "1.0"), "r": (float, "2.0"), "r_ray": (float, "4.0")},
+    "obstacle": {"rho_fourier_coefficients": (list, None), "rho_fourier_sin": (list, None)},
+    "geometry": {"r1": (float, "1.0"), "r": (float, "2.0")},
     "wave": {"k": (float, "5.0"), "k0": (float, "1.0")},
     # the keyword arguments of RayConfig but the code-only refine_points
     "ray": {f.name: (type(f.default), str(f.default)) for f in fields(RayConfig)
@@ -54,16 +52,16 @@ def _check_keys(sec, keys):
 
 
 def _cast(sec, key, text):
-    """``text`` as the type the table gives ``[sec] key``."""
+    """``text`` as the type the table gives ``[sec] key``; a number must be finite."""
     kind = _KEYS[sec][key][0]
     try:
-        if kind is list:
-            return [float(tok) for tok in text.replace(",", " ").split()]
-        if kind is bool:
-            return {"true": True, "false": False}[text.lower()]
-        return kind(text)
-    except (KeyError, ValueError):
+        value = ([float(tok) for tok in text.replace(",", " ").split()] if kind is list
+                 else kind(text))
+    except ValueError:
         raise ValueError(f"[{sec}] {key} = {text!r} is not a {kind.__name__}") from None
+    if kind is not str and not np.all(np.isfinite(value)):
+        raise ValueError(f"[{sec}] {key} = {text!r} is not finite")
+    return value
 
 
 @dataclass
@@ -137,25 +135,21 @@ class RunConfig:
         return preset(**{key: self.get("coefficients", key) for key in keys})
 
     def obstacle(self) -> Optional[Obstacle]:
-        if self.get("obstacle", "empty"):
-            return None
+        """The obstacle ``rho_fourier_coefficients`` describes, None when unset."""
         cos_c = self.get("obstacle", "rho_fourier_coefficients")
+        sin_c = self.get("obstacle", "rho_fourier_sin")
+        if cos_c is None and sin_c is None:
+            return None
         if not cos_c:
-            raise ValueError("non-empty obstacle needs rho_fourier_coefficients")
-        sin_c = self.get("obstacle", "rho_fourier_sin") or ()
-        return fourier_obstacle(cos_c, sin_c)
+            raise ValueError("an obstacle needs rho_fourier_coefficients")
+        return fourier_obstacle(cos_c, sin_c or ())
 
     def geometry(self) -> TruncationGeometry:
-        return TruncationGeometry(R1=self.get("geometry", "R1"),
-                                  R=self.get("geometry", "R"),
-                                  R_ray=self.get("geometry", "R_ray"))
+        return TruncationGeometry(R1=self.get("geometry", "R1"), R=self.get("geometry", "R"))
 
     def problem(self):
         """The (coefficients, obstacle, geometry) triple most runs start from."""
         return self.coefficients(), self.obstacle(), self.geometry()
-
-    def wave(self) -> WaveContext:
-        return WaveContext(k=self.get("wave", "k"), k0=self.get("wave", "k0"))
 
     def ray_config(self) -> RayConfig:
         return RayConfig(**{key: self.get("ray", key) for key in _KEYS["ray"]})

@@ -325,6 +325,8 @@ def estimate_eta(coeffs, obstacle, geom, k, h_fem, samples=8, seed=0) -> EtaEsti
     coarse space; eta is the sup of |S*f - P S*f|_E / |f|_{L^2}.  Nondecreasing
     in samples.
     """
+    if samples < 1:
+        raise ValueError(f"samples = {samples}: the estimate needs at least one sample")
     coarse_mesh = generate_mesh(obstacle, geom, h_fem)
     fine_mesh = generate_mesh(obstacle, geom, h_fem / 4)
     coarse = build_space(coarse_mesh)
@@ -420,6 +422,8 @@ def h2_scaling_study(coeffs, obstacle, geom, k_values, seed=0, loads=3):
     per k and the exponent fitted to |u|_{H^2}/|f| ~ k^p (prediction: p = 1),
     on meshes of width min(0.08, 0.5/k^2).
     """
+    if len(set(map(float, k_values))) < 2:
+        raise ValueError(f"k = {list(k_values)}: the fitted exponent needs two distinct k")
     rng = make_rng(seed)
     beams = [(rng.uniform(0.0, 2.0 * np.pi),
               rng.uniform(0.75 * geom.R1, 0.95 * geom.R1)) for _ in range(loads)]

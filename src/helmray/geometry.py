@@ -11,7 +11,7 @@ trailing coordinate axis: positions have shape (..., 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,30 +85,14 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class TruncationGeometry:
-    """Radii: coefficient support R1 < truncation R < ray escape radius R_ray."""
+    """Radii: coefficient support R1 < truncation R."""
 
     R1: float
     R: float
-    R_ray: float
 
     def __post_init__(self):
-        if not (0.0 < self.R1 < self.R < self.R_ray):
-            raise ValueError(
-                f"radii must satisfy 0 < R1 < R < R_ray, got "
-                f"({self.R1}, {self.R}, {self.R_ray})"
-            )
-
-
-@dataclass(frozen=True)
-class WaveContext:
-    """Wavenumber k and the threshold wavenumber k0 below which bounds are not claimed."""
-
-    k: float
-    k0: float
-
-    def __post_init__(self):
-        if not (self.k >= self.k0 > 0.0):
-            raise ValueError(f"need k >= k0 > 0, got k={self.k}, k0={self.k0}")
+        if not (0.0 < self.R1 < self.R):
+            raise ValueError(f"radii must satisfy 0 < R1 < R, got ({self.R1}, {self.R})")
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +153,10 @@ def _zero_grad_nu(x, nu=None):
     return np.zeros(np.shape(x)[:-1] + (2,))
 
 
-def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_radius=None):
+def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5):
     """A = I + b(r) Q diag(a1, a2) Q^T and nu = 1 + amplitude b(r), with b(r) =
-    bump(r / width) and Q the rotation by ``angle``.
+    bump(r / width) and Q the rotation by ``angle``, declared supported in
+    the disk of radius ``width``.
 
     Where b = 0 both are exactly I and 1.  A part with no perturbation (a1 = a2
     = 0, or amplitude = 0) is the plain identity / one and never evaluates b.
@@ -213,7 +198,7 @@ def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_ra
     eigs = (1.0, 1.0 + a1, 1.0 + a2)
     return CoefficientField(
         eval_A, eval_nu, eval_grad_A, eval_grad_nu,
-        support_radius=float(support_radius) if support_radius is not None else w,
+        support_radius=w,
         A_min=min(eigs), A_max=max(eigs),
         nu_min=1.0 + min(amplitude, 0.0), nu_max=1.0 + max(amplitude, 0.0),
     )
@@ -221,21 +206,21 @@ def _radial_bump(amplitude=0.0, a1=0.0, a2=0.0, angle=0.0, width=0.5, support_ra
 
 def identity_coefficients():
     """A = I, nu = 1 everywhere."""
-    return _radial_bump(support_radius=0.0)
+    return _radial_bump(width=0.0)
 
 
-def nu_bump_coefficients(amplitude=1.0, width=0.5, support_radius=None):
+def nu_bump_coefficients(amplitude=1.0, width=0.5):
     """A = I and nu = 1 + amplitude * bump(r / width): a radial refractive bump.
 
     nu_max = 1 + amplitude at the origin; the perturbation vanishes identically
     for r >= width.
     """
-    return _radial_bump(amplitude=amplitude, width=width, support_radius=support_radius)
+    return _radial_bump(amplitude=amplitude, width=width)
 
 
-def anisotropic_coefficients(a1=0.5, a2=0.0, angle=0.0, width=0.5, support_radius=None):
+def anisotropic_coefficients(a1=0.5, a2=0.0, angle=0.0, width=0.5):
     """A = I + b Q diag(a1, a2) Q^T with b the radial bump, Q a fixed rotation."""
-    return _radial_bump(a1=a1, a2=a2, angle=angle, width=width, support_radius=support_radius)
+    return _radial_bump(a1=a1, a2=a2, angle=angle, width=width)
 
 
 COEFFICIENT_PRESETS = {
@@ -310,17 +295,14 @@ def boundary_normal(obstacle: Obstacle, x):
 # validation
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: list = field(default_factory=list)  # (invariant name, sample point or None)
-
-
 def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle],
                            geom: TruncationGeometry):
-    """Dense-sample check of the structural invariants of a configuration.
+    """Dense-sample check of the structural invariants of a configuration, on
+    the disk of radius 2 R; returns the failures as (invariant name, sample
+    point or None) pairs, none when the configuration passes.
 
-    Checks, in order: exact identity coefficients outside the support radius,
+    Checks, in order: exact identity coefficients outside both R1 and the
+    declared ``support_radius`` (beyond which the ray tracer flies straight),
     quadratic-form bounds and symmetry of A inside, nu bounds, the values the
     gradient callables write (bit for bit those of eval_nu and eval_A),
     obstacle smoothness/periodicity, and obstacle containment in the support
@@ -329,10 +311,11 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
     preconditions, not decidable here.
     """
     failures = []
+    r_max = 2.0 * geom.R
 
     th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     # outside the support radius: exactly Euclidean
-    for r in np.linspace(geom.R1 * 1.000001, geom.R_ray, 8):
+    for r in np.linspace(min(geom.R1, coeffs.support_radius) * 1.000001, r_max, 8):
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         dev = np.maximum(np.abs(coeffs.eval_A(pts) - np.eye(2)).max(axis=(-2, -1)),
                          np.abs(coeffs.eval_nu(pts) - 1.0))
@@ -341,7 +324,7 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
             break
 
     # inside: bounds and symmetry
-    rr = np.linspace(0.0, geom.R_ray, 24)
+    rr = np.linspace(0.0, r_max, 24)
     grid = np.stack(
         [rr[:, None] * np.cos(th)[None, :], rr[:, None] * np.sin(th)[None, :]], axis=-1
     ).reshape(-1, 2)
@@ -389,7 +372,7 @@ def validate_configuration(coeffs: CoefficientField, obstacle: Optional[Obstacle
         if obstacle.outer_reach >= geom.R1:
             failures.append(("obstacle not contained in the coefficient support disk", None))
 
-    return ValidationReport(ok=not failures, failures=failures)
+    return failures
 
 
 def check_gradients(coeffs: CoefficientField, points, step=1e-5):

@@ -175,8 +175,11 @@ def assemble_radial_mode(n, k, quad: RadialQuadrature, s=0) -> RadialMode:
     Node r = r_inner is constrained when it is an obstacle boundary, and when
     n != 0 at the axis (modes with angular dependence vanish at r = 0).
     The output Gram ``B`` is ``M`` itself for s = 0 and the energy Gram
-    int (a u' v' + a n^2/r^2 u v + k^2 nu u v) r dr for s = 1.
+    int (a u' v' + a n^2/r^2 u v + k^2 nu u v) r dr for s = 1; no other s
+    is defined.
     """
+    if s not in (0, 1):
+        raise ValueError(f"Sobolev index s = {s!r}: expected 0 or 1")
     t_n = k * hankel_ratio(n, k * quad.R)
     A = [st + n * n * c for st, c in zip(quad.S, quad.C)]
     K = [a.astype(complex) - (k * k) * m for a, m in zip(A, quad.Mnu)]

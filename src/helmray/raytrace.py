@@ -30,7 +30,7 @@ phase-space starting points of the last time the ray is inside the ball.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,6 +86,9 @@ class RayConfig:
     frame_rotation: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} = {getattr(self, f.name)} is not finite")
         for name in ("step_size", "max_time_budget", "glancing_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -545,14 +548,14 @@ def integrate_ray(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
 
     The trajectory holds every RK4 step inside the perturbation and samples
     each straight flight at spacing ``cfg.step_size`` in time, ending at its
-    event.
+    event.  An escaped ray ends on the circle the longest-ray search ends it on.
     """
     if abs(hamiltonian(coeffs, p0)) > 1e-6:
         raise ValueError("initial point is not on the characteristic set")
     obstacles = _as_obstacles(obstacle)
     rec = {"times": [0.0], "states": [p0.state()], "reflections": []}
-    batch = _integrate_batch(coeffs, obstacles, p0.state()[None, :], cfg,
-                             R_track=geom.R, escape_radius=geom.R_ray, record=rec)
+    batch = _integrate_batch(coeffs, obstacles, p0.state()[None, :], cfg, R_track=geom.R,
+                             escape_radius=_escape_radius(coeffs, obstacles, geom.R), record=rec)
     return Trajectory(np.array(rec["times"]), np.array(rec["states"]),
                       rec["reflections"], list(Termination)[batch.termination[0]])
 
@@ -636,11 +639,15 @@ def _seed_grid(R, cfg):
             a + np.linspace(0.0, 2 * np.pi, cfg.grid_dir, endpoint=False))
 
 
+def _escape_radius(coeffs, obstacles, R):
+    """The circle escaped rays end on: clear of B(0, R), the perturbation and
+    every obstacle."""
+    return max(R, coeffs.support_radius, *(ob.outer_reach for ob in obstacles)) + 0.25
+
+
 def _eval_rays(coeffs, obstacles, states, cfg, R):
-    # escaped rays end on a circle clear of the perturbation and every obstacle
-    escape = max(R, coeffs.support_radius, *(ob.outer_reach for ob in obstacles)) + 0.25
     return _integrate_batch(coeffs, obstacles, states, cfg, R_track=R,
-                            escape_radius=escape)
+                            escape_radius=_escape_radius(coeffs, obstacles, R))
 
 
 def _sweep(coeffs, obstacles, cfg, R, grid, diag):

@@ -29,7 +29,7 @@ def nu_bump():
 
 @pytest.fixture(scope="session")
 def unit_ball_geom():
-    return TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    return TruncationGeometry(R1=0.5, R=1.0)
 
 
 @pytest.fixture(scope="session")

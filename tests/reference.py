@@ -20,7 +20,7 @@ def estimate_C_DtN_tilde(R, k_values, h=0.05):
     the radiation block, equals that of C^H (2 pi R diag(t)) C, where
     C C^H = P E^{-1} P^H (Cholesky of the small modal Gram).  Returns the max over k.
     """
-    geom = TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R)
+    geom = TruncationGeometry(R1=0.9 * R, R=R)
     space = build_space(generate_mesh(None, geom, h))
     system = assemble(identity_coefficients(), space, None, 0.0)
     worst = 0.0

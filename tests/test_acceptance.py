@@ -46,7 +46,7 @@ def test_criterion_01_volterra_constant():
 
 def test_criterion_02_longest_ray_euclidean():
     t0 = time.perf_counter()
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     res = longest_ray_length(identity_coefficients(), None, geom, 1.0, RayConfig())
     elapsed = time.perf_counter() - t0
     ok = abs(res.L - 1.0) <= 1e-3 and elapsed < 30.0
@@ -55,7 +55,7 @@ def test_criterion_02_longest_ray_euclidean():
 
 def test_criterion_03_longest_ray_disk():
     t0 = time.perf_counter()
-    geom = TruncationGeometry(R1=0.6, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.6, R=1.0)
     res = longest_ray_length(identity_coefficients(), disk_obstacle(0.5),
                              geom, 1.0, RayConfig())
     elapsed = time.perf_counter() - t0
@@ -108,7 +108,7 @@ def test_criterion_05_dtn_sign_and_wronskian():
 def test_criterion_06_mie_validation_and_order():
     t0 = time.perf_counter()
     k, a, R = 4.0, 1.0, 2.0  # kR = 8 on the truncation circle
-    geom = TruncationGeometry(R1=1.5, R=R, R_ray=4.5)
+    geom = TruncationGeometry(R1=1.5, R=R)
     coeffs = identity_coefficients()
     obs = disk_obstacle(a)
     uex, field = soft_disk_total_field(k, a, (1.0, 0.0))
@@ -133,9 +133,9 @@ def test_criterion_06_mie_validation_and_order():
 
 
 def test_criterion_07_garding_inequality():
-    geom = TruncationGeometry(R1=1.2, R=2.0, R_ray=4.0)
+    geom = TruncationGeometry(R1=1.2, R=2.0)
     k = 4.0
-    coeffs = nu_bump_coefficients(0.8, 1.0, support_radius=1.2)
+    coeffs = nu_bump_coefficients(0.8, 1.0)
     mesh = generate_mesh(disk_obstacle(0.8), geom, 0.1)
     space = build_space(mesh)
     system = assemble(coeffs, space, build_dtn(k, geom.R), k)
@@ -155,7 +155,7 @@ def test_criterion_07_garding_inequality():
 
 def test_criterion_08_resolvent_plateau():
     t0 = time.perf_counter()
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=3.0)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     cut = RadialCutoff(0.8, 0.97)
     lo = 2.0 * 0.8 / np.pi * 0.85
     hi = 2.0 * 1.0 / np.pi * 1.15
@@ -182,7 +182,7 @@ def test_criterion_09_quasimode_ratio():
 
 def test_criterion_10_quasioptimality():
     t0 = time.perf_counter()
-    geom = TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5)
+    geom = TruncationGeometry(R1=0.7, R=1.0)
     obs = disk_obstacle(0.5)
     coeffs = identity_coefficients()
     k0 = 2.0
@@ -230,7 +230,7 @@ def test_criterion_11_threshold_mechanics():
 
 def test_criterion_12_determinism(tmp_path):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[geometry]\nr1 = 0.5\nr = 1.0\nr_ray = 1.25\n")
+    cfg.write_text("[geometry]\nr1 = 0.5\nr = 1.0\n")
     blobs = []
     for name in ("first", "second"):
         rc = cli_main(["resolvent-scan", "--config", str(cfg), "--ks", "3,5",

@@ -49,7 +49,7 @@ def test_ledger_rejects_small_ray_length():
 
 @pytest.mark.parametrize("name, value", [
     ("C_H2", -1.0), ("C_H2", 0.0), ("C_int_tilde", 0.0), ("C_DtN_tilde", -0.1),
-    ("L_ray", np.nan), ("k0", np.inf), ("s", np.nan), ("A_min", 0.0), ("A_max", 0.5),
+    ("L_ray", np.nan), ("k0", np.inf), ("A_min", 0.0), ("A_max", 0.5),
     ("nu_min", -1.0), ("nu_max", 0.5)])
 def test_ledger_rejects_constants_outside_their_range(name, value):
     # a ledger read with --ledger comes from outside the program; C_H2 = -1
@@ -210,7 +210,7 @@ def test_estimate_C_DtN_tilde_matches_dense_cholesky_oracle():
     from helmray.mesh import generate_mesh
 
     R, k, h = 1.0, 3.0, 0.2
-    mesh = generate_mesh(None, TruncationGeometry(R1=0.9 * R, R=R, R_ray=3.0 * R), h)
+    mesh = generate_mesh(None, TruncationGeometry(R1=0.9 * R, R=R), h)
     space = build_space(mesh)
     assert space.n_dofs == 217
     dtn = build_dtn(k, R)
@@ -225,7 +225,7 @@ def test_estimate_C_DtN_tilde_matches_dense_cholesky_oracle():
 
 @pytest.fixture(scope="module")
 def ch2_setup():
-    geom = TruncationGeometry(R1=0.8, R=1.0, R_ray=3.1)
+    geom = TruncationGeometry(R1=0.8, R=1.0)
     return identity_coefficients(), geom
 
 
@@ -243,6 +243,13 @@ def _padded_laplace_ratio(coeffs, geom, h, f):
     grad = float(np.sqrt(np.real(np.vdot(v, system.stiffness @ v))))
     l2v = float(np.sqrt(np.real(np.vdot(v, system.mass_plain @ v))))
     return h2 / (grad + l2v + l2_norm_exact(space, f))
+
+
+def test_estimate_C_H2_needs_a_sample(ch2_setup):
+    # the maximum over no sample once failed inside numpy
+    coeffs, geom = ch2_setup
+    with pytest.raises(ValueError, match="samples = 0"):
+        estimate_C_H2(coeffs, None, geom, samples=0)
 
 
 def test_estimate_C_H2_radial_oracle(ch2_setup):

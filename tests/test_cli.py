@@ -19,11 +19,12 @@ from helmray.mesh import generate_mesh
 from helmray.raytrace import RayConfig
 from helmray.util import write_json
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 EUCLID_CFG = """
 [geometry]
 R1 = 0.5
 R = 1.0
-R_ray = 1.25
 
 [wave]
 k = 4.0
@@ -35,13 +36,11 @@ DISK_CFG = """
 preset = identity
 
 [obstacle]
-empty = false
 rho_fourier_coefficients = 0.5
 
 [geometry]
 R1 = 0.7
 R = 1.0
-R_ray = 1.25
 
 [wave]
 k = 4.0
@@ -63,13 +62,12 @@ def test_config_roundtrip_stable():
     assert cfg2.sha256() == cfg.sha256()
 
 
-_floats = st.floats(allow_nan=False)
+_floats = st.floats(allow_nan=False, allow_infinity=False)    # the config takes finite numbers
 # a strategy for the typed values of each key type, and how `set` receives them
 _STRATEGIES = {
     float: (_floats, lambda v: v),
     int: (st.integers(-2**63, 2**63), lambda v: v),
     list: (st.lists(_floats, max_size=5), lambda v: ", ".join(map(repr, v))),
-    bool: (st.booleans(), lambda v: v),
     str: (st.sampled_from(sorted(COEFFICIENT_PRESETS)), lambda v: v),  # only `preset`
 }
 # every key of the table with its strategy
@@ -102,7 +100,6 @@ def test_config_roundtrip_keeps_text_and_typed_values(data):
 def test_config_typed_access():
     cfg = RunConfig.from_text(DISK_CFG)
     assert cfg.get("geometry", "R") == 1.0
-    assert cfg.get("obstacle", "empty") is False
     assert cfg.get("obstacle", "rho_fourier_coefficients") == [0.5]
     obstacle = cfg.obstacle()
     assert obstacle.max_radius == pytest.approx(0.5)
@@ -134,13 +131,54 @@ def test_config_get_returns_default_for_unset_keys():
     assert cfg.get("coefficients", "amplitude") is None
 
 
-@pytest.mark.parametrize("text", ["[obstacle]\nempty = no\n", "[wave]\nk = 4,0\n",
+@pytest.mark.parametrize("text", ["[wave]\nk = 4,0\n",
                                   "[ray]\ngrid_dir = 64.0\n",
-                                  "[obstacle]\nrho_fourier_sin = 0.1 x\n"])
+                                  "[obstacle]\nrho_fourier_sin = 0.1 x\n",
+                                  # numbers must be finite
+                                  "[wave]\nk = inf\n", "[geometry]\nr = nan\n",
+                                  "[ray]\nframe_rotation = -inf\n",
+                                  "[obstacle]\nrho_fourier_coefficients = 0.5 nan\n"])
 def test_config_rejects_a_value_of_the_wrong_type(text):
     key = text.split("\n")[1].split(" =")[0]
     with pytest.raises(ValueError, match=rf"\] {key} = "):
         RunConfig.from_text(text)
+
+
+def test_removed_keys_are_rejected_by_name(tmp_path):
+    # keys that restated what the code derives fail as [fem] quad_degree does
+    for sec, line in (("obstacle", "empty = false"), ("geometry", "R_ray = 1.25"),
+                      ("coefficients", "support_radius = 0.5")):
+        key = line.split(" =")[0].lower()
+        with pytest.raises(ValueError, match=rf"'{key}' in section \[{sec}\]"):
+            RunConfig.from_text(f"[{sec}]\n{line}\n")
+    from helmray.bounds import ConstantsLedger
+    led = ConstantsLedger(C_int_tilde=0.2, C_DtN_tilde=2.7, C_H2=0.35, A_min=1.0, A_max=1.0,
+                          nu_min=1.0, nu_max=1.0, k0=2.0, L_ray=2.0)
+    path = tmp_path / "ledger.json"
+    write_json(path, {**asdict(led), "s": 0.0})
+    with pytest.raises(ValueError, match="unknown ledger key 's'"):
+        ConstantsLedger.from_json(path)
+
+
+def test_obstacle_exists_exactly_when_its_coefficients_are_set():
+    assert RunConfig.from_text("").obstacle() is None
+    obstacle = RunConfig.from_text("[obstacle]\nrho_fourier_coefficients = 0.5\n").obstacle()
+    assert obstacle.min_radius == obstacle.max_radius == 0.5
+    with pytest.raises(ValueError, match="rho_fourier_coefficients"):
+        RunConfig.from_text("[obstacle]\nrho_fourier_sin = 0.1\n").obstacle()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_config_parses_and_validates(tmp_path, path):
+    cfg = RunConfig.from_file(path)
+    radius = {"disk.ini": 0.5, "euclid.ini": None, "nu_bump.ini": None}[path.name]
+    obstacle = cfg.obstacle()
+    if radius is None:
+        assert obstacle is None
+    else:
+        assert obstacle.centered and obstacle.min_radius == obstacle.max_radius == radius
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "validation.json").read_text())["ok"] is True
 
 
 def test_validate_subcommand(tmp_path):
@@ -167,7 +205,7 @@ def test_validate_reports_a_key_the_preset_does_not_take(tmp_path, capsys):
 
 
 def test_validate_fails_on_bad_geometry(tmp_path):
-    bad = EUCLID_CFG.replace("R_ray = 1.25", "R_ray = 0.9")
+    bad = EUCLID_CFG.replace("R1 = 0.5", "R1 = 1.5")
     cfg = _write(tmp_path, bad)
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     payload = json.loads((tmp_path / "o" / "validation.json").read_text())
@@ -259,6 +297,16 @@ def test_negative_refinement_rounds_rejected(tmp_path, capsys):
     assert rc == 1
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "ValueError" and "refinement_rounds" in report["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_ray_setting_rejected(tmp_path, capsys):
+    # NaN passed every "<= 0" check and gave a wrong L, or failed deep in the tracer
+    cfg = str(CONFIGS / "disk.ini")
+    rc = main(["rays", "--config", cfg, "--step", "nan", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ValueError" and "step_size" in report["message"]
     assert not (tmp_path / "o").exists()
 
 

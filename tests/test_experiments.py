@@ -30,7 +30,7 @@ from conftest import rng
 
 @pytest.fixture(scope="module")
 def free_geom():
-    return TruncationGeometry(R1=0.5, R=1.0, R_ray=3.0)
+    return TruncationGeometry(R1=0.5, R=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_cutoff_normal_is_mass_self_adjoint(path):
         if path == "star":
             coeffs, obstacle, geom = (
                 anisotropic_coefficients(), fourier_obstacle([0.5, 0.05, 0.05], [0, 0.05]),
-                TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5))
+                TruncationGeometry(R1=0.7, R=1.0))
         else:
             name = "disk" if path == "fem2d" else "nu_bump"
             cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
@@ -377,7 +377,7 @@ def test_off_centre_disk_does_not_take_the_modal_path():
     # the modal path solves about the origin; an off-centre disk once took it
     # and returned the centred disk's value bit for bit
     args = (identity_coefficients(), disk_obstacle(0.3, center=(0.4, 0.0)),
-            TruncationGeometry(0.9, 1.0, 3.0), 2.0, RadialCutoff(0.8, 0.97), 0.05)
+            TruncationGeometry(0.9, 1.0), 2.0, RadialCutoff(0.8, 0.97), 0.05)
     with pytest.raises(ValueError, match="rotationally symmetric"):
         estimate_resolvent_norm(*args, method="modal")
     # auto takes fem2d, whose structured mesher needs a centred obstacle
@@ -429,6 +429,15 @@ def test_sobolev_index_other_than_0_or_1_rejected(free_geom, s):
             estimate_resolvent_norm(coeffs, None, free_geom, 5.0, cut, 0.02, s=s, method=method)
     with pytest.raises(ValueError, match="Sobolev index"):
         resolvent_scan(coeffs, None, free_geom, [5.0], cut, s=s)
+
+
+@pytest.mark.parametrize("s", [0.5, 2])
+def test_radial_api_rejects_sobolev_index_other_than_0_or_1(s):
+    # the modal sweep once computed every s != 0 as s = 1
+    with pytest.raises(ValueError, match="Sobolev index"):
+        radial_cutoff_resolvent_norm(10.0, 1.0, 0.01, RadialCutoff(0.8, 0.97), s=s)
+    with pytest.raises(ValueError, match="Sobolev index"):
+        assemble_radial_mode(0, 10.0, radial_quadrature(1.0, 100), s=s)
 
 
 def test_vanishing_cutoff_gives_zero(free_geom):
@@ -530,7 +539,7 @@ def test_quasimode_parameter_validation():
 
 
 def test_projector_tables_match_per_matrix_coo_builds():
-    geom = TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5)
+    geom = TruncationGeometry(R1=0.7, R=1.0)
     obs = disk_obstacle(0.5)
     coarse = build_space(generate_mesh(obs, geom, 0.1))
     fine = build_space(generate_mesh(obs, geom, 0.05))
@@ -576,7 +585,7 @@ def test_eta_running_sup_and_schatz_comparison(free_geom):
 
 @pytest.fixture(scope="module")
 def disk_study():
-    geom = TruncationGeometry(R1=0.7, R=1.0, R_ray=3.2)
+    geom = TruncationGeometry(R1=0.7, R=1.0)
     obs = disk_obstacle(0.5)
     led = ConstantsLedger(C_int_tilde=0.20, C_DtN_tilde=2.7, C_H2=0.35,
                           A_min=1, A_max=1, nu_min=1, nu_max=1, k0=2.0,
@@ -720,25 +729,31 @@ def test_h2_rows_scale_invariant(disk_study):
 def test_disk_plateau_below_ray_length_envelope():
     # obstacle case: the plateau stays under 2 L / pi with L the tangent-chord
     # ray length produced by the ray tracer
-    from helmray.geometry import TruncationGeometry as TG
     from helmray.raytrace import RayConfig, longest_ray_length
 
     obs = disk_obstacle(0.5)
-    geom = TG(R1=0.7, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.7, R=1.0)
     ray = longest_ray_length(identity_coefficients(), obs, geom, 1.0,
                              RayConfig(grid_pos_r=6, grid_pos_theta=10, grid_dir=32))
-    geom_scan = TG(R1=0.7, R=1.0, R_ray=3.0)
     cut = RadialCutoff(0.8, 0.97)
     for k in (12.0, 24.0):
-        est = estimate_resolvent_norm(identity_coefficients(), obs, geom_scan,
+        est = estimate_resolvent_norm(identity_coefficients(), obs, geom,
                                       k, cut, 0.5 / k**2, method="modal")
         assert k * est.value <= 1.15 * 2.0 * ray.L / np.pi
 
 
 def test_eta_zero_samples_edge(free_geom):
-    est = estimate_eta(identity_coefficients(), None, free_geom, k=2.0,
-                       h_fem=0.2, samples=0, seed=0)
-    assert est.value == 0.0 and est.samples == 0
+    # a sup over no sample once reported eta = 0
+    with pytest.raises(ValueError, match="samples = 0"):
+        estimate_eta(identity_coefficients(), None, free_geom, k=2.0,
+                     h_fem=0.2, samples=0, seed=0)
+
+
+@pytest.mark.parametrize("ks", [[2.0], [2.0, 2.0]])
+def test_h2_study_needs_two_distinct_k(free_geom, ks):
+    # one k once gave a fitted exponent with only a RankWarning
+    with pytest.raises(ValueError, match="two distinct k"):
+        h2_scaling_study(identity_coefficients(), None, free_geom, ks)
 
 
 def test_quasioptimality_ratio_stabilizes(disk_study):

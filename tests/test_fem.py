@@ -30,7 +30,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.fixture(scope="module")
 def unit_setup():
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=3.0)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     mesh = generate_mesh(None, geom, 0.08)
     space = build_space(mesh)
     return geom, mesh, space
@@ -38,7 +38,7 @@ def unit_setup():
 
 @pytest.fixture(scope="module")
 def disk_setup():
-    geom = TruncationGeometry(R1=1.5, R=2.0, R_ray=4.5)
+    geom = TruncationGeometry(R1=1.5, R=2.0)
     obs = disk_obstacle(1.0)
     mesh = generate_mesh(obs, geom, 0.1)
     space = build_space(mesh)
@@ -81,7 +81,7 @@ def _einsum_coo_assembly(coeffs, space, quad_degree=4):
 def _case(name):
     if name == "star":
         return (anisotropic_coefficients(), fourier_obstacle([0.5, 0.05, 0.05], [0, 0.05]),
-                TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5))
+                TruncationGeometry(R1=0.7, R=1.0))
     cfg = RunConfig.from_file(CONFIGS / f"{name}.ini")
     return cfg.coefficients(), cfg.obstacle(), cfg.geometry()
 
@@ -125,7 +125,7 @@ def _add_at_assembly(coeffs, space, quad_degree=4):
     return out
 
 
-_ANNULUS = (disk_obstacle(0.5), TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5))
+_ANNULUS = (disk_obstacle(0.5), TruncationGeometry(R1=0.7, R=1.0))
 
 
 @pytest.mark.parametrize("coeffs", [identity_coefficients(), nu_bump_coefficients(width=0.9),
@@ -238,7 +238,7 @@ def bilinear_action_quadrature(system, u_dofs, v_dofs, quad_degree=4):
 def test_assembled_action_matches_direct_quadrature(disk_setup):
     geom, obs, mesh, space = disk_setup
     k = 3.0
-    coeffs = nu_bump_coefficients(0.5, 1.2, support_radius=1.5)
+    coeffs = nu_bump_coefficients(0.5, 1.2)
     dtn = build_dtn(k, geom.R)
     system = assemble(coeffs, space, dtn, k)
     g = rng(2)
@@ -253,7 +253,7 @@ def test_assembled_action_matches_direct_quadrature(disk_setup):
 def test_garding_inequality_on_random_functions(disk_setup):
     geom, obs, mesh, space = disk_setup
     k = 4.0
-    coeffs = nu_bump_coefficients(0.8, 1.2, support_radius=1.5)
+    coeffs = nu_bump_coefficients(0.8, 1.2)
     dtn = build_dtn(k, geom.R)
     system = assemble(coeffs, space, dtn, k)
     E = system.energy_matrix()
@@ -465,7 +465,7 @@ def test_annulus_factorization_makes_no_superlu_call(disk_setup, monkeypatch):
 def test_bordered_factorization_matches_dense_reduced_system(disk_setup):
     geom, obs, mesh, space = disk_setup
     k = 3.0
-    coeffs = nu_bump_coefficients(0.5, 1.2, support_radius=1.5)
+    coeffs = nu_bump_coefficients(0.5, 1.2)
     dtn = build_dtn(k, geom.R)
     system = assemble(coeffs, space, dtn, k)
     P = modal_projection(space, dtn.n_max)
@@ -797,7 +797,7 @@ def manufactured_bubble(k, x0, r_flat, r_zero):
 
 def test_manufactured_solution_second_order():
     k = 3.0
-    geom = TruncationGeometry(R1=0.8, R=1.0, R_ray=3.0)
+    geom = TruncationGeometry(R1=0.8, R=1.0)
     coeffs = identity_coefficients()
     um, gm, fm = manufactured_bubble(k, (2.5, 0.4), 0.3, 0.8)
     errs, hs = [], []
@@ -929,7 +929,7 @@ def test_interpolation_reproduces_linears(unit_setup):
 
 
 def test_interpolation_ratio_stabilizes():
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=3.0)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     v, gv, hv = _quadratic_battery()
     ratios, l2s, hs = [], [], []
     for h in (0.2, 0.1, 0.05):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helmray.geometry import (TruncationGeometry, WaveContext, anisotropic_coefficients,
+from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               boundary_normal, check_gradients, disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance, validate_configuration)
@@ -52,19 +52,26 @@ def test_boundary_normal_rejects_points_off_curve():
 
 
 def test_validate_trivial_configuration_passes():
-    geom = TruncationGeometry(R1=1.0, R=2.0, R_ray=4.0)
-    report = validate_configuration(identity_coefficients(), None, geom)
-    assert report.ok
+    geom = TruncationGeometry(R1=1.0, R=2.0)
+    failures = validate_configuration(identity_coefficients(), None, geom)
+    assert not failures
 
 
 def test_validate_flags_support_violation():
     # bump wider than the declared support radius
-    coeffs = nu_bump_coefficients(amplitude=1.0, width=3.0, support_radius=3.0)
-    bad = replace(coeffs, support_radius=1.0)
-    geom = TruncationGeometry(R1=1.0, R=4.0, R_ray=5.0)
-    report = validate_configuration(bad, None, geom)
-    assert not report.ok
-    assert report.failures[0][0] == "coefficient support violation"
+    bad = replace(nu_bump_coefficients(amplitude=1.0, width=3.0), support_radius=1.0)
+    geom = TruncationGeometry(R1=1.0, R=4.0)
+    failures = validate_configuration(bad, None, geom)
+    assert failures
+    assert failures[0][0] == "coefficient support violation"
+
+
+def test_validate_checks_the_support_the_tracer_assumes():
+    # the tracer flies straight outside support_radius, here inside R1, where
+    # the bump is still on: L moved from 1.20980 to 1.21387 unflagged
+    bad = replace(nu_bump_coefficients(width=0.5), support_radius=0.3)
+    failures = validate_configuration(bad, None, TruncationGeometry(R1=0.5, R=1.0))
+    assert failures[0][0] == "coefficient support violation"
 
 
 def test_validate_reports_a_support_violation_where_A_breaks_it():
@@ -77,26 +84,26 @@ def test_validate_reports_a_support_violation_where_A_breaks_it():
         return A
 
     bad = replace(ident, eval_A=eval_A, A_max=1.001)
-    report = validate_configuration(bad, None, TruncationGeometry(0.5, 1.0, 1.25))
-    name, point = report.failures[0]
+    failures = validate_configuration(bad, None, TruncationGeometry(0.5, 1.0))
+    name, point = failures[0]
     assert name == "coefficient support violation"
     assert point[1] > 0.3 and not np.array_equal(eval_A(point), np.eye(2))
 
 
 def test_validate_flags_obstacle_outside_support_disk():
-    geom = TruncationGeometry(R1=1.0, R=2.0, R_ray=4.0)
-    report = validate_configuration(identity_coefficients(), disk_obstacle(1.5), geom)
-    assert not report.ok
-    assert any("obstacle" in name for name, _ in report.failures)
+    geom = TruncationGeometry(R1=1.0, R=2.0)
+    failures = validate_configuration(identity_coefficients(), disk_obstacle(1.5), geom)
+    assert failures
+    assert any("obstacle" in name for name, _ in failures)
 
 
 def test_eigenvalue_and_nu_bounds_hold_on_presets():
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=2.0)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     for coeffs in (identity_coefficients(),
                    nu_bump_coefficients(1.0, 0.5),
                    anisotropic_coefficients(0.7, -0.2, 0.4, 0.5)):
-        report = validate_configuration(coeffs, None, geom)
-        assert report.ok, report.failures
+        failures = validate_configuration(coeffs, None, geom)
+        assert not failures, failures
 
 
 
@@ -110,20 +117,20 @@ def test_validate_flags_identity_declaration_broken_inside():
         return np.where((r < 0.5)[..., None, None], 1.5, 1.0) * ident.eval_A(x)
 
     bad = replace(ident, eval_A=eval_A, support_radius=0.5)
-    report = validate_configuration(bad, None, TruncationGeometry(R1=0.5, R=1.0, R_ray=2.0))
-    assert [name for name, _ in report.failures] == ["A eigenvalue bounds violated"]
+    failures = validate_configuration(bad, None, TruncationGeometry(R1=0.5, R=1.0))
+    assert [name for name, _ in failures] == ["A eigenvalue bounds violated"]
 
 def test_anisotropic_field_is_exactly_identity_off_the_bump():
     # A = I + b Q diag(a1, a2) Q^T is I to the last bit where b = 0, at every
     # frame angle (Q diag(1 + a1 b, 1 + a2 b) Q^T is not)
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     off = np.stack([np.cos(th), np.sin(th)], axis=-1)[None] * np.array([0.5, 0.7, 1.2])[:, None, None]
     for d in range(181):
         coeffs = anisotropic_coefficients(0.5, 0.5, np.deg2rad(d))
         assert np.array_equal(coeffs.eval_A(off), np.broadcast_to(np.eye(2), off.shape[:-1] + (2, 2))), d
-        report = validate_configuration(coeffs, None, geom)
-        assert report.ok, (d, report.failures)
+        failures = validate_configuration(coeffs, None, geom)
+        assert not failures, (d, failures)
 
 
 def test_unperturbed_anisotropic_field_keeps_its_identity_pin():
@@ -245,10 +252,10 @@ def test_validate_flags_a_written_value_that_differs(name):
             value[off] = np.nextafter(value[off], np.inf)
         return g
 
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
-    assert validate_configuration(coeffs, None, geom).ok
-    report = validate_configuration(replace(coeffs, **{f"eval_grad_{name}": eval_grad}), None, geom)
-    [(failure, point)] = report.failures
+    geom = TruncationGeometry(R1=0.5, R=1.0)
+    assert not validate_configuration(coeffs, None, geom)
+    failures = validate_configuration(replace(coeffs, **{f"eval_grad_{name}": eval_grad}), None, geom)
+    [(failure, point)] = failures
     assert failure == f"{name} written by eval_grad_{name} differs from eval_{name}"
     assert point[1] > 0.3
 
@@ -268,8 +275,8 @@ def test_eigenvalue_check_holds_where_the_eigenvalues_nearly_coincide(angle):
     # near the bump's edge both eigenvalues are 1 + O(b); sqrt((tr/2)^2 - det)
     # lost 1.5e-8 there, far above the 1e-10 tolerance
     coeffs = anisotropic_coefficients(0.5, 0.2, angle, 0.5)
-    report = validate_configuration(coeffs, None, TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25))
-    assert report.ok, report.failures
+    failures = validate_configuration(coeffs, None, TruncationGeometry(R1=0.5, R=1.0))
+    assert not failures, failures
 
 
 @pytest.mark.parametrize("make", [
@@ -286,9 +293,9 @@ def test_analytic_gradients_match_finite_differences(make):
 
 def test_radii_ordering_enforced():
     with pytest.raises(ValueError):
-        TruncationGeometry(R1=2.0, R=1.0, R_ray=3.0)
+        TruncationGeometry(R1=2.0, R=1.0)
     with pytest.raises(ValueError):
-        WaveContext(k=0.5, k0=1.0)
+        TruncationGeometry(R1=0.0, R=1.0)
 
 
 def test_offset_obstacle_signed_distance():

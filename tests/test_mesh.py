@@ -15,7 +15,7 @@ from conftest import interpolate
 
 @pytest.fixture(scope="module")
 def geom():
-    return TruncationGeometry(R1=1.0, R=2.0, R_ray=4.0)
+    return TruncationGeometry(R1=1.0, R=2.0)
 
 
 def test_disk_mesh_meets_width_target(geom):
@@ -91,7 +91,7 @@ def test_annulus_quads_split_along_shorter_diagonal(geom):
 @pytest.mark.parametrize("h", [0.06, 0.15])
 def test_disk_annulus_invariant_under_one_angular_step(h):
     # a centred disk: rotating by 2 pi / n_theta maps the triangle set to itself
-    m = generate_mesh(disk_obstacle(0.5), TruncationGeometry(R1=0.7, R=1.0, R_ray=3.5), h)
+    m = generate_mesh(disk_obstacle(0.5), TruncationGeometry(R1=0.7, R=1.0), h)
     n_theta = len(m.boundary_indices)
     layer, i = np.divmod(m.triangles, n_theta)
     rotated = layer * n_theta + (i + 1) % n_theta

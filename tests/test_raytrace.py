@@ -192,7 +192,7 @@ def test_euclidean_chord(ident, unit_ball_geom):
 
 
 def test_radial_billiard(ident):
-    geom = TruncationGeometry(R1=1.5, R=2.0, R_ray=2.25)
+    geom = TruncationGeometry(R1=1.5, R=2.0)
     p0 = PhasePoint(np.array([2.0, 0.0]), np.array([-1.0, 0.0]))
     traj = integrate_ray(ident, disk_obstacle(1.0), geom, p0, RayConfig())
     assert len(traj.reflections) == 1
@@ -201,14 +201,14 @@ def test_radial_billiard(ident):
 
 
 def test_time_in_ball_never_inside(ident):
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     p0 = PhasePoint(np.array([1.2, 1.2]), np.array([1.0, 0.0]) )
     traj = integrate_ray(ident, None, geom, p0, RayConfig())
     assert time_in_ball(traj, 1.0) == 0.0
 
 
 def test_time_in_ball_rejects_trapped(ident):
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.5, R=1.0)
     p0 = PhasePoint(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     traj = integrate_ray(ident, None, geom, p0, RayConfig(max_time_budget=0.01))
     assert traj.termination is Termination.TRAPPED_BUDGET_EXCEEDED
@@ -219,7 +219,7 @@ def test_time_in_ball_rejects_trapped(ident):
 def test_tangent_chord_time(ident):
     # chord at impact parameter b entering on the circle: exit after the chord
     # 2 sqrt(R^2 - b^2) at speed 2, i.e. time sqrt(R^2 - b^2)
-    geom = TruncationGeometry(R1=0.6, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.6, R=1.0)
     b = 0.55
     x0 = np.array([-np.sqrt(1.0 - b**2), b])
     p0 = PhasePoint(x0, np.array([1.0, 0.0]))
@@ -276,6 +276,15 @@ def test_ray_config_rejects_negative_refinement_rounds():
     with pytest.raises(ValueError, match="refinement_rounds"):
         RayConfig(refinement_rounds=-3)
     assert RayConfig(refinement_rounds=0).refinement_rounds == 0
+
+
+@pytest.mark.parametrize("name", ["step_size", "max_time_budget", "glancing_threshold",
+                                  "frame_rotation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ray_config_rejects_non_finite_values(name, value):
+    # a NaN step once gave L = 0.7071 on nu_bump.ini, an infinite rotation L = 0
+    with pytest.raises(ValueError, match=f"{name} = .* is not finite"):
+        RayConfig(**{name: value})
 
 
 def test_ray_config_needs_two_refine_points():
@@ -341,7 +350,7 @@ def test_energy_conservation_on_bump_preset(nu_bump):
 
 def test_classify_trapping_euclid_and_disk(ident):
     cfg = RayConfig(grid_pos_r=6, grid_pos_theta=10, grid_dir=24, max_time_budget=8.0)
-    geom = TruncationGeometry(R1=0.8, R=1.0, R_ray=1.3)
+    geom = TruncationGeometry(R1=0.8, R=1.0)
     assert classify_trapping(ident, None, geom, cfg).nontrapping
     rep = classify_trapping(ident, disk_obstacle(0.5), geom, cfg)
     assert rep.nontrapping and rep.n_budget == 0
@@ -353,7 +362,7 @@ def test_classify_trapping_euclid_and_disk(ident):
 
 def test_classify_trapping_two_disks(ident):
     obs = [disk_obstacle(0.3, center=(-0.8, 0.0)), disk_obstacle(0.3, center=(0.8, 0.0))]
-    geom = TruncationGeometry(R1=1.5, R=2.0, R_ray=2.5)
+    geom = TruncationGeometry(R1=1.5, R=2.0)
     cfg = RayConfig(grid_pos_r=8, grid_pos_theta=12, grid_dir=32, max_time_budget=8.0)
     rep = classify_trapping(ident, obs, geom, cfg)
     assert not rep.nontrapping
@@ -448,7 +457,7 @@ def test_disk_search_makes_no_empty_level_call(monkeypatch):
 def test_glancing_impact_flagged(ident):
     # a shallow impact below a deliberately large glancing threshold is
     # censored rather than reflected
-    geom = TruncationGeometry(R1=0.6, R=1.0, R_ray=1.25)
+    geom = TruncationGeometry(R1=0.6, R=1.0)
     b = 0.49  # impact parameter just under the disk radius: grazing incidence
     x0 = np.array([-np.sqrt(1.0 - b**2), b])
     p0 = PhasePoint(x0, np.array([1.0, 0.0]))
@@ -481,8 +490,7 @@ def test_glancing_impact_on_the_step_that_crosses_the_budget():
 
 @pytest.mark.parametrize("name", ["disk", "nu_bump"])
 def test_longest_ray_matches_retraced_maximizer(name):
-    # the search escapes at 1.25; integrate_ray at the config's R_ray (3.5 for
-    # the disk), so the agreement also shows R_ray does not move L
+    # integrate_ray ends an escaped ray on the circle the search ends it on
     cfg = RunConfig.from_file(CONFIGS / f"{name}.ini")
     coeffs, obstacle, geom = cfg.coefficients(), cfg.obstacle(), cfg.geometry()
     ray_cfg = RayConfig(grid_pos_r=4, grid_pos_theta=8, grid_dir=16, refine_points=7)
@@ -562,9 +570,9 @@ STAR_IN_BUMP = fourier_obstacle([0.25, 0.0, 0.03], [0.0, 0.0, 0.02])
 def test_time_reversal_returns_to_start(nu_bump, obstacle, theta, b):
     # from the escape circle, aimed through the bump at impact parameter b;
     # the reversed ray retraces the forward one, reflections included
-    geom, cfg = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25), RayConfig()
-    alpha = theta + np.arcsin(b / geom.R_ray)
-    x0 = geom.R_ray * np.array([np.cos(theta), np.sin(theta)])
+    geom, cfg, r_esc = TruncationGeometry(R1=0.5, R=1.0), RayConfig(), 1.25    # R + 0.25
+    alpha = theta + np.arcsin(b / r_esc)
+    x0 = r_esc * np.array([np.cos(theta), np.sin(theta)])
     p0 = PhasePoint(x0, -np.array([np.cos(alpha), np.sin(alpha)]))
     fwd = integrate_ray(nu_bump, obstacle, geom, p0, cfg)
     assume(fwd.termination is Termination.ESCAPED)
@@ -600,8 +608,8 @@ def test_step_near_an_obstacle_reuses_the_first_stage_slope(nu_bump, monkeypatch
 
     monkeypatch.setattr(raytrace, "_rk4_step", step)
     monkeypatch.setattr(raytrace, "_hermite", interpolant)
-    geom = TruncationGeometry(R1=0.5, R=1.0, R_ray=1.25)
-    x0 = geom.R_ray * np.array([np.cos(0.3), np.sin(0.3)])
+    geom = TruncationGeometry(R1=0.5, R=1.0)
+    x0 = 1.25 * np.array([np.cos(0.3), np.sin(0.3)])
     p0 = PhasePoint(x0, -np.array([np.cos(0.38), np.sin(0.38)]))
     traj = integrate_ray(replace(nu_bump, eval_grad_nu=grad), STAR_IN_BUMP, geom, p0, RayConfig())
     assert traj.termination is Termination.ESCAPED and traj.reflections

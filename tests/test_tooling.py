@@ -51,7 +51,7 @@ from helmray.geometry import TruncationGeometry, identity_coefficients
 tracer = Tracer()
 tracer.install(hr)
 hr.experiments.estimate_resolvent_norm(
-    identity_coefficients(), None, TruncationGeometry(R1=0.5, R=1.0, R_ray=3.0),
+    identity_coefficients(), None, TruncationGeometry(R1=0.5, R=1.0),
     5.0, hr.experiments.RadialCutoff(0.8, 0.97), 0.02, method="modal")
 stats = tracer.summary()[0]
 print(json.dumps({name: [calls, incl] for (op, name), (calls, incl, _) in stats.items()}))
