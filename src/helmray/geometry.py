@@ -100,32 +100,30 @@ class TruncationGeometry:
 
 
 _GAP_FLOOR = 1e-100    # below every positive 1 - rho^2, which is at least 2^-53
-_R_FLOOR = np.finfo(float).smallest_subnormal
 
 
 def _radius(x, w):
     """|x|, capped at 2w: the bump vanishes from |x| = w on, and the cap keeps
-    rho^2 and the gradient's factor rho / t^2 finite at every x of finite norm."""
+    rho^2 finite at every x of finite norm."""
     return np.minimum(np.hypot(x[..., 0], x[..., 1]), 2.0 * w)
 
 
 def _bump_grad(x, w, scale=1.0):
-    """b = bump(|x| / w) and the gradient of scale * b in x (0 at the origin),
-    from one evaluation of the bump.
+    """b = bump(|x| / w) and the gradient of scale * b in x, from one
+    evaluation of the bump.
 
-    Floors stand in for masks.  Where t = 1 - rho^2 is positive the floor
-    leaves it unchanged; elsewhere exp(1 - 1/floor) is exactly 0, so b and
-    the gradient are 0.  |x| is floored at the smallest subnormal, which
-    changes no positive |x|, so the origin divides a zero by it.
+    With rho = |x| / w and t = 1 - rho^2, the chain rule through |x| gives
+    grad b(|x| / w) = -2 b x / (w^2 t^2): no division by |x|, so the origin
+    needs no guard.  A floor stands in for a mask.  Where t is positive the
+    floor leaves it unchanged; elsewhere exp(1 - 1/floor) is exactly 0, so b
+    and the gradient are 0.
     """
     r = _radius(x, w)
     rho = r / w
     t = np.maximum(1.0 - rho * rho, _GAP_FLOOR)
     b = np.exp(1.0 - 1.0 / t)
-    db = b * (-2.0 * rho / (t * t))
-    if scale != 1.0:     # 1.0 * db is db: A's gradient and a unit amplitude skip the call
-        db = scale * db
-    f = db / w / np.maximum(r, _R_FLOOR)
+    f = b / (t * t)
+    f *= -2.0 * scale / (w * w)
     # one column at a time: a broadcast over the last axis costs several times more
     g = np.empty(x.shape)
     np.multiply(f, x[..., 0], out=g[..., 0])

@@ -13,6 +13,9 @@ call for nu that also writes nu, and one for A that also writes A; where the
 coefficient bounds pin A = I (A_min == A_max == 1) it skips the A call.  A
 step combines its stages in place, and when its cubic Hermite interpolant is
 searched for an impact, the interpolant's start slope is the first stage's.
+The stepping rays are held as compact arrays from step to step; only a step
+on which a ray leaves the disk or the ball, meets an obstacle or runs over
+the time budget writes rays back to the batch and recompacts the rest.
 One impact locator serves both.  It samples the obstacle's level function
 along the path (the line, or the step's cubic Hermite interpolant) and
 bisects the first interval from a positive sample to a non-positive one.  A
@@ -24,7 +27,10 @@ an impact.  The impacts of a flight or a step are reflected in one array
 update per obstacle, and an impact whose metric cosine is at or below the
 glancing threshold ends its ray there instead (censored).
 The longest-ray length of a ball B(0, R) is the supremum over sampled
-phase-space starting points of the last time the ray is inside the ball.
+phase-space starting points of the last time the ray is inside the ball.  A
+sweep traces each distinct starting state once: a refinement grid centred
+on |x| = R clips several radii to R, and their repeated states take the
+ending of the first.
 """
 
 from __future__ import annotations
@@ -456,63 +462,78 @@ class _Batch:
             self.record["times"].append(self.t[ids[0]])
             self.record["states"].append(self.states[ids[0]].copy())
 
-    def step(self, ids):
-        """One RK4 step for rays inside the support, with impacts located on
-        its Hermite interpolant and the ball exit refined on the straight chord."""
-        if not len(ids):
-            return
+    def march(self, ids):
+        """RK4 steps for the rays ``ids``, all inside the support, until each
+        has left it or ended; impacts are located on a step's Hermite
+        interpolant and the ball exit is refined on its straight chord.
+
+        The stepping rays' states and times are held as compact arrays that
+        each step replaces.  Only a step on which a ray leaves the support,
+        meets an obstacle, leaves B(0, R_track) or runs over the time budget
+        takes the slow path: it records exits and budget endings, writes the
+        rays that leave back to the batch and recompacts the rest."""
         coeffs, obstacles, cfg = self.coeffs, self.obstacles, self.cfg
-        dt = cfg.step_size
-        sub = self.states[ids]
-        k1 = _rhs(coeffs, sub)
-        new = _rk4_step(coeffs, sub, dt, k1)
-        t_new = self.t[ids] + dt
+        dt, S, R, budget = cfg.step_size, coeffs.support_radius, self.R_track, cfg.max_time_budget
+        y, t = self.states[ids], self.t[ids]
+        # rounding is monotone, so the latest ray's time advances as its own does
+        t_top = float(t.max(initial=-np.inf))
+        while len(ids):
+            k1 = _rhs(coeffs, y)
+            new = _rk4_step(coeffs, y, dt, k1)
+            t_new = t + dt
+            t_top += dt
 
-        hit = []
-        if obstacles:
-            d_new = _min_sdf(obstacles, new[:, :2])
-            # a step ending farther than twice its length from every curve has
-            # not met one: the level changes by about the arc length at most
-            chord = np.hypot(*(new[:, :2] - sub[:, :2]).T)
-            near = np.nonzero(self.armed[ids] & (d_new < 2.0 * chord))[0]
-            if len(near):
-                # _rhs works row by row, so k1[near] is _rhs(coeffs, s0) bit for bit
-                s0, s1 = sub[near], new[near]
-                path = _hermite(s0, s1, k1[near], _rhs(coeffs, s1), dt)
-                window = (np.zeros(len(near)), np.full(len(near), dt))
-                tau, which = _impacts(obstacles, path, [window] * len(obstacles),
-                                      self.armed[ids[near]], dt)
-                found = np.nonzero(np.isfinite(tau))[0]
-                hit, i = near[found], ids[near[found]]
-                d_new[hit] = 0.0
-                t_new[hit] = self.t[i] + tau[found]
-                self.states[i] = path(found, slice(None))(tau[found])
-                self._reflect(i, which[found])
-                new[hit] = self.states[i]
-            self.armed[ids] |= d_new > _EPS_EVENT
+            hit = []
+            if obstacles:
+                d_new = _min_sdf(obstacles, new[:, :2])
+                # a step ending farther than twice its length from every curve has
+                # not met one: the level changes by about the arc length at most
+                chord = np.hypot(*(new[:, :2] - y[:, :2]).T)
+                near = np.nonzero(self.armed[ids] & (d_new < 2.0 * chord))[0]
+                if len(near):
+                    # _rhs works row by row, so k1[near] is _rhs(coeffs, s0) bit for bit
+                    s0, s1 = y[near], new[near]
+                    path = _hermite(s0, s1, k1[near], _rhs(coeffs, s1), dt)
+                    window = (np.zeros(len(near)), np.full(len(near), dt))
+                    tau, which = _impacts(obstacles, path, [window] * len(obstacles),
+                                          self.armed[ids[near]], dt)
+                    found = np.nonzero(np.isfinite(tau))[0]
+                    hit, i = near[found], ids[near[found]]
+                    d_new[hit] = 0.0
+                    t_new[hit] = t[hit] + tau[found]
+                    self.states[i] = path(found, slice(None))(tau[found])
+                    self._reflect(i, which[found])
+                    new[hit] = self.states[i]
+                self.armed[ids] |= d_new > _EPS_EVENT
 
-        r_new = np.hypot(new[:, 0], new[:, 1])
-        out = r_new > self.R_track
-        if len(hit):
-            out[hit] = False
-        out = out.nonzero()[0]
-        if len(out):
-            out = out[np.hypot(sub[out, 0], sub[out, 1]) <= self.R_track]
-            tau = _segment_ball_exit(sub[out, :2], new[out, :2], self.R_track)
-            self.t_exit[ids[out]] = self.t[ids[out]] + tau * dt
+            r_new = np.hypot(new[:, 0], new[:, 1])
+            if self.record is not None:
+                self.record["times"].append(t_new[0])
+                self.record["states"].append(new[0].copy())
+            r_top = r_new.max()
+            if r_top < S and r_top <= R and t_top <= budget and not len(hit):
+                y, t = new, t_new
+                continue
 
-        self.states[ids] = new
-        self.t[ids] = t_new
-        self.inside[ids] = r_new < coeffs.support_radius
-        if self.record is not None:
-            self.record["times"].append(t_new[0])
-            self.record["states"].append(new[0].copy())
-
-        over = t_new > cfg.max_time_budget
-        if over.any():
+            out = r_new > R
+            if len(hit):
+                out[hit] = False
+            out = out.nonzero()[0]
+            if len(out):
+                out = out[np.hypot(y[out, 0], y[out, 1]) <= R]
+                tau = _segment_ball_exit(y[out, :2], new[out, :2], R)
+                self.t_exit[ids[out]] = t[out] + tau * dt
+            over = t_new > budget
             # a ray that glanced on this step keeps its ending at the impact
-            over = ids[over]
-            self.termination[over[self.termination[over] < 0]] = 1
+            self.termination[ids[over & (self.termination[ids] < 0)]] = 1
+            stay = (r_new < S) & (self.termination[ids] < 0)
+            if not stay.all():
+                leave = ids[~stay]
+                self.states[leave], self.t[leave] = new[~stay], t_new[~stay]
+                self.inside[leave] = r_new[~stay] < S
+                ids, new, t_new = ids[stay], new[stay], t_new[stay]
+            y, t = new, t_new
+            t_top = float(t.max(initial=-np.inf))
 
 
 def _integrate_batch(coeffs, obstacles, states, cfg: RayConfig, R_track,
@@ -521,23 +542,19 @@ def _integrate_batch(coeffs, obstacles, states, cfg: RayConfig, R_track,
     B(0, R_track); the returned ``_Batch`` is the result.
 
     Rays inside the perturbation disk |x| < coeffs.support_radius take fixed
-    RK4 steps; every other ray flies analytically along its straight line to
-    its next event (see ``_Batch.fly``), so a ray that has no event left has
-    escaped whatever ``escape_radius`` is: the radius only places its final
-    state.  ``record``: optional dict collecting (t, state) rows and
-    reflections for single-ray use; straight flights are sampled at spacing
-    ``cfg.step_size`` in time.
+    RK4 steps (see ``_Batch.march``); every other ray flies analytically along
+    its straight line to its next event (see ``_Batch.fly``), so a ray that
+    has no event left has escaped whatever ``escape_radius`` is: the radius
+    only places its final state.  ``record``: optional dict collecting (t,
+    state) rows and reflections for single-ray use; straight flights are
+    sampled at spacing ``cfg.step_size`` in time.
     """
     batch = _Batch(coeffs, obstacles, states, cfg, R_track, escape_radius, record)
     active = np.arange(len(states))
     while len(active):
-        inside = batch.inside[active]
-        if inside.all():
-            batch.step(active)
-        else:
-            batch.fly(active[~inside])
-            active = active[batch.termination[active] < 0]
-            batch.step(active[batch.inside[active]])
+        batch.fly(active[~batch.inside[active]])
+        active = active[batch.termination[active] < 0]
+        batch.march(active[batch.inside[active]])
         active = active[batch.termination[active] < 0]
     return batch
 
@@ -650,24 +667,39 @@ def _eval_rays(coeffs, obstacles, states, cfg, R):
                             escape_radius=_escape_radius(coeffs, obstacles, R))
 
 
+def _distinct(states):
+    """The rows of ``states`` that first hold each distinct state (bit for
+    bit), in order, and for every row the position of its state among them."""
+    keys = np.ascontiguousarray(states).view(np.dtype((np.void, states.itemsize * states.shape[1])))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _sweep(coeffs, obstacles, cfg, R, grid, diag):
     """Trace the rays of the tensor grid ``grid`` (radii, position angles,
     direction angles) and count them into ``diag``.  Returns the longest
     escape as ``(t_exit, state, grid point)``, or ``(-inf, None, None)`` when
-    every ray was censored."""
+    every ray was censored.
+
+    A state the grid repeats (radii clipped at R coincide) is traced once and
+    its ending copied to every grid point that holds it; the counts and the
+    maximizer are those of tracing every point."""
     states, params = _build_states(coeffs, obstacles, *grid)
-    res = _eval_rays(coeffs, obstacles, states, cfg, R)
-    ok = res.termination == 0
-    budget = np.nonzero(res.termination == 1)[0]
+    distinct, copy = _distinct(states)
+    res = _eval_rays(coeffs, obstacles, states[distinct], cfg, R)
+    termination, t_exit = res.termination[copy], res.t_exit[copy]
+    ok = termination == 0
+    budget = np.nonzero(termination == 1)[0]
     diag.n_samples += len(states)
-    diag.n_glancing += int(np.sum(res.termination == 2))
+    diag.n_glancing += int(np.sum(termination == 2))
     diag.n_budget += len(budget)
     diag.censored += [PhasePoint(states[i, :2].copy(), states[i, 2:].copy())
                       for i in budget[:100 - len(diag.censored)]]
     if not np.any(ok):
         return -np.inf, None, None
-    i = int(np.argmax(np.where(ok, res.t_exit, -np.inf)))
-    return float(res.t_exit[i]), states[i], params[i]
+    i = int(np.argmax(np.where(ok, t_exit, -np.inf)))
+    return float(t_exit[i]), states[i], params[i]
 
 
 def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,

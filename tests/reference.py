@@ -9,7 +9,7 @@ from helmray.dtn import build_dtn
 from helmray.fem import assemble, build_space, modal_projection
 from helmray.geometry import TruncationGeometry, identity_coefficients
 from helmray.mesh import generate_mesh
-from helmray.util import solve_real
+from helmray.util import bump, solve_real
 
 
 def estimate_C_DtN_tilde(R, k_values, h=0.05):
@@ -51,18 +51,32 @@ def bump_deriv(rho):
 
 def bump_grad(x, w, scale=1.0):
     """b = bump(|x| / w) and the gradient of scale * b in x, 0 at the origin by
-    a mask on |x| > 0: the radial-bump gradient that ``geometry._bump_grad``
-    replaced."""
+    a mask on |x| > 0: the chain rule through the derivative of the bump and
+    x / |x|, an independent derivation of what ``geometry._bump_grad``
+    computes."""
     r = np.hypot(x[..., 0], x[..., 1])
     b, db = bump_and_deriv(r / w)
     db = scale * db / w
     return b, np.divide(db, r, out=np.zeros(r.shape), where=r > 0.0)[..., None] * x
 
 
+def masked_bump_grad(x, w, scale=1.0):
+    """b = bump(|x| / w) and the gradient of scale * b in x by the identity
+    grad b(|x| / w) = -2 b x / (w^2 t^2), t = 1 - |x|^2 / w^2, in the operation
+    order of ``geometry._bump_grad``, with a mask on t > 0 where the kernel
+    floors t."""
+    rho = np.hypot(x[..., 0], x[..., 1]) / w
+    t = 1.0 - rho * rho
+    b = bump(rho)
+    f = np.divide(b, t * t, out=np.zeros(t.shape), where=t > 0.0)
+    f *= -2.0 * scale / (w * w)
+    return b, f[..., None] * x
+
+
 def radial_bump_fields(x, w, amplitude=0.0, P=np.zeros((2, 2))):
     """nu, grad nu, A and grad A of the radial-bump presets, nu = 1 + amplitude b
-    and A = I + b P with b = bump(|x| / w), from the masked formulas above."""
-    b, grad_nu = bump_grad(x, w, amplitude)
-    grad_b = bump_grad(x, w)[1]
+    and A = I + b P with b = bump(|x| / w), from the masked kernel above."""
+    b, grad_nu = masked_bump_grad(x, w, amplitude)
+    grad_b = masked_bump_grad(x, w)[1]
     return (1.0 + amplitude * b, grad_nu, np.eye(2) + b[..., None, None] * P,
             P[:, :, None] * grad_b[..., None, None, :])

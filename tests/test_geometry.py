@@ -8,7 +8,7 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance, validate_configuration)
 from helmray.util import bump
-from reference import bump_deriv, radial_bump_fields
+from reference import bump_grad, radial_bump_fields
 
 
 def test_signed_distance_unit_disk():
@@ -159,7 +159,11 @@ def test_identity_and_nu_bump_match_their_closed_forms_bit_for_bit():
     assert np.array_equal(coeffs.eval_A(pts), eye)
     assert np.array_equal(coeffs.eval_grad_A(pts), zero_A)
     assert np.array_equal(coeffs.eval_nu(pts), 1.0 + amp * bump(r / w))
-    assert np.array_equal(coeffs.eval_grad_nu(pts), (amp * bump_deriv(r / w) / w / r)[:, None] * pts)
+    # grad b(|x| / w) = -2 b x / (w^2 t^2), t = 1 - |x|^2 / w^2; no point here
+    # has t = 0, and where t < 0 both b and the quotient are 0
+    t = 1.0 - (r / w) * (r / w)
+    assert np.array_equal(coeffs.eval_grad_nu(pts),
+                          (bump(r / w) / (t * t) * (-2.0 * amp / (w * w)))[:, None] * pts)
     assert np.array_equal(coeffs.eval_grad_nu(np.zeros(2)), np.zeros(2))
 
 
@@ -221,6 +225,60 @@ def test_floored_bump_kernel_matches_the_masked_formulas(amplitude, a1, a2, angl
                coeffs.eval_grad_A(x, A))
         for g, v in zip(got + (nu, A), want + (want[0], want[2])):
             assert np.array_equal(g, v)
+
+
+@pytest.mark.parametrize("amplitude, a1, a2, angle, w", [(0.7, 0.0, 0.0, 0.0, 0.45),
+                                                         (0.0, 0.7, -0.2, 0.4, 0.5)],
+                         ids=["nu_bump", "anisotropic"])
+def test_bump_gradient_matches_the_chain_rule_through_the_radius(amplitude, a1, a2, angle, w):
+    # the kernel's identity -2 b x / (w^2 t^2) against b'(rho) x / (w |x|):
+    # the two round differently, by at most 8 ulp wherever b is a normal
+    # number (a subnormal b carries too few digits for an ulp bound)
+    coeffs = (nu_bump_coefficients(amplitude, w) if amplitude
+              else anisotropic_coefficients(a1, a2, angle, w))
+    pts = np.random.default_rng(11).uniform(-w, w, (4000, 2))
+    b, grad_b = bump_grad(pts, w, amplitude or 1.0)
+    if amplitude:
+        got, want, b = coeffs.eval_grad_nu(pts), grad_b, b[:, None]
+    else:
+        P = _rotated_diag(a1, a2, angle)
+        got, want = coeffs.eval_grad_A(pts), P[:, :, None] * grad_b[..., None, None, :]
+        b = b[:, None, None, None]
+    normal = np.broadcast_to(b >= np.finfo(float).tiny, want.shape)
+    assert normal.mean() > 0.5
+    ulps = np.abs(got - want)[normal] / np.spacing(np.abs(want[normal]))
+    assert ulps.max() <= 8.0
+
+
+@pytest.mark.parametrize("make", [nu_bump_coefficients, anisotropic_coefficients])
+def test_bump_gradient_is_zero_at_the_origin_the_rim_and_outside(make):
+    w = 0.45
+    coeffs = make(width=w)
+    grad = coeffs.eval_grad_nu if coeffs.nu_max > 1.0 else coeffs.eval_grad_A
+    th = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    ring = np.stack([np.cos(th), np.sin(th)], -1)
+    rim = np.array([[w, 0.0], [0.0, -w], [-w, 0.0]])
+    assert np.array_equal(np.hypot(*rim.T) / w, np.ones(3))
+    outside = np.concatenate([r * ring for r in (np.nextafter(w, 1.0), 0.5, 1.0, 7.0, 1e10)])
+    for x in (np.zeros(2), np.zeros((3, 2)), rim, outside):
+        g = grad(x)
+        assert np.array_equal(g, np.zeros(g.shape))
+
+
+@pytest.mark.parametrize("make", [nu_bump_coefficients, anisotropic_coefficients])
+def test_bump_gradient_is_finite_and_quiet_at_every_scale(make):
+    # |x| from 1e-300 to 1e300 in 12 directions.  Underflow is let through:
+    # b = exp(1 - 1/t) rounds to 0 near and past the rim, as it should
+    coeffs = make()
+    grad = coeffs.eval_grad_nu if coeffs.nu_max > 1.0 else coeffs.eval_grad_A
+    th = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    r = np.concatenate([np.logspace(-300, 300, 61), np.linspace(0.0, 0.6, 61)])
+    x = (r[:, None, None] * np.stack([np.cos(th), np.sin(th)], -1)).reshape(-1, 2)
+    with np.errstate(all="raise", under="ignore"):
+        g = grad(x)
+    assert np.isfinite(g).all()
+    far = np.hypot(x[:, 0], x[:, 1]) >= 0.5
+    assert far.sum() > 300 and np.array_equal(g[far], np.zeros(g[far].shape))
 
 
 @pytest.mark.parametrize("make", [nu_bump_coefficients, anisotropic_coefficients])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helmray import raytrace
 from helmray.config import RunConfig
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
-                              disk_obstacle, fourier_obstacle,
+                              boundary_normal, disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance)
 from helmray.raytrace import (PhasePoint, RayConfig, Termination,
@@ -633,3 +633,98 @@ def test_bump_flight_matches_fixed_step_march(nu_bump, r0, theta, b):
     final = res.states[0].copy()
     final[:2] += 2.0 * final[2:] * (steps * cfg.step_size - res.t[0])
     np.testing.assert_allclose(state[0], final, rtol=0.0, atol=1e-6)
+
+
+def _scattered_rays(coeffs, obstacles, n, seed):
+    """Characteristic states at random points of the annulus 0.05 < |x| < 0.95
+    with random directions, clear of the obstacles: some start inside the
+    bump, some fly into it and some miss it."""
+    g = rng(seed)
+    r, (th, psi) = g.uniform(0.05, 0.95, n), g.uniform(0.0, 2 * np.pi, (2, n))
+    x = np.stack([r * np.cos(th), r * np.sin(th)], -1)
+    if obstacles:
+        x = x[np.min([signed_distance(ob, x) for ob in obstacles], axis=0) > 0.01]
+    d = np.stack([np.cos(psi[:len(x)]), np.sin(psi[:len(x)])], -1)
+    return np.concatenate([x, unit_covector(coeffs, x, d)], axis=1)
+
+
+@pytest.mark.parametrize("obstacles, budget, glancing, R",
+                         [((), 25.0, 1e-3, 1.0), ((STAR_IN_BUMP,), 25.0, 1e-3, 1.0),
+                          ((), 0.3, 1e-3, 1.0), ((STAR_IN_BUMP,), 25.0, 0.7, 0.3)],
+                         ids=["bump", "bump_star", "budget", "glancing_small_ball"])
+def test_every_ray_of_a_batch_ends_as_it_would_alone(nu_bump, obstacles, budget, glancing, R,
+                                                     monkeypatch):
+    # the stepping rays are held as compact arrays that are recompacted as
+    # rays leave the support or B(0, R), meet the star inside it (a glancing
+    # impact ends the ray) or run over the budget; each ray's ending must not
+    # depend on the rays it was stepped with
+    impacts = []
+
+    def counting(ob, x):
+        impacts.append(len(x))
+        return boundary_normal(ob, x)
+
+    monkeypatch.setattr(raytrace, "boundary_normal", counting)
+    cfg = RayConfig(max_time_budget=budget, glancing_threshold=glancing)
+    states = _scattered_rays(nu_bump, obstacles, 48, seed=3)
+    batch = _eval_rays(nu_bump, obstacles, states, cfg, R)
+    assert bool(impacts) == bool(obstacles)
+    assert (batch.termination == 1).any() == (budget < 1.0)
+    assert (batch.termination == 2).any() == (glancing > 0.1)
+    assert (batch.termination == 0).any()
+    for i, state in enumerate(states):
+        alone = _eval_rays(nu_bump, obstacles, state[None], cfg, R)
+        for name in ("termination", "t", "t_exit", "states"):
+            assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[i].tobytes(), (i, name)
+
+
+def test_a_recorded_ray_ends_as_it_does_in_a_batch(nu_bump, unit_ball_geom):
+    # integrate_ray records every step; its ending is the batch's, bit for bit
+    states = _scattered_rays(nu_bump, (STAR_IN_BUMP,), 8, seed=4)
+    batch = _eval_rays(nu_bump, (STAR_IN_BUMP,), states, RayConfig(), unit_ball_geom.R)
+    reflected = 0
+    for i, state in enumerate(states):
+        traj = integrate_ray(nu_bump, STAR_IN_BUMP, unit_ball_geom,
+                             PhasePoint(state[:2], state[2:]), RayConfig())
+        reflected += len(traj.reflections)
+        assert list(Termination)[batch.termination[i]] is traj.termination
+        assert traj.times[-1] == batch.t[i]
+        assert traj.states[-1].tobytes() == batch.states[i].tobytes()
+    assert reflected > 0
+
+
+@pytest.mark.parametrize("case", ["bump_budget", "disk_glancing"])
+def test_a_sweep_traces_each_repeated_state_once(nu_bump, ident, case, monkeypatch):
+    # radii clipped at R repeat: three of the four radii below are R.  The
+    # sweep traces each distinct state once, and its counts, censored list
+    # and maximizer are those of tracing every grid point
+    if case == "bump_budget":
+        coeffs, obstacles, cfg = nu_bump, (), RayConfig(max_time_budget=0.7)
+    else:
+        coeffs, obstacles, cfg = ident, (disk_obstacle(0.5),), RayConfig(glancing_threshold=0.3)
+    R = 1.0
+    grid = (np.array([R, 0.8, R, R]), np.linspace(0.0, 2 * np.pi, 5, endpoint=False),
+            np.linspace(0.1, 2 * np.pi + 0.1, 12, endpoint=False))
+    states, params = raytrace._build_states(coeffs, obstacles, *grid)
+    every = _eval_rays(coeffs, obstacles, states, cfg, R)
+    traced = []
+
+    def recording(coeffs, obstacles, states, cfg, R):
+        traced.append(len(states))
+        return _eval_rays(coeffs, obstacles, states, cfg, R)
+
+    monkeypatch.setattr(raytrace, "_eval_rays", recording)
+    diag = raytrace.RayDiagnostics()
+    best, best_state, best_param = raytrace._sweep(coeffs, obstacles, cfg, R, grid, diag)
+    assert traced == [len(states) // 2]
+
+    ok, budget = every.termination == 0, np.nonzero(every.termination == 1)[0]
+    i = int(np.argmax(np.where(ok, every.t_exit, -np.inf)))
+    assert (best, best_state.tobytes(), best_param.tobytes()) == (
+        every.t_exit[i], states[i].tobytes(), params[i].tobytes())
+    assert diag.n_samples == len(states) == 240
+    assert diag.n_glancing == int(np.sum(every.termination == 2))
+    assert diag.n_budget == len(budget)
+    assert diag.n_glancing + diag.n_budget > 0
+    assert [(p.x.tobytes(), p.xi.tobytes()) for p in diag.censored] == [
+        (states[j, :2].tobytes(), states[j, 2:].tobytes()) for j in budget]

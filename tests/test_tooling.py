@@ -123,3 +123,31 @@ def test_cli_override_dests_name_config_keys():
     documented = {(row[1].strip(" `"), ".".join(re.fullmatch(r" `\[(\w+)\] (\w+)` *", row[3])
                                                   .groups())) for row in rows}
     assert documented == overrides
+
+
+def test_failing_given_test_prints_its_report(tmp_path):
+    # under the repo's warning filters a failing @given test must show its
+    # falsifying example, not an INTERNALERROR from the hypothesis plugin's
+    # report hook, and any other DeprecationWarning must still fail its test
+    (tmp_path / "test_probe.py").write_text("""
+import warnings
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_given_fails(n):
+    assert n < 5
+
+def test_other_deprecation_fails():
+    warnings.warn("some other API is deprecated", DeprecationWarning)
+""")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-rf",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_probe.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example" in out
+    assert "FAILED test_probe.py::test_given_fails" in out
+    assert "FAILED test_probe.py::test_other_deprecation_fails" in out
+    assert "2 failed" in out
