@@ -27,7 +27,7 @@ from .fem import (assemble, assemble_load_source, build_space, errors_vs_exact,
                   l2_norm_exact, nodal_interpolant, recovered_hessian_h2_norm, solve)
 from .geometry import TruncationGeometry, identity_coefficients
 from .mesh import generate_mesh
-from .util import make_rng
+from .util import make_rng, require_positive
 
 
 def compute_C_int(C_int_tilde, A_max, nu_max):
@@ -182,6 +182,9 @@ def mesh_threshold(ledger: ConstantsLedger, k, h_query=None) -> ThresholdReport:
     and lies within a few ulps of the root.
     """
     ledger.validate()
+    require_positive("k", k)
+    if h_query is not None:
+        require_positive("h_query", h_query)
     a = threshold_rhs(ledger, k, 1.0) / np.sqrt(1.0 + k**2)
     h_max = np.sqrt(2.0 / (a * (a + np.hypot(a, 2.0 * k))))
     while threshold_rhs(ledger, k, h_max) > 1.0:

@@ -21,7 +21,7 @@ from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
 from .radial import radial_cutoff_resolvent_norm
 from .util import (bump, composite_gauss, cutoff_normal, make_rng, power_sigma,
-                   smoothstep, solve_real)
+                   require_positive, smoothstep, solve_real)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,8 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     solver, which reaches resolutions h ~ 1/k^2 at large k that a 2-D
     factorization cannot; generic configurations use the 2-D discretization.
     """
+    require_positive("k", k)
+    require_positive("h", h)
     if cutoff.outer > geom.R:
         raise ValueError("cutoff must be supported inside the truncation disk")
     if method not in ("auto", "modal", "fem2d"):
@@ -182,6 +184,8 @@ def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
     The mesh width is 0.5/k^2 (pollution-safe).  References: (2 L / pi) k^{s-1}
     with L the plateau (lower) and support (upper) cutoff radii.
     """
+    for k in k_values:
+        require_positive("k", k)
     rows = []
     method_used = None
     for k in k_values:
@@ -422,6 +426,8 @@ def h2_scaling_study(coeffs, obstacle, geom, k_values, seed=0, loads=3):
     per k and the exponent fitted to |u|_{H^2}/|f| ~ k^p (prediction: p = 1),
     on meshes of width min(0.08, 0.5/k^2).
     """
+    for k in k_values:
+        require_positive("k", k)
     if len(set(map(float, k_values))) < 2:
         raise ValueError(f"k = {list(k_values)}: the fitted exponent needs two distinct k")
     rng = make_rng(seed)

@@ -28,9 +28,8 @@ update per obstacle, and an impact whose metric cosine is at or below the
 glancing threshold ends its ray there instead (censored).
 The longest-ray length of a ball B(0, R) is the supremum over sampled
 phase-space starting points of the last time the ray is inside the ball.  A
-sweep traces each distinct starting state once: a refinement grid centred
-on |x| = R clips several radii to R, and their repeated states take the
-ending of the first.
+refinement grid's radii are clipped to [1e-9, R] and kept once each, so no
+grid repeats a starting state.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import CoefficientField, Obstacle, TruncationGeometry, boundary_normal, signed_distance
+from .util import require_positive
 
 
 class Termination(enum.Enum):
@@ -67,15 +67,10 @@ class PhasePoint:
 
 
 @dataclass
-class ReflectionEvent:
-    point: np.ndarray
-
-
-@dataclass
 class Trajectory:
     times: np.ndarray          # (n,)
     states: np.ndarray         # (n, 4) rows (x1, x2, xi1, xi2)
-    reflections: list
+    reflections: list          # impact points, each (x1, x2)
     termination: Termination
 
 
@@ -403,8 +398,7 @@ class _Batch:
             self.termination[i[~ok]] = 2
             self.states[i[ok], 2:] = xi[ok]
             if self.record is not None:
-                events = map(ReflectionEvent, self.states[i[ok], :2])
-                self.record["reflections"].extend(events)
+                self.record["reflections"].extend(self.states[i[ok], :2])
 
     def fly(self, ids):
         """Move each ray of ``ids`` along its straight line to its next event.
@@ -667,39 +661,27 @@ def _eval_rays(coeffs, obstacles, states, cfg, R):
                             escape_radius=_escape_radius(coeffs, obstacles, R))
 
 
-def _distinct(states):
-    """The rows of ``states`` that first hold each distinct state (bit for
-    bit), in order, and for every row the position of its state among them."""
-    keys = np.ascontiguousarray(states).view(np.dtype((np.void, states.itemsize * states.shape[1])))
-    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
-
-
 def _sweep(coeffs, obstacles, cfg, R, grid, diag):
     """Trace the rays of the tensor grid ``grid`` (radii, position angles,
     direction angles) and count them into ``diag``.  Returns the longest
     escape as ``(t_exit, state, grid point)``, or ``(-inf, None, None)`` when
-    every ray was censored.
-
-    A state the grid repeats (radii clipped at R coincide) is traced once and
-    its ending copied to every grid point that holds it; the counts and the
-    maximizer are those of tracing every point."""
+    every ray was censored.  A grid with no starting point outside the
+    obstacles is an error."""
     states, params = _build_states(coeffs, obstacles, *grid)
-    distinct, copy = _distinct(states)
-    res = _eval_rays(coeffs, obstacles, states[distinct], cfg, R)
-    termination, t_exit = res.termination[copy], res.t_exit[copy]
-    ok = termination == 0
-    budget = np.nonzero(termination == 1)[0]
+    if not len(states):
+        raise ValueError(f"R = {R}: no starting point of the ray grid lies outside the obstacles")
+    res = _eval_rays(coeffs, obstacles, states, cfg, R)
+    ok = res.termination == 0
+    budget = np.nonzero(res.termination == 1)[0]
     diag.n_samples += len(states)
-    diag.n_glancing += int(np.sum(termination == 2))
+    diag.n_glancing += int(np.sum(res.termination == 2))
     diag.n_budget += len(budget)
     diag.censored += [PhasePoint(states[i, :2].copy(), states[i, 2:].copy())
                       for i in budget[:100 - len(diag.censored)]]
     if not np.any(ok):
         return -np.inf, None, None
-    i = int(np.argmax(np.where(ok, t_exit, -np.inf)))
-    return float(t_exit[i]), states[i], params[i]
+    i = int(np.argmax(np.where(ok, res.t_exit, -np.inf)))
+    return float(res.t_exit[i]), states[i], params[i]
 
 
 def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
@@ -711,6 +693,7 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
     the incumbent so the estimate is monotone nondecreasing.  Glancing and
     budget-exhausted rays are censored: excluded from the maximum and reported.
     """
+    require_positive("R", R)
     if R < coeffs.support_radius:
         raise ValueError("ray ball must contain the coefficient perturbation")
     obstacles = _as_obstacles(obstacle)
@@ -724,8 +707,8 @@ def longest_ray_length(coeffs: CoefficientField, obstacle, geom: TruncationGeome
         if best_param is None:
             break
         m = cfg.refine_points
-        rs = np.clip(np.linspace(best_param[0] - spacings[0],
-                                 best_param[0] + spacings[0], m), 1e-9, R)
+        rs = np.unique(np.clip(np.linspace(best_param[0] - spacings[0],
+                                           best_param[0] + spacings[0], m), 1e-9, R))
         ts = np.linspace(best_param[1] - spacings[1], best_param[1] + spacings[1], m)
         ps = np.linspace(best_param[2] - spacings[2], best_param[2] + spacings[2], m)
         cand, cand_state, cand_param = _sweep(coeffs, obstacles, cfg, R, (rs, ts, ps), diag)

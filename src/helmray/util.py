@@ -87,6 +87,12 @@ def composite_gauss(f, a, b):
     return total
 
 
+def require_positive(name, value):
+    """Raise a ValueError naming ``name`` unless ``value`` is positive and finite."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} = {value}: expected a positive finite number")
+
+
 def make_rng(seed):
     """Counter-based deterministic generator (Philox)."""
     return np.random.Generator(np.random.Philox(seed))

@@ -58,6 +58,16 @@ def test_ledger_rejects_constants_outside_their_range(name, value):
         mesh_threshold(_unit_ledger(**{name: value}), k=10.0, h_query=0.01)
 
 
+@pytest.mark.parametrize("k, h, name", [
+    (0.0, None, "k"), (-2.0, 0.1, "k"), (np.inf, None, "k"), (np.nan, 0.1, "k"),
+    (4.0, -0.1, "h_query"), (4.0, 0.0, "h_query"), (4.0, np.nan, "h_query")])
+def test_threshold_rejects_a_wavenumber_or_mesh_width_that_is_not_positive(k, h, name):
+    # k = 0 once gave h_max = inf, written as the invalid JSON token Infinity;
+    # k = -2 gave a threshold, and h = -0.1 admissible = True
+    with pytest.raises(ValueError, match=f"{name} = {dict(k=k, h_query=h)[name]}"):
+        mesh_threshold(_unit_ledger(), k, h_query=h)
+
+
 @pytest.mark.parametrize("key, value", [
     ("C_H3", 1.0), ("k0", ...), ("C_H2", "1.0"), ("C_H2", None), ("k0", True)],
     ids=["unknown", "missing", "quoted", "null", "boolean"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmray.bounds import exact_C_DtN_tilde
+from helmray.bounds import ConstantsLedger, exact_C_DtN_tilde
 from helmray.cli import build_parser, main
 from helmray.config import _KEYS, RunConfig
 from helmray.dtn import build_dtn
@@ -151,7 +151,6 @@ def test_removed_keys_are_rejected_by_name(tmp_path):
         key = line.split(" =")[0].lower()
         with pytest.raises(ValueError, match=rf"'{key}' in section \[{sec}\]"):
             RunConfig.from_text(f"[{sec}]\n{line}\n")
-    from helmray.bounds import ConstantsLedger
     led = ConstantsLedger(C_int_tilde=0.2, C_DtN_tilde=2.7, C_H2=0.35, A_min=1.0, A_max=1.0,
                           nu_min=1.0, nu_max=1.0, k0=2.0, L_ray=2.0)
     path = tmp_path / "ledger.json"
@@ -256,7 +255,6 @@ def test_dtn_check_subcommand(tmp_path):
 
 
 def test_threshold_matches_hand_formula(tmp_path):
-    from helmray.bounds import ConstantsLedger
     led = ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0,
                           A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
                           k0=1.0, L_ray=2.0)
@@ -307,6 +305,31 @@ def test_non_finite_ray_setting_rejected(tmp_path, capsys):
     assert rc == 1
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "ValueError" and "step_size" in report["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rays", "--config", "disk.ini", "--R", "0.4"],
+    ["rays", "--config", "euclid.ini", "--R", "0"],
+    ["resolvent-scan", "--config", "euclid.ini", "--ks", "0"],
+    ["resolvent-scan", "--config", "euclid.ini", "--ks", "-5"],
+    ["h2-scan", "--config", "disk.ini", "--ks", "0,2"],
+    ["threshold", "--k", "0"],
+    ["threshold", "--k", "-2", "--h", "0.1"],
+    ["threshold", "--k", "4", "--h", "-0.1"],
+], ids=" ".join)
+def test_a_value_out_of_range_is_a_value_error(tmp_path, capsys, argv):
+    # these once failed with ZeroDivisionError or TypeError, blamed censored
+    # rays for a ray grid inside the obstacle, or wrote a threshold or, for
+    # R = 0, L = 0 from rays that all start at the origin
+    argv = [str(CONFIGS / a) if a.endswith(".ini") else a for a in argv]
+    if argv[0] == "threshold":
+        led = ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0, A_min=1.0, A_max=1.0,
+                              nu_min=1.0, nu_max=1.0, k0=1.0, L_ray=2.0)
+        write_json(tmp_path / "ledger.json", asdict(led))
+        argv += ["--ledger", str(tmp_path / "ledger.json")]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not (tmp_path / "o").exists()
 
 
@@ -449,7 +472,6 @@ def test_eta_subcommand(tmp_path):
 
 
 def test_convergence_subcommand(tmp_path):
-    from helmray.bounds import ConstantsLedger
     led = ConstantsLedger(C_int_tilde=0.2, C_DtN_tilde=2.7, C_H2=0.35,
                           A_min=1.0, A_max=1.0, nu_min=1.0, nu_max=1.0,
                           k0=2.0, L_ray=float(np.sqrt(9 - 0.25)))
@@ -472,7 +494,6 @@ def test_constants_subcommand(tmp_path):
     rc = main(["constants", "--config", cfg, "--samples", "2",
                "--out", str(tmp_path / "o")])
     assert rc == 0
-    from helmray.bounds import ConstantsLedger
     led = ConstantsLedger.from_json(tmp_path / "o" / "ledger.json")
     led.validate()
     # ray ball radius R + 2 = 3 around the half-unit disk: sqrt(9 - 1/4)
@@ -499,7 +520,6 @@ def test_h2_scan_subcommand(tmp_path):
     ["resolvent-scan", "--ks", "3"],
 ], ids=lambda argv: argv[0])
 def test_runner_writes_manifest_config_and_json_summary(tmp_path, capsys, argv):
-    from helmray.bounds import ConstantsLedger
     if argv[0] == "threshold":
         ledger = ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0, A_min=1.0,
                                  A_max=1.0, nu_min=1.0, nu_max=1.0, k0=1.0, L_ray=2.0)

@@ -431,6 +431,27 @@ def test_sobolev_index_other_than_0_or_1_rejected(free_geom, s):
         resolvent_scan(coeffs, None, free_geom, [5.0], cut, s=s)
 
 
+@pytest.mark.parametrize("k", [0.0, -5.0, np.nan, np.inf])
+def test_resolvent_estimate_rejects_a_wavenumber_that_is_not_positive(free_geom, k):
+    # the scan once divided by zero at k = 0, and at k = -5 took np.ceil of a
+    # complex cube root in dtn.default_n_max
+    coeffs, cut = identity_coefficients(), RadialCutoff(0.8, 0.97)
+    for method in ("modal", "fem2d"):
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            estimate_resolvent_norm(coeffs, None, free_geom, k, cut, 0.02, method=method)
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        resolvent_scan(coeffs, None, free_geom, [k, 5.0], cut)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_resolvent_estimate_rejects_a_mesh_width_that_is_not_positive(free_geom, h):
+    # the modal path once divided by zero at h = 0 and gave a norm at h = -0.1
+    coeffs, cut = identity_coefficients(), RadialCutoff(0.8, 0.97)
+    for method in ("modal", "fem2d"):
+        with pytest.raises(ValueError, match=f"h = {h}"):
+            estimate_resolvent_norm(coeffs, None, free_geom, 5.0, cut, h, method=method)
+
+
 @pytest.mark.parametrize("s", [0.5, 2])
 def test_radial_api_rejects_sobolev_index_other_than_0_or_1(s):
     # the modal sweep once computed every s != 0 as s = 1
@@ -754,6 +775,13 @@ def test_h2_study_needs_two_distinct_k(free_geom, ks):
     # one k once gave a fitted exponent with only a RankWarning
     with pytest.raises(ValueError, match="two distinct k"):
         h2_scaling_study(identity_coefficients(), None, free_geom, ks)
+
+
+@pytest.mark.parametrize("k", [0.0, -2.0, np.nan])
+def test_h2_study_rejects_a_wavenumber_that_is_not_positive(free_geom, k):
+    # k = 0 once divided by zero in the mesh width
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        h2_scaling_study(identity_coefficients(), None, free_geom, [k, 2.0])
 
 
 def test_quasioptimality_ratio_stabilizes(disk_study):

@@ -196,7 +196,7 @@ def test_radial_billiard(ident):
     p0 = PhasePoint(np.array([2.0, 0.0]), np.array([-1.0, 0.0]))
     traj = integrate_ray(ident, disk_obstacle(1.0), geom, p0, RayConfig())
     assert len(traj.reflections) == 1
-    np.testing.assert_allclose(traj.reflections[0].point, [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(traj.reflections[0], [1.0, 0.0], atol=1e-9)
     assert time_in_ball(traj, 2.0) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -358,6 +358,24 @@ def test_classify_trapping_euclid_and_disk(ident):
     seed = longest_ray_length(ident, disk_obstacle(0.5), geom, geom.R,
                               replace(cfg, refinement_rounds=0))
     assert rep == seed.diagnostics
+
+
+def test_a_seed_grid_inside_the_obstacles_is_rejected(ident):
+    # B(0, 0.4) lies inside the disk: no ray was traced, and the search once
+    # reported "all sampled rays were censored" and the verdict nontrapping
+    geom, obstacle = TruncationGeometry(0.3, 0.4), disk_obstacle(0.5)
+    cfg = RayConfig(grid_pos_r=3, grid_dir=8)
+    with pytest.raises(ValueError, match="R = 0.4"):
+        classify_trapping(ident, obstacle, geom, cfg)
+    with pytest.raises(ValueError, match="R = 0.4"):
+        longest_ray_length(ident, obstacle, geom, 0.4, cfg)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, np.inf])
+def test_a_ray_ball_of_radius_not_positive_is_rejected(ident, R):
+    # R = 0 once put every starting point at the origin and reported L = 0
+    with pytest.raises(ValueError, match=f"R = {R}"):
+        longest_ray_length(ident, None, TruncationGeometry(0.5, 1.0), R, RayConfig(grid_dir=8))
 
 
 def test_classify_trapping_two_disks(ident):
@@ -581,8 +599,8 @@ def test_time_reversal_returns_to_start(nu_bump, obstacle, theta, b):
     assert back.termination is Termination.ESCAPED
     assert len(back.reflections) == len(fwd.reflections)
     np.testing.assert_allclose(back.states[-1], np.concatenate([x0, -p0.xi]), rtol=0.0, atol=1e-6)
-    for ev in fwd.reflections + back.reflections:
-        assert abs(signed_distance(obstacle, ev.point)) <= 1e-12
+    for point in fwd.reflections + back.reflections:
+        assert abs(signed_distance(obstacle, point)) <= 1e-12
 
 
 def test_step_near_an_obstacle_reuses_the_first_stage_slope(nu_bump, monkeypatch):
@@ -693,38 +711,49 @@ def test_a_recorded_ray_ends_as_it_does_in_a_batch(nu_bump, unit_ball_geom):
     assert reflected > 0
 
 
-@pytest.mark.parametrize("case", ["bump_budget", "disk_glancing"])
-def test_a_sweep_traces_each_repeated_state_once(nu_bump, ident, case, monkeypatch):
-    # radii clipped at R repeat: three of the four radii below are R.  The
-    # sweep traces each distinct state once, and its counts, censored list
-    # and maximizer are those of tracing every grid point
-    if case == "bump_budget":
-        coeffs, obstacles, cfg = nu_bump, (), RayConfig(max_time_budget=0.7)
-    else:
-        coeffs, obstacles, cfg = ident, (disk_obstacle(0.5),), RayConfig(glancing_threshold=0.3)
-    R = 1.0
-    grid = (np.array([R, 0.8, R, R]), np.linspace(0.0, 2 * np.pi, 5, endpoint=False),
-            np.linspace(0.1, 2 * np.pi + 0.1, 12, endpoint=False))
-    states, params = raytrace._build_states(coeffs, obstacles, *grid)
-    every = _eval_rays(coeffs, obstacles, states, cfg, R)
-    traced = []
+# L, the maximizer's (x, xi) and the refinement history of the benchmark's
+# "rays" search at its first frame rotation (4 x 8 x 16 grid, refine_points
+# = 7, 2 rounds), as float.hex; and the rows of each traced batch
+BENCHMARK_SEARCH = {
+    "disk": ("0x1.bb67ae8584cadp-1",
+             ("-0x1.f6979dc551e45p-1", "0x1.86cb6ec55aa92p-3",
+              "0x1.826887fa6392ap-1", "-0x1.4fe7d8c10e915p-1"),
+             ("0x1.bb67ae8584cadp-1", "0x1.bb67ae8584cadp-1"), [256, 196, 196]),
+    "nu_bump": ("0x1.35b5be4b1fc9ap+0",
+                ("0x1.f0cae1fc93e98p-1", "0x1.ef703bbe1deafp-3",
+                 "-0x1.8de6ceaab739dp-1", "-0x1.423560e8a4374p-1"),
+                ("0x1.2ddd3f6180202p+0", "0x1.35b5be4b1fc9ap+0"), [512, 196, 196]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SEARCH))
+def test_the_benchmark_search_traces_each_starting_state_once(name, monkeypatch):
+    # both maximizers lie on |x| = R, where a refinement round's radii clip to
+    # R: each grid keeps a clipped radius once, so no batch repeats a state,
+    # and n_samples counts the rays traced
+    L, maximizer, history, rows = BENCHMARK_SEARCH[name]
+    radii, traced = [], []
+    build_states = raytrace._build_states
+
+    def building(coeffs, obstacles, rs, *angles):
+        radii.append(rs)
+        return build_states(coeffs, obstacles, rs, *angles)
 
     def recording(coeffs, obstacles, states, cfg, R):
-        traced.append(len(states))
+        traced.append(states)
         return _eval_rays(coeffs, obstacles, states, cfg, R)
 
+    monkeypatch.setattr(raytrace, "_build_states", building)
     monkeypatch.setattr(raytrace, "_eval_rays", recording)
-    diag = raytrace.RayDiagnostics()
-    best, best_state, best_param = raytrace._sweep(coeffs, obstacles, cfg, R, grid, diag)
-    assert traced == [len(states) // 2]
-
-    ok, budget = every.termination == 0, np.nonzero(every.termination == 1)[0]
-    i = int(np.argmax(np.where(ok, every.t_exit, -np.inf)))
-    assert (best, best_state.tobytes(), best_param.tobytes()) == (
-        every.t_exit[i], states[i].tobytes(), params[i].tobytes())
-    assert diag.n_samples == len(states) == 240
-    assert diag.n_glancing == int(np.sum(every.termination == 2))
-    assert diag.n_budget == len(budget)
-    assert diag.n_glancing + diag.n_budget > 0
-    assert [(p.x.tobytes(), p.xi.tobytes()) for p in diag.censored] == [
-        (states[j, :2].tobytes(), states[j, 2:].tobytes()) for j in budget]
+    cfg = RunConfig.from_file(CONFIGS / f"{name}.ini")
+    ray_cfg = RayConfig(grid_pos_r=4, grid_pos_theta=8, grid_dir=16, refine_points=7,
+                        refinement_rounds=2, frame_rotation=float.fromhex("0x1.538feaa4932bap-2"))
+    res = longest_ray_length(*cfg.problem(), 1.0, ray_cfg)
+    assert [len(s) for s in traced] == rows
+    assert all(len(np.unique(s, axis=0)) == len(s) for s in traced)
+    assert all(len(np.unique(rs)) == len(rs) for rs in radii)
+    assert min(len(rs) for rs in radii[1:]) < ray_cfg.refine_points    # radii were clipped
+    assert res.L.hex() == L
+    assert tuple(v.hex() for v in (*res.maximizer.x, *res.maximizer.xi)) == maximizer
+    assert tuple(v.hex() for v in res.diagnostics.refinement_history) == history
+    assert res.diagnostics.n_samples == sum(rows)
