@@ -20,8 +20,8 @@ from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
 from .radial import radial_cutoff_resolvent_norm
-from .util import (bump, composite_gauss, cutoff_normal, make_rng, power_sigma,
-                   require_positive, smoothstep, solve_real)
+from .util import (LanczosBasis, bump, composite_gauss, cutoff_normal, make_rng,
+                   power_sigma, require_positive, smoothstep, solve_real)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +144,13 @@ def estimate_resolvent_norm(coeffs: CoefficientField, obstacle, geom,
     system = assemble(coeffs, space, dtn, k)
     M = system.mass_plain
     apply_normal = cutoff_normal(
-        system.factorize(), _spd_solver(M, mesh.n_theta), M,
+        system.factorize().solve, _spd_solver(M, mesh.n_theta), M,
         M if s == 0 else system.energy_matrix(),
         cutoff.at_points(mesh.vertices[space.free_vertices]))
     rng = make_rng(seed)
     v0 = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
-    sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=rtol, maxit=600)
+    sigma, iters, conv, resid = power_sigma(apply_normal, LanczosBasis(M, v0), rtol=rtol,
+                                            maxit=600)
     return ResolventEstimate(value=sigma, method="fem2d",
                              converged=conv, iterations=iters,
                              resolution={"h": h, "n_dofs": space.n_dofs}, residual=resid)

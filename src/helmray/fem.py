@@ -188,7 +188,9 @@ def _splu(matrix) -> spla.SuperLU:
 class TridiagonalLU:
     """LAPACK ``?gttrf`` factors of the tridiagonal matrix with bands
     ``(lower, main, upper)``.  ``solve(b)`` runs ``?gttrs`` on a vector or
-    the columns of a matrix; a real factor rejects a complex ``b``."""
+    the columns of a matrix; a real factor rejects a complex ``b``.  With
+    ``overwrite=True`` a contiguous ``b`` of the factor's type is solved in
+    place, with no copy, and the solution returned is ``b``."""
 
     def __init__(self, lower, main, upper):
         gttrf, self._gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (lower, main, upper))
@@ -203,17 +205,21 @@ class TridiagonalLU:
         """Entries the factors store: the bands dl, d, du and du2."""
         return sum(f.size for f in self._factors[:4])
 
-    def solve(self, b):
+    def solve(self, b, overwrite=False):
         b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
-        x, _ = self._gttrs(*self._factors, b)
+        x, _ = self._gttrs(*self._factors, b, overwrite_b=overwrite)
         return x
 
 
 class TridiagonalLDL:
     """LAPACK ``?pttrf`` factors L D L^T of the real symmetric positive
     definite tridiagonal matrix with bands ``(main, off)``: no pivoting, half
-    the work of :class:`TridiagonalLU` per solve, whose ``solve(b)`` contract
-    it keeps."""
+    the work of :class:`TridiagonalLU` per solve, whose ``solve(b, overwrite)``
+    contract it keeps, but for a complex ``b``.  That is solved as one complex
+    right-hand side by ``zpttrs`` with the real factors: ``D`` is real and
+    ``L`` has a zero imaginary part, so no product or quotient mixes the two
+    parts of ``b``, and each comes out with the bits of a real solve of it
+    (but for the sign of a zero)."""
 
     def __init__(self, main, off):
         pttrf, self._pttrs = lapack.get_lapack_funcs(("pttrf", "pttrs"), (main, off))
@@ -222,10 +228,16 @@ class TridiagonalLDL:
             raise SingularSystemError(
                 f"tridiagonal matrix is not positive definite: nonpositive pivot in row {info - 1}")
         self.dtype = self._factors[0].dtype
+        self._complex_factors = self._factors[0], self._factors[1].astype(complex)
 
-    def solve(self, b):
-        b = np.asarray(b).astype(self.dtype, casting="safe", copy=False)
-        x, _ = self._pttrs(*self._factors, b)
+    def solve(self, b, overwrite=False):
+        b = np.asarray(b)
+        if b.dtype.kind == "c":
+            x, _ = lapack.zpttrs(*self._complex_factors, b.astype(complex, copy=False),
+                                 overwrite_b=overwrite)
+        else:
+            b = b.astype(self.dtype, casting="safe", copy=False)
+            x, _ = self._pttrs(*self._factors, b, overwrite_b=overwrite)
         return x
 
 

@@ -109,18 +109,25 @@ def solve_real(lu, b):
     return out.reshape(b.shape)
 
 
-def cutoff_normal(lu, mass_solve, M, B, ch):
+def cutoff_normal(solve, mass_solve, M, B, ch):
     """Normal operator of T f = ch K^{-1} M (ch f).
 
-    ``lu.solve(b)`` is K^{-1} b for the complex symmetric system K, and
-    ``mass_solve(b)`` is M^{-1} b for the real mass M and a complex b; the
-    input norm is M, the output norm B, and the adjoint is taken in M, the
-    inner product of :func:`power_sigma`.  Since K^T = K, the adjoint solve
-    K^{-H} c is the conjugated forward solve conj(K^{-1} conj(c)).
+    ``solve(b)`` is K^{-1} b for the complex symmetric system K, and
+    ``mass_solve(b)`` is M^{-1} b for the real mass M and a complex b; both
+    are handed temporaries, which they may overwrite.  The input norm is M,
+    the output norm B, and the adjoint is taken in M, the inner product of
+    :func:`power_sigma`.  Since K^T = K, the adjoint solve K^{-H} c is the
+    conjugated forward solve conj(K^{-1} conj(c)).
     """
     def apply_normal(v):
-        w = ch * lu.solve(M @ (ch * v))
-        return mass_solve(ch * (M @ np.conj(lu.solve(np.conj(ch * (B @ w))))))
+        w = solve(M @ (ch * v))
+        w *= ch
+        c = B @ w
+        c *= ch
+        y = solve(np.conjugate(c, out=c))
+        z = M @ np.conjugate(y, out=y)
+        z *= ch
+        return mass_solve(z)
 
     return apply_normal
 
@@ -129,12 +136,34 @@ _BASIS_ROWS = 17     # Lanczos vectors held before the basis doubles
 _ROUNDING = 1e-12    # relative Ritz residual estimate below which it is checked
 
 
-def power_sigma(apply_normal, M, v0, rtol=1e-5, maxit=400):
+class LanczosBasis:
+    """The start and the basis buffers of :func:`power_sigma` for the inner
+    product of ``M`` and the start vector ``v0``: rows ``Q`` and
+    ``MQc = conj(M Q)``, of which the first hold ``v0`` normalized in ``M``.
+
+    A run writes rows from the second on and reads only rows it has written,
+    so one basis serves any number of runs with the same ``M`` and ``v0``,
+    each with the bits of a run on a fresh basis, and allocates no vector
+    but those its operator makes.  A run that needs more rows doubles both
+    buffers; later runs keep the larger ones.
+    """
+
+    def __init__(self, M, v0):
+        v = np.asarray(v0, dtype=complex)
+        Mv = M @ v
+        self.M = M
+        self.Q = np.empty((_BASIS_ROWS, len(v)), dtype=complex)
+        self.MQc = np.empty_like(self.Q)
+        _scaled(v, Mv, 1.0 / np.sqrt(np.vdot(v, Mv).real), self.Q[0], self.MQc[0])
+
+
+def power_sigma(apply_normal, basis: LanczosBasis, rtol=1e-5, maxit=400):
     """Largest singular value from Lanczos on the normal operator in the M
-    inner product <u, v> = u^H M v.
+    inner product <u, v> = u^H M v, started at the vector of ``basis``.
 
     ``apply_normal(v)`` must realize T*T v with the adjoint taken in that inner
-    product, and ``M @ v`` the real symmetric positive definite M.  Every new
+    product, as a new array, which the iteration overwrites, and
+    ``basis.M @ v`` the real symmetric positive definite M.  Every new
     Lanczos vector is orthogonalized against all earlier ones by two classical
     Gram-Schmidt passes (full reorthogonalization; C. Lanczos, J. Res. NBS 45,
     1950; C. C. Paige, IMA J. Appl. Math. 18, 1976), so the basis Q and
@@ -151,18 +180,13 @@ def power_sigma(apply_normal, M, v0, rtol=1e-5, maxit=400):
     The name is kept from the power iteration this replaced, under which the
     benchmark binds it.
     """
-    v = np.asarray(v0, dtype=complex)
-    Mv = M @ v
-    scale = np.sqrt(np.vdot(v, Mv).real)
-    Q = np.empty((min(maxit + 1, _BASIS_ROWS), len(v)), dtype=complex)
-    MQc = np.empty_like(Q)      # conj(M Q): the inner products <q, w> are MQc @ w
-    _scaled(v, Mv, 1.0 / scale, Q[0], MQc[0])
+    M, Q, MQc = basis.M, basis.Q, basis.MQc
     alpha, beta = np.zeros(maxit), np.zeros(maxit)
     for j in range(1, maxit + 1):
         w, a = apply_normal(Q[j - 1]), 0.0
         for _ in range(2):
             c = MQc[:j] @ w
-            w = w - c @ Q[:j]
+            w -= c @ Q[:j]
             a += c[j - 1].real
         alpha[j - 1] = a
         Mw = M @ w
@@ -180,6 +204,7 @@ def power_sigma(apply_normal, M, v0, rtol=1e-5, maxit=400):
             break
         if j == len(Q):
             Q, MQc = (np.concatenate([X, np.empty_like(X)]) for X in (Q, MQc))
+            basis.Q, basis.MQc = Q, MQc
         beta[j - 1] = b
         _scaled(w, Mw, 1.0 / b, Q[j], MQc[j])
     relative = resid / theta if theta > 0.0 else (0.0 if resid == 0.0 else np.inf)

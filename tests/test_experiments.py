@@ -21,10 +21,11 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle, identity_coefficients,
                               nu_bump_coefficients)
 from helmray.mesh import generate_mesh
-from helmray import radial
-from helmray.radial import (assemble_radial_mode, mode_cutoff_norm, mode_norm_bound,
-                            radial_cutoff_resolvent_norm, radial_quadrature)
-from helmray.util import cutoff_normal, power_sigma, solve_real
+from helmray import experiments, radial
+from helmray.radial import (assemble_radial_mode, cutoff_constant, mode_cutoff_norm,
+                            mode_norm_bound, mode_workspace, radial_cutoff_resolvent_norm,
+                            radial_quadrature)
+from helmray.util import LanczosBasis, cutoff_normal, power_sigma, solve_real
 from conftest import rng
 
 
@@ -60,7 +61,8 @@ def test_power_iteration_against_dense_svd_free_1d_kernel():
 
     g = rng(0)
     v0 = g.standard_normal(n) + 1j * g.standard_normal(n)
-    sigma, _, conv, _ = power_sigma(apply_normal, sp.diags(w), v0, rtol=1e-6, maxit=2000)
+    sigma, _, conv, _ = power_sigma(apply_normal, LanczosBasis(sp.diags(w), v0), rtol=1e-6,
+                                    maxit=2000)
     assert conv
     assert sigma == pytest.approx(sigma_dense, rel=1e-4)
 
@@ -90,7 +92,7 @@ def test_cutoff_normal_is_mass_self_adjoint(path):
         mode = assemble_radial_mode(3, 3.0, radial_quadrature(1.0, 80, r_inner=0.5))
         M, lu, luM, B = mode.M, mode.lu(), mode.lu_mass(), mode.M
         ch = cut(mode.grid[mode.free])
-    apply_normal = cutoff_normal(lu, partial(solve_real, luM), M, B, ch)
+    apply_normal = cutoff_normal(lu.solve, partial(solve_real, luM), M, B, ch)
 
     def m_dot(u, v):
         return np.vdot(u, M @ v)
@@ -123,6 +125,26 @@ def test_radial_mass_solve_real_matches_complex_factorization():
         x, ref = solve_real(luM, b), sla.solve_banded((1, 1), ab, b)
         assert x.shape == b.shape
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        # the factor's own complex solve gives the bits of the two real columns
+        assert np.array_equal(luM.solve(b), x)
+
+
+@pytest.mark.parametrize("which, dtype", [("K", complex), ("M", float), ("M", complex)])
+def test_tridiagonal_solve_overwrites_only_when_asked(which, dtype):
+    # overwrite=True solves a contiguous right-hand side of the factor's type
+    # (a real or a complex one for the real mass) in place, with the bits of
+    # the solve that leaves it alone
+    mode = assemble_radial_mode(2, 5.0, radial_quadrature(1.0, 50, r_inner=0.3))
+    lu = mode.lu() if which == "K" else mode.lu_mass()
+    g = rng(8)
+    b = g.standard_normal(len(mode.free)).astype(dtype)
+    if dtype is complex:
+        b.imag = g.standard_normal(len(b))
+    kept = b.copy()
+    x = lu.solve(b)
+    assert np.array_equal(b, kept) and not np.shares_memory(x, b)
+    y = lu.solve(b, overwrite=True)
+    assert np.shares_memory(y, b) and np.array_equal(y, x)
 
 
 @pytest.mark.parametrize("which", ["M", "K", "angular"])
@@ -215,11 +237,12 @@ def test_energy_gram_of_a_mode_is_the_dense_sum_on_free_nodes(n, r_inner):
     quad = radial_quadrature(1.0, 30, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
     k = 5.0
     mode = assemble_radial_mode(n, k, quad, s=1)
-    S, C, Mnu, M0 = (_dense(radial.Tridiagonal(*b)) for b in (quad.S, quad.C, quad.Mnu, quad.M0))
+    S, C, Mnu = (_dense(radial.Tridiagonal(*b)) for b in (quad.S, quad.C, quad.Mnu))
     free = np.ix_(mode.free, mode.free)
     assert len(mode.free) == len(quad.grid) - (n != 0 or r_inner > 0.0)
     assert np.array_equal(_dense(mode.B), (S + n * n * C + k * k * Mnu)[free])
-    assert np.array_equal(_dense(mode.M), M0[free])
+    assert np.array_equal(_dense(mode.M), _dense(quad.mass[0])[free])
+    assert mode.M is quad.mass[int(len(mode.free) < len(quad.grid))]
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -234,36 +257,84 @@ def test_mode_cutoff_norm_matches_dense_singular_value(s):
     dense = np.linalg.norm(LB.T @ T @ np.linalg.inv(LM.T), 2)
     g = rng(5)
     v0 = g.standard_normal(len(ch)) + 1j * g.standard_normal(len(ch))
-    sigma, _, conv, _ = mode_cutoff_norm(mode, ch, mode.lu_mass(), v0, rtol=1e-12,
+    sigma, _, conv, _ = mode_cutoff_norm(mode, ch, mode_workspace(mode, v0), rtol=1e-12,
                                          maxit=5000)
     assert conv
     assert sigma == pytest.approx(dense, rel=1e-9)
 
 
+def _lumping_kappa(quad):
+    """max over elements of 1 + m01 (m00 + m11 + 2 m01) / (m00 m11 - m01^2):
+    the largest eigenvalue of the lumped r dr mass block against the block,
+    the factor kappa of the screening bound kappa max|chi|^2 / c_n that
+    cutoff_constant sharpened."""
+    m00, m01, m11 = quad.mass_blocks
+    return np.max(1.0 + m01 * (m00 + m11 + 2.0 * m01) / (m00 * m11 - m01 * m01))
+
+
+def _cutoffs(grid):
+    """A smooth cutoff, a random one in [0, 1] and a signed one in [-1, 1] on ``grid``."""
+    return {"smooth": RadialCutoff(0.8, 0.97)(grid), "random": rng(6).uniform(0.0, 1.0, len(grid)),
+            "signed": rng(7).uniform(-1.0, 1.0, len(grid))}
+
+
+@pytest.mark.parametrize("cutoff", ["smooth", "random", "signed"])
+@pytest.mark.parametrize("r_inner", [0.0, 0.5])
+def test_cutoff_constant_bounds_the_dense_multiplier_norm(r_inner, cutoff):
+    # kappa_chi = max_e lambda_max(D_e M_e D_e, M_e) bounds ||diag(chi)||^2 in
+    # the r dr mass on all nodes and on the free nodes of n != 0, is each
+    # element's generalized eigenvalue in closed form, and never exceeds the
+    # lumped bound kappa max|chi|^2 (4 max|chi|^2 at the axis, about 3 off it)
+    quad = radial_quadrature(1.0, 60, r_inner=r_inner)
+    chi = _cutoffs(quad.grid)[cutoff]
+    kappa_chi = cutoff_constant(quad, chi)
+    for first, mass in enumerate(quad.mass):
+        M, D = _dense(mass), np.diag(chi[first:])
+        dense = sla.eigh(D @ M @ D, M, eigvals_only=True)[-1]
+        assert dense <= kappa_chi
+    m00, m01, m11 = quad.mass_blocks
+    per_element = [sla.eigh(np.outer(c, c) * Me, Me, eigvals_only=True)[-1]
+                   for c, Me in zip(np.stack([chi[:-1], chi[1:]], axis=1),
+                                    np.stack([m00, m01, m01, m11], axis=1).reshape(-1, 2, 2))]
+    assert kappa_chi == pytest.approx(max(per_element), rel=1e-14)
+    kappa = _lumping_kappa(quad)
+    assert (kappa == pytest.approx(4.0, rel=1e-14) if r_inner == 0.0 else 3.0 < kappa < 4.0)
+    assert kappa_chi <= kappa * np.max(np.abs(chi)) ** 2
+    # a smooth cutoff is nearly constant on every element: kappa_chi is close
+    # to max|chi|^2 = 1, which the dense norm also reaches where chi = 1
+    if cutoff == "smooth":
+        assert 1.0 <= kappa_chi <= 1.0 + 4e-3
+
+
 @pytest.mark.parametrize("profile", ["identity", "nu_bump"])
 @pytest.mark.parametrize("r_inner", [0.0, 0.5])
 def test_coercivity_bound_holds_against_dense_mode_norms(profile, r_inner):
-    # ||ch K_n^{-1} M ch||_{M->M} <= kappa max|ch|^2 / c_n for every mode with
-    # c_n > 0, at wavenumbers below, near and above the first screened mode
+    # ||ch K_n^{-1} M ch||_{M->M} <= kappa_chi / c_n for every mode with
+    # c_n > 0, at wavenumbers below, near and above the first screened mode;
+    # every mode below n = floor(k max r sqrt(nu/a)), where the sweep takes no
+    # bound, has c_n <= 0
     a_of_r, nu_of_r = ((None, None) if profile == "identity"
                        else radial_profiles(nu_bump_coefficients(0.6, 0.4), 1.0))
     quad = radial_quadrature(1.0, 60, r_inner=r_inner, a_of_r=a_of_r, nu_of_r=nu_of_r)
-    # kappa is 4 on the axis element and tends to 3 away from the axis
-    assert (quad.kappa == pytest.approx(4.0, rel=1e-14) if r_inner == 0.0
-            else 3.0 < quad.kappa < 4.0)
     cutoffs = [RadialCutoff(0.8, 0.97)(quad.grid), rng(6).uniform(0.0, 1.0, len(quad.grid))]
+    kappas = [cutoff_constant(quad, chi) for chi in cutoffs]
+    assert 1.0 <= kappas[0] <= 1.0 + 4e-3
+    assert all(kappa_chi <= _lumping_kappa(quad) * np.max(np.abs(chi)) ** 2
+               for chi, kappa_chi in zip(cutoffs, kappas))
     checked = 0
     for k in (2.0, 4.0, 7.0):
+        n_bounded = int(k * np.sqrt(np.max(quad.nu_q / quad.a_x2)))
         for n in range(0, default_n_max(k, 1.0) + 1):
             assert hankel_ratio(n, k * 1.0).real <= 0.0     # Re t_n <= 0 at R = 1
             mode = assemble_radial_mode(n, k, quad)
             M, K = _dense(mode.M), _dense(mode.K)
             LM = np.linalg.cholesky(M)
-            for chi in cutoffs:
-                ch = chi[mode.free]
-                bound = mode_norm_bound(n, k, quad, np.max(np.abs(ch)))
+            for chi, kappa_chi in zip(cutoffs, kappas):
+                bound = mode_norm_bound(n, k, quad, kappa_chi)
                 if not np.isfinite(bound):
                     continue
+                assert n >= n_bounded
+                ch = chi[mode.free]
                 T = ch[:, None] * np.linalg.solve(K, M * ch[None, :])
                 assert np.linalg.norm(LM.T @ T @ np.linalg.inv(LM.T), 2) <= bound
                 checked += 1
@@ -278,7 +349,8 @@ def _mode_by_mode(k, quad, cut, s, seed):
         mode = assemble_radial_mode(n, k, quad, s)
         g, m = np.random.default_rng(seed), len(mode.free)
         v0 = g.standard_normal(m) + 1j * g.standard_normal(m)
-        out.append((n, *mode_cutoff_norm(mode, cut(quad.grid[mode.free]), mode.lu_mass(), v0)))
+        out.append((n, *mode_cutoff_norm(mode, cut(quad.grid[mode.free]),
+                                         mode_workspace(mode, v0))))
     return out
 
 
@@ -311,6 +383,98 @@ def test_modal_scan_draws_one_start_vector_per_layout(monkeypatch, r_inner, layo
     solved = solved[:len(res.per_mode)]
     assert res.per_mode == [m[:4] for m in solved]
     assert res.residual == max(m[4] for m in solved)
+
+
+# per config and s: the relative Ritz residual and n_screened of the modal
+# sweep at k = 4, and (sigma, iterations) of every mode it solves, in
+# float.hex; none of the shared workspace, the in-place solves or the
+# screening constant may move them, and every mode converged
+_MODAL_BITS = {
+    ("euclid", 0): ("0x1.28285e1227cdcp-15", 14, (
+        ("0x1.21a0c4e299ca4p-3", 4), ("0x1.1fd56d78998fbp-3", 4), ("0x1.a56ef1c2af554p-4", 4),
+        ("0x1.e90f34343bc5dp-5", 4), ("0x1.05e01f7051998p-5", 4), ("0x1.2e63e327cfbf4p-6", 5),
+        ("0x1.8fe63f38c31b3p-7", 5),)),
+    ("euclid", 1): ("0x1.5feecb57cd00bp-14", 0, (
+        ("0x1.c99f77548be14p-1", 4), ("0x1.d77d590372c80p-1", 4), ("0x1.91f45f72720adp-1", 4),
+        ("0x1.0b0ba57601412p-1", 4), ("0x1.3e79f73ce8498p-2", 5), ("0x1.92e9568a126c9p-3", 6),
+        ("0x1.237e0133ff68ap-3", 6), ("0x1.d0d728db486a7p-4", 6), ("0x1.86f1fb05d7770p-4", 7),
+        ("0x1.536c40186499bp-4", 7), ("0x1.2d1141abd23bfp-4", 7), ("0x1.0f3a2282db760p-4", 8),
+        ("0x1.ee8016256c837p-5", 8), ("0x1.c70058b9ddfcap-5", 8), ("0x1.a5d1c36b63668p-5", 8),
+        ("0x1.897e7a89460f6p-5", 8), ("0x1.70fdc848fe426p-5", 9), ("0x1.5b8e9af8f5dffp-5", 9),
+        ("0x1.48a092858bff8p-5", 9), ("0x1.37c56436f2bf7p-5", 9), ("0x1.28a73d567ca43p-5", 9),)),
+    ("nu_bump", 0): ("0x1.b298fa6df9de5p-15", 14, (
+        ("0x1.bc43fe7c4f140p-4", 4), ("0x1.3820a39455ebcp-3", 4), ("0x1.b6a56fc83cabbp-4", 4),
+        ("0x1.ec90aac96c6f8p-5", 4), ("0x1.063da2237af7dp-5", 4), ("0x1.2e819a1ed1bd5p-6", 5),
+        ("0x1.8ff3769e07cebp-7", 5),)),
+    ("nu_bump", 1): ("0x1.64eadd27952fdp-14", 0, (
+        ("0x1.b120839ed04f3p-1", 5), ("0x1.06faa9f9f3382p+0", 4), ("0x1.a1d4340c286d5p-1", 4),
+        ("0x1.0cc2a563a9b74p-1", 4), ("0x1.3ed97811a86ddp-2", 5), ("0x1.930a8f6d03380p-3", 6),
+        ("0x1.2386991d4412dp-3", 6), ("0x1.d0dc66eff7251p-4", 6), ("0x1.86f3b77849795p-4", 7),
+        ("0x1.536cdc004dda4p-4", 7), ("0x1.2d117ac325497p-4", 7), ("0x1.0f3a381d7cc67p-4", 8),
+        ("0x1.ee8026eb0ca62p-5", 8), ("0x1.c7005f5e86fd3p-5", 8), ("0x1.a5d1c617fdbf5p-5", 8),
+        ("0x1.897e7ba06b01cp-5", 8), ("0x1.70fdc8bc3bf72p-5", 9), ("0x1.5b8e9b28ec728p-5", 9),
+        ("0x1.48a09299a7d0bp-5", 9), ("0x1.37c5643f6db19p-5", 9), ("0x1.28a73d5a146b7p-5", 9),)),
+    ("disk", 0): ("0x1.0a03d619fe17cp-15", 12, (
+        ("0x1.8566f69c7a95ep-5", 4), ("0x1.8392988e4eac4p-5", 4), ("0x1.72f7306eb5490p-5", 4),
+        ("0x1.3589638ecb8adp-5", 4), ("0x1.a4e2d58bf6363p-6", 4), ("0x1.0d3ac8be08822p-6", 4),
+        ("0x1.7541d801b5b2cp-7", 4), ("0x1.179b6d90d7105p-7", 5), ("0x1.b6e2b84ecdef3p-8", 5),)),
+    ("disk", 1): ("0x1.a2de09c64e759p-14", 0, (
+        ("0x1.bb9c388f3c811p-2", 4), ("0x1.be8631460c6bdp-2", 4), ("0x1.b95ca022de8d2p-2", 4),
+        ("0x1.826515059ba30p-2", 4), ("0x1.15f8e8508232dp-2", 4), ("0x1.7a7b562ef5065p-3", 5),
+        ("0x1.19abcf9b2763cp-3", 5), ("0x1.c791aad8ac4f2p-4", 6), ("0x1.823836c219d7dp-4", 6),
+        ("0x1.50e714f512595p-4", 6), ("0x1.2baf2a03ee54cp-4", 6), ("0x1.0e743689816eep-4", 7),
+        ("0x1.eda04b56126fep-5", 7), ("0x1.c680f7635d96ep-5", 7), ("0x1.a588ff75cf254p-5", 7),
+        ("0x1.8954da613798fp-5", 8), ("0x1.70e5f8e789a4cp-5", 8), ("0x1.5b81008b0bb93p-5", 8),
+        ("0x1.4898d0da5ad0ap-5", 8), ("0x1.37c0fae22a509p-5", 8), ("0x1.28a4bcf3a91e6p-5", 8),)),
+}
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("name", ["euclid", "nu_bump", "disk"])
+def test_modal_sweep_keeps_pinned_bits(monkeypatch, name, s):
+    # resolvent_scan on the shipped configs: every solved mode has its pinned
+    # bits; for s = 0 the solved modes are a prefix of the pinned ones, the
+    # rest screened (no fewer than pinned) by bounds below the value
+    residual, n_screened, pinned = _MODAL_BITS[name, s]
+    cfg = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
+    cut = RadialCutoff(cfg.get("experiment", "cutoff_inner"), cfg.get("experiment", "cutoff_outer"))
+    sweeps, sweep = [], experiments.radial_cutoff_resolvent_norm
+
+    def recording(*args, **kwargs):
+        sweeps.append(sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(experiments, "radial_cutoff_resolvent_norm", recording)
+    row = resolvent_scan(*cfg.problem(), [4.0], cut, s=s, rtol=1e-4, seed=0).rows[0]
+    res, = sweeps
+    got = [(n, sigma.hex(), it, conv) for n, sigma, it, conv in res.per_mode]
+    want = [(n, sigma, it, True) for n, (sigma, it) in enumerate(pinned)]
+    assert got == (want if s == 1 else want[:len(got)])
+    assert res.residual.hex() == row["residual"].hex() == residual
+    assert row["norm"].hex() == max(float.fromhex(sigma) for sigma, _ in pinned).hex()
+    assert len(res.screened) >= n_screened if s == 0 else res.screened == []
+    assert all(bound < row["norm"] for _, bound in res.screened)
+
+
+def test_workspace_serves_a_longer_run_then_a_shorter_one():
+    # a run that outgrows the basis rows doubles them; the next mode on the
+    # grown workspace, and the first mode again, keep the bits of fresh calls
+    quad = radial_quadrature(1.0, 120)
+    cut = RadialCutoff(0.8, 0.97)
+    modes = [assemble_radial_mode(n, 6.0, quad) for n in (3, 4)]
+    g = np.random.default_rng(5)
+    v0 = g.standard_normal(len(modes[0].free)) + 1j * g.standard_normal(len(modes[0].free))
+
+    def run(mode, workspace, rtol):
+        return mode_cutoff_norm(mode, cut(mode.grid[mode.free]), workspace, rtol=rtol, maxit=30)
+
+    shared = mode_workspace(modes[0], v0)
+    rows = len(shared[1].Q)
+    calls = [(modes[0], 0.0), (modes[1], 1e-5), (modes[0], 0.0)]
+    got = [run(mode, shared, rtol) for mode, rtol in calls]
+    assert got[0][1] == 30 > rows and len(shared[1].Q) == 2 * rows
+    assert got[1][1] < rows
+    assert got == [run(mode, mode_workspace(mode, v0), rtol) for mode, rtol in calls]
 
 
 @pytest.mark.parametrize("r_inner", [0.0, 0.5])

@@ -22,7 +22,8 @@ from helmray.experiments import RadialCutoff
 from helmray.fem import assemble, build_space
 from helmray.mesh import generate_mesh
 from helmray.radial import assemble_radial_mode, radial_quadrature
-from helmray.util import bump, cutoff_normal, power_sigma, solve_real, write_csv, write_json
+from helmray.util import (LanczosBasis, bump, cutoff_normal, power_sigma, solve_real,
+                          write_csv, write_json)
 from reference import bump_deriv
 
 
@@ -111,7 +112,8 @@ def test_power_sigma_converged_means_within_rtol(seed):
     g = np.random.default_rng(seed)
     v0 = g.standard_normal(n) + 1j * g.standard_normal(n)
     # a diagonal operator is self-adjoint in the diagonal mass inner product
-    sigma, _, conv, residual = power_sigma(lambda v: eig * v, sp.diags(mass), v0, rtol=rtol)
+    sigma, _, conv, residual = power_sigma(lambda v: eig * v, LanczosBasis(sp.diags(mass), v0),
+                                           rtol=rtol)
     assert conv and residual <= rtol
     assert abs(sigma - 1.0) <= rtol
 
@@ -164,10 +166,11 @@ def test_power_sigma_matches_loop_with_quotients(path, rtol, ident, unit_ball_ge
         system = assemble(ident, space, build_dtn(3.0, unit_ball_geom.R), 3.0)
         M, lu, luM = system.mass_plain, system.factorize(), spla.splu(system.mass_plain.tocsc())
         ch = cut.at_points(space.mesh.vertices[space.free_vertices])
-    apply_normal = cutoff_normal(lu, partial(solve_real, luM), M, M, ch)
+    apply_normal = cutoff_normal(lu.solve, partial(solve_real, luM), M, M, ch)
     g = np.random.default_rng(5)
     v0 = g.standard_normal(M.shape[0]) + 1j * g.standard_normal(M.shape[0])
-    sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=rtol, maxit=30)
+    sigma, iters, conv, resid = power_sigma(apply_normal, LanczosBasis(M, v0), rtol=rtol,
+                                            maxit=30)
     ref = _power_sigma_quotients(apply_normal, M, v0, rtol=rtol, maxit=30)
     assert (iters, conv) == ref[1:3] == ((30, False) if rtol == 0.0 else (iters, True))
     assert sigma == pytest.approx(ref[0], rel=1e-15, abs=0.0)
@@ -180,7 +183,7 @@ def _radial_mode_normal():
     cut = RadialCutoff(0.8, 0.97)
     mode = assemble_radial_mode(3, 6.0, radial_quadrature(1.0, 120))
     M = mode.M
-    apply_normal = cutoff_normal(mode.lu(), partial(solve_real, mode.lu_mass()), M, M,
+    apply_normal = cutoff_normal(mode.lu().solve, partial(solve_real, mode.lu_mass()), M, M,
                                  cut(mode.grid[mode.free]))
     g = np.random.default_rng(5)
     v0 = g.standard_normal(M.shape[0]) + 1j * g.standard_normal(M.shape[0])
@@ -192,11 +195,13 @@ def test_power_sigma_certifies_no_tolerance_below_rounding():
     # of the Ritz vector stops at rounding (about 1e-14 theta here) and reaches
     # exactly 0 at iteration 15: rtol = 0 was reported met, with residual 0
     apply_normal, M, v0 = _radial_mode_normal()
-    sigma, iters, conv, resid = power_sigma(apply_normal, M, v0, rtol=0.0, maxit=30)
+    sigma, iters, conv, resid = power_sigma(apply_normal, LanczosBasis(M, v0), rtol=0.0,
+                                            maxit=30)
     assert (iters, conv) == (30, False)
     assert 1e-16 < resid < 1e-12
     # a tolerance above rounding is met, and its certificate is the true residual
-    sigma_ok, _, conv, resid_ok = power_sigma(apply_normal, M, v0, rtol=1e-10, maxit=30)
+    sigma_ok, _, conv, resid_ok = power_sigma(apply_normal, LanczosBasis(M, v0), rtol=1e-10,
+                                              maxit=30)
     assert conv and 1e-16 < resid_ok <= 1e-10
     assert sigma_ok == pytest.approx(sigma, rel=1e-14)
 
