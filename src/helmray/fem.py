@@ -8,9 +8,12 @@ summed by ``np.bincount`` (Cuvelier, Japhet & Scarella, BIT 2016) into one CSR
 pattern, the diagonal and both directions of every element edge; a coefficient
 the bounds pin (A = I or nu = 1) is never evaluated.  The pattern is built
 first, then each matrix's element entries are summed and dropped in turn: on
-disk.ini assembly peaks at about 415 B per dof (``tracemalloc``), of which the
-result holds 160-200.  One sparse trace operator P
-(``modal_projection``) maps dofs to the m = 2 n_max + 1 Fourier modes on G.
+disk.ini assembly peaks at about 416 B per dof (``tracemalloc``, h = 0.005),
+of which the result holds 160-200.  The element gradients and areas come
+from one pass over gathers of one coordinate column at a time; gathering
+whole (M, 3) coordinate arrays raised that peak to 456 B per dof.  One
+sparse trace operator P (``modal_projection``) maps dofs to the
+m = 2 n_max + 1 Fourier modes on G.
 The radiation operator C P, with C = 2 pi R P^H diag(t), is never formed:
 the system operator K0 - C P (K0 = S - k^2 M_nu) is applied as K0 u - C (P u).
 It is complex symmetric (the assembly copies upper entries to lower ones, and
@@ -107,9 +110,10 @@ def build_space(mesh: Mesh, dirichlet_outer: bool = False) -> FeSpace:
 
 def element_gradients(mesh: Mesh):
     """Constant P1 basis gradients per element: (M, 3, 2), plus areas (M,)."""
-    v, t = mesh.vertices, mesh.triangles
-    x1, y1 = (v[t[:, 1]] - v[t[:, 0]]).T
-    x2, y2 = (v[t[:, 2]] - v[t[:, 0]]).T
+    x, y, t = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.triangles
+    x0, y0 = x[t[:, 0]], y[t[:, 0]]
+    x1, y1 = x[t[:, 1]] - x0, y[t[:, 1]] - y0
+    x2, y2 = x[t[:, 2]] - x0, y[t[:, 2]] - y0
     det = x1 * y2 - y1 * x2
     grads = np.empty((len(det), 3, 2))
     grads[:, 1, 0], grads[:, 1, 1] = y2 / det, -x2 / det
@@ -486,10 +490,11 @@ def _edge_csr(tri_dofs, n):
     matrix with one ``np.bincount`` and copies its upper edges to the lower;
     all of them share one ``indices`` and one ``indptr``.
 
-    The edges are numbered by one argsort of their keys lo * n + hi, and the
-    place of every entry in ``data`` follows from per-row counts.  Every array
-    of size M is dropped once used: with the element entries, they set the
-    peak memory of assembly."""
+    The edges are numbered by one argsort of their keys lo * n + hi (equal
+    keys share a number, so any order of them does; the stable sort is the
+    faster), and the place of every entry in ``data`` follows from per-row
+    counts.  Every array of size M is dropped once used: with the element
+    entries, they set the peak memory of assembly."""
     m = len(tri_dofs)
     keys = np.empty((m, 3), dtype=np.int64)
     for c, (i, j) in enumerate(zip(_I[3:], _J[3:])):
@@ -497,7 +502,7 @@ def _edge_csr(tri_dofs, n):
         hi = np.maximum(tri_dofs[:, i], tri_dofs[:, j])
         # an edge with a constrained end takes the key n^2, above every free edge's
         keys[:, c] = np.where(lo >= 0, lo * n + hi, n * n)
-    order = np.argsort(keys, axis=None)
+    order = np.argsort(keys, axis=None, kind="stable")
     keys = keys.ravel()[order]
     first = np.r_[True, keys[1:] != keys[:-1]]
     edges = keys[first]

@@ -80,3 +80,30 @@ def radial_bump_fields(x, w, amplitude=0.0, P=np.zeros((2, 2))):
     grad_b = masked_bump_grad(x, w)[1]
     return (1.0 + amplitude * b, grad_nu, np.eye(2) + b[..., None, None] * P,
             P[:, :, None] * grad_b[..., None, None, :])
+
+
+def cross2(a, b):
+    """z component of the cross product of 2-vectors on the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def triangle_geometry(mesh):
+    """(h_fem, shape_regularity, gradients, areas) of a mesh from whole-point
+    gathers p = vertices[triangles], lengths by ``np.linalg.norm`` and the
+    areas by ``cross2``: the formulas that the column-gather pass of
+    ``mesh._orient_ccw``, ``mesh._quality`` and ``fem.element_gradients``
+    replaced, to be matched bit for bit."""
+    p = mesh.vertices[mesh.triangles]
+    a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
+    b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
+    det = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    K = 0.5 * np.abs(det)
+    circum = a * b * c / (4.0 * K)
+    inr = 2.0 * K / (a + b + c)
+    (x1, y1), (x2, y2) = (p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T
+    grads = np.empty((len(det), 3, 2))
+    grads[:, 1, 0], grads[:, 1, 1] = y2 / det, -x2 / det
+    grads[:, 2, 0], grads[:, 2, 1] = -y1 / det, x1 / det
+    grads[:, 0] = -(grads[:, 1] + grads[:, 2])
+    return float(np.max(2.0 * circum)), float(np.max(circum / inr)), grads, K

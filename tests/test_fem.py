@@ -20,10 +20,11 @@ from helmray.fem import (AngularFactorization, _fe_values, assemble, assemble_lo
 from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients)
-from helmray.mesh import _cross2, generate_mesh
+from helmray.mesh import generate_mesh
 from helmray.mie import soft_disk_total_field
 from helmray.util import solve_real, triangle_rule
 from conftest import interpolate, rng
+from reference import cross2
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -342,7 +343,7 @@ def test_source_load_matches_exact_p1_mass(unit_setup):
     # independent oracle: exact elementwise integrals area/12 (1 + delta_ij)
     exact = np.zeros(mesh.n_vertices)
     p = mesh.vertices[mesh.triangles]
-    area = 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+    area = 0.5 * np.abs(cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
     for loc_i in range(3):
         for loc_j in range(3):
             w = area / 12.0 * (2.0 if loc_i == loc_j else 1.0)
@@ -696,21 +697,6 @@ def test_disk_annulus_resolvent_estimate_makes_no_superlu_call(monkeypatch):
     assert est.method == "fem2d" and est.converged
     # the eta estimate too: its coarse energy Gram takes the angular solver
     assert estimate_eta(coeffs, obstacle, geom, 4.0, 0.2, samples=1).samples == 1
-
-
-def test_reread_annulus_mesh_solves_on_angular_path(disk_setup, tmp_path):
-    from helmray.mesh import read_mesh, write_mesh
-
-    geom, obs, mesh, space = disk_setup
-    write_mesh(tmp_path / "mesh.txt", mesh)
-    k, dtn = 3.0, build_dtn(3.0, geom.R)
-    rhs = assemble_load_scattering(space, dtn, (1.0, 0.0))
-    u = solve(assemble(identity_coefficients(), space, dtn, k), rhs)
-    space_r = build_space(read_mesh(tmp_path / "mesh.txt"))
-    reread = assemble(identity_coefficients(), space_r, dtn, k)
-    assert reread.factorize().solver == "angular"
-    v = solve(reread, rhs)
-    assert np.linalg.norm(v.dofs - u.dofs) <= 1e-10 * np.linalg.norm(u.dofs)
 
 
 def test_fan_mesh_factors_by_lu(unit_setup):

@@ -1,16 +1,12 @@
-import tempfile
-from dataclasses import replace
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from helmray.fem import element_gradients
 from helmray.geometry import TruncationGeometry, disk_obstacle, fourier_obstacle
 from helmray.mesh import (OBSTACLE_BOUNDARY, TRUNCATION_BOUNDARY, MeshSizeError,
-                          _cross2, generate_mesh, read_mesh, write_mesh)
-from conftest import interpolate
+                          _orient_ccw, generate_mesh)
+from conftest import interpolate, rng
+from reference import cross2, triangle_geometry
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +49,43 @@ def test_shape_regularity_uniform_over_refinement(geom):
 def test_triangles_positively_oriented(geom):
     m = generate_mesh(fourier_obstacle([0.7, 0.1, 0.1]), geom, 0.15)
     p = m.vertices[m.triangles]
-    signed = _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    signed = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     assert np.all(signed > 0)
+
+
+def test_orient_ccw_turns_clockwise_triangles_and_rejects_degenerate_ones():
+    vertices = rng(3).standard_normal((39, 2))
+    triangles = np.arange(39).reshape(13, 3)
+    p = vertices[triangles]
+    before = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    assert np.any(before < 0) and np.any(before > 0)
+    turned, area2 = _orient_ccw(vertices, triangles.copy())
+    p = vertices[turned]
+    after = cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    # a clockwise triangle comes back counterclockwise, first vertex kept
+    np.testing.assert_array_equal(turned[before < 0], triangles[before < 0][:, [0, 2, 1]])
+    np.testing.assert_array_equal(turned[before > 0], triangles[before > 0])
+    # the doubled area is the oriented triangle's, bit for bit, and the input's modulus
+    np.testing.assert_array_equal(area2, after)
+    np.testing.assert_array_equal(area2, np.abs(before))
+    with pytest.raises(ValueError, match="degenerate triangle produced"):
+        _orient_ccw(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), np.array([[0, 1, 2]]))
+
+
+_LAYOUTS = {"fan": None, "disk_annulus": disk_obstacle(0.5),
+            "star_annulus": fourier_obstacle([0.7, 0.1, 0.1], [0.0, 0.05])}
+
+
+@pytest.mark.parametrize("h", [0.2, 0.07])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_triangle_geometry_matches_whole_point_formulas(geom, layout, h):
+    m = generate_mesh(_LAYOUTS[layout], geom, h)
+    h_fem, shape_reg, grads_ref, area_ref = triangle_geometry(m)
+    assert m.h_fem == h_fem and m.shape_regularity == shape_reg
+    grads, area = element_gradients(m)
+    np.testing.assert_array_equal(grads, grads_ref)
+    np.testing.assert_array_equal(area, area_ref)
+    np.testing.assert_array_equal(m.areas(), area_ref)
 
 
 def test_annulus_quads_split_along_shorter_diagonal(geom):
@@ -65,7 +96,7 @@ def test_annulus_quads_split_along_shorter_diagonal(geom):
                            (disk_obstacle(0.7), True)):
         m = generate_mesh(obstacle, geom, 0.15)
         p = m.vertices[m.triangles]
-        assert np.all(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) > 0)
+        assert np.all(cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) > 0)
         n_theta = len(m.boundary_indices)
         n_layers = m.n_vertices // n_theta - 1
         assert m.n_triangles == 2 * n_layers * n_theta
@@ -169,52 +200,6 @@ def test_locate_matches_per_point_oracle(geom, obstacle):
     # the weights reproduce each point, also where it is clamped
     np.testing.assert_allclose(np.einsum("pj,pjd->pd", bary, m.vertices[m.triangles[tri]]),
                                pts, rtol=0.0, atol=1e-12)
-
-
-def test_mesh_file_roundtrip(tmp_path, geom):
-    m = generate_mesh(disk_obstacle(0.5), geom, 0.2)
-    path = tmp_path / "mesh.txt"
-    write_mesh(path, m)
-    mr = read_mesh(path)
-    np.testing.assert_array_equal(mr.triangles, m.triangles)
-    np.testing.assert_allclose(mr.vertices, m.vertices, atol=0)
-    np.testing.assert_array_equal(mr.vertex_tags, m.vertex_tags)
-    assert mr.h_fem == pytest.approx(m.h_fem)
-
-
-@settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["fan", "disk", "star"]), r0=st.floats(0.3, 1.2),
-       c2=st.floats(-0.1, 0.1), s1=st.floats(-0.1, 0.1), h=st.floats(0.15, 0.4))
-def test_mesh_file_roundtrip_keeps_layout(geom, kind, r0, c2, s1, h):
-    obstacle = {"fan": None, "disk": disk_obstacle(r0),
-                "star": fourier_obstacle([r0, 0.0, c2], [0.0, s1])}[kind]
-    m = generate_mesh(obstacle, geom, h)
-    with tempfile.TemporaryDirectory() as tmp:
-        write_mesh(Path(tmp) / "mesh.txt", m)
-        mr = read_mesh(Path(tmp) / "mesh.txt")
-    for name in ("vertices", "triangles", "vertex_tags", "boundary_indices"):
-        np.testing.assert_array_equal(getattr(mr, name), getattr(m, name))
-    np.testing.assert_allclose(mr.boundary_thetas, m.boundary_thetas, rtol=0, atol=1e-12)
-    assert (mr.h_fem, mr.shape_regularity) == (m.h_fem, m.shape_regularity)
-    assert mr.n_theta == m.n_theta == (0 if kind == "fan" else len(m.boundary_indices))
-
-
-def test_read_mesh_recovers_no_layout_from_other_meshes(geom, tmp_path):
-    m = generate_mesh(disk_obstacle(0.5), geom, 0.2)
-    n_theta = m.n_theta
-    # one ring turned by half a step: no longer rings at fixed angles
-    turned = m.vertices.copy()
-    ring = slice(n_theta, 2 * n_theta)
-    r = np.hypot(*turned[ring].T)
-    th = np.arctan2(turned[ring, 1], turned[ring, 0]) + np.pi / n_theta
-    turned[ring] = np.stack([r * np.cos(th), r * np.sin(th)], -1)
-    write_mesh(tmp_path / "turned.txt", replace(m, vertices=turned))
-    assert read_mesh(tmp_path / "turned.txt").n_theta == 0
-    # the same vertices with one triangle reaching two rings out
-    far = m.triangles.copy()
-    far[0, np.argmax(far[0])] += 2 * n_theta
-    write_mesh(tmp_path / "far.txt", replace(m, triangles=far))
-    assert read_mesh(tmp_path / "far.txt").n_theta == 0
 
 
 def test_off_center_obstacle_rejected(geom):
