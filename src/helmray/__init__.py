@@ -12,6 +12,6 @@ from .geometry import (CoefficientField, Obstacle, TruncationGeometry,
                        identity_coefficients, nu_bump_coefficients,
                        signed_distance, validate_configuration)
 from .raytrace import (PhasePoint, RayConfig, Trajectory, classify_trapping,
-                       hamiltonian, integrate_ray, longest_ray_length, time_in_ball)
+                       hamiltonian, integrate_ray, longest_ray_length)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.special import ive
 
 from .dtn import build_dtn
@@ -237,17 +236,6 @@ def volterra_norm(L):
     if L <= 0:
         raise ValueError("interval length must be positive")
     return 2.0 * L / np.pi
-
-
-def volterra_discrete_norm(L, n=2000):
-    """Largest singular value of the discretized cumulative-integration operator.
-
-    Midpoint collocation: row i integrates up to t_i with trapezoid-style half
-    weight on the diagonal.  Converges to 2L/pi as n grows.
-    """
-    dt = L / n
-    V = np.tril(np.full((n, n), dt), -1) + np.eye(n) * (dt / 2.0)
-    return float(scipy.linalg.svdvals(V)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hankel1, jv, jvp
 
+from .util import require_positive
+
 
 def _hankel_ratio_sweep(n_max: int, z: float) -> np.ndarray:
     """H_n^{(1)'}(z) / H_n^{(1)}(z) for n = 0..n_max in one forward sweep.
@@ -70,8 +72,8 @@ class DtnOperator:
 
 def build_dtn(k: float, R: float, n_max: int | None = None) -> DtnOperator:
     """Assemble the modal coefficients t_n = k H_n'(kR)/H_n(kR), n = -n_max..n_max."""
-    if k * R <= 0.0:
-        raise ValueError("need kR > 0")
+    require_positive("k", k)
+    require_positive("R", R)
     if n_max is None:
         n_max = default_n_max(k, R)
     n_min_req = int(np.ceil(k * R))
@@ -89,8 +91,8 @@ def incident_wave_data(op: DtnOperator, direction) -> np.ndarray:
     so mode n of the data is i^n e^{-i n phi_d} (k J_n'(kR) - t_n J_n(kR)).
     """
     d = np.asarray(direction, dtype=float)
-    if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-12:
-        raise ValueError("incidence direction must be a unit vector")
+    if not abs(np.hypot(d[0], d[1]) - 1.0) <= 1e-12:     # NaN fails too
+        raise ValueError(f"direction = {d}: expected a finite unit vector")
     phi = np.arctan2(d[1], d[0])
     k, R = op.k, op.R
     n = op.orders

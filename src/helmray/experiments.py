@@ -12,10 +12,10 @@ import scipy.sparse.linalg as spla
 
 from .bounds import ConstantsLedger, mesh_threshold, resolvent_upper_bound, volterra_norm
 from .dtn import build_dtn
-from .fem import (AngularFactorization, DiscreteSolution, SolveError, _fe_values, assemble,
-                  assemble_load_scattering, assemble_load_source, build_space, element_gradients,
-                  energy_norm, errors_vs_exact, l2_norm_exact, nodal_interpolant, quadrature,
-                  recovered_hessian_h2_norm, solve, solve_adjoint)
+from .fem import (AngularFactorization, DiscreteSolution, SolveError, _fe_values,
+                  _superlu_error, assemble, assemble_load_scattering, assemble_load_source,
+                  build_space, element_gradients, energy_norm, errors_vs_exact, l2_norm_exact,
+                  nodal_interpolant, quadrature, recovered_hessian_h2_norm, solve, solve_adjoint)
 from .geometry import CoefficientField
 from .mesh import MeshSizeError, generate_mesh
 from .mie import soft_disk_total_field
@@ -163,12 +163,17 @@ def _spd_solver(matrix, n_theta):
     annulus), with b as one complex column; otherwise SuperLU of the matrix,
     with the real and imaginary parts of b as two real columns.  On a star
     annulus the angular mass solve needs 21 GMRES iterations, 15 times the
-    time of an LU solve at 89,608 dofs."""
+    time of an LU solve at 89,608 dofs.  A SuperLU failure raises the typed
+    error of ``fem._splu``."""
     if n_theta:
         angular = AngularFactorization(matrix, n_theta)
         if angular.invariant:
             return angular.solve
-    return partial(solve_real, spla.splu(matrix.tocsc()))
+    try:
+        lu = spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise _superlu_error(exc) from exc
+    return partial(solve_real, lu)
 
 
 @dataclass
@@ -185,6 +190,8 @@ def resolvent_scan(coeffs, obstacle, geom, k_values, cutoff: RadialCutoff,
     The mesh width is 0.5/k^2 (pollution-safe).  References: (2 L / pi) k^{s-1}
     with L the plateau (lower) and support (upper) cutoff radii.
     """
+    if not len(k_values):
+        raise ValueError("k_values = []: expected at least one wavenumber")
     for k in k_values:
         require_positive("k", k)
     rows = []
@@ -231,10 +238,10 @@ def quasimode_lower_bound(L, delta, h) -> QuasimodeResult:
     psi (equal to 1 on [delta, L - delta/2], supported in (0, L - delta/4))
     gives u0 = psi v0 with |u0| / |f0| >= 1/(h mu).
     """
+    require_positive("L", L)
+    require_positive("h", h)
     if not (0.0 < 2.0 * delta < L):
-        raise ValueError("need 0 < 2 delta < L")
-    if h <= 0.0:
-        raise ValueError("need h > 0")
+        raise ValueError(f"delta = {delta}: need 0 < 2 delta < L = {L}")
     mu = np.pi / (2.0 * (L - 2.0 * delta))
     amp = 1.0 / (h * mu)
 

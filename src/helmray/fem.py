@@ -180,13 +180,19 @@ def _dissection_order(xy, graph) -> np.ndarray:
     return np.lexsort((part, -tier))
 
 
+def _superlu_error(exc: RuntimeError) -> Exception:
+    """The typed error for SuperLU's ``exc``: SuperLU reports malloc failures
+    as a RuntimeError too."""
+    oom = "malloc" in str(exc).lower() or "memory" in str(exc).lower()
+    return (FactorizationMemoryError if oom else SingularSystemError)(str(exc))
+
+
 def _splu(matrix) -> spla.SuperLU:
     """SuperLU of ``matrix`` as ordered; a failure raises a typed error."""
     try:
         return spla.splu(matrix.tocsc(), permc_spec="NATURAL")
-    except RuntimeError as exc:   # SuperLU reports malloc failures so too
-        oom = "malloc" in str(exc).lower() or "memory" in str(exc).lower()
-        raise (FactorizationMemoryError if oom else SingularSystemError)(str(exc)) from exc
+    except RuntimeError as exc:
+        raise _superlu_error(exc) from exc
 
 
 class TridiagonalLU:

@@ -3,8 +3,8 @@
 Two constructions, both shape-regular under refinement with uniformly spaced
 vertices on the outer circle (which the boundary Fourier projection relies on):
 
-* disk fan: ring i carries 6i vertices, consecutive rings are zipped by an
-  angular two-pointer sweep;
+* disk fan: ring i carries 6i vertices, and the triangles between consecutive
+  rings follow from index arithmetic on the ring sizes;
 * star annulus: the region between a star-shaped curve r = rho(theta) and the
   outer circle, mapped layer by layer at fixed angles.  The mesh states this
   ring layout as ``n_theta``.
@@ -96,29 +96,6 @@ class Mesh:
 # construction helpers
 
 
-def _zip_rings(idx_a, idx_b):
-    """Triangulate the band between two uniform concentric vertex rings.
-
-    Both rings start at angle zero with equal spacing; the sweep compares the
-    next corner angles as exact integer fractions (i+1)/ma vs (j+1)/mb, so the
-    pattern inherits every common discrete rotational symmetry of the counts
-    instead of depending on floating-point ties.
-    """
-    ma, mb = len(idx_a), len(idx_b)
-    tris = []
-    i = j = 0
-    while i < ma or j < mb:
-        va = idx_a[i % ma]
-        vb = idx_b[j % mb]
-        if i < ma and (j >= mb or (i + 1) * mb <= (j + 1) * ma):
-            tris.append((va, vb, idx_a[(i + 1) % ma]))
-            i += 1
-        else:
-            tris.append((va, vb, idx_b[(j + 1) % mb]))
-            j += 1
-    return tris
-
-
 def _length(dx, dy):
     """|(dx, dy)|, the bits of ``np.linalg.norm`` over a length-2 axis.  It
     sums and roots in place: fresh buffers here fragmented the heap enough to
@@ -162,27 +139,41 @@ def _quality(vertices, triangles, area2):
 
 
 def _disk_fan(R, n_r):
-    verts = [(0.0, 0.0)]
-    rings = [(np.array([0]), np.array([0.0]))]
-    tags = [INTERIOR]
-    for i in range(1, n_r + 1):
-        m = 6 * i
-        th = 2.0 * np.pi * np.arange(m) / m
-        r = R * i / n_r
-        start = len(verts)
-        verts.extend(zip(r * np.cos(th), r * np.sin(th)))
-        tags.extend([TRUNCATION_BOUNDARY if i == n_r else INTERIOR] * m)
-        rings.append((np.arange(start, start + m), th))
-    tris = []
-    # center fan
-    inner_idx, _ = rings[1]
-    for j in range(6):
-        tris.append((0, inner_idx[j], inner_idx[(j + 1) % 6]))
-    for i in range(1, n_r):
-        ia, _ = rings[i]
-        ib, _ = rings[i + 1]
-        tris.extend(_zip_rings(ia, ib))
-    return np.array(verts), np.array(tris, dtype=int), np.array(tags), rings[-1]
+    """Vertices, triangles, tags and outer ring of the fan of ``n_r`` rings.
+
+    Vertex 0 is the centre; vertex j < 6 i of ring i sits at 1 + 3 i (i - 1) + j,
+    at angle 2 pi j / 6 i and radius R i / n_r.  The 12 i + 6 triangles between
+    rings i and i + 1 start at slot 6 i^2, in the order of an angular sweep
+    that takes the next corner of either ring, ring i first on ties (the angles
+    compare as exact fractions, so the pattern keeps the rings' common
+    rotations).  Corner p of ring i has p + p // i + 1 corners of ring i + 1
+    before it, and corner q of ring i + 1 has (q + 1) i // (i + 1) of ring i.
+    """
+    # ring i and place j of vertex v at index v - 1
+    i = np.repeat(np.arange(1, n_r + 1), 6 * np.arange(1, n_r + 1))
+    j = np.arange(len(i)) - 3 * i * (i - 1)
+    th, r = 2.0 * np.pi * j / (6 * i), R * i / n_r
+    vertices = np.zeros((len(i) + 1, 2))
+    vertices[1:, 0], vertices[1:, 1] = r * np.cos(th), r * np.sin(th)
+    tags = np.full(len(vertices), INTERIOR)
+    tags[-6 * n_r:] = TRUNCATION_BOUNDARY
+    tris = np.empty((6 * n_r * n_r, 3), dtype=int)
+    tris[:6] = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 6], [0, 6, 1]]
+    # the step past corner p (vertex v) of ring a: (v, corner `before` of ring a + 1, v + 1)
+    n_in = 3 * n_r * (n_r - 1)
+    a, p, v = i[:n_in], j[:n_in], np.arange(1, n_in + 1)
+    before = p + p // a + 1
+    slot = 6 * a * a + p + before
+    tris[slot, 0], tris[slot, 1] = v, v - p + 6 * a + before
+    tris[slot, 2] = np.where(p + 1 < 6 * a, v + 1, v + 1 - 6 * a)
+    # the step past corner q (vertex w) of ring b + 1: (corner `before` of ring b, w, w + 1)
+    b, q, w = i[6:] - 1, j[6:], np.arange(7, len(vertices))
+    before = (q + 1) * b // (b + 1)
+    slot = 6 * b * b + q + before
+    tris[slot, 0], tris[slot, 1] = w - q - 6 * b + before % (6 * b), w
+    tris[slot, 2] = np.where(q + 1 < 6 * b + 6, w + 1, w + 1 - 6 * (b + 1))
+    return vertices, tris, tags, (np.arange(len(vertices) - 6 * n_r, len(vertices)),
+                                  th[-6 * n_r:].copy())
 
 
 def _ring_tags(n_layers, n_theta):

@@ -49,10 +49,6 @@ class Termination(enum.Enum):
     GLANCING_FLAGGED = "glancing_flagged"
 
 
-class TrappedTrajectoryError(Exception):
-    """A quantity is undefined because the trajectory never escaped."""
-
-
 class TrappingSuspectedError(Exception):
     """Sampled rays exhausted the time budget; the flow may be trapping."""
 
@@ -569,26 +565,6 @@ def integrate_ray(coeffs: CoefficientField, obstacle, geom: TruncationGeometry,
                              escape_radius=_escape_radius(coeffs, obstacles, geom.R), record=rec)
     return Trajectory(np.array(rec["times"]), np.array(rec["states"]),
                       rec["reflections"], list(Termination)[batch.termination[0]])
-
-
-def time_in_ball(traj: Trajectory, R: float) -> float:
-    """Last time the trajectory is inside the closed ball B(0, R); 0 if never.
-
-    The crossing instant in the bracketing sample pair is refined assuming a
-    straight segment, exact when the coefficients are Euclidean for |x| >= R.
-    """
-    if traj.termination is not Termination.ESCAPED:
-        raise TrappedTrajectoryError(
-            f"time in ball undefined for termination {traj.termination.value}")
-    x = traj.states[:, :2]
-    inside = np.nonzero(np.hypot(x[:, 0], x[:, 1]) <= R)[0]
-    if not len(inside):
-        return 0.0
-    last = int(inside[-1])
-    if last == len(x) - 1:
-        return float(traj.times[-1])
-    tau = float(_segment_ball_exit(x[last][None, :], x[last + 1][None, :], R)[0])
-    return float(traj.times[last] + tau * (traj.times[last + 1] - traj.times[last]))
 
 
 def _as_obstacles(obstacle):

@@ -1,5 +1,6 @@
 """Reference computations that the package replaced by closed forms or leaner
-kernels; the tests check the package against them."""
+kernels, and oracles that no library code reads; the tests check the package
+against them."""
 
 import numpy as np
 import scipy.linalg
@@ -8,7 +9,8 @@ import scipy.sparse.linalg as spla
 from helmray.dtn import build_dtn
 from helmray.fem import assemble, build_space, modal_projection
 from helmray.geometry import TruncationGeometry, identity_coefficients
-from helmray.mesh import generate_mesh
+from helmray.mesh import INTERIOR, TRUNCATION_BOUNDARY, generate_mesh
+from helmray.raytrace import Termination, _segment_ball_exit
 from helmray.util import bump, solve_real
 
 
@@ -33,6 +35,36 @@ def estimate_C_DtN_tilde(R, k_values, h=0.05):
         core = C.conj().T @ ((2.0 * np.pi * R) * dtn.coefficients[:, None] * C)
         worst = max(worst, float(scipy.linalg.svdvals(core)[0]))
     return worst
+
+
+def volterra_discrete_norm(L, n=2000):
+    """Largest singular value of the discretized cumulative-integration operator.
+
+    Midpoint collocation: row i integrates up to t_i with trapezoid-style half
+    weight on the diagonal.  Converges to 2L/pi as n grows.
+    """
+    dt = L / n
+    V = np.tril(np.full((n, n), dt), -1) + np.eye(n) * (dt / 2.0)
+    return float(scipy.linalg.svdvals(V)[0])
+
+
+def time_in_ball(traj, R):
+    """Last time the escaped trajectory ``traj`` is inside the closed ball
+    B(0, R); 0 if never.
+
+    The crossing instant in the bracketing sample pair is refined assuming a
+    straight segment, exact when the coefficients are Euclidean for |x| >= R.
+    """
+    assert traj.termination is Termination.ESCAPED
+    x = traj.states[:, :2]
+    inside = np.nonzero(np.hypot(x[:, 0], x[:, 1]) <= R)[0]
+    if not len(inside):
+        return 0.0
+    last = int(inside[-1])
+    if last == len(x) - 1:
+        return float(traj.times[-1])
+    tau = float(_segment_ball_exit(x[last][None, :], x[last + 1][None, :], R)[0])
+    return float(traj.times[last] + tau * (traj.times[last + 1] - traj.times[last]))
 
 
 def bump_and_deriv(rho):
@@ -107,3 +139,50 @@ def triangle_geometry(mesh):
     grads[:, 2, 0], grads[:, 2, 1] = -y1 / det, x1 / det
     grads[:, 0] = -(grads[:, 1] + grads[:, 2])
     return float(np.max(2.0 * circum)), float(np.max(circum / inr)), grads, K
+
+
+def zip_rings(idx_a, idx_b):
+    """Triangulate the band between two uniform concentric vertex rings.
+
+    Both rings start at angle zero with equal spacing; the sweep compares the
+    next corner angles as exact integer fractions (i+1)/ma vs (j+1)/mb, so the
+    pattern inherits every common discrete rotational symmetry of the counts
+    instead of depending on floating-point ties.
+    """
+    ma, mb = len(idx_a), len(idx_b)
+    tris = []
+    i = j = 0
+    while i < ma or j < mb:
+        va = idx_a[i % ma]
+        vb = idx_b[j % mb]
+        if i < ma and (j >= mb or (i + 1) * mb <= (j + 1) * ma):
+            tris.append((va, vb, idx_a[(i + 1) % ma]))
+            i += 1
+        else:
+            tris.append((va, vb, idx_b[(j + 1) % mb]))
+            j += 1
+    return tris
+
+
+def disk_fan(R, n_r):
+    """The disk fan built ring by ring, one vertex tuple and one swept
+    triangle at a time: the loop that the index arithmetic of
+    ``mesh._disk_fan`` replaced, to be matched byte for byte."""
+    verts = [(0.0, 0.0)]
+    rings = [(np.array([0]), np.array([0.0]))]
+    tags = [INTERIOR]
+    for i in range(1, n_r + 1):
+        m = 6 * i
+        th = 2.0 * np.pi * np.arange(m) / m
+        r = R * i / n_r
+        start = len(verts)
+        verts.extend(zip(r * np.cos(th), r * np.sin(th)))
+        tags.extend([TRUNCATION_BOUNDARY if i == n_r else INTERIOR] * m)
+        rings.append((np.arange(start, start + m), th))
+    tris = []
+    inner_idx, _ = rings[1]
+    for j in range(6):
+        tris.append((0, inner_idx[j], inner_idx[(j + 1) % 6]))
+    for i in range(1, n_r):
+        tris.extend(zip_rings(rings[i][0], rings[i + 1][0]))
+    return np.array(verts), np.array(tris, dtype=int), np.array(tags), rings[-1]

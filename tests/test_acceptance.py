@@ -11,7 +11,7 @@ import pytest
 from scipy.special import jv, jvp, yv, yvp
 
 from helmray.bounds import (ConstantsLedger, estimate_C_H2, estimate_C_int_tilde,
-                            mesh_threshold, threshold_rhs, volterra_discrete_norm)
+                            mesh_threshold, threshold_rhs)
 from helmray.cli import main as cli_main
 from helmray.dtn import build_dtn
 from helmray.experiments import (RadialCutoff, estimate_resolvent_norm,
@@ -25,7 +25,7 @@ from helmray.mie import soft_disk_total_field
 from helmray.raytrace import (RayConfig, _ham, _rk4_step, longest_ray_length,
                               unit_covector)
 from conftest import rng
-from reference import estimate_C_DtN_tilde
+from reference import estimate_C_DtN_tilde, volterra_discrete_norm
 
 
 def _report(idx, ok, detail):

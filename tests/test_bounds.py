@@ -10,9 +10,9 @@ from helmray.bounds import (CH2Estimate, ConstantsLedger, compute_C_DtN,
                             compute_C_int, estimate_C_H2, estimate_C_int_tilde,
                             exact_C_DtN_tilde, h2_bound_rhs, mesh_threshold,
                             resolvent_upper_bound, schatz_condition, threshold_rhs,
-                            volterra_discrete_norm, volterra_norm)
+                            volterra_norm)
 from helmray.geometry import TruncationGeometry, identity_coefficients
-from reference import estimate_C_DtN_tilde
+from reference import estimate_C_DtN_tilde, volterra_discrete_norm
 
 
 def _unit_ledger(**over):

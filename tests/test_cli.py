@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -313,15 +314,28 @@ def test_non_finite_ray_setting_rejected(tmp_path, capsys):
     ["rays", "--config", "euclid.ini", "--R", "0"],
     ["resolvent-scan", "--config", "euclid.ini", "--ks", "0"],
     ["resolvent-scan", "--config", "euclid.ini", "--ks", "-5"],
+    ["resolvent-scan", "--config", "euclid.ini", "--ks", ""],
     ["h2-scan", "--config", "disk.ini", "--ks", "0,2"],
     ["threshold", "--k", "0"],
     ["threshold", "--k", "-2", "--h", "0.1"],
     ["threshold", "--k", "4", "--h", "-0.1"],
+    ["quasimode", "--h", "nan"],
+    ["quasimode", "--h", "inf"],
+    ["quasimode", "--L", "inf"],
+    ["dtn-check", "--k", "nan", "--R", "1"],
+    ["dtn-check", "--k", "4", "--R", "nan"],
+    ["dtn-check", "--k", "inf", "--R", "1"],
+    ["dtn-check", "--k", "4", "--R", "inf"],
+    ["dtn-check", "--k", "-5", "--R", "-2"],
+    ["solve", "--config", "disk.ini", "--k", "4", "--h", "0.05", "--incident-angle", "nan"],
 ], ids=" ".join)
 def test_a_value_out_of_range_is_a_value_error(tmp_path, capsys, argv):
-    # these once failed with ZeroDivisionError or TypeError, blamed censored
-    # rays for a ray grid inside the obstacle, or wrote a threshold or, for
-    # R = 0, L = 0 from rays that all start at the origin
+    # these once failed with ZeroDivisionError, OverflowError or TypeError,
+    # blamed censored rays for a ray grid inside the obstacle or a singular
+    # system for a NaN incidence angle, named no value when a NaN k or R met
+    # int(), built an operator for k < 0 and R < 0, or wrote a threshold, a
+    # NaN quasimode ratio, an empty scan or, for R = 0, L = 0 from rays that
+    # all start at the origin
     argv = [str(CONFIGS / a) if a.endswith(".ini") else a for a in argv]
     if argv[0] == "threshold":
         led = ConstantsLedger(C_int_tilde=1.0, C_DtN_tilde=1.0, C_H2=1.0, A_min=1.0, A_max=1.0,
@@ -329,7 +343,9 @@ def test_a_value_out_of_range_is_a_value_error(tmp_path, capsys, argv):
         write_json(tmp_path / "ledger.json", asdict(led))
         argv += ["--ledger", str(tmp_path / "ledger.json")]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    report = json.loads(capsys.readouterr().err)
+    # the message names the value, as "name = value: ..."
+    assert report["error"] == "ValueError" and re.match(r"\w+ = [^:]+: ", report["message"])
     assert not (tmp_path / "o").exists()
 
 

